@@ -4,8 +4,7 @@
 # The testbed is one TX2 plus three Nanos, each running a vision stream
 # with a 0.2 s deadline next to the training task.
 
-from deepedge import (JobSpec, bundle_for, default_registry, default_testbed,
-                      get_max_batch_size, validate)
+from deepedge import JobSpec, bundle_for, default_registry, default_testbed, validate
 
 cluster = default_testbed()
 job = JobSpec(num_samples=2000, num_epoch=2, source_store="store-0")
@@ -45,9 +44,9 @@ print(f"vision stream exec time under that load: {exec_after:.3f}s "
 # limit until the projected footprint stays under the ceiling.
 
 for mem in (0.2, 0.6, 0.85):
-    top = get_max_batch_size(nano, mem, b_min=1, b_max=64)
+    top = nano.max_batch_size(mem, b_min=1, b_max=64)
     print(f"mem_util {mem:.2f} -> max batch {top}")
 
 # A worker whose memory is already near the ceiling gets batch 0, which
 # the scheduler reads as "leave this one out".
-print("saturated:", get_max_batch_size(nano, 0.95, 1, 64))
+print("saturated:", nano.max_batch_size(0.95, 1, 64))

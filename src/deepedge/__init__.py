@@ -9,8 +9,8 @@ from .cluster import (BackgroundApp, ClusterSpec, JobSpec, NodeState, ParseError
                       validate)
 from .estimators import (DEVICE_PROFILES, EstimatorBundle, FittedFunction,
                          ParametricProfile, basis_terms, bundle_for,
-                         default_registry, design_matrix, get_max_batch_size,
-                         load_registry, save_registry)
+                         default_registry, design_matrix, load_registry,
+                         save_registry)
 from .scheduler import (Assignment, CostBreakdown, InfeasibleScheduleError, Plan,
                         Removal, SolveAudit, check_pressure, epoch_time,
                         fairness_plan, largest_remainder, load_plan, plan_from_doc,
@@ -40,7 +40,7 @@ __all__ = [
     # estimators
     "DEVICE_PROFILES", "EstimatorBundle", "FittedFunction", "ParametricProfile",
     "basis_terms", "bundle_for", "default_registry", "design_matrix",
-    "get_max_batch_size", "load_registry", "save_registry",
+    "load_registry", "save_registry",
     # scheduler
     "Assignment", "CostBreakdown", "InfeasibleScheduleError", "Plan", "Removal",
     "SolveAudit", "check_pressure", "epoch_time", "fairness_plan",

@@ -41,10 +41,12 @@ def _print_plan(plan) -> None:
         print(f"  removed {r.worker_id} ({r.reason}): {r.detail}")
 
 
+def _inputs(args) -> tuple:
+    return load_cluster(args.cluster), load_job(args.job), load_registry(args.registry)
+
+
 def _cmd_solve(args) -> int:
-    cluster = load_cluster(args.cluster)
-    job = load_job(args.job)
-    registry = load_registry(args.registry)
+    cluster, job, registry = _inputs(args)
     plan = solve(cluster, job, registry)
     _print_plan(plan)
     if args.out:
@@ -56,9 +58,7 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_fairness(args) -> int:
-    cluster = load_cluster(args.cluster)
-    job = load_job(args.job)
-    registry = load_registry(args.registry)
+    cluster, job, registry = _inputs(args)
     plan = fairness_plan(cluster, job, registry)
     _print_plan(plan)
     if args.out:
@@ -81,9 +81,7 @@ def _parse_crashes(specs) -> tuple:
 
 
 def _cmd_simulate(args) -> int:
-    cluster = load_cluster(args.cluster)
-    job = load_job(args.job)
-    registry = load_registry(args.registry)
+    cluster, job, registry = _inputs(args)
     plan = load_plan(args.plan) if args.plan else solve(cluster, job, registry)
     config = SimConfig(jitter=args.jitter, crashes=_parse_crashes(args.crash),
                        trace_level=args.trace_level)
@@ -106,9 +104,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_run(args) -> int:
-    cluster = load_cluster(args.cluster)
-    job = load_job(args.job)
-    registry = load_registry(args.registry)
+    cluster, job, registry = _inputs(args)
     config = SimConfig(jitter=args.jitter, crashes=_parse_crashes(args.crash))
     report = run_job(cluster, job, registry, seed=args.seed, config=config)
     for change in report.phases:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 SCHEMA_VERSION = 1
@@ -42,6 +42,19 @@ def _as_fraction(value, ctx: str) -> float:
     return value
 
 
+def _number(value, ctx: str) -> float:
+    """A finite JSON number as a float; a string, a bool or NaN names the field."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValidationError(f"{ctx}: expected a number, got {value!r}")
+    if not math.isfinite(value):
+        raise ValidationError(f"{ctx}: must be finite, got {value}")
+    return float(value)
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class NodeState:
     """Utilization snapshot of one node. All components are fractions in [0, 1]."""
@@ -53,6 +66,8 @@ class NodeState:
     def __post_init__(self):
         for name in ("cpu_util", "gpu_util", "mem_util"):
             value = getattr(self, name)
+            if type(value) is float and 0.0 <= value <= 1.0:
+                continue  # the common case, and on the estimators' hot path
             if not isinstance(value, (int, float)) or isinstance(value, bool):
                 raise ValidationError(f"NodeState.{name}: expected a number, got {value!r}")
             if not math.isfinite(value) or not 0.0 <= value <= 1.0:
@@ -60,9 +75,6 @@ class NodeState:
 
     def as_dict(self) -> dict:
         return {"cpu_util": self.cpu_util, "gpu_util": self.gpu_util, "mem_util": self.mem_util}
-
-
-IDLE_STATE = NodeState(0.0, 0.0, 0.0)
 
 
 @dataclass(frozen=True)
@@ -108,7 +120,7 @@ class WorkerSpec:
             out.append("worker.id: must be non-empty")
         if not self.device_class:
             out.append(f"{prefix}.device_class: must be non-empty")
-        if not isinstance(self.b_min, int) or not isinstance(self.b_max, int):
+        if not _is_int(self.b_min) or not _is_int(self.b_max):
             out.append(f"{prefix}.b_min/b_max: must be integers")
             return out
         if self.b_min < 1:
@@ -159,9 +171,6 @@ class ClusterSpec:
                 return w
         raise KeyError(f"no worker with id '{worker_id}'")
 
-    def worker_ids(self) -> list[str]:
-        return [w.id for w in self.workers]
-
 
 @dataclass(frozen=True)
 class JobSpec:
@@ -176,9 +185,9 @@ class JobSpec:
 
     def violations(self) -> list[str]:
         out = []
-        if not isinstance(self.num_samples, int) or self.num_samples < 1:
+        if not _is_int(self.num_samples) or self.num_samples < 1:
             out.append(f"job.num_samples: must be a positive integer, got {self.num_samples}")
-        if not isinstance(self.num_epoch, int) or self.num_epoch < 1:
+        if not _is_int(self.num_epoch) or self.num_epoch < 1:
             out.append(f"job.num_epoch: must be a positive integer, got {self.num_epoch}")
         if not self.source_store:
             out.append("job.source_store: must be non-empty")
@@ -186,7 +195,7 @@ class JobSpec:
             out.append(f"job.target_accuracy: must lie in (0, 1], got {self.target_accuracy}")
         if not math.isfinite(self.epsilon) or self.epsilon <= 0:
             out.append(f"job.epsilon: must be > 0, got {self.epsilon}")
-        if not isinstance(self.tau, int) or self.tau < 1:
+        if not _is_int(self.tau) or self.tau < 1:
             out.append(f"job.tau: must be a positive integer, got {self.tau}")
         return out
 
@@ -209,13 +218,19 @@ def validate(cluster: ClusterSpec, job: JobSpec) -> list[str]:
 # --- document loading -------------------------------------------------------
 
 def _load_doc(source) -> dict:
-    """Read JSON from a path, bytes, or str. Returns the top-level object."""
-    if isinstance(source, (str, Path)) and "\n" not in str(source) and Path(str(source)).exists():
-        raw = Path(source).read_bytes()
-    elif isinstance(source, bytes):
+    """Read JSON from a path, bytes, or str. Returns the top-level object.
+
+    A str is JSON text when it starts with '{' or '[' and a path otherwise.
+    """
+    if isinstance(source, bytes):
         raw = source
+    elif isinstance(source, str) and source.lstrip().startswith(("{", "[")):
+        raw = source.encode("utf-8")
     else:
-        raw = str(source).encode("utf-8")
+        try:
+            raw = Path(source).read_bytes()
+        except FileNotFoundError:
+            raise ParseError(f"{source}: file does not exist") from None
     try:
         doc = json.loads(raw.decode("utf-8"))
     except UnicodeDecodeError as exc:
@@ -234,87 +249,77 @@ def _check_schema(doc: dict, what: str) -> None:
         raise ValidationError(f"{what}.schema: unsupported version {doc['schema']!r} (expected {SCHEMA_VERSION})")
 
 
-def _reject_unknown(obj: dict, allowed: set, ctx: str) -> None:
+def _fields(obj, required: tuple, ctx: str, optional: tuple = ()) -> dict:
+    """``obj`` as an object with every required field and no unknown one."""
+    if not isinstance(obj, dict):
+        raise ValidationError(f"{ctx}: expected an object")
     for key in obj:
-        if key not in allowed:
+        if key not in required and key not in optional:
             raise ValidationError(f"{ctx}: unknown field '{key}'")
+    for key in required:
+        if key not in obj:
+            raise ValidationError(f"{ctx}.{key}: missing")
+    return obj
+
+
+def _integer(value, ctx: str) -> int:
+    if not _is_int(value):
+        raise ValidationError(f"{ctx}: expected an integer, got {value!r}")
+    return value
+
+
+def _list(value, ctx: str) -> list:
+    if not isinstance(value, list):
+        raise ValidationError(f"{ctx}: expected a list")
+    return value
 
 
 def _state_from_doc(obj, ctx: str) -> NodeState:
-    if not isinstance(obj, dict):
-        raise ValidationError(f"{ctx}: expected an object with cpu_util/gpu_util/mem_util")
-    _reject_unknown(obj, {"cpu_util", "gpu_util", "mem_util"}, ctx)
-    for name in ("cpu_util", "gpu_util", "mem_util"):
-        if name not in obj:
-            raise ValidationError(f"{ctx}.{name}: missing")
-    return NodeState(
-        cpu_util=_as_fraction(obj["cpu_util"], f"{ctx}.cpu_util"),
-        gpu_util=_as_fraction(obj["gpu_util"], f"{ctx}.gpu_util"),
-        mem_util=_as_fraction(obj["mem_util"], f"{ctx}.mem_util"),
-    )
+    _fields(obj, ("cpu_util", "gpu_util", "mem_util"), ctx)
+    return NodeState(*(_as_fraction(obj[name], f"{ctx}.{name}")
+                       for name in ("cpu_util", "gpu_util", "mem_util")))
 
 
 def _worker_from_doc(obj, stores: tuple[str, ...], index: int) -> WorkerSpec:
     ctx = f"workers[{index}]"
-    if not isinstance(obj, dict):
-        raise ValidationError(f"{ctx}: expected an object")
-    allowed = {
-        "id", "device_class", "initial_state", "background_apps",
-        "b_min", "b_max", "init_cost", "per_sample_transfer_cost",
-    }
-    _reject_unknown(obj, allowed, ctx)
-    for name in ("id", "device_class", "initial_state", "b_min", "b_max"):
-        if name not in obj:
-            raise ValidationError(f"{ctx}.{name}: missing")
-    wid = obj["id"]
-    ctx = f"worker '{wid}'"
+    _fields(obj, ("id", "device_class", "initial_state", "b_min", "b_max"), ctx,
+            ("background_apps", "init_cost", "per_sample_transfer_cost"))
+    for name in ("id", "device_class"):
+        if not isinstance(obj[name], str) or not obj[name]:
+            raise ValidationError(f"{ctx}.{name}: expected a non-empty string, got {obj[name]!r}")
+    ctx = f"worker '{obj['id']}'"
     apps = []
     for j, app in enumerate(obj.get("background_apps", [])):
         actx = f"{ctx}.background_apps[{j}]"
-        if not isinstance(app, dict):
-            raise ValidationError(f"{actx}: expected an object")
-        _reject_unknown(app, {"id", "deadline", "description"}, actx)
-        if "id" not in app or "deadline" not in app:
-            raise ValidationError(f"{actx}: needs 'id' and 'deadline'")
-        apps.append(BackgroundApp(id=app["id"], deadline=float(app["deadline"]),
+        _fields(app, ("id", "deadline"), actx, ("description",))
+        apps.append(BackgroundApp(id=app["id"], deadline=_number(app["deadline"], f"{actx}.deadline"),
                                   description=app.get("description", "")))
+    tctx = f"{ctx}.per_sample_transfer_cost"
     transfer = obj.get("per_sample_transfer_cost", {})
-    if isinstance(transfer, (int, float)) and not isinstance(transfer, bool):
-        transfer = {store: float(transfer) for store in stores}
-    elif isinstance(transfer, dict):
-        transfer = {str(k): float(v) for k, v in transfer.items()}
+    if isinstance(transfer, dict):
+        transfer = {str(k): _number(v, f"{tctx}['{k}']") for k, v in transfer.items()}
     else:
-        raise ValidationError(f"{ctx}.per_sample_transfer_cost: expected a number or a store->seconds map")
-    for b_name in ("b_min", "b_max"):
-        if not isinstance(obj[b_name], int) or isinstance(obj[b_name], bool):
-            raise ValidationError(f"{ctx}.{b_name}: must be an integer")
-    init_cost = obj.get("init_cost", 0.0)
-    if not isinstance(init_cost, (int, float)) or isinstance(init_cost, bool):
-        raise ValidationError(f"{ctx}.init_cost: must be a number of seconds")
+        transfer = dict.fromkeys(stores, _number(transfer, tctx))
     return WorkerSpec(
-        id=wid,
+        id=obj["id"],
         device_class=obj["device_class"],
         initial_state=_state_from_doc(obj["initial_state"], f"{ctx}.initial_state"),
         background_apps=tuple(apps),
-        b_min=obj["b_min"],
-        b_max=obj["b_max"],
-        init_cost=float(init_cost),
+        b_min=_integer(obj["b_min"], f"{ctx}.b_min"),
+        b_max=_integer(obj["b_max"], f"{ctx}.b_max"),
+        init_cost=_number(obj.get("init_cost", 0.0), f"{ctx}.init_cost"),
         per_sample_transfer_cost=transfer,
     )
 
 
 def cluster_from_doc(doc: dict) -> ClusterSpec:
     _check_schema(doc, "cluster")
-    _reject_unknown(doc, {"schema", "workers", "ps_state", "data_stores"}, "cluster")
-    for name in ("workers", "ps_state", "data_stores"):
-        if name not in doc:
-            raise ValidationError(f"cluster.{name}: missing")
-    if not isinstance(doc["workers"], list):
-        raise ValidationError("cluster.workers: expected a list")
+    _fields(doc, ("workers", "ps_state", "data_stores"), "cluster", ("schema",))
     if not isinstance(doc["data_stores"], list) or not all(isinstance(s, str) for s in doc["data_stores"]):
         raise ValidationError("cluster.data_stores: expected a list of store ids")
     stores = tuple(doc["data_stores"])
-    workers = tuple(_worker_from_doc(w, stores, i) for i, w in enumerate(doc["workers"]))
+    workers = tuple(_worker_from_doc(w, stores, i)
+                    for i, w in enumerate(_list(doc["workers"], "cluster.workers")))
     cluster = ClusterSpec(
         workers=workers,
         ps_state=_state_from_doc(doc["ps_state"], "cluster.ps_state"),
@@ -333,18 +338,15 @@ def load_cluster(source) -> ClusterSpec:
 
 def job_from_doc(doc: dict) -> JobSpec:
     _check_schema(doc, "job")
-    allowed = {"schema", "num_samples", "num_epoch", "source_store",
-               "target_accuracy", "epsilon", "tau"}
-    _reject_unknown(doc, allowed, "job")
-    for name in ("num_samples", "num_epoch", "source_store"):
-        if name not in doc:
-            raise ValidationError(f"job.{name}: missing")
+    _fields(doc, ("num_samples", "num_epoch", "source_store"), "job",
+            ("schema", "target_accuracy", "epsilon", "tau"))
     job = JobSpec(
         num_samples=doc["num_samples"],
         num_epoch=doc["num_epoch"],
         source_store=doc["source_store"],
-        target_accuracy=doc.get("target_accuracy"),
-        epsilon=float(doc.get("epsilon", 1.0)),
+        target_accuracy=(None if doc.get("target_accuracy") is None
+                         else _number(doc["target_accuracy"], "job.target_accuracy")),
+        epsilon=_number(doc.get("epsilon", 1.0), "job.epsilon"),
         tau=doc.get("tau", 50),
     )
     problems = job.violations()

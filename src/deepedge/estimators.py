@@ -11,19 +11,24 @@ Each device class gets an estimator bundle exposing five functions:
 
 A bundle is backed by either a closed-form parametric profile or by fitted
 models produced by the profiler (one per target); fitted entries override
-the parametric form per target, so a registry can mix both.
+the parametric form per target, so a registry can mix both. Each target has
+one evaluation, which takes a batch size or an integer array of them: a table
+over every batch size is one call, and a fitted table one design matrix.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, fields as dataclass_fields, replace
+from dataclasses import dataclass, field, fields as dataclass_fields
+from functools import cached_property, lru_cache
+from itertools import combinations
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
-from .cluster import NodeState, ParseError, ValidationError, SCHEMA_VERSION
+from .cluster import NodeState, ValidationError, SCHEMA_VERSION, _check_schema, _fields, _number
 
 TARGETS = ("compute_time", "update_time", "state_cpu", "state_gpu", "state_mem", "exec_time")
 
@@ -38,6 +43,13 @@ FEATURES_BY_TARGET = {
 }
 
 _POSITIVE_FLOOR = 1e-9
+
+
+def _clamp(value, low, high=math.inf):
+    """``value`` limited to [low, high], elementwise for an array."""
+    if isinstance(value, np.ndarray):
+        return np.minimum(high, np.maximum(low, value))
+    return min(high, max(low, value))
 
 
 @dataclass(frozen=True)
@@ -97,6 +109,38 @@ class ParametricProfile:
     def as_dict(self) -> dict:
         return {f.name: getattr(self, f.name) for f in dataclass_fields(self)}
 
+    # The closed form of each target, named after it. Like FittedFunction.estimate
+    # they take (state, batch size, parameter-server state, worker count), and
+    # numbers or arrays alike.
+
+    def compute_time(self, state, b, ps_state, n):
+        load = (1.0 + self.cpu_slope * state.cpu_util) * (1.0 + self.gpu_slope * state.gpu_util)
+        return self.base_forward * load + self.base_backward * load / b
+
+    def update_parts(self, state, b, ps_state) -> tuple:
+        """(push, server service, pull); they sum to the update time of one worker."""
+        worker_load = (1.0 + self.cpu_slope * state.cpu_util) * (1.0 + self.batch_update_coef / b)
+        service = self.ps_update * (1.0 + self.ps_cpu_slope * ps_state.cpu_util)
+        return self.base_push * worker_load, service, self.base_pull * worker_load
+
+    def update_time(self, state, b, ps_state, n):
+        push, service, pull = self.update_parts(state, b, ps_state)
+        return push + service + pull + self.contention_slope * (n - 1)
+
+    def state_cpu(self, state, b, ps_state, n):
+        return state.cpu_util + self.cpu_pressure
+
+    def state_gpu(self, state, b, ps_state, n):
+        return state.gpu_util + self.gpu_pressure
+
+    def state_mem(self, state, b, ps_state, n):
+        return state.mem_util + self.base_mem_footprint + self.mem_per_batch_unit * b
+
+    def exec_time(self, state, b, ps_state, n):
+        return self.bg_base_exec * (1.0 + self.bg_cpu_slope * state.cpu_util
+                                    + self.bg_gpu_slope * state.gpu_util
+                                    + self.bg_mem_slope * state.mem_util)
+
 
 # --- fitted functions --------------------------------------------------------
 
@@ -108,41 +152,40 @@ def basis_terms(feature_names) -> list[tuple[str, tuple[int, ...], bool]]:
     size. Returned as (label, feature index tuple, divide_by_batch).
     """
     names = list(feature_names)
-    terms: list[tuple[str, tuple[int, ...], bool]] = [("1", (), False)]
-    for i, name in enumerate(names):
-        terms.append((name, (i,), False))
-    for i in range(len(names)):
-        for j in range(i + 1, len(names)):
-            terms.append((f"{names[i]}*{names[j]}", (i, j), False))
+    every = range(len(names))
+    terms = [("1", (), False)] + [(names[i], (i,), False) for i in every]
+    terms += [(f"{names[i]}*{names[j]}", (i, j), False) for i, j in combinations(every, 2)]
     if "batch" in names:
-        b = names.index("batch")
-        rest = [i for i in range(len(names)) if i != b]
-        terms.append(("1/batch", (), True))
-        for i in rest:
-            terms.append((f"{names[i]}/batch", (i,), True))
-        for a in range(len(rest)):
-            for c in range(a + 1, len(rest)):
-                i, j = rest[a], rest[c]
-                terms.append((f"{names[i]}*{names[j]}/batch", (i, j), True))
+        rest = [i for i in every if names[i] != "batch"]
+        terms += [("1/batch", (), True)] + [(f"{names[i]}/batch", (i,), True) for i in rest]
+        terms += [(f"{names[i]}*{names[j]}/batch", (i, j), True)
+                  for i, j in combinations(rest, 2)]
     return terms
+
+
+@lru_cache(maxsize=None)
+def _term_columns(feature_names: tuple) -> tuple:
+    """Every basis term as the product of two columns of ``[1, X]`` (left and
+    right index arrays), plus a mask of the terms divided by the batch size."""
+    terms = basis_terms(feature_names)
+    left = np.array([idx[0] + 1 if idx else 0 for _, idx, _ in terms])
+    right = np.array([idx[1] + 1 if len(idx) > 1 else 0 for _, idx, _ in terms])
+    return left, right, np.array([recip for _, _, recip in terms])
 
 
 def design_matrix(feature_names, X: np.ndarray) -> np.ndarray:
     """Evaluate the basis on feature rows. X has one column per feature."""
+    names = tuple(feature_names)
     X = np.asarray(X, dtype=float)
-    if X.ndim != 2 or X.shape[1] != len(tuple(feature_names)):
-        raise ValueError(f"feature matrix must be (n, {len(tuple(feature_names))})")
-    names = list(feature_names)
-    batch_col = X[:, names.index("batch")] if "batch" in names else None
-    cols = []
-    for _, idx, recip in basis_terms(names):
-        col = np.ones(X.shape[0])
-        for i in idx:
-            col = col * X[:, i]
-        if recip:
-            col = col / batch_col
-        cols.append(col)
-    return np.column_stack(cols)
+    if X.ndim != 2 or X.shape[1] != len(names):
+        raise ValueError(f"feature matrix must be (n, {len(names)})")
+    left, right, divided = _term_columns(names)
+    padded = np.concatenate([np.ones((len(X), 1)), X], axis=1)
+    # row-major, so that a row's terms sum in the same order whatever the row count
+    D = np.multiply(padded[:, left], padded[:, right], order="C")
+    if divided.any():
+        D[:, divided] /= X[:, [names.index("batch")]]
+    return D
 
 
 @dataclass(frozen=True)
@@ -163,18 +206,38 @@ class FittedFunction:
                 f"features {list(self.feature_names)}, got {len(self.coefficients)}"
             )
 
+    @cached_property
+    def _coefficients(self) -> np.ndarray:
+        return np.array(self.coefficients, dtype=float)
+
     def term_names(self) -> list[str]:
         return [name for name, _, _ in basis_terms(self.feature_names)]
 
-    def predict_rows(self, X: np.ndarray) -> np.ndarray:
-        return design_matrix(self.feature_names, X) @ np.asarray(self.coefficients)
-
-    def predict(self, features: dict) -> float:
+    def predict(self, features: dict):
+        """The model at one point, or at every point where features are 1-d
+        arrays (numbers broadcast against them); all points make one design
+        matrix, and a point's prediction does not depend on the others."""
         try:
-            row = [features[name] for name in self.feature_names]
+            values = [features[name] for name in self.feature_names]
         except KeyError as exc:
             raise ValueError(f"fitted '{self.target}': missing feature {exc}") from None
-        return float(self.predict_rows(np.asarray([row], dtype=float))[0])
+        points = np.broadcast(*values)
+        X = np.empty((points.size, len(values)))
+        for j, value in enumerate(values):
+            X[:, j] = value
+        y = (design_matrix(self.feature_names, X) * self._coefficients).sum(axis=1)
+        return y.reshape(points.shape) if points.shape else float(y[0])
+
+    def estimate(self, state, b, ps_state, n):
+        """The prediction under ``state`` at batch size ``b`` with ``n`` workers
+        on a parameter server in ``ps_state``. Times are floored just above
+        zero, since a fit, unlike the closed form, can dip below it."""
+        features = {"cpu_util": state.cpu_util, "gpu_util": state.gpu_util,
+                    "mem_util": state.mem_util, "batch": b,
+                    "ps_cpu_util": ps_state.cpu_util if ps_state is not None else None,
+                    "n_workers": n}
+        pred = self.predict({name: features[name] for name in FEATURES_BY_TARGET[self.target]})
+        return pred if self.target.startswith("state_") else _clamp(pred, _POSITIVE_FLOOR)
 
     def as_block(self) -> dict:
         block = {
@@ -191,22 +254,21 @@ class FittedFunction:
 
 
 def fitted_from_block(block: dict, ctx: str = "fitted block") -> FittedFunction:
-    if not isinstance(block, dict):
-        raise ValidationError(f"{ctx}: expected an object")
-    allowed = {"schema", "device_class", "target", "features", "terms", "coefficients",
-               "train_mape", "test_mape", "n_train", "n_test"}
-    for key in block:
-        if key not in allowed:
-            raise ValidationError(f"{ctx}: unknown field '{key}'")
-    for key in ("target", "features", "coefficients"):
-        if key not in block:
-            raise ValidationError(f"{ctx}.{key}: missing")
-    if block["target"] not in TARGETS:
-        raise ValidationError(f"{ctx}.target: unknown target '{block['target']}'")
+    _fields(block, ("target", "features", "coefficients"), ctx,
+            ("schema", "device_class", "terms", "train_mape", "test_mape", "n_train", "n_test"))
+    target = block["target"]
+    if target not in TARGETS:
+        raise ValidationError(f"{ctx}.target: unknown target '{target}'")
+    if block["features"] != list(FEATURES_BY_TARGET[target]):
+        raise ValidationError(f"{ctx}.features: expected {list(FEATURES_BY_TARGET[target])} "
+                              f"for target '{target}', got {block['features']!r}")
+    if not isinstance(block["coefficients"], list):
+        raise ValidationError(f"{ctx}.coefficients: expected a list of numbers")
     return FittedFunction(
-        target=block["target"],
-        feature_names=tuple(block["features"]),
-        coefficients=tuple(float(c) for c in block["coefficients"]),
+        target=target,
+        feature_names=FEATURES_BY_TARGET[target],
+        coefficients=tuple(_number(c, f"{ctx}.coefficients[{i}]")
+                           for i, c in enumerate(block["coefficients"])),
         train_mape=block.get("train_mape"),
         test_mape=block.get("test_mape"),
     )
@@ -214,9 +276,26 @@ def fitted_from_block(block: dict, ctx: str = "fitted block") -> FittedFunction:
 
 # --- the bundle ---------------------------------------------------------------
 
+# batch sizes max_batch_size projects at once
+_BATCH_BLOCK = 1024
+
+
+class StateTable(NamedTuple):
+    """Projected utilizations over an array of batch sizes, per component an
+    array or a number that broadcasts; ``est_state``'s result for an array."""
+
+    cpu_util: np.ndarray
+    gpu_util: np.ndarray
+    mem_util: np.ndarray
+
+
 @dataclass(frozen=True)
 class EstimatorBundle:
-    """Estimator set for one device class: parametric profile, fitted overrides, or both."""
+    """Estimator set for one device class: parametric profile, fitted overrides, or both.
+
+    A batch size may be an int or an integer array; with an array, every
+    estimate is an array over it, from one evaluation.
+    """
 
     device_class: str
     profile: ParametricProfile | None = None
@@ -237,48 +316,27 @@ class EstimatorBundle:
             if target not in TARGETS:
                 raise ValidationError(f"bundle '{self.device_class}': unknown target '{target}'")
 
-    # -- compute ---------------------------------------------------------
+    @cached_property
+    def _estimate(self) -> dict:
+        """target -> its one evaluation: the fitted model when the bundle has
+        one, else the closed form."""
+        return {t: self.models[t].estimate if t in self.models else getattr(self.profile, t)
+                for t in TARGETS}
 
-    def est_compute_time(self, state: NodeState, batch_size: int) -> float:
+    def est_compute_time(self, state: NodeState, batch_size):
         """Seconds per sample to run one forward+backward pass at this batch size."""
-        if batch_size < 1:
+        if (batch_size if type(batch_size) is int else np.min(batch_size, initial=1)) < 1:
             raise ValueError(f"batch_size must be >= 1, got {batch_size}")
-        model = self.models.get("compute_time")
-        if model is not None:
-            pred = model.predict({
-                "cpu_util": state.cpu_util, "gpu_util": state.gpu_util,
-                "mem_util": state.mem_util, "batch": float(batch_size),
-            })
-            return max(_POSITIVE_FLOOR, pred)
-        p = self._profile("compute_time")
-        load = (1.0 + p.cpu_slope * state.cpu_util) * (1.0 + p.gpu_slope * state.gpu_util)
-        return p.base_forward * load + p.base_backward * load / batch_size
+        return self._estimate["compute_time"](state, batch_size, None, 1)
 
-    # -- update ----------------------------------------------------------
-
-    def est_update_time(self, state: NodeState, batch_size: int, ps_state: NodeState,
-                        n_workers: int, batch_dist=None) -> float:
-        """Seconds for one parameter exchange round (push + server update + pull).
-
-        ``batch_dist`` (the full shard batch assignment) is accepted for
-        model paths that want it; the built-in paths use only this worker's
-        batch size and the worker count.
-        """
+    def est_update_time(self, state: NodeState, batch_size, ps_state: NodeState,
+                        n_workers: int):
+        """Seconds for one parameter exchange round (push + server update + pull)."""
         if n_workers < 1:
             raise ValueError(f"n_workers must be >= 1, got {n_workers}")
-        if batch_size < 1:
+        if (batch_size if type(batch_size) is int else np.min(batch_size, initial=1)) < 1:
             raise ValueError(f"batch_size must be >= 1, got {batch_size}")
-        model = self.models.get("update_time")
-        if model is not None:
-            pred = model.predict({
-                "cpu_util": state.cpu_util, "gpu_util": state.gpu_util,
-                "mem_util": state.mem_util, "batch": float(batch_size),
-                "ps_cpu_util": ps_state.cpu_util, "n_workers": float(n_workers),
-            })
-            return max(_POSITIVE_FLOOR, pred)
-        p = self._profile("update_time")
-        push, service, pull = self._parametric_update_parts(p, state, batch_size, ps_state)
-        return push + service + pull + p.contention_slope * (n_workers - 1)
+        return self._estimate["update_time"](state, batch_size, ps_state, n_workers)
 
     def update_components(self, state: NodeState, batch_size: int,
                           ps_state: NodeState) -> tuple[float, float, float]:
@@ -289,88 +347,46 @@ class EstimatorBundle:
         stand-in. Fitted update models cannot be decomposed, so they get a
         fixed 0.3/0.4/0.3 split of the single-worker estimate.
         """
-        if self.models.get("update_time") is not None or self.profile is None:
+        if "update_time" in self.models:
             total = self.est_update_time(state, batch_size, ps_state, n_workers=1)
             return 0.3 * total, 0.4 * total, 0.3 * total
-        p = self.profile
-        return self._parametric_update_parts(p, state, batch_size, ps_state)
+        return self.profile.update_parts(state, batch_size, ps_state)
 
-    @staticmethod
-    def _parametric_update_parts(p: ParametricProfile, state: NodeState,
-                                 batch_size: int, ps_state: NodeState):
-        worker_load = (1.0 + p.cpu_slope * state.cpu_util) * (1.0 + p.batch_update_coef / batch_size)
-        service = p.ps_update * (1.0 + p.ps_cpu_slope * ps_state.cpu_util)
-        return p.base_push * worker_load, service, p.base_pull * worker_load
-
-    # -- state -----------------------------------------------------------
-
-    def est_state(self, state: NodeState, batch_size: int) -> NodeState:
-        """95th-percentile projected state once a batch-``b`` training task lands."""
-        if batch_size < 1:
+    def est_state(self, state: NodeState, batch_size):
+        """95th-percentile projected state once a batch-``b`` training task lands;
+        a ``StateTable`` for an array of batch sizes."""
+        if (batch_size if type(batch_size) is int else np.min(batch_size, initial=1)) < 1:
             raise ValueError(f"batch_size must be >= 1, got {batch_size}")
-        values = {}
-        for component, target in (("cpu_util", "state_cpu"), ("gpu_util", "state_gpu"),
-                                  ("mem_util", "state_mem")):
-            initial = getattr(state, component)
-            model = self.models.get(target)
-            if model is not None:
-                pred = model.predict({
-                    "cpu_util": state.cpu_util, "gpu_util": state.gpu_util,
-                    "mem_util": state.mem_util, "batch": float(batch_size),
-                })
-            else:
-                p = self._profile(target)
-                if target == "state_cpu":
-                    pred = initial + p.cpu_pressure
-                elif target == "state_gpu":
-                    pred = initial + p.gpu_pressure
-                else:
-                    pred = initial + p.base_mem_footprint + p.mem_per_batch_unit * batch_size
-            # a running task never frees resources, and utilization saturates at 1
-            values[component] = min(1.0, max(initial, pred))
-        return NodeState(**values)
+        estimate = self._estimate
+        # a running task never frees resources, and utilization saturates at 1
+        values = (_clamp(estimate["state_cpu"](state, batch_size, None, 1), state.cpu_util, 1.0),
+                  _clamp(estimate["state_gpu"](state, batch_size, None, 1), state.gpu_util, 1.0),
+                  _clamp(estimate["state_mem"](state, batch_size, None, 1), state.mem_util, 1.0))
+        return StateTable(*values) if isinstance(batch_size, np.ndarray) else NodeState(*values)
 
-    # -- background exec ---------------------------------------------------
-
-    def est_exec_time(self, state: NodeState) -> float:
+    def est_exec_time(self, state):
         """Runtime of the co-located background task under the given state."""
-        model = self.models.get("exec_time")
-        if model is not None:
-            pred = model.predict({
-                "cpu_util": state.cpu_util, "gpu_util": state.gpu_util,
-                "mem_util": state.mem_util,
-            })
-            return max(_POSITIVE_FLOOR, pred)
-        p = self._profile("exec_time")
-        return p.bg_base_exec * (1.0 + p.bg_cpu_slope * state.cpu_util
-                                 + p.bg_gpu_slope * state.gpu_util
-                                 + p.bg_mem_slope * state.mem_util)
-
-    # -- max batch ---------------------------------------------------------
+        return self._estimate["exec_time"](state, None, None, 1)
 
     def max_batch_size(self, mem_util: float, b_min: int, b_max: int,
                        mem_ceiling: float = 0.95) -> int:
-        """Largest batch in [b_min, b_max] keeping projected memory <= ceiling; 0 if none."""
+        """Largest batch in [b_min, b_max] keeping projected memory <= ceiling; 0 if none.
+
+        Projected memory need not grow with the batch size (a fitted model may
+        dip), so batches are checked from ``b_max`` down, a block at a time.
+        """
         if not 0.0 <= mem_util <= 1.0:
             raise ValueError(f"mem_util must lie in [0, 1], got {mem_util}")
         if b_min < 1 or b_max < b_min:
             raise ValueError(f"need 1 <= b_min <= b_max, got [{b_min}, {b_max}]")
         probe = NodeState(0.0, 0.0, mem_util)
-        for batch in range(b_max, b_min - 1, -1):
-            if self.est_state(probe, batch).mem_util <= mem_ceiling:
-                return batch
+        for top in range(b_max, b_min - 1, -_BATCH_BLOCK):
+            batches = np.arange(top, max(b_min, top - _BATCH_BLOCK + 1) - 1, -1)
+            mem = _clamp(self._estimate["state_mem"](probe, batches, None, 1), mem_util, 1.0)
+            fits = np.flatnonzero(mem <= mem_ceiling)
+            if fits.size:
+                return int(batches[fits[0]])
         return 0
-
-    def _profile(self, target: str) -> ParametricProfile:
-        if self.profile is None:
-            raise ValidationError(f"bundle '{self.device_class}': no parametric profile and "
-                                  f"no fitted model for '{target}'")
-        return self.profile
-
-
-def get_max_batch_size(bundle: EstimatorBundle, mem_util: float, b_min: int, b_max: int,
-                       mem_ceiling: float = 0.95) -> int:
-    return bundle.max_batch_size(mem_util, b_min, b_max, mem_ceiling)
 
 
 # --- built-in device profiles -------------------------------------------------
@@ -417,15 +433,8 @@ def bundle_for(registry: dict, device_class: str) -> EstimatorBundle:
 # --- registry documents --------------------------------------------------------
 
 def _profile_from_doc(obj: dict, ctx: str) -> ParametricProfile:
-    if not isinstance(obj, dict):
-        raise ValidationError(f"{ctx}: expected an object of profile coefficients")
-    known = {f.name for f in dataclass_fields(ParametricProfile)}
-    for key in obj:
-        if key not in known:
-            raise ValidationError(f"{ctx}: unknown field '{key}'")
-    if "base_forward" not in obj:
-        raise ValidationError(f"{ctx}.base_forward: missing")
-    profile = ParametricProfile(**{k: float(v) for k, v in obj.items()})
+    _fields(obj, ("base_forward",), ctx, tuple(f.name for f in dataclass_fields(ParametricProfile)))
+    profile = ParametricProfile(**{k: _number(v, f"{ctx}.{k}") for k, v in obj.items()})
     problems = profile.violations()
     if problems:
         raise ValidationError(f"{ctx}: {problems[0]}")
@@ -433,31 +442,21 @@ def _profile_from_doc(obj: dict, ctx: str) -> ParametricProfile:
 
 
 def registry_from_doc(doc: dict) -> dict:
-    from .cluster import _check_schema  # shared schema marker handling
     _check_schema(doc, "registry")
-    for key in doc:
-        if key not in {"schema", "devices"}:
-            raise ValidationError(f"registry: unknown field '{key}'")
-    if "devices" not in doc or not isinstance(doc["devices"], dict):
-        raise ValidationError("registry.devices: missing or not an object")
+    devices = _fields(doc, ("devices",), "registry", ("schema",))["devices"]
+    if not isinstance(devices, dict):
+        raise ValidationError("registry.devices: expected an object")
     registry = {}
-    for name, entry in doc["devices"].items():
+    for name, entry in devices.items():
         ctx = f"registry.devices['{name}']"
-        if not isinstance(entry, dict):
-            raise ValidationError(f"{ctx}: expected an object")
-        kind = entry.get("type")
+        kind = _fields(entry, ("type",), ctx, ("base", "profile", "models"))["type"]
         if kind == "parametric":
-            for key in entry:
-                if key not in {"type", "profile"}:
-                    raise ValidationError(f"{ctx}: unknown field '{key}'")
+            _fields(entry, ("type",), ctx, ("profile",))
             registry[name] = EstimatorBundle(
                 device_class=name,
                 profile=_profile_from_doc(entry.get("profile", {}), f"{ctx}.profile"),
             )
         elif kind == "fitted":
-            for key in entry:
-                if key not in {"type", "base", "profile", "models"}:
-                    raise ValidationError(f"{ctx}: unknown field '{key}'")
             profile = None
             if "profile" in entry:
                 profile = _profile_from_doc(entry["profile"], f"{ctx}.profile")
@@ -467,7 +466,10 @@ def registry_from_doc(doc: dict) -> dict:
                     raise ValidationError(f"{ctx}.base: unknown built-in device class '{base}'")
                 profile = DEVICE_PROFILES[base]
             models = {}
-            for target, block in entry.get("models", {}).items():
+            blocks = entry.get("models", {})
+            if not isinstance(blocks, dict):
+                raise ValidationError(f"{ctx}.models: expected an object")
+            for target, block in blocks.items():
                 fn = fitted_from_block(block, ctx=f"{ctx}.models['{target}']")
                 if fn.target != target:
                     raise ValidationError(f"{ctx}.models['{target}']: block is for "

@@ -16,9 +16,7 @@ from __future__ import annotations
 
 import csv
 import itertools
-import math
-from dataclasses import dataclass, field
-from pathlib import Path
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -34,13 +34,14 @@ from __future__ import annotations
 import heapq
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
 from .cluster import (ClusterSpec, JobSpec, NodeState, ValidationError, WorkerSpec,
-                      SCHEMA_VERSION, _load_doc, _check_schema, validate)
+                      SCHEMA_VERSION, _check_schema, _fields, _integer, _list,
+                      _load_doc, _number, validate)
 from .estimators import EstimatorBundle, bundle_for, default_registry
 
 
@@ -61,19 +62,23 @@ def epoch_time(num_samples: int, batch_size: int, t_compute: float, t_update: fl
     return rounds * (batch_size * t_compute + t_update)
 
 
-def check_pressure(worker: WorkerSpec, bundle: EstimatorBundle,
-                   batch_size: int) -> tuple[bool, dict]:
+def check_pressure(worker: WorkerSpec, bundle: EstimatorBundle, batch_size) -> tuple:
     """Whether every background task on this worker still meets its deadline
     once a batch of the given size is training there.
 
     Returns (ok, app_id -> projected exec time). A batch of zero means no
-    training task lands on the worker, so nothing can be pressured.
+    training task lands on the worker, so nothing can be pressured. Given an
+    integer array of batch sizes, ``ok`` is a mask over them and each exec
+    time an array.
     """
-    if batch_size == 0:
+    if not isinstance(batch_size, np.ndarray) and batch_size == 0:
         return True, {}
-    projected = bundle.est_state(worker.initial_state, batch_size)
-    exec_times = {app.id: bundle.est_exec_time(projected) for app in worker.background_apps}
-    ok = all(exec_times[app.id] <= app.deadline for app in worker.background_apps)
+    exec_time = bundle.est_exec_time(bundle.est_state(worker.initial_state, batch_size))
+    ok = exec_time <= math.inf  # True, or all True over an array
+    exec_times = {}
+    for app in worker.background_apps:
+        ok = ok & (exec_time <= app.deadline)
+        exec_times[app.id] = exec_time
     return ok, exec_times
 
 
@@ -156,9 +161,6 @@ class Plan:
 
     def shares(self) -> dict:
         return {a.worker_id: a.num_samples for a in self.assignments}
-
-    def batches(self) -> dict:
-        return {a.worker_id: a.batch_size for a in self.assignments}
 
 
 # --- shared helpers -------------------------------------------------------------
@@ -300,7 +302,8 @@ class _Tables:
     smaller, since no shard is larger than the job. Compute times and the
     pressure check depend on the worker alone and are evaluated once per
     solve; update times also depend on how many workers share the parameter
-    server, so they are kept per worker count.
+    server, so they are kept per worker count. Each is one estimator call
+    over the worker's whole batch range.
     """
 
     def __init__(self, cluster: ClusterSpec, job: JobSpec, bundles: dict,
@@ -314,11 +317,9 @@ class _Tables:
         if worker.id not in self._compute:
             bundle = self.bundles[worker.id]
             top = min(self.maxbatch[worker.id], self.job.num_samples)
-            bs = [b for b in range(worker.b_min, top + 1)
-                  if check_pressure(worker, bundle, b)[0]]
-            self._compute[worker.id] = (
-                np.array(bs, dtype=float),
-                np.array([bundle.est_compute_time(worker.initial_state, b) for b in bs]))
+            bs = np.arange(worker.b_min, top + 1)
+            bs = bs[check_pressure(worker, bundle, bs)[0]]
+            self._compute[worker.id] = (bs, bundle.est_compute_time(worker.initial_state, bs))
         return self._compute[worker.id]
 
     def rows(self, worker: WorkerSpec, n: int) -> tuple:
@@ -326,10 +327,8 @@ class _Tables:
         bs, t_c = self.compute(worker)
         key = (worker.id, n)
         if key not in self._update:
-            self._update[key] = np.array([
-                self.bundles[worker.id].est_update_time(
-                    worker.initial_state, int(b), self.cluster.ps_state, n)
-                for b in bs])
+            self._update[key] = self.bundles[worker.id].est_update_time(
+                worker.initial_state, bs, self.cluster.ps_state, n)
         return bs, t_c, self._update[key]
 
     def fastest_rate(self, worker: WorkerSpec) -> float:
@@ -577,13 +576,9 @@ def solve(cluster: ClusterSpec, job: JobSpec, registry: dict | None = None,
             "; ".join(f"{r.worker_id}: {r.detail}" for r in removal_log))
     _, best_cost, best_assignments, best_audit, log_len = min(
         candidates, key=lambda c: (c[0], c[1], -len(c[2])))
-    final_audit = SolveAudit(
-        iterations=best_audit.iterations, converged=best_audit.converged,
-        shares=best_audit.shares, t_total=best_audit.t_total,
-        batches=best_audit.batches, candidates_considered=len(candidates))
     return Plan(method="heuristic", num_epoch=job.num_epoch, total_cost=best_cost,
-                assignments=tuple(best_assignments),
-                removed=tuple(removal_log[:log_len]), audit=final_audit)
+                assignments=tuple(best_assignments), removed=tuple(removal_log[:log_len]),
+                audit=replace(best_audit, candidates_considered=len(candidates)))
 
 
 def fairness_plan(cluster: ClusterSpec, job: JobSpec, registry: dict | None = None,
@@ -662,44 +657,39 @@ def plan_to_doc(plan: Plan) -> dict:
 
 def plan_from_doc(doc: dict) -> Plan:
     _check_schema(doc, "plan")
-    allowed = {"schema", "method", "num_epoch", "total_cost", "assignments",
-               "removed", "audit"}
-    for key in doc:
-        if key not in allowed:
-            raise ValidationError(f"plan: unknown field '{key}'")
-    for key in ("method", "num_epoch", "total_cost", "assignments"):
-        if key not in doc:
-            raise ValidationError(f"plan.{key}: missing")
+    _fields(doc, ("method", "num_epoch", "total_cost", "assignments"), "plan",
+            ("schema", "removed", "audit"))
+    times = ("t_compute", "t_update", "t_total", "epoch_time")
     assignments = []
-    for i, a in enumerate(doc["assignments"]):
+    for i, a in enumerate(_list(doc["assignments"], "plan.assignments")):
         ctx = f"plan.assignments[{i}]"
-        needed = {"worker", "num_samples", "batch_size", "t_compute", "t_update",
-                  "t_total", "epoch_time", "cost"}
-        for key in a:
-            if key not in needed:
-                raise ValidationError(f"{ctx}: unknown field '{key}'")
-        for key in needed:
-            if key not in a:
-                raise ValidationError(f"{ctx}.{key}: missing")
-        c = a["cost"]
+        _fields(a, ("worker", "num_samples", "batch_size", "cost") + times, ctx)
+        cost = _fields(a["cost"], ("transfer", "init", "train", "total"), f"{ctx}.cost")
         assignments.append(Assignment(
-            a["worker"], int(a["num_samples"]), int(a["batch_size"]),
-            float(a["t_compute"]), float(a["t_update"]), float(a["t_total"]),
-            float(a["epoch_time"]),
-            CostBreakdown(float(c["transfer"]), float(c["init"]),
-                          float(c["train"]), float(c["total"]))))
-    removed = tuple(Removal(r["worker"], r["reason"], r.get("detail", ""))
-                    for r in doc.get("removed", []))
+            a["worker"], _integer(a["num_samples"], f"{ctx}.num_samples"),
+            _integer(a["batch_size"], f"{ctx}.batch_size"),
+            *(_number(a[key], f"{ctx}.{key}") for key in times),
+            CostBreakdown(*(_number(cost[key], f"{ctx}.cost.{key}")
+                            for key in ("transfer", "init", "train", "total")))))
+    removed = []
+    for i, r in enumerate(_list(doc.get("removed", []), "plan.removed")):
+        _fields(r, ("worker", "reason"), f"plan.removed[{i}]", ("detail",))
+        removed.append(Removal(r["worker"], r["reason"], r.get("detail", "")))
     audit = None
     if "audit" in doc:
-        ad = doc["audit"]
-        audit = SolveAudit(int(ad["iterations"]), bool(ad["converged"]),
-                           dict(ad["shares"]), dict(ad["t_total"]),
+        ad = _fields(doc["audit"], ("iterations", "converged", "shares", "t_total", "batches"),
+                     "plan.audit", ("candidates_considered",))
+        for key in ("shares", "t_total", "batches"):
+            if not isinstance(ad[key], dict):
+                raise ValidationError(f"plan.audit.{key}: expected an object")
+        audit = SolveAudit(_integer(ad["iterations"], "plan.audit.iterations"),
+                           bool(ad["converged"]), dict(ad["shares"]), dict(ad["t_total"]),
                            dict(ad["batches"]),
-                           int(ad.get("candidates_considered", 1)))
-    return Plan(method=doc["method"], num_epoch=int(doc["num_epoch"]),
-                total_cost=float(doc["total_cost"]), assignments=tuple(assignments),
-                removed=removed, audit=audit)
+                           _integer(ad.get("candidates_considered", 1),
+                                    "plan.audit.candidates_considered"))
+    return Plan(method=doc["method"], num_epoch=_integer(doc["num_epoch"], "plan.num_epoch"),
+                total_cost=_number(doc["total_cost"], "plan.total_cost"),
+                assignments=tuple(assignments), removed=tuple(removed), audit=audit)
 
 
 def load_plan(source) -> Plan:

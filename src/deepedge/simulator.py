@@ -24,7 +24,6 @@ import heapq
 import math
 from collections import deque
 from dataclasses import dataclass, replace
-from pathlib import Path
 
 import numpy as np
 

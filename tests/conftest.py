@@ -2,7 +2,9 @@
 
 import pytest
 
-from deepedge import bundle_for, check_pressure, epoch_time, get_max_batch_size
+from deepedge import (EstimatorBundle, FittedFunction, basis_terms, bundle_for,
+                      check_pressure, epoch_time)
+from deepedge.estimators import FEATURES_BY_TARGET, TARGETS
 
 
 def _samples_done_sooner(plan, cluster, registry):
@@ -18,7 +20,7 @@ def _samples_done_sooner(plan, cluster, registry):
     for a in plan.assignments:
         w = cluster.worker(a.worker_id)
         bundle = bundle_for(registry, w.device_class)
-        top = get_max_batch_size(bundle, w.initial_state.mem_util, w.b_min, w.b_max)
+        top = bundle.max_batch_size(w.initial_state.mem_util, w.b_min, w.b_max)
         largest = 0
         for b in range(w.b_min, top + 1):
             if not check_pressure(w, bundle, b)[0]:
@@ -38,3 +40,19 @@ def _samples_done_sooner(plan, cluster, registry):
 @pytest.fixture
 def samples_done_sooner():
     return _samples_done_sooner
+
+
+def _random_fitted_registry(rng):
+    """tx2 and nano bundles fitted to nothing: every target's coefficients are
+    random, so no estimate is promised to be monotone in the batch size."""
+    def model(target):
+        names = FEATURES_BY_TARGET[target]
+        return FittedFunction(target, names,
+                              tuple(rng.uniform(-0.004, 0.012, len(basis_terms(names)))))
+    return {dc: EstimatorBundle(dc, models={t: model(t) for t in TARGETS})
+            for dc in ("tx2", "nano")}
+
+
+@pytest.fixture
+def random_fitted_registry():
+    return _random_fitted_registry

@@ -20,8 +20,7 @@ from deepedge import (BackgroundApp, ClusterSpec, CrashEvent, EstimatorBundle,
                       InfeasibleScheduleError, JobPhase, JobSpec, NodeState,
                       ParametricProfile, SimConfig, WorkerSpec, bench,
                       bundle_for, check_pressure, default_registry,
-                      default_testbed, epoch_time, fit_all, get_max_batch_size,
-                      largest_remainder,
+                      default_testbed, epoch_time, fit_all, largest_remainder,
                       refine_num_epoch, run_job, run_sweep, simulate,
                       simulate_accuracy, solve, reference_grid,
                       validate_transitions)
@@ -198,8 +197,7 @@ def enumerate_optimum(cluster, job, registry):
     per_worker = []
     for w in cluster.workers:
         bundle = bundle_for(registry, w.device_class)
-        top = get_max_batch_size(bundle, w.initial_state.mem_util, w.b_min,
-                                 w.b_max)
+        top = bundle.max_batch_size(w.initial_state.mem_util, w.b_min, w.b_max)
         feasible = [b for b in range(w.b_min, top + 1)
                     if check_pressure(w, bundle, b)[0]]
         per_worker.append((w, bundle, feasible))

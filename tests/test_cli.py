@@ -118,7 +118,23 @@ def test_missing_file_is_a_clean_error(tmp_path, capsys):
     save_job(JobSpec(num_samples=10, num_epoch=1, source_store="store-0"), job)
     code = main(["solve", "--cluster", str(tmp_path / "nope.json"), "--job", str(job)])
     assert code == 1
-    assert "error:" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "error:" in err
+    assert f"{tmp_path / 'nope.json'}: file does not exist" in err
+
+
+def test_non_numeric_field_is_a_clean_error(specs, capsys):
+    cluster, job = specs
+    with open(cluster) as fh:
+        doc = json.load(fh)
+    doc["workers"][0]["per_sample_transfer_cost"]["store-0"] = "abc"
+    with open(cluster, "w") as fh:
+        json.dump(doc, fh)
+    code = main(["solve", "--cluster", cluster, "--job", job])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "per_sample_transfer_cost['store-0']" in err
+    assert "Traceback" not in err
 
 
 def test_bad_crash_spec_is_a_clean_error(specs, capsys):

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -8,6 +9,8 @@ from deepedge import (BackgroundApp, ClusterSpec, JobSpec, NodeState, ParseError
                       job_from_doc, load_cluster, load_job, save_cluster, save_job,
                       validate)
 from deepedge.cluster import cluster_to_doc, job_to_doc
+from deepedge.estimators import (FEATURES_BY_TARGET, FittedFunction, basis_terms,
+                                 default_registry, registry_from_doc, registry_to_doc)
 
 
 def minimal_doc():
@@ -55,6 +58,55 @@ def test_unknown_fields_rejected():
     doc["workers"][0]["b_mx"] = 8
     with pytest.raises(ValidationError, match="b_mx"):
         cluster_from_doc(doc)
+
+
+def _registry_doc_with_fitted_block():
+    doc = registry_to_doc(default_registry())
+    names = FEATURES_BY_TARGET["exec_time"]
+    fn = FittedFunction("exec_time", names, (0.1,) + (0.0,) * (len(basis_terms(names)) - 1))
+    doc["devices"]["tx2"] = {"type": "fitted", "base": "tx2",
+                             "models": {"exec_time": fn.as_block()}}
+    return doc
+
+
+def _set(*path_and_value):
+    *path, key, value = path_and_value
+
+    def mutate(doc):
+        for step in path:
+            doc = doc[step]
+        doc[key] = value
+    return mutate
+
+
+@pytest.mark.parametrize("kind, mutate, field", [
+    ("cluster", _set("workers", 0, "per_sample_transfer_cost", "store-0", "abc"),
+     "per_sample_transfer_cost['store-0']"),
+    ("cluster", _set("workers", 0, "background_apps", 0, "deadline", "abc"),
+     "background_apps[0].deadline"),
+    ("cluster", _set("workers", 0, "id", 7), "workers[0].id"),
+    ("job", _set("epsilon", "abc"), "job.epsilon"),
+    ("job", _set("num_samples", True), "job.num_samples"),
+    ("registry", _set("devices", "nano", "profile", "cpu_slope", "abc"), "profile.cpu_slope"),
+    ("fitted", _set("devices", "tx2", "models", "exec_time", "coefficients", 0, "abc"),
+     "coefficients[0]"),
+    ("fitted", _set("devices", "tx2", "models", "exec_time", "coefficients", 1, float("nan")),
+     "coefficients[1]"),
+], ids=["transfer-cost", "deadline", "worker-id", "epsilon", "num-samples-bool",
+        "profile-coefficient", "fitted-coefficient", "fitted-coefficient-nan"])
+def test_mistyped_field_is_named(kind, mutate, field):
+    make, parse = {
+        "cluster": (lambda: cluster_to_doc(default_testbed()), cluster_from_doc),
+        "job": (lambda: job_to_doc(JobSpec(num_samples=10, num_epoch=1, source_store="s")),
+                job_from_doc),
+        "registry": (lambda: registry_to_doc(default_registry()), registry_from_doc),
+        "fitted": (_registry_doc_with_fitted_block, registry_from_doc),
+    }[kind]
+    parse(make())  # the unmutated document is fine
+    doc = make()
+    mutate(doc)
+    with pytest.raises(ValidationError, match=re.escape(field)):
+        parse(doc)
 
 
 def test_default_testbed_shape():

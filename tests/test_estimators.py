@@ -3,7 +3,7 @@ import pytest
 
 from deepedge import (EstimatorBundle, NodeState, ParametricProfile,
                       ValidationError, bundle_for, default_registry,
-                      get_max_batch_size, load_registry, save_registry)
+                      load_registry, save_registry)
 from deepedge.estimators import DEVICE_PROFILES
 
 IDLE = NodeState(0.0, 0.0, 0.0)
@@ -125,19 +125,34 @@ def test_pressure_example_violates_tight_deadline():
 
 def test_max_batch_boundaries():
     tx2 = bundle_for(default_registry(), "tx2")
-    assert get_max_batch_size(tx2, 0.95, 1, 64) == 0
+    assert tx2.max_batch_size(0.95, 1, 64) == 0
     generous = ParametricProfile(base_forward=0.1, base_mem_footprint=0.0,
                                  mem_per_batch_unit=0.0)
     bundle = EstimatorBundle(device_class="g", profile=generous)
-    assert get_max_batch_size(bundle, 0.0, 1, 64) == 64
+    assert bundle.max_batch_size(0.0, 1, 64) == 64
 
 
 def test_max_batch_linear_scan_value():
     prof = ParametricProfile(base_forward=0.1, base_mem_footprint=0.2,
                              mem_per_batch_unit=0.01)
     bundle = EstimatorBundle(device_class="c", profile=prof)
-    # 0.3 + 0.2 + 0.01 b <= 0.95 gives b = 45
-    assert get_max_batch_size(bundle, 0.3, 1, 64) == 45
+    # 0.3 + 0.2 + 0.01 b <= 0.95 gives b = 45, however far above it the scan starts
+    for b_max in (64, 10 ** 6):
+        assert bundle.max_batch_size(0.3, 1, b_max) == 45
+
+
+def test_max_batch_matches_linear_scan_on_fitted_models(random_fitted_registry):
+    rng = np.random.default_rng(8)
+    registry = random_fitted_registry(rng)
+    for bundle in registry.values():
+        for b_max in (64, 2500):
+            mem = float(rng.uniform(0.0, 0.6))
+            probe = NodeState(0.0, 0.0, mem)
+            # a ceiling some batch sizes in range meet and others miss
+            ceiling = bundle.est_state(probe, int(rng.integers(1, b_max + 1))).mem_util
+            scan = next((b for b in range(b_max, 0, -1)
+                         if bundle.est_state(probe, b).mem_util <= ceiling), 0)
+            assert bundle.max_batch_size(mem, 1, b_max, ceiling) == scan
 
 
 def test_estimators_deterministic():

@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -9,9 +10,9 @@ from deepedge import (BackgroundApp, ClusterSpec, EstimatorBundle,
                       InfeasibleScheduleError, JobSpec, NodeState,
                       ParametricProfile, WorkerSpec, bundle_for, check_pressure,
                       default_registry, default_testbed, epoch_time,
-                      fairness_plan, get_max_batch_size, largest_remainder,
+                      fairness_plan, largest_remainder,
                       load_plan, plan_from_doc, plan_to_doc, save_plan, solve,
-                      total_cost)
+                      total_cost, ValidationError)
 
 STORE = "store-0"
 
@@ -412,6 +413,22 @@ def test_plan_round_trip(tmp_path):
     assert load_plan(path) == plan
 
 
+@pytest.mark.parametrize("path", [
+    *(("assignments", 0, "cost", key) for key in ("transfer", "init", "train", "total")),
+    *(("audit", key) for key in ("iterations", "converged", "shares", "t_total", "batches")),
+])
+def test_plan_doc_missing_field_is_named(path):
+    doc = plan_to_doc(solve(default_testbed(), JobSpec(num_samples=100, num_epoch=1,
+                                                       source_store=STORE)))
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    del parent[path[-1]]
+    name = "plan" + "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in path)
+    with pytest.raises(ValidationError, match=re.escape(f"{name}: missing")):
+        plan_from_doc(doc)
+
+
 def test_plan_doc_rejects_unknown_fields():
     cluster = default_testbed()
     job = JobSpec(num_samples=100, num_epoch=1, source_store=STORE)
@@ -419,3 +436,40 @@ def test_plan_doc_rejects_unknown_fields():
     doc["surprise"] = 1
     with pytest.raises(Exception, match="surprise"):
         plan_from_doc(doc)
+
+
+# --- estimator tables --------------------------------------------------------
+
+
+@pytest.mark.parametrize("kind", ["parametric", "fitted"])
+def test_tables_match_scalar_calls(kind, random_fitted_registry):
+    rng = np.random.default_rng(21)
+    registry = default_registry() if kind == "parametric" else random_fitted_registry(rng)
+    job = JobSpec(num_samples=50, num_epoch=1, source_store=STORE)
+    ps = NodeState(0.2, 0.0, 0.3)
+    for trial in range(5):
+        workers = []
+        for w in default_testbed().workers:
+            state = NodeState(*(float(v) for v in rng.uniform(0.0, 0.6, 3)))
+            bundle = bundle_for(registry, w.device_class)
+            # met by some batch sizes and missed by others wherever exec time varies
+            deadline = bundle.est_exec_time(bundle.est_state(state, int(rng.integers(1, 17))))
+            workers.append(replace(w, initial_state=state,
+                                   background_apps=(BackgroundApp("bg", deadline),)))
+        cluster = ClusterSpec(tuple(workers), ps, (STORE,))
+        bundles = {w.id: bundle_for(registry, w.device_class) for w in workers}
+        maxbatch = {w.id: bundles[w.id].max_batch_size(w.initial_state.mem_util, w.b_min,
+                                                       w.b_max) for w in workers}
+        tables = scheduler._Tables(cluster, job, bundles, maxbatch)
+        for w in workers:
+            bundle = bundles[w.id]
+            batches = range(w.b_min, min(maxbatch[w.id], job.num_samples) + 1)
+            verdicts = [check_pressure(w, bundle, b) for b in batches]
+            mask, exec_times = check_pressure(w, bundle, np.array(batches))
+            assert mask.tolist() == [ok for ok, _ in verdicts]
+            assert exec_times["bg"].tolist() == [t["bg"] for _, t in verdicts]
+            bs, t_c, t_u = tables.rows(w, 3)
+            assert bs.tolist() == [b for b, (ok, _) in zip(batches, verdicts) if ok]
+            assert t_c.tolist() == [bundle.est_compute_time(w.initial_state, b) for b in bs.tolist()]
+            assert t_u.tolist() == [bundle.est_update_time(w.initial_state, b, ps, 3)
+                                    for b in bs.tolist()]
