@@ -21,8 +21,8 @@ print(f"deadline violations  heuristic={report.violations_heuristic}  "
 # so runs with different trial counts stay comparable.
 
 print("\nspeedup histogram:")
-for lo, hi, count in zip(report.histogram_edges, report.histogram_edges[1:],
-                         report.histogram_counts):
+for lo, hi, count in zip(report.histogram.edges, report.histogram.edges[1:],
+                         report.histogram.counts):
     bar = "#" * count
     print(f"  {lo:.1f}-{hi:.1f}x {bar}")
 

@@ -3,10 +3,10 @@ model updates on heterogeneous edge clusters."""
 
 __version__ = "0.1.0"
 
-from .cluster import (BackgroundApp, ClusterSpec, JobSpec, NodeState, ParseError,
-                      ValidationError, WorkerSpec, cluster_from_doc, default_testbed,
-                      job_from_doc, load_cluster, load_job, save_cluster, save_job,
-                      validate)
+from .documents import ParseError, ValidationError
+from .cluster import (BackgroundApp, ClusterSpec, JobSpec, NodeState, WorkerSpec,
+                      cluster_from_doc, default_testbed, job_from_doc, load_cluster,
+                      load_job, save_cluster, save_job, validate)
 from .estimators import (DEVICE_PROFILES, EstimatorBundle, FittedFunction,
                          ParametricProfile, basis_terms, bundle_for,
                          default_registry, design_matrix, load_registry,
@@ -21,7 +21,7 @@ from .profiler import (FitReport, ProfileDataset, ProfileRow, SweepPlan,
 from .simulator import (ArcEvent, CrashEvent, CrashRecord, RecoveryResult,
                         SimConfig, SimResult, TraceEvent, Violation,
                         inject_and_recover, load_trace, save_trace, simulate)
-from .orchestrator import (BenchReport, BenchStressModel, BenchTrial,
+from .orchestrator import (BenchReport, BenchStressModel, BenchTrial, Histogram,
                            IllegalTransitionError, JobPhase, JobReport,
                            LEGAL_TRANSITIONS, LogisticFit, PhaseChange, bench,
                            bench_report_from_doc, bench_report_to_doc,
@@ -54,7 +54,7 @@ __all__ = [
     "SimResult", "TraceEvent", "Violation", "inject_and_recover", "load_trace",
     "save_trace", "simulate",
     # orchestrator
-    "BenchReport", "BenchStressModel", "BenchTrial", "IllegalTransitionError",
+    "BenchReport", "BenchStressModel", "BenchTrial", "Histogram", "IllegalTransitionError",
     "JobPhase", "JobReport", "LEGAL_TRANSITIONS", "LogisticFit", "PhaseChange",
     "bench", "bench_report_from_doc", "bench_report_to_doc", "crossing_epoch",
     "fit_accuracy_curve", "load_bench_report", "logistic", "refine_num_epoch",

@@ -10,10 +10,12 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from . import __version__
-from .cluster import ParseError, ValidationError, load_cluster, load_job
+from .cluster import load_cluster, load_job
+from .documents import ParseError, ValidationError
 from .estimators import load_registry, save_registry
 from .orchestrator import (bench, load_bench_report, render_report, run_job,
                            save_bench_report, save_histogram_csv)
@@ -185,6 +187,16 @@ def _cmd_report(args) -> int:
     return 0
 
 
+def _check_flags(args) -> None:
+    """Reject flag values argparse lets through but no command can use."""
+    smallest = {"seed": 0, "trials": 1, "samples": 1, "epochs": 1, "repetitions": 1}
+    for name, value in vars(args).items():
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ValidationError(f"--{name.replace('_', '-')}: must be a finite number, got {value}")
+        if name in smallest and value < smallest[name]:
+            raise ValidationError(f"--{name}: must be >= {smallest[name]}, got {value}")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="deepedge",
@@ -269,6 +281,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_flags(args)
         return args.func(args)
     except (ParseError, ValidationError, InfeasibleScheduleError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -18,17 +18,16 @@ over every batch size is one call, and a fitted table one design matrix.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass, field, fields as dataclass_fields
+from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from itertools import combinations
-from pathlib import Path
-from typing import NamedTuple
+from typing import Any, NamedTuple
 
 import numpy as np
 
-from .cluster import NodeState, ValidationError, SCHEMA_VERSION, _check_schema, _fields, _number
+from .cluster import NodeState, ValidationError
+from .documents import doc_field, from_doc, load_doc, save, to_doc
 
 TARGETS = ("compute_time", "update_time", "state_cpu", "state_gpu", "state_mem", "exec_time")
 
@@ -105,9 +104,6 @@ class ParametricProfile:
         if not (math.isfinite(self.base_mem_footprint) and 0.0 <= self.base_mem_footprint < 1.0):
             out.append(f"profile.base_mem_footprint: must lie in [0, 1), got {self.base_mem_footprint}")
         return out
-
-    def as_dict(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in dataclass_fields(self)}
 
     # The closed form of each target, named after it. Like FittedFunction.estimate
     # they take (state, batch size, parameter-server state, worker count), and
@@ -193,7 +189,7 @@ class FittedFunction:
     """A linear model over the fixed basis, loadable from a registry block."""
 
     target: str
-    feature_names: tuple[str, ...]
+    feature_names: tuple[str, ...] = doc_field(key="features")
     coefficients: tuple[float, ...]
     train_mape: float | None = None
     test_mape: float | None = None
@@ -205,6 +201,15 @@ class FittedFunction:
                 f"fitted '{self.target}': expected {expected} coefficients for "
                 f"features {list(self.feature_names)}, got {len(self.coefficients)}"
             )
+
+    def violations(self) -> list[str]:
+        if self.target not in TARGETS:
+            return [f"target: unknown target '{self.target}'"]
+        expected = FEATURES_BY_TARGET[self.target]
+        if self.feature_names != expected:
+            return [f"features: expected {list(expected)} for target '{self.target}', "
+                    f"got {list(self.feature_names)}"]
+        return []
 
     @cached_property
     def _coefficients(self) -> np.ndarray:
@@ -238,40 +243,6 @@ class FittedFunction:
                     "n_workers": n}
         pred = self.predict({name: features[name] for name in FEATURES_BY_TARGET[self.target]})
         return pred if self.target.startswith("state_") else _clamp(pred, _POSITIVE_FLOOR)
-
-    def as_block(self) -> dict:
-        block = {
-            "target": self.target,
-            "features": list(self.feature_names),
-            "terms": self.term_names(),
-            "coefficients": [float(c) for c in self.coefficients],
-        }
-        if self.train_mape is not None:
-            block["train_mape"] = self.train_mape
-        if self.test_mape is not None:
-            block["test_mape"] = self.test_mape
-        return block
-
-
-def fitted_from_block(block: dict, ctx: str = "fitted block") -> FittedFunction:
-    _fields(block, ("target", "features", "coefficients"), ctx,
-            ("schema", "device_class", "terms", "train_mape", "test_mape", "n_train", "n_test"))
-    target = block["target"]
-    if target not in TARGETS:
-        raise ValidationError(f"{ctx}.target: unknown target '{target}'")
-    if block["features"] != list(FEATURES_BY_TARGET[target]):
-        raise ValidationError(f"{ctx}.features: expected {list(FEATURES_BY_TARGET[target])} "
-                              f"for target '{target}', got {block['features']!r}")
-    if not isinstance(block["coefficients"], list):
-        raise ValidationError(f"{ctx}.coefficients: expected a list of numbers")
-    return FittedFunction(
-        target=target,
-        feature_names=FEATURES_BY_TARGET[target],
-        coefficients=tuple(_number(c, f"{ctx}.coefficients[{i}]")
-                           for i, c in enumerate(block["coefficients"])),
-        train_mape=block.get("train_mape"),
-        test_mape=block.get("test_mape"),
-    )
 
 
 # --- the bundle ---------------------------------------------------------------
@@ -432,76 +403,66 @@ def bundle_for(registry: dict, device_class: str) -> EstimatorBundle:
 
 # --- registry documents --------------------------------------------------------
 
-def _profile_from_doc(obj: dict, ctx: str) -> ParametricProfile:
-    _fields(obj, ("base_forward",), ctx, tuple(f.name for f in dataclass_fields(ParametricProfile)))
-    profile = ParametricProfile(**{k: _number(v, f"{ctx}.{k}") for k, v in obj.items()})
-    problems = profile.violations()
-    if problems:
-        raise ValidationError(f"{ctx}: {problems[0]}")
-    return profile
+@dataclass(frozen=True)
+class _Device:
+    """A registry entry: a parametric profile, or fitted models over a profile,
+    a built-in ``base`` profile or neither; both are read on their own."""
+
+    type: str
+    profile: dict[str, Any] | None = None
+    base: str | None = None
+    models: dict[str, dict[str, Any]] | None = None
+
+
+@dataclass(frozen=True)
+class _Registry:
+    DOCUMENT = "registry"
+    devices: dict[str, _Device]
+
+
+def _bundle_from_doc(name: str, device: _Device) -> EstimatorBundle:
+    ctx = f"registry.devices['{name}']"
+    if device.type != "fitted" and (device.type != "parametric" or device.base or device.models):
+        raise ValidationError(f"{ctx}: expected a 'parametric' entry with only a profile, "
+                              f"or a 'fitted' one")
+    if device.base is not None and device.base not in DEVICE_PROFILES:
+        raise ValidationError(f"{ctx}.base: unknown built-in device class '{device.base}'")
+    profile = (DEVICE_PROFILES.get(device.base) if device.profile is None
+               else from_doc(ParametricProfile, device.profile, f"{ctx}.profile"))
+    models = {}
+    for target, block in (device.models or {}).items():
+        mctx = f"{ctx}.models['{target}']"
+        # "terms" is written for readers and follows from the features
+        fn = models[target] = from_doc(
+            FittedFunction, {k: v for k, v in block.items() if k != "terms"}, mctx)
+        if fn.target != target or block.get("terms", fn.term_names()) != fn.term_names():
+            raise ValidationError(f"{mctx}: expected target '{target}' with terms {fn.term_names()}")
+    try:
+        return EstimatorBundle(device_class=name, profile=profile, models=models)
+    except ValidationError as exc:
+        raise ValidationError(f"{ctx}: {exc}") from None
 
 
 def registry_from_doc(doc: dict) -> dict:
-    _check_schema(doc, "registry")
-    devices = _fields(doc, ("devices",), "registry", ("schema",))["devices"]
-    if not isinstance(devices, dict):
-        raise ValidationError("registry.devices: expected an object")
-    registry = {}
-    for name, entry in devices.items():
-        ctx = f"registry.devices['{name}']"
-        kind = _fields(entry, ("type",), ctx, ("base", "profile", "models"))["type"]
-        if kind == "parametric":
-            _fields(entry, ("type",), ctx, ("profile",))
-            registry[name] = EstimatorBundle(
-                device_class=name,
-                profile=_profile_from_doc(entry.get("profile", {}), f"{ctx}.profile"),
-            )
-        elif kind == "fitted":
-            profile = None
-            if "profile" in entry:
-                profile = _profile_from_doc(entry["profile"], f"{ctx}.profile")
-            elif "base" in entry:
-                base = entry["base"]
-                if base not in DEVICE_PROFILES:
-                    raise ValidationError(f"{ctx}.base: unknown built-in device class '{base}'")
-                profile = DEVICE_PROFILES[base]
-            models = {}
-            blocks = entry.get("models", {})
-            if not isinstance(blocks, dict):
-                raise ValidationError(f"{ctx}.models: expected an object")
-            for target, block in blocks.items():
-                fn = fitted_from_block(block, ctx=f"{ctx}.models['{target}']")
-                if fn.target != target:
-                    raise ValidationError(f"{ctx}.models['{target}']: block is for "
-                                          f"target '{fn.target}'")
-                models[target] = fn
-            registry[name] = EstimatorBundle(device_class=name, profile=profile, models=models)
-        else:
-            raise ValidationError(f"{ctx}.type: expected 'parametric' or 'fitted', got {kind!r}")
-    return registry
+    return {name: _bundle_from_doc(name, device)
+            for name, device in from_doc(_Registry, doc).devices.items()}
 
 
 def registry_to_doc(registry: dict) -> dict:
-    devices = {}
-    for name, bundle in registry.items():
-        if bundle.models:
-            entry = {"type": "fitted",
-                     "models": {t: fn.as_block() for t, fn in sorted(bundle.models.items())}}
-            if bundle.profile is not None:
-                entry["profile"] = bundle.profile.as_dict()
-        else:
-            entry = {"type": "parametric", "profile": bundle.profile.as_dict()}
-        devices[name] = entry
-    return {"schema": SCHEMA_VERSION, "devices": devices}
+    return to_doc(_Registry({name: _Device(
+        type="fitted" if bundle.models else "parametric",
+        profile=to_doc(bundle.profile) if bundle.profile is not None else None,
+        models={t: {**to_doc(fn), "terms": fn.term_names()}
+                for t, fn in sorted(bundle.models.items())} or None)
+        for name, bundle in registry.items()}))
 
 
 def load_registry(source=None) -> dict:
     """Registry from a JSON document; None gives the built-in profiles."""
     if source is None:
         return default_registry()
-    from .cluster import _load_doc
-    return registry_from_doc(_load_doc(source))
+    return registry_from_doc(load_doc(source))
 
 
 def save_registry(registry: dict, path) -> None:
-    Path(path).write_text(json.dumps(registry_to_doc(registry), indent=2) + "\n")
+    save(registry_to_doc(registry), path)

@@ -18,15 +18,14 @@ and deadline violations into a serializable report.
 from __future__ import annotations
 
 import enum
-import json
 import math
 from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
-from .cluster import (ClusterSpec, JobSpec, NodeState, ValidationError,
-                      SCHEMA_VERSION, _check_schema, _load_doc, default_testbed)
+from .cluster import ClusterSpec, JobSpec, NodeState, ValidationError, default_testbed
+from .documents import from_doc, load_doc, save, writer
 from .estimators import bundle_for, default_registry
 from .scheduler import InfeasibleScheduleError, Plan, fairness_plan, solve
 from .simulator import (RecoveryResult, SimConfig, inject_and_recover, simulate,
@@ -356,7 +355,7 @@ class BenchStressModel:
                     healthy = False
                     break
             if healthy:
-                return states, tuple(sorted(stormy))
+                return states, tuple(sorted(str(w) for w in stormy))
         raise RuntimeError("could not draw a healthy stress scenario; "
                            "loosen the stress model or deadlines")
 
@@ -364,7 +363,7 @@ class BenchStressModel:
 @dataclass(frozen=True)
 class BenchTrial:
     index: int
-    stormy_workers: tuple
+    stormy_workers: tuple[str, ...]
     speedup: float
     heuristic_makespan: float
     fairness_makespan: float
@@ -375,8 +374,17 @@ class BenchTrial:
 
 
 @dataclass(frozen=True)
+class Histogram:
+    """Trial counts between consecutive speedup edges."""
+
+    edges: tuple[float, ...]
+    counts: tuple[int, ...]
+
+
+@dataclass(frozen=True)
 class BenchReport:
-    trials: tuple
+    DOCUMENT = "bench report"
+    trials: tuple[BenchTrial, ...]
     mean_speedup: float
     median_speedup: float
     min_speedup: float
@@ -384,8 +392,7 @@ class BenchReport:
     frac_speedup_ge_1_5: float
     violations_heuristic: int
     violations_fairness: int
-    histogram_edges: tuple
-    histogram_counts: tuple
+    histogram: Histogram
     n_trials: int
     seed: int
     jitter: float
@@ -443,8 +450,7 @@ def bench(cluster: ClusterSpec | None = None, registry: dict | None = None,
         frac_speedup_ge_1_5=float(np.mean(speedups >= 1.5)),
         violations_heuristic=int(sum(tr.heuristic_violations for tr in trials)),
         violations_fairness=int(sum(tr.fairness_violations for tr in trials)),
-        histogram_edges=tuple(float(e) for e in edges),
-        histogram_counts=tuple(int(c) for c in counts),
+        histogram=Histogram(tuple(float(e) for e in edges), tuple(int(c) for c in counts)),
         n_trials=n_trials, seed=seed, jitter=jitter,
         num_samples=num_samples, num_epoch=num_epoch)
 
@@ -452,85 +458,16 @@ def bench(cluster: ClusterSpec | None = None, registry: dict | None = None,
 # --- bench report documents ------------------------------------------------------
 
 
-def bench_report_to_doc(report: BenchReport) -> dict:
-    return {
-        "schema": SCHEMA_VERSION,
-        "n_trials": report.n_trials,
-        "seed": report.seed,
-        "jitter": report.jitter,
-        "num_samples": report.num_samples,
-        "num_epoch": report.num_epoch,
-        "mean_speedup": report.mean_speedup,
-        "median_speedup": report.median_speedup,
-        "min_speedup": report.min_speedup,
-        "max_speedup": report.max_speedup,
-        "frac_speedup_ge_1_5": report.frac_speedup_ge_1_5,
-        "violations_heuristic": report.violations_heuristic,
-        "violations_fairness": report.violations_fairness,
-        "histogram": {"edges": list(report.histogram_edges),
-                      "counts": list(report.histogram_counts)},
-        "trials": [
-            {
-                "index": tr.index,
-                "stormy_workers": list(tr.stormy_workers),
-                "speedup": tr.speedup,
-                "heuristic_makespan": tr.heuristic_makespan,
-                "fairness_makespan": tr.fairness_makespan,
-                "heuristic_violations": tr.heuristic_violations,
-                "fairness_violations": tr.fairness_violations,
-                "heuristic_workers": tr.heuristic_workers,
-                "fairness_workers": tr.fairness_workers,
-            }
-            for tr in report.trials
-        ],
-    }
+bench_report_to_doc = writer(BenchReport)
+save_bench_report = save
 
 
 def bench_report_from_doc(doc: dict) -> BenchReport:
-    _check_schema(doc, "bench report")
-    needed = {"schema", "n_trials", "seed", "jitter", "num_samples", "num_epoch",
-              "mean_speedup", "median_speedup", "min_speedup", "max_speedup",
-              "frac_speedup_ge_1_5", "violations_heuristic", "violations_fairness",
-              "histogram", "trials"}
-    for key in doc:
-        if key not in needed:
-            raise ValidationError(f"bench report: unknown field '{key}'")
-    missing = needed - set(doc) - {"schema"}
-    if missing:
-        raise ValidationError(f"bench report: missing fields {sorted(missing)}")
-    trials = tuple(
-        BenchTrial(index=int(tr["index"]),
-                   stormy_workers=tuple(tr["stormy_workers"]),
-                   speedup=float(tr["speedup"]),
-                   heuristic_makespan=float(tr["heuristic_makespan"]),
-                   fairness_makespan=float(tr["fairness_makespan"]),
-                   heuristic_violations=int(tr["heuristic_violations"]),
-                   fairness_violations=int(tr["fairness_violations"]),
-                   heuristic_workers=int(tr["heuristic_workers"]),
-                   fairness_workers=int(tr["fairness_workers"]))
-        for tr in doc["trials"])
-    return BenchReport(
-        trials=trials,
-        mean_speedup=float(doc["mean_speedup"]),
-        median_speedup=float(doc["median_speedup"]),
-        min_speedup=float(doc["min_speedup"]),
-        max_speedup=float(doc["max_speedup"]),
-        frac_speedup_ge_1_5=float(doc["frac_speedup_ge_1_5"]),
-        violations_heuristic=int(doc["violations_heuristic"]),
-        violations_fairness=int(doc["violations_fairness"]),
-        histogram_edges=tuple(doc["histogram"]["edges"]),
-        histogram_counts=tuple(doc["histogram"]["counts"]),
-        n_trials=int(doc["n_trials"]), seed=int(doc["seed"]),
-        jitter=float(doc["jitter"]), num_samples=int(doc["num_samples"]),
-        num_epoch=int(doc["num_epoch"]))
-
-
-def save_bench_report(report: BenchReport, path) -> None:
-    Path(path).write_text(json.dumps(bench_report_to_doc(report), indent=2) + "\n")
+    return from_doc(BenchReport, doc)
 
 
 def load_bench_report(source) -> BenchReport:
-    return bench_report_from_doc(_load_doc(source))
+    return from_doc(BenchReport, load_doc(source))
 
 
 def render_report(report: BenchReport) -> str:
@@ -552,8 +489,8 @@ def render_report(report: BenchReport) -> str:
         "| bin | count |",
         "| --- | --- |",
     ]
-    edges = report.histogram_edges
-    for i, count in enumerate(report.histogram_counts):
+    edges = report.histogram.edges
+    for i, count in enumerate(report.histogram.counts):
         lines.append(f"| {edges[i]:.1f} to {edges[i + 1]:.1f} | {count} |")
     under = sum(1 for tr in report.trials if tr.speedup < edges[0])
     over = sum(1 for tr in report.trials if tr.speedup >= edges[-1])
@@ -565,7 +502,7 @@ def render_report(report: BenchReport) -> str:
 
 def save_histogram_csv(report: BenchReport, path) -> None:
     rows = ["bin_low,bin_high,count"]
-    for i, count in enumerate(report.histogram_counts):
-        rows.append(f"{report.histogram_edges[i]:.2f},"
-                    f"{report.histogram_edges[i + 1]:.2f},{count}")
+    edges = report.histogram.edges
+    for i, count in enumerate(report.histogram.counts):
+        rows.append(f"{edges[i]:.2f},{edges[i + 1]:.2f},{count}")
     Path(path).write_text("\n".join(rows) + "\n")

@@ -20,7 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cluster import NodeState, ParseError, ValidationError
+from .cluster import NodeState
+from .documents import ParseError, ValidationError
 from .estimators import (EstimatorBundle, FittedFunction, FEATURES_BY_TARGET,
                          TARGETS, design_matrix, basis_terms)
 

@@ -32,16 +32,13 @@ checks, no refinement.
 from __future__ import annotations
 
 import heapq
-import json
 import math
 from dataclasses import dataclass, replace
-from pathlib import Path
 
 import numpy as np
 
-from .cluster import (ClusterSpec, JobSpec, NodeState, ValidationError, WorkerSpec,
-                      SCHEMA_VERSION, _check_schema, _fields, _integer, _list,
-                      _load_doc, _number, validate)
+from .cluster import ClusterSpec, JobSpec, NodeState, ValidationError, WorkerSpec, validate
+from .documents import doc_field, from_doc, load_doc, save, writer
 from .estimators import EstimatorBundle, bundle_for, default_registry
 
 
@@ -99,7 +96,7 @@ class CostBreakdown:
 
 @dataclass(frozen=True)
 class Assignment:
-    worker_id: str
+    worker_id: str = doc_field(key="worker")
     num_samples: int
     batch_size: int
     t_compute: float
@@ -111,7 +108,7 @@ class Assignment:
 
 @dataclass(frozen=True)
 class Removal:
-    worker_id: str
+    worker_id: str = doc_field(key="worker")
     reason: str  # "pressure" or "slowest"
     detail: str = ""
 
@@ -130,19 +127,20 @@ class SolveAudit:
 
     iterations: int
     converged: bool
-    shares: dict
-    t_total: dict
-    batches: dict
+    shares: dict[str, float]
+    t_total: dict[str, float]
+    batches: dict[str, int]
     candidates_considered: int = 1
 
 
 @dataclass(frozen=True)
 class Plan:
+    DOCUMENT = "plan"
     method: str
     num_epoch: int
     total_cost: float
-    assignments: tuple
-    removed: tuple = ()
+    assignments: tuple[Assignment, ...]
+    removed: tuple[Removal, ...] = ()
     audit: SolveAudit | None = None
 
     @property
@@ -620,81 +618,14 @@ def fairness_plan(cluster: ClusterSpec, job: JobSpec, registry: dict | None = No
 # --- plan documents --------------------------------------------------------------
 
 
-def plan_to_doc(plan: Plan) -> dict:
-    doc = {
-        "schema": SCHEMA_VERSION,
-        "method": plan.method,
-        "num_epoch": plan.num_epoch,
-        "total_cost": plan.total_cost,
-        "assignments": [
-            {
-                "worker": a.worker_id,
-                "num_samples": a.num_samples,
-                "batch_size": a.batch_size,
-                "t_compute": a.t_compute,
-                "t_update": a.t_update,
-                "t_total": a.t_total,
-                "epoch_time": a.epoch_time,
-                "cost": {"transfer": a.cost.transfer, "init": a.cost.init,
-                         "train": a.cost.train, "total": a.cost.total},
-            }
-            for a in plan.assignments
-        ],
-        "removed": [{"worker": r.worker_id, "reason": r.reason, "detail": r.detail}
-                    for r in plan.removed],
-    }
-    if plan.audit is not None:
-        doc["audit"] = {
-            "iterations": plan.audit.iterations,
-            "converged": plan.audit.converged,
-            "shares": plan.audit.shares,
-            "t_total": plan.audit.t_total,
-            "batches": plan.audit.batches,
-            "candidates_considered": plan.audit.candidates_considered,
-        }
-    return doc
+# writer() looks the plan's compiled writer up once, not on every call
+plan_to_doc = writer(Plan)
+save_plan = save
 
 
 def plan_from_doc(doc: dict) -> Plan:
-    _check_schema(doc, "plan")
-    _fields(doc, ("method", "num_epoch", "total_cost", "assignments"), "plan",
-            ("schema", "removed", "audit"))
-    times = ("t_compute", "t_update", "t_total", "epoch_time")
-    assignments = []
-    for i, a in enumerate(_list(doc["assignments"], "plan.assignments")):
-        ctx = f"plan.assignments[{i}]"
-        _fields(a, ("worker", "num_samples", "batch_size", "cost") + times, ctx)
-        cost = _fields(a["cost"], ("transfer", "init", "train", "total"), f"{ctx}.cost")
-        assignments.append(Assignment(
-            a["worker"], _integer(a["num_samples"], f"{ctx}.num_samples"),
-            _integer(a["batch_size"], f"{ctx}.batch_size"),
-            *(_number(a[key], f"{ctx}.{key}") for key in times),
-            CostBreakdown(*(_number(cost[key], f"{ctx}.cost.{key}")
-                            for key in ("transfer", "init", "train", "total")))))
-    removed = []
-    for i, r in enumerate(_list(doc.get("removed", []), "plan.removed")):
-        _fields(r, ("worker", "reason"), f"plan.removed[{i}]", ("detail",))
-        removed.append(Removal(r["worker"], r["reason"], r.get("detail", "")))
-    audit = None
-    if "audit" in doc:
-        ad = _fields(doc["audit"], ("iterations", "converged", "shares", "t_total", "batches"),
-                     "plan.audit", ("candidates_considered",))
-        for key in ("shares", "t_total", "batches"):
-            if not isinstance(ad[key], dict):
-                raise ValidationError(f"plan.audit.{key}: expected an object")
-        audit = SolveAudit(_integer(ad["iterations"], "plan.audit.iterations"),
-                           bool(ad["converged"]), dict(ad["shares"]), dict(ad["t_total"]),
-                           dict(ad["batches"]),
-                           _integer(ad.get("candidates_considered", 1),
-                                    "plan.audit.candidates_considered"))
-    return Plan(method=doc["method"], num_epoch=_integer(doc["num_epoch"], "plan.num_epoch"),
-                total_cost=_number(doc["total_cost"], "plan.total_cost"),
-                assignments=tuple(assignments), removed=tuple(removed), audit=audit)
+    return from_doc(Plan, doc)
 
 
 def load_plan(source) -> Plan:
-    return plan_from_doc(_load_doc(source))
-
-
-def save_plan(plan: Plan, path) -> None:
-    Path(path).write_text(json.dumps(plan_to_doc(plan), indent=2) + "\n")
+    return from_doc(Plan, load_doc(source))

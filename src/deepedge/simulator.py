@@ -65,10 +65,15 @@ class SimConfig:
     include_transfer: bool = True
 
     def __post_init__(self):
-        if self.jitter < 0:
-            raise ValidationError(f"sim.jitter: must be >= 0, got {self.jitter}")
-        if self.heartbeat_period <= 0:
-            raise ValidationError("sim.heartbeat_period: must be > 0")
+        if not (math.isfinite(self.jitter) and self.jitter >= 0):
+            raise ValidationError(f"sim.jitter: must be a finite number >= 0, got {self.jitter}")
+        if not (math.isfinite(self.heartbeat_period) and self.heartbeat_period > 0):
+            raise ValidationError(f"sim.heartbeat_period: must be a finite number > 0, "
+                                  f"got {self.heartbeat_period}")
+        for i, crash in enumerate(self.crashes):
+            if not (math.isfinite(crash.time) and crash.time >= 0):
+                raise ValidationError(f"sim.crashes[{i}].time: must be a finite number >= 0, "
+                                      f"got {crash.time}")
         if self.max_strikes < 1:
             raise ValidationError("sim.max_strikes: must be >= 1")
         if self.trace_level not in ("none", "phases", "rounds"):
@@ -124,13 +129,21 @@ def simulate(cluster: ClusterSpec, job: JobSpec, plan: Plan,
     """Run one attempt of the plan to completion or first detected crash."""
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
-    if not plan.assignments:
-        raise ValidationError("plan has no assignments to simulate")
     registry = registry if registry is not None else default_registry()
     index_of = {w.id: i for i, w in enumerate(cluster.workers)}
-    for a in plan.assignments:
+    assigned = set()
+    for i, a in enumerate(plan.assignments):
         if a.worker_id not in index_of:
-            raise ValidationError(f"plan names unknown worker '{a.worker_id}'")
+            raise ValidationError(f"plan.assignments[{i}]: unknown worker '{a.worker_id}'")
+        if a.worker_id in assigned:
+            raise ValidationError(f"plan.assignments[{i}]: worker '{a.worker_id}' is assigned twice")
+        if a.num_samples < 1 or a.batch_size < 1:
+            raise ValidationError(f"plan.assignments[{i}]: num_samples and batch_size must be "
+                                  f">= 1, got {a.num_samples} and {a.batch_size}")
+        assigned.add(a.worker_id)
+    if plan.num_samples != job.num_samples:
+        raise ValidationError(f"plan.assignments: shards sum to {plan.num_samples} samples, "
+                              f"the job has {job.num_samples}")
     for ev in config.crashes:
         if ev.worker_id not in index_of:
             raise ValidationError(f"crash script names unknown worker '{ev.worker_id}'")

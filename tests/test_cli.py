@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -157,3 +158,98 @@ def test_infeasible_solve_is_a_clean_error(tmp_path, capsys):
     code = main(["solve", "--cluster", str(cluster_path), "--job", str(job_path)])
     assert code == 1
     assert "no eligible workers" in capsys.readouterr().err
+
+
+DATA = Path(__file__).parent / "data"
+DELETE = object()
+
+
+def _bad_document(kind, path, value):
+    """A golden document with the value at ``path`` replaced, or deleted."""
+    doc = json.loads((DATA / f"{kind}.json").read_text())
+    parent = doc
+    for step in path[:-1]:
+        parent = parent[step]
+    if value is DELETE:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = value
+    return doc
+
+
+# (golden document, path, bad value, what the error must name)
+BAD_DOCUMENTS = [
+    ("plan", ("method",), 7, "plan.method"),
+    ("plan", ("assignments", 0, "worker"), 7, "plan.assignments[0].worker"),
+    ("plan", ("removed", 0, "worker"), 3, "plan.removed[0].worker"),
+    ("plan", ("audit", "converged"), "no", "plan.audit.converged"),
+    ("plan", ("assignments", 0, "cost", "train"), DELETE, "plan.assignments[0].cost.train: missing"),
+    ("plan", ("assignments", 2, "worker"), "nano-1", "plan.assignments[2]: worker 'nano-1'"),
+    ("plan", ("assignments", 0, "num_samples"), 5, "plan.assignments: shards sum to 1013"),
+    ("plan", ("assignments", 0, "num_samples"), 0, "plan.assignments[0]"),
+    ("plan", ("assignments", 1, "batch_size"), 0, "plan.assignments[1]"),
+    ("cluster", ("workers", 0, "background_apps", 0, "id"), 5,
+     "cluster.workers[0].background_apps[0].id"),
+    ("cluster", ("workers", 1, "background_apps", 0, "description"), 5,
+     "cluster.workers[1].background_apps[0].description"),
+    ("cluster", ("workers", 0, "per_sample_transfer_cost"), 0.001,
+     "cluster.workers[0].per_sample_transfer_cost"),
+    ("job", ("source_store",), 5, "job.source_store"),
+    ("registry", ("devices", "nano", "models", "exec_time", "schema"), 1,
+     "registry.devices['nano'].models['exec_time']: unknown field 'schema'"),
+    ("registry", ("devices", "nano", "models", "exec_time", "terms"), ["1"],
+     "registry.devices['nano'].models['exec_time']: expected target 'exec_time' with terms"),
+    ("bench", ("trials", 0, "surprise"), 1, "bench report.trials[0]: unknown field 'surprise'"),
+    ("bench", ("mean_speedup",), float("nan"), "bench report.mean_speedup: must be finite"),
+    ("bench", ("trials", 0, "speedup"), DELETE, "bench report.trials[0].speedup: missing"),
+    ("bench", ("histogram",), [], "bench report.histogram: expected an object"),
+    ("bench", ("seed",), "x", "bench report.seed: expected an integer"),
+]
+
+# (subcommand flags after the cluster and job, what the error must name)
+BAD_FLAGS = [
+    (["simulate", "--jitter", "nan"], "--jitter"),
+    (["simulate", "--seed", "-1"], "--seed"),
+    (["simulate", "--crash", "nano-0:nan"], "sim.crashes[0].time"),
+    (["simulate", "--crash", "nano-0:-5"], "sim.crashes[0].time"),
+    (["run", "--jitter", "-0.5"], "sim.jitter"),
+    (["bench", "--trials", "0"], "--trials"),
+]
+
+
+def _golden_inputs(tmp_path):
+    """The golden cluster and a job its golden plan was solved for."""
+    job = tmp_path / "job.json"
+    save_job(JobSpec(num_samples=2000, num_epoch=2, source_store="store-0"), job)
+    return str(DATA / "cluster.json"), str(job)
+
+
+@pytest.mark.parametrize(
+    "argv, named",
+    [(("doc",) + case[:3], case[3]) for case in BAD_DOCUMENTS]
+    + [(("flags", flags), named) for flags, named in BAD_FLAGS],
+    ids=[f"{kind}-{'.'.join(map(str, path))}" for kind, path, _, _ in BAD_DOCUMENTS]
+    + ["-".join(flags) for flags, _ in BAD_FLAGS])
+def test_bad_input_is_a_clean_error(argv, named, tmp_path, capsys):
+    cluster, job = _golden_inputs(tmp_path)
+    if argv[0] == "flags":
+        command, *flags = argv[1]
+        args = [command] + (["--cluster", cluster, "--job", job] if command != "bench" else [])
+        args += flags
+    else:
+        _, kind, path, value = argv
+        bad = tmp_path / f"bad-{kind}.json"
+        bad.write_text(json.dumps(_bad_document(kind, path, value)))
+        args = {
+            "cluster": ["solve", "--cluster", str(bad), "--job", job],
+            "job": ["solve", "--cluster", cluster, "--job", str(bad)],
+            "plan": ["simulate", "--cluster", cluster, "--job", job, "--plan", str(bad)],
+            "registry": ["solve", "--cluster", cluster, "--job", job, "--registry", str(bad)],
+            "bench": ["report", "--bench", str(bad)],
+        }[kind]
+    code = main(args)
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error:")
+    assert named in err
+    assert "Traceback" not in err

@@ -8,7 +8,7 @@ from deepedge import (BackgroundApp, ClusterSpec, JobSpec, NodeState, ParseError
                       ValidationError, WorkerSpec, cluster_from_doc, default_testbed,
                       job_from_doc, load_cluster, load_job, save_cluster, save_job,
                       validate)
-from deepedge.cluster import cluster_to_doc, job_to_doc
+from deepedge.documents import to_doc
 from deepedge.estimators import (FEATURES_BY_TARGET, FittedFunction, basis_terms,
                                  default_registry, registry_from_doc, registry_to_doc)
 
@@ -65,7 +65,7 @@ def _registry_doc_with_fitted_block():
     names = FEATURES_BY_TARGET["exec_time"]
     fn = FittedFunction("exec_time", names, (0.1,) + (0.0,) * (len(basis_terms(names)) - 1))
     doc["devices"]["tx2"] = {"type": "fitted", "base": "tx2",
-                             "models": {"exec_time": fn.as_block()}}
+                             "models": {"exec_time": to_doc(fn)}}
     return doc
 
 
@@ -96,8 +96,8 @@ def _set(*path_and_value):
         "profile-coefficient", "fitted-coefficient", "fitted-coefficient-nan"])
 def test_mistyped_field_is_named(kind, mutate, field):
     make, parse = {
-        "cluster": (lambda: cluster_to_doc(default_testbed()), cluster_from_doc),
-        "job": (lambda: job_to_doc(JobSpec(num_samples=10, num_epoch=1, source_store="s")),
+        "cluster": (lambda: to_doc(default_testbed()), cluster_from_doc),
+        "job": (lambda: to_doc(JobSpec(num_samples=10, num_epoch=1, source_store="s")),
                 job_from_doc),
         "registry": (lambda: registry_to_doc(default_registry()), registry_from_doc),
         "fitted": (_registry_doc_with_fitted_block, registry_from_doc),
@@ -184,9 +184,9 @@ def test_job_round_trip(tmp_path):
 
 def test_doc_round_trip_equality():
     cluster = default_testbed()
-    assert cluster_from_doc(cluster_to_doc(cluster)) == cluster
+    assert cluster_from_doc(to_doc(cluster)) == cluster
     job = JobSpec(num_samples=10, num_epoch=1, source_store="store-0")
-    assert job_from_doc(job_to_doc(job)) == job
+    assert job_from_doc(to_doc(job)) == job
 
 
 def test_job_field_validation():
@@ -243,5 +243,5 @@ def test_random_documents_round_trip():
                               ps_state=NodeState(*(float(v) for v in rng.uniform(0, 1, 3))),
                               data_stores=stores)
         assert cluster.violations() == []
-        doc = json.loads(json.dumps(cluster_to_doc(cluster)))
+        doc = json.loads(json.dumps(to_doc(cluster)))
         assert cluster_from_doc(doc) == cluster

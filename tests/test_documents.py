@@ -13,9 +13,11 @@ import json
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from deepedge import load_bench_report, load_cluster, load_job, load_plan, load_registry
-from deepedge.cluster import cluster_to_doc, job_to_doc
+from deepedge import (ParseError, ValidationError, load_bench_report, load_cluster, load_job,
+                      load_plan, load_registry)
+from deepedge.documents import to_doc
 from deepedge.estimators import registry_to_doc
 from deepedge.orchestrator import bench_report_to_doc
 from deepedge.scheduler import plan_to_doc
@@ -23,8 +25,8 @@ from deepedge.scheduler import plan_to_doc
 DATA = Path(__file__).parent / "data"
 
 GOLDEN = {
-    "cluster": (load_cluster, cluster_to_doc),
-    "job": (load_job, job_to_doc),
+    "cluster": (load_cluster, to_doc),
+    "job": (load_job, to_doc),
     "plan": (load_plan, plan_to_doc),
     "registry": (load_registry, registry_to_doc),
     "bench": (load_bench_report, bench_report_to_doc),
@@ -33,6 +35,46 @@ GOLDEN = {
 
 @pytest.mark.parametrize("kind", sorted(GOLDEN))
 def test_golden_document_round_trips(kind):
-    load, to_doc = GOLDEN[kind]
+    load, write = GOLDEN[kind]
     path = DATA / f"{kind}.json"
-    assert to_doc(load(path)) == json.loads(path.read_text())
+    assert write(load(path)) == json.loads(path.read_text())
+
+
+def _paths(value, path=()):
+    """The path to every value inside a JSON document, the root's included."""
+    yield path
+    if isinstance(value, dict):
+        for key, item in value.items():
+            yield from _paths(item, path + (key,))
+    elif isinstance(value, list):
+        for i, item in enumerate(value):
+            yield from _paths(item, path + (i,))
+
+
+WRONG_VALUES = [None, True, 7, -1, 2.5, float("nan"), float("inf"), "x", "", [], [1, "x"], {},
+                {"a": 1}]
+
+
+@pytest.mark.parametrize("kind", sorted(GOLDEN))
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(data=st.data())
+def test_mutated_documents_load_or_fail_cleanly(kind, data):
+    doc = json.loads((DATA / f"{kind}.json").read_text())
+    path = data.draw(st.sampled_from(list(_paths(doc))[1:]), label="path")
+    parent = doc
+    for step in path[:-1]:
+        parent = parent[step]
+    mutation = data.draw(st.sampled_from(["replace", "delete", "add sibling"]), label="mutation")
+    if mutation == "replace":
+        parent[path[-1]] = data.draw(st.sampled_from(WRONG_VALUES), label="value")
+    elif mutation == "delete":
+        del parent[path[-1]]
+    elif isinstance(parent, dict):
+        parent["unexpected"] = 1
+    else:
+        parent.append(1)
+    load, _ = GOLDEN[kind]
+    try:
+        load(json.dumps(doc))
+    except (ParseError, ValidationError):
+        pass

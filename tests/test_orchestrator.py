@@ -223,7 +223,7 @@ def test_bench_homogeneous_idle_cluster_has_no_edge():
 def test_bench_accounting_and_determinism():
     report = bench(n_trials=6, seed=3, num_samples=600, num_epoch=1)
     assert report.n_trials == 6
-    assert sum(report.histogram_counts) == 6
+    assert sum(report.histogram.counts) == 6
     assert report.min_speedup <= report.median_speedup <= report.max_speedup
     again = bench(n_trials=6, seed=3, num_samples=600, num_epoch=1)
     assert again.mean_speedup == report.mean_speedup
@@ -250,7 +250,7 @@ def test_bench_report_round_trip(tmp_path):
     save_bench_report(report, path)
     again = load_bench_report(path)
     assert again.mean_speedup == pytest.approx(report.mean_speedup)
-    assert again.histogram_counts == report.histogram_counts
+    assert again.histogram.counts == report.histogram.counts
     assert len(again.trials) == len(report.trials)
     doc = bench_report_to_doc(report)
     assert bench_report_from_doc(doc).n_trials == report.n_trials
@@ -264,4 +264,4 @@ def test_render_report_and_histogram(tmp_path):
     hist = tmp_path / "hist.csv"
     save_histogram_csv(report, hist)
     lines = hist.read_text().strip().splitlines()
-    assert len(lines) == len(report.histogram_counts) + 1
+    assert len(lines) == len(report.histogram.counts) + 1

@@ -1,4 +1,6 @@
 import math
+import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -235,3 +237,36 @@ def test_striking_out_every_worker_abandons():
     assert rec.status == "abandoned"
     assert set(rec.excluded) == {"nano-0", "nano-1", "nano-2", "tx2-0"}
     assert rec.events[-1].kind == "abandoned"
+
+
+@pytest.mark.parametrize("kwargs, field", [
+    ({"jitter": math.nan}, "sim.jitter"),
+    ({"jitter": math.inf}, "sim.jitter"),
+    ({"heartbeat_period": math.nan}, "sim.heartbeat_period"),
+    ({"heartbeat_period": math.inf}, "sim.heartbeat_period"),
+    ({"crashes": (CrashEvent("nano-0", 3.0), CrashEvent("nano-0", math.nan))},
+     "sim.crashes[1].time"),
+    ({"crashes": (CrashEvent("nano-0", -5.0),)}, "sim.crashes[0].time"),
+])
+def test_sim_config_rejects_non_finite_and_negative_times(kwargs, field):
+    with pytest.raises(ValidationError, match=re.escape(field)):
+        SimConfig(**kwargs)
+
+
+def test_simulate_checks_the_plan_against_the_job():
+    cluster = default_testbed()
+    job = JobSpec(num_samples=1600, num_epoch=1, source_store="store-0")
+    plan = solve(cluster, job)
+    first, second, *rest = plan.assignments
+    short = 1600 - first.num_samples + 5
+    cases = [
+        ([first, replace(second, worker_id=first.worker_id)],
+         f"plan.assignments[1]: worker '{first.worker_id}' is assigned twice"),
+        ([replace(first, num_samples=5), second],
+         f"plan.assignments: shards sum to {short} samples, the job has 1600"),
+        ([replace(first, batch_size=0), second], "plan.assignments[0]: num_samples and batch_size"),
+        ([replace(first, num_samples=0), second], "plan.assignments[0]: num_samples and batch_size"),
+    ]
+    for assignments, message in cases:
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            simulate(cluster, job, replace(plan, assignments=tuple(assignments + rest)))
