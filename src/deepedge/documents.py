@@ -125,8 +125,8 @@ def _write(tp, value: str, depth: int = 0) -> str:
     """Source of an expression for the JSON form of ``value``, of type ``tp``."""
     origin, args = typing.get_origin(tp), typing.get_args(tp)
     item = f"x{depth}"
-    if is_dataclass(tp):
-        return _spec(tp).literal(value, depth)
+    if is_dataclass(tp):  # one with optional fields needs statements: its own writer
+        return f"to_doc({value})" if _spec(tp).optional else _spec(tp).literal(value, depth)
     if origin is tuple:
         inner = _write(args[0], item, depth + 1)
         return f"list({value})" if inner == item else f"[{inner} for {item} in {value}]"
@@ -166,8 +166,11 @@ class _Spec:
         self.document = getattr(cls, "DOCUMENT", None)
         self.fields = [(f.name, f.metadata.get("key") or f.name, hints[f.name])
                        for f in fields(cls)]
+        self.optional = [(name, key, _optional_of(hint)) for name, key, hint in self.fields
+                         if _optional_of(hint)]
         keys = {key for _, key, _ in self.fields} | ({"schema"} if self.document else set())
-        env = {"cls": cls, "keys": frozenset(keys), "at": _at, "ValidationError": ValidationError}
+        env = {"cls": cls, "keys": frozenset(keys), "at": _at, "ValidationError": ValidationError,
+               "to_doc": to_doc}
         reads = []
         for i, (f, (_, key, hint)) in enumerate(zip(fields(cls), self.fields)):
             env[f"read_{i}"] = f.metadata.get("read") or _reader(hint)
@@ -175,21 +178,19 @@ class _Spec:
             required = f.default is MISSING and f.default_factory is MISSING
             reads.append(_READ.format(i=i, key=key, step="." + key, default=(
                 "" if required else f" if {key!r} in doc else default_{i}()")))
+        sets = "".join(f"\n    if obj.{name} is not None:\n        doc[{key!r}] = "
+                       f"{_write(hint, f'obj.{name}')}" for name, key, hint in self.optional)
         exec(_DECODE.format(reads="".join(reads),
-                            args=", ".join(f"v{i}" for i in range(len(self.fields)))), env)
-        self.decode = env["decode"]
-        self.encode = eval(f"lambda obj: {self.literal('obj')}")
+                            args=", ".join(f"v{i}" for i in range(len(self.fields))))
+             + f"\n\ndef encode(obj):\n    doc = {self.literal('obj')}{sets}\n    return doc", env)
+        self.decode, self.encode = env["decode"], env["encode"]
 
     def literal(self, value: str, depth: int = 0) -> str:
-        """Source of a dict literal for the document of ``value``; an optional
-        field that is None is left out."""
+        """Source of a dict literal for the document of ``value`` without its
+        optional fields."""
         entries = [f"'schema': {SCHEMA_VERSION}"] if self.document else []
-        for name, key, hint in self.fields:
-            if _optional_of(hint):
-                entries.append(f"**({{{key!r}: {_write(_optional_of(hint), f'{value}.{name}', depth)}}} "
-                               f"if {value}.{name} is not None else {{}})")
-            else:
-                entries.append(f"{key!r}: {_write(hint, f'{value}.{name}', depth)}")
+        entries += [f"{key!r}: {_write(hint, f'{value}.{name}', depth)}"
+                    for name, key, hint in self.fields if not _optional_of(hint)]
         return "{" + ", ".join(entries) + "}"
 
 
