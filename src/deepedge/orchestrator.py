@@ -380,6 +380,10 @@ class Histogram:
     edges: tuple[float, ...]
     counts: tuple[int, ...]
 
+    def __post_init__(self):
+        if len(self.edges) != len(self.counts) + 1:
+            raise ValidationError(f"expected {len(self.counts) + 1} edges for {len(self.counts)} counts")
+
 
 @dataclass(frozen=True)
 class BenchReport:

@@ -203,12 +203,13 @@ BAD_DOCUMENTS = [
     ("bench", ("mean_speedup",), float("nan"), "bench report.mean_speedup: must be finite"),
     ("bench", ("trials", 0, "speedup"), DELETE, "bench report.trials[0].speedup: missing"),
     ("bench", ("histogram",), [], "bench report.histogram: expected an object"),
+    ("bench", ("histogram", "edges"), [0.8], "bench report.histogram: expected 13 edges"),
     ("bench", ("seed",), "x", "bench report.seed: expected an integer"),
 ]
 
 # (subcommand flags after the cluster and job, what the error must name)
 BAD_FLAGS = [
-    (["simulate", "--jitter", "nan"], "--jitter"),
+    (["simulate", "--jitter", "nan"], "sim.jitter"),
     (["simulate", "--seed", "-1"], "--seed"),
     (["simulate", "--crash", "nano-0:nan"], "sim.crashes[0].time"),
     (["simulate", "--crash", "nano-0:-5"], "sim.crashes[0].time"),
