@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from .cluster import ClusterSpec, JobSpec, NodeState, ValidationError, default_testbed
-from .documents import from_doc, load_doc, save, writer
+from .documents import from_doc, load_doc, save, to_doc
 from .estimators import bundle_for, default_registry
 from .scheduler import InfeasibleScheduleError, Plan, fairness_plan, solve
 from .simulator import (RecoveryResult, SimConfig, inject_and_recover, simulate,
@@ -462,7 +462,7 @@ def bench(cluster: ClusterSpec | None = None, registry: dict | None = None,
 # --- bench report documents ------------------------------------------------------
 
 
-bench_report_to_doc = writer(BenchReport)
+bench_report_to_doc = to_doc
 save_bench_report = save
 
 
