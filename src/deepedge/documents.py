@@ -41,10 +41,10 @@ def _at(step: str, exc: ValidationError) -> ValidationError:
     return exc
 
 
-def doc_field(key: str | None = None, read=None, **kwargs):
+def doc_field(key: str | None = None, read=None):
     """A field whose document ``key`` or value reader (a function of the JSON
     value that raises ValidationError) differs from the default."""
-    return field(metadata={"key": key, "read": read}, **kwargs)
+    return field(metadata={"key": key, "read": read})
 
 
 # --- readers ---------------------------------------------------------------------
