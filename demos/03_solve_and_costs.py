@@ -40,6 +40,5 @@ for a in splan.assignments:
 # Cost accounting is per worker: data transfer, framework init, then
 # num_epoch full epochs. The job cost is the slowest worker's total.
 
-print(f"\naudit: {plan.audit.iterations} share iterations, "
-      f"converged={plan.audit.converged}, "
+print(f"\naudit: {plan.audit.iterations} whole-round splits priced, "
       f"{plan.audit.candidates_considered} candidate plans considered")

@@ -131,15 +131,13 @@ class ClusterSpec:
 
 @dataclass(frozen=True)
 class JobSpec:
-    """One model-update request: dataset size, epochs, and solver knobs."""
+    """One model-update request: dataset size, epochs, source store and target accuracy."""
 
     DOCUMENT = "job"
     num_samples: int
     num_epoch: int
     source_store: str
     target_accuracy: float | None = None
-    epsilon: float = 1.0   # convergence threshold on the shard vector, L2
-    tau: int = 50          # inner-loop iteration budget
 
     def violations(self) -> list[str]:
         out = []
@@ -151,10 +149,6 @@ class JobSpec:
             out.append("job.source_store: must be non-empty")
         if self.target_accuracy is not None and not 0.0 < self.target_accuracy <= 1.0:
             out.append(f"job.target_accuracy: must lie in (0, 1], got {self.target_accuracy}")
-        if not math.isfinite(self.epsilon) or self.epsilon <= 0:
-            out.append(f"job.epsilon: must be > 0, got {self.epsilon}")
-        if type(self.tau) is not int or self.tau < 1:
-            out.append(f"job.tau: must be a positive integer, got {self.tau}")
         return out
 
 

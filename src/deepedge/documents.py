@@ -10,10 +10,13 @@ Unknown, missing and mistyped fields, then the first of ``violations()``,
 raise ``ValidationError`` naming the path, e.g.
 ``plan.assignments[0].cost.train: missing``. Each class's reader and writer
 are compiled once, so a document costs what hand-written code does.
+``csv_rows`` reads the CSV tables (profiling sweeps, simulator traces) and
+names a bad row by ``path:line``.
 """
 
 from __future__ import annotations
 
+import csv
 import json
 import math
 import types
@@ -252,3 +255,39 @@ def load_doc(source) -> dict:
 def save(obj, path) -> None:
     """Write the document of a dataclass, or a JSON object, to ``path``."""
     Path(path).write_text(json.dumps(obj if type(obj) is dict else to_doc(obj), indent=2) + "\n")
+
+
+# --- CSV tables -------------------------------------------------------------------
+
+
+def _csv_number(text: str, kind: type, where: str):
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value) or (kind is int and not value.is_integer()):
+        raise ParseError(f"{where}: expected a {'whole' if kind is int else 'finite'} "
+                         f"number, got {text!r}")
+    return kind(value)
+
+
+def csv_rows(path, columns: tuple[str, ...], numbers: dict[str, type]):
+    """The rows of the CSV file at ``path``, whose header must be ``columns``,
+    as lists of values; blank rows are skipped. A column named in ``numbers``
+    is read as a finite float, or as a whole number when its type is ``int``.
+    A bad header, a row with the wrong number of columns or a bad number
+    raises ParseError naming ``path:line``, and the column."""
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        if next(reader, None) != list(columns):
+            raise ParseError(f"{path}:1: expected header {','.join(columns)}")
+        kinds = [(i, name, numbers[name]) for i, name in enumerate(columns) if name in numbers]
+        for rec in reader:
+            if not rec:
+                continue
+            where = f"{path}:{reader.line_num}"
+            if len(rec) != len(columns):
+                raise ParseError(f"{where}: expected {len(columns)} columns, got {len(rec)}")
+            for i, name, kind in kinds:
+                rec[i] = _csv_number(rec[i], kind, f"{where}: {name}")
+            yield rec

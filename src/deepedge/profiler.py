@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cluster import NodeState
-from .documents import ParseError, ValidationError
+from .documents import ValidationError, csv_rows
 from .estimators import (EstimatorBundle, FittedFunction, FEATURES_BY_TARGET,
                          TARGETS, design_matrix, basis_terms)
 
@@ -166,27 +166,9 @@ class ProfileDataset:
 
 
 def dataset_from_csv(path) -> ProfileDataset:
-    rows = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or tuple(header) != CSV_COLUMNS:
-            raise ParseError(f"{path}: expected header {','.join(CSV_COLUMNS)}")
-        for lineno, rec in enumerate(reader, start=2):
-            if not rec:
-                continue
-            if len(rec) != len(CSV_COLUMNS):
-                raise ParseError(f"{path}:{lineno}: expected {len(CSV_COLUMNS)} fields")
-            try:
-                rows.append(ProfileRow(
-                    device_class=rec[0], target=rec[1],
-                    cpu_util=float(rec[2]), gpu_util=float(rec[3]),
-                    mem_util=float(rec[4]), batch=int(float(rec[5])),
-                    ps_cpu_util=float(rec[6]), n_workers=int(float(rec[7])),
-                    value=float(rec[8])))
-            except ValueError as exc:
-                raise ParseError(f"{path}:{lineno}: {exc}") from None
-    return ProfileDataset(rows=tuple(rows))
+    return ProfileDataset(rows=tuple(ProfileRow(*rec) for rec in csv_rows(path, CSV_COLUMNS, {
+        "cpu_util": float, "gpu_util": float, "mem_util": float, "batch": int,
+        "ps_cpu_util": float, "n_workers": int, "value": float})))
 
 
 # --- the bench -------------------------------------------------------------

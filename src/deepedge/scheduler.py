@@ -5,25 +5,21 @@ and batch sizes across a heterogeneous cluster:
 
 1. Workers that cannot fit any batch under the memory ceiling are excluded
    up front.
-2. An inner fixed-point loop alternates between picking batch sizes for the
-   current shares and re-dividing samples proportionally to per-sample
-   throughput, until shares stop moving (L2 change <= epsilon) or an
-   iteration cap is hit. The first pass sizes batches by memory alone, so
-   background deadlines are first checked at the largest batch a worker
-   could run; any violator is dropped and the loop restarts without it.
-3. The integer split ignores the float shares: epoch time bills every
-   started round in full, so proportional shares can leave a worker a
-   sample or two into a nearly empty round. Instead, per-worker tables of
-   round times over every pressure-feasible batch give how many samples
-   each worker can finish within a time ``T``; the split is the lowest
-   ``T`` whose capacities cover the job, with the lowest total cost among
-   splits that tie on it. A worker left with no samples leaves the set and
-   the split is priced again for those that remain. Each batch size is the
-   one with the shortest epoch for its shard.
-4. An outer loop removes the slowest remaining worker and repeats while the
-   predicted epoch time keeps improving, and while the workers left could
-   beat it at all with no update time; the best candidate wins (ties go to
-   the cheaper plan).
+2. So is every worker whose background tasks would miss a deadline with a
+   batch of the largest size it could run, and every worker with no batch
+   size up to the job that passes that check.
+3. Epoch time bills every started round in full, so the split is integer
+   from the start: per-worker tables of round times over every
+   pressure-feasible batch give how many samples each worker can finish
+   within a time ``T``; the split is the lowest ``T`` whose capacities cover
+   the job, with the lowest total cost among splits that tie on it. A worker
+   left with no samples leaves the set and the split is priced again for
+   those that remain. Each batch size is the one with the shortest epoch for
+   its shard.
+4. An outer loop removes the slowest assigned worker (the longest
+   per-sample time at its batch) and repeats while the predicted epoch time
+   keeps improving, and while the workers left could beat it at all with no
+   update time; the best candidate wins (ties go to the cheaper plan).
 
 ``fairness_plan`` is the baseline: equal shards for everyone, no interference
 checks, no refinement.
@@ -33,11 +29,11 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .cluster import ClusterSpec, JobSpec, NodeState, ValidationError, WorkerSpec, validate
+from .cluster import ClusterSpec, JobSpec, ValidationError, WorkerSpec, validate
 from .documents import doc_field, from_doc, load_doc, save, writer
 from .estimators import EstimatorBundle, bundle_for, default_registry
 
@@ -115,21 +111,19 @@ class Removal:
 
 @dataclass(frozen=True)
 class SolveAudit:
-    """Converged inner-loop state, kept so plans can be checked after the fact.
+    """What the solver did, kept so plans can be checked after the fact.
 
-    ``shares`` are the float sample shares exactly proportional to inverse
-    ``t_total`` (per-sample seconds) at loop exit, over the workers the loop
-    kept; ``largest_remainder`` of them stays within the balance envelope.
-    The plan's integer shards do not come from these but from the whole-round
-    split, which may sit outside that envelope. ``batches`` are the loop's
-    batch choices, before each assignment picks its own.
+    ``t_total`` is each assigned worker's per-sample seconds at its batch,
+    and ``shares`` divides the job's samples in proportion to their inverses:
+    the proportional split, whose ``largest_remainder`` stays within the
+    balance envelope. The plan's shards come from the whole-round split
+    instead, which may sit outside it. ``iterations`` counts the splits
+    priced over all candidates.
     """
 
     iterations: int
-    converged: bool
     shares: dict[str, float]
     t_total: dict[str, float]
-    batches: dict[str, int]
     candidates_considered: int = 1
 
 
@@ -172,13 +166,6 @@ def _transfer_rate(worker: WorkerSpec, store: str) -> float:
     return rate
 
 
-def _worker_times(worker: WorkerSpec, bundle: EstimatorBundle, ps_state: NodeState,
-                  batch_size: int, n_workers: int) -> tuple[float, float, float]:
-    t_c = bundle.est_compute_time(worker.initial_state, batch_size)
-    t_u = bundle.est_update_time(worker.initial_state, batch_size, ps_state, n_workers)
-    return t_c, t_u, t_c + t_u / batch_size
-
-
 def largest_remainder(shares: dict, total: int, weight: dict) -> dict:
     """Round float shares to integers summing to ``total``.
 
@@ -213,73 +200,6 @@ def largest_remainder(shares: dict, total: int, weight: dict) -> dict:
 
 
 # --- the solver -----------------------------------------------------------------
-
-
-def _converge(active: list, cluster: ClusterSpec, job: JobSpec, bundles: dict,
-              maxbatch: dict, removal_log: list):
-    """Run the fixed-point loop, dropping pressure violators, until stable.
-
-    The first pass treats every shard as unbounded, so batch sizes start at
-    the memory-feasible maximum; pressure is therefore first checked at the
-    largest batch a worker could ever run. A drop restarts the loop (and the
-    iteration counter) over the survivors. Returns (surviving workers,
-    shares, t_total, batches, iterations, converged) or None once nobody
-    is left.
-    """
-    active = list(active)
-    while active:
-        n = len(active)
-        shares = None
-        iters = 0
-        converged = False
-        dropped = False
-        t_total: dict = {}
-        batches: dict = {}
-        while iters < job.tau:
-            iters += 1
-            batches = {}
-            for w in active:
-                if shares is None:
-                    b = maxbatch[w.id]
-                else:
-                    b = min(maxbatch[w.id], max(w.b_min, int(shares[w.id])))
-                batches[w.id] = max(w.b_min, b)
-            violators = []
-            for w in active:
-                ok, exec_times = check_pressure(w, bundles[w.id], batches[w.id])
-                if not ok:
-                    worst = max(exec_times, key=exec_times.get) if exec_times else ""
-                    violators.append((w, worst, exec_times.get(worst, 0.0)))
-            if violators:
-                for w, app, t in violators:
-                    removal_log.append(Removal(
-                        w.id, "pressure",
-                        f"background task '{app}' projected at {t:.4f} s over its "
-                        f"deadline with batch {batches[w.id]}"))
-                removed_ids = {w.id for w, _, _ in violators}
-                active = [w for w in active if w.id not in removed_ids]
-                dropped = True
-                break
-            t_total = {}
-            for w in active:
-                _, _, t = _worker_times(w, bundles[w.id], cluster.ps_state,
-                                        batches[w.id], n)
-                t_total[w.id] = t
-            inv_sum = sum(1.0 / t for t in t_total.values())
-            new_shares = {wid: job.num_samples / (t_total[wid] * inv_sum)
-                          for wid in t_total}
-            if shares is not None:
-                delta = math.sqrt(sum((new_shares[wid] - shares[wid]) ** 2
-                                      for wid in shares))
-                if delta <= job.epsilon:
-                    shares = new_shares
-                    converged = True
-                    break
-            shares = new_shares
-        if dropped:
-            continue
-        return active, shares, t_total, batches, iters, converged
-    return None
 
 
 def _assignment(worker: WorkerSpec, d: int, b: int, t_c: float, t_u: float,
@@ -460,16 +380,19 @@ def _split(b: np.ndarray, r: np.ndarray, owner: np.ndarray, rate: np.ndarray,
     return shards
 
 
-def _assign(workers: list, tables: _Tables, cluster: ClusterSpec, job: JobSpec) -> list:
+def _assign(workers: list, tables: _Tables, job: JobSpec) -> tuple:
     """Assignments for the best integer split over ``workers``, each of which
-    has at least one feasible batch in its table.
+    has at least one feasible batch in its table, and how many splits that
+    took.
 
     A worker whose shard comes out empty leaves, and the split is redone with
     update times priced for the workers that remain. Each batch size is the
     table entry with the shortest epoch for its shard (ties to the larger).
     """
     rate = {w.id: _transfer_rate(w, job.source_store) for w in workers}
+    splits = 0
     while True:
+        splits += 1
         rows = [tables.rows(w, len(workers)) for w in workers]
         shards = _split(
             np.concatenate([bs for bs, _, _ in rows]),
@@ -486,7 +409,7 @@ def _assign(workers: list, tables: _Tables, cluster: ClusterSpec, job: JobSpec) 
         epochs = _epochs(d, bs, bs * t_c + t_u)
         i = len(bs) - 1 - int(np.argmin(epochs[::-1]))
         out.append(_assignment(w, d, int(bs[i]), float(t_c[i]), float(t_u[i]), job))
-    return out
+    return out, splits
 
 
 def total_cost(assignments) -> float:
@@ -517,26 +440,32 @@ def solve(cluster: ClusterSpec, job: JobSpec, registry: dict | None = None,
             continue
         eligible.append(w)
 
+    # background deadlines are checked at the largest batch a worker could run
+    active = []
+    for w in eligible:
+        ok, exec_times = check_pressure(w, bundles[w.id], maxbatch[w.id])
+        if ok:
+            active.append(w)
+            continue
+        worst = max(exec_times, key=exec_times.get)
+        removal_log.append(Removal(
+            w.id, "pressure",
+            f"background task '{worst}' projected at {exec_times[worst]:.4f} s over its "
+            f"deadline with batch {maxbatch[w.id]}"))
+
     tables = _Tables(cluster, job, bundles, maxbatch)
-    candidates = []  # (epoch time, total cost, assignments, audit, removal log length)
-    active = eligible
-    n_attempts = 0
+    for w in active:
+        if not len(tables.compute(w)[0]):
+            removal_log.append(Removal(
+                w.id, "pressure",
+                f"no batch from {w.b_min} to {min(maxbatch[w.id], job.num_samples)} "
+                f"samples passes the pressure check"))
+    active = [w for w in active if len(tables.compute(w)[0])]
+    candidates = []  # (epoch time, total cost, assignments, removal log length)
+    n_splits = 0
     while active:
-        result = _converge(active, cluster, job, bundles, maxbatch, removal_log)
-        if result is None:
-            break
-        active, shares, t_total, batches, iters, converged = result
-        for w in active:
-            if not len(tables.compute(w)[0]):
-                removal_log.append(Removal(
-                    w.id, "pressure",
-                    f"no batch from {w.b_min} to {min(maxbatch[w.id], job.num_samples)} "
-                    f"samples passes the pressure check"))
-        active = [w for w in active if len(tables.compute(w)[0])]
-        if not active:
-            break
-        n_attempts += 1
-        assignments = _assign(active, tables, cluster, job)
+        assignments, splits = _assign(active, tables, job)
+        n_splits += splits
         epoch = max(a.epoch_time for a in assignments)
         assigned = {a.worker_id for a in assignments}
         for w in active:
@@ -546,21 +475,16 @@ def solve(cluster: ClusterSpec, job: JobSpec, registry: dict | None = None,
                     f"left without samples; the other workers finish the "
                     f"epoch in {epoch:.4f} s"))
         active = [w for w in active if w.id in assigned]
-        audit = SolveAudit(iterations=iters, converged=converged,
-                           shares=dict(shares), t_total=dict(t_total),
-                           batches=dict(batches),
-                           candidates_considered=n_attempts)
         improved = not candidates or epoch < min(c[0] for c in candidates)
-        candidates.append((epoch, total_cost(assignments), assignments, audit,
-                           len(removal_log)))
+        candidates.append((epoch, total_cost(assignments), assignments, len(removal_log)))
         if not improved or len(active) <= 1:
             break
-        slowest = max(active, key=lambda w: t_total[w.id])
+        slowest = max(assignments, key=lambda a: a.t_total)
         removal_log.append(Removal(
-            slowest.id, "slowest",
+            slowest.worker_id, "slowest",
             f"dropped while searching for a faster plan; per-sample time "
-            f"{t_total[slowest.id]:.4f} s"))
-        active = [w for w in active if w.id != slowest.id]
+            f"{slowest.t_total:.4f} s"))
+        active = [w for w in active if w.id != slowest.worker_id]
         # even without update times the rest could not finish sooner, so the
         # next candidate would lose and end the search
         best_epoch = min(c[0] for c in candidates)
@@ -572,11 +496,15 @@ def solve(cluster: ClusterSpec, job: JobSpec, registry: dict | None = None,
         raise InfeasibleScheduleError(
             "no eligible workers: " +
             "; ".join(f"{r.worker_id}: {r.detail}" for r in removal_log))
-    _, best_cost, best_assignments, best_audit, log_len = min(
-        candidates, key=lambda c: (c[0], c[1], -len(c[2])))
+    _, best_cost, best, log_len = min(candidates, key=lambda c: (c[0], c[1], -len(c[2])))
+    inv_sum = sum(1.0 / a.t_total for a in best)
+    audit = SolveAudit(
+        iterations=n_splits,
+        shares={a.worker_id: job.num_samples / (a.t_total * inv_sum) for a in best},
+        t_total={a.worker_id: a.t_total for a in best},
+        candidates_considered=len(candidates))
     return Plan(method="heuristic", num_epoch=job.num_epoch, total_cost=best_cost,
-                assignments=tuple(best_assignments), removed=tuple(removal_log[:log_len]),
-                audit=replace(best_audit, candidates_considered=len(candidates)))
+                assignments=tuple(best), removed=tuple(removal_log[:log_len]), audit=audit)
 
 
 def fairness_plan(cluster: ClusterSpec, job: JobSpec, registry: dict | None = None,
@@ -604,12 +532,13 @@ def fairness_plan(cluster: ClusterSpec, job: JobSpec, registry: dict | None = No
         d = int_shares[w.id]
         # the naive rule: memory cap or the whole shard, whichever is smaller
         b = max(1, min(maxbatch[w.id], d))
-        t_c, t_u, _ = _worker_times(w, bundles[w.id], cluster.ps_state, b, len(assigned))
+        bundle = bundles[w.id]
+        t_c = bundle.est_compute_time(w.initial_state, b)
+        t_u = bundle.est_update_time(w.initial_state, b, cluster.ps_state, len(assigned))
         assignments.append(_assignment(w, d, b, t_c, t_u, job))
     shares = {w.id: job.num_samples / n for w in workers}
-    audit = SolveAudit(iterations=0, converged=True, shares=shares,
-                       t_total={a.worker_id: a.t_total for a in assignments},
-                       batches={a.worker_id: a.batch_size for a in assignments})
+    audit = SolveAudit(iterations=0, shares=shares,
+                       t_total={a.worker_id: a.t_total for a in assignments})
     return Plan(method="fairness", num_epoch=job.num_epoch,
                 total_cost=total_cost(assignments),
                 assignments=tuple(assignments), removed=(), audit=audit)

@@ -28,6 +28,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .cluster import ClusterSpec, JobSpec, ValidationError
+from .documents import csv_rows
 from .estimators import bundle_for, default_registry
 from .scheduler import InfeasibleScheduleError, Plan, check_pressure, solve
 
@@ -398,15 +399,4 @@ def save_trace(trace, path) -> None:
 
 
 def load_trace(path) -> tuple:
-    out = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or tuple(header) != TRACE_COLUMNS:
-            raise ValidationError(f"{path}: expected header {','.join(TRACE_COLUMNS)}")
-        for rec in reader:
-            if not rec:
-                continue
-            out.append(TraceEvent(float(rec[0]), rec[1], rec[2],
-                                  rec[3] if len(rec) > 3 else ""))
-    return tuple(out)
+    return tuple(TraceEvent(*rec) for rec in csv_rows(path, TRACE_COLUMNS, {"time": float}))

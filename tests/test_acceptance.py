@@ -3,10 +3,11 @@
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the verdict lines.
 Each check pins its tolerance inline; the near-optimality check (number 4)
 reports the distribution of its gaps to the exhaustive optimum. Check 3
-holds the balance envelope to the proportional stage of the solver only:
-epoch time bills whole rounds, so the best integer split often lies outside
-it, and check 3 asserts instead that no integer split over a plan's workers
-ends the epoch sooner.
+holds the balance envelope only to the proportional split in the plan's
+audit (the samples divided by inverse per-sample time at each assigned
+worker's batch): epoch time bills whole rounds, so the best integer split
+often lies outside it, and check 3 asserts instead that no integer split
+over a plan's workers ends the epoch sooner.
 """
 
 import math

@@ -160,6 +160,23 @@ def test_infeasible_solve_is_a_clean_error(tmp_path, capsys):
     assert "no eligible workers" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("column, value", [("cpu_util", "nan"), ("value", "inf")])
+def test_fit_names_a_non_finite_cell(column, value, tmp_path, capsys):
+    sweep = tmp_path / "sweep.csv"
+    registry = tmp_path / "registry.json"
+    main(["profile", "--device", "nano", "--out", str(sweep), "--seed", "5"])
+    lines = sweep.read_text().splitlines()
+    cells = lines[2].split(",")
+    cells[lines[0].split(",").index(column)] = value
+    lines[2] = ",".join(cells)
+    sweep.write_text("\n".join(lines) + "\n")
+    code = main(["fit", "--data", str(sweep), "--device", "nano", "--out", str(registry)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert f"{sweep}:3: {column}: expected a finite number, got '{value}'" in err
+    assert not registry.exists()
+
+
 DATA = Path(__file__).parent / "data"
 DELETE = object()
 
@@ -182,7 +199,7 @@ BAD_DOCUMENTS = [
     ("plan", ("method",), 7, "plan.method"),
     ("plan", ("assignments", 0, "worker"), 7, "plan.assignments[0].worker"),
     ("plan", ("removed", 0, "worker"), 3, "plan.removed[0].worker"),
-    ("plan", ("audit", "converged"), "no", "plan.audit.converged"),
+    ("plan", ("audit", "iterations"), "no", "plan.audit.iterations"),
     ("plan", ("assignments", 0, "cost", "train"), DELETE, "plan.assignments[0].cost.train: missing"),
     ("plan", ("assignments", 2, "worker"), "nano-1", "plan.assignments[2]: worker 'nano-1'"),
     ("plan", ("assignments", 0, "num_samples"), 5, "plan.assignments: shards sum to 1013"),
@@ -195,6 +212,8 @@ BAD_DOCUMENTS = [
     ("cluster", ("workers", 0, "per_sample_transfer_cost"), 0.001,
      "cluster.workers[0].per_sample_transfer_cost"),
     ("job", ("source_store",), 5, "job.source_store"),
+    ("job", ("epsilon",), 0.5, "job: unknown field 'epsilon'"),
+    ("job", ("tau",), 40, "job: unknown field 'tau'"),
     ("registry", ("devices", "nano", "models", "exec_time", "schema"), 1,
      "registry.devices['nano'].models['exec_time']: unknown field 'schema'"),
     ("registry", ("devices", "nano", "models", "exec_time", "terms"), ["1"],
@@ -205,6 +224,9 @@ BAD_DOCUMENTS = [
     ("bench", ("histogram",), [], "bench report.histogram: expected an object"),
     ("bench", ("histogram", "edges"), [0.8], "bench report.histogram: expected 13 edges"),
     ("bench", ("seed",), "x", "bench report.seed: expected an integer"),
+    ("bench", ("n_trials",), 5, "bench report.n_trials: 5, but the trials count 3"),
+    ("bench", ("frac_speedup_ge_1_5",), 7.0, "bench report.frac_speedup_ge_1_5: must lie in [0, 1]"),
+    ("bench", ("histogram", "counts", 3), -4, "bench report.histogram.counts: must be >= 0"),
 ]
 
 # (subcommand flags after the cluster and job, what the error must name)

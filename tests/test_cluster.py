@@ -85,14 +85,13 @@ def _set(*path_and_value):
     ("cluster", _set("workers", 0, "background_apps", 0, "deadline", "abc"),
      "background_apps[0].deadline"),
     ("cluster", _set("workers", 0, "id", 7), "workers[0].id"),
-    ("job", _set("epsilon", "abc"), "job.epsilon"),
     ("job", _set("num_samples", True), "job.num_samples"),
     ("registry", _set("devices", "nano", "profile", "cpu_slope", "abc"), "profile.cpu_slope"),
     ("fitted", _set("devices", "tx2", "models", "exec_time", "coefficients", 0, "abc"),
      "coefficients[0]"),
     ("fitted", _set("devices", "tx2", "models", "exec_time", "coefficients", 1, float("nan")),
      "coefficients[1]"),
-], ids=["transfer-cost", "deadline", "worker-id", "epsilon", "num-samples-bool",
+], ids=["transfer-cost", "deadline", "worker-id", "num-samples-bool",
         "profile-coefficient", "fitted-coefficient", "fitted-coefficient-nan"])
 def test_mistyped_field_is_named(kind, mutate, field):
     make, parse = {
@@ -176,7 +175,7 @@ def test_cluster_round_trip(tmp_path):
 
 def test_job_round_trip(tmp_path):
     job = JobSpec(num_samples=3855, num_epoch=4, source_store="store-0",
-                  target_accuracy=0.9, epsilon=0.5, tau=40)
+                  target_accuracy=0.9)
     path = tmp_path / "job.json"
     save_job(job, path)
     assert load_job(path) == job
@@ -195,8 +194,6 @@ def test_job_field_validation():
     assert JobSpec(num_samples=1, num_epoch=1, source_store="").violations()
     assert JobSpec(num_samples=1, num_epoch=1, source_store="s",
                    target_accuracy=1.5).violations()
-    assert JobSpec(num_samples=1, num_epoch=1, source_store="s",
-                   epsilon=0.0).violations()
 
 
 def test_loading_garbage_never_crashes(tmp_path):

@@ -6,7 +6,8 @@ documents shared one codec: the stressed testbed, a job with a target
 accuracy, the stressed testbed's solved plan for 2,000 samples over two
 epochs (it has an audit and a pressure removal), the built-in registry with
 ``nano`` replaced by fitted models of seeded random coefficients, and a
-3-trial bench report.
+3-trial bench report. The job's ``epsilon`` and ``tau`` and the plan audit's
+``converged`` and ``batches`` were taken out when those fields were deleted.
 """
 
 import json

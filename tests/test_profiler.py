@@ -1,11 +1,13 @@
+import re
+
 import numpy as np
 import pytest
 
-from deepedge import (EstimatorBundle, NodeState, ParametricProfile,
+from deepedge import (EstimatorBundle, NodeState, ParametricProfile, ParseError,
                       ValidationError, bundle_for, dataset_from_csv,
                       default_registry, fit, fit_all, fitted_bundle, mape,
                       run_sweep, reference_grid)
-from deepedge.profiler import ProfileDataset, ProfileRow, SweepPlan
+from deepedge.profiler import CSV_COLUMNS, ProfileDataset, ProfileRow, SweepPlan
 
 
 def small_plan(noise=0.0, targets=None):
@@ -150,3 +152,19 @@ def test_dataset_csv_round_trip(tmp_path):
     for a, b in zip(again.rows, data.rows):
         assert a.target == b.target
         assert a.value == pytest.approx(b.value, rel=1e-12)
+
+
+@pytest.mark.parametrize("column, value, named", [
+    ("cpu_util", "nan", "cpu_util: expected a finite number, got 'nan'"),
+    ("value", "inf", "value: expected a finite number, got 'inf'"),
+    ("batch", "16.5", "batch: expected a whole number, got '16.5'"),
+    ("n_workers", "inf", "n_workers: expected a whole number, got 'inf'"),
+])
+def test_dataset_csv_names_a_bad_number(column, value, named, tmp_path):
+    row = dict(zip(CSV_COLUMNS, ["nano", "compute_time", "0.1", "0.1", "0.1", "16",
+                                 "0.2", "2", "0.5"]))
+    row[column] = value
+    path = tmp_path / "sweep.csv"
+    path.write_text(",".join(CSV_COLUMNS) + "\n\n" + ",".join(row.values()) + "\n")
+    with pytest.raises(ParseError, match=re.escape(f"{path}:3: {named}")):
+        dataset_from_csv(path)

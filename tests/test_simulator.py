@@ -7,7 +7,7 @@ import pytest
 
 from deepedge import (BackgroundApp, ClusterSpec, CrashEvent, EstimatorBundle,
                       JobSpec, NodeState, ParametricProfile, SimConfig,
-                      ValidationError, WorkerSpec, default_testbed, fairness_plan,
+                      ParseError, ValidationError, WorkerSpec, default_testbed, fairness_plan,
                       inject_and_recover, load_trace, save_trace, simulate, solve)
 
 STORE = "s"
@@ -182,6 +182,23 @@ def test_trace_round_trip(tmp_path):
     for a, b in zip(again, res.trace):
         assert a.worker == b.worker and a.event == b.event
         assert a.time == pytest.approx(b.time, abs=1e-6)
+
+
+HEADER = "time,worker,event,detail\n"
+
+
+@pytest.mark.parametrize("text, named", [
+    (HEADER + "abc,w,e,d\n", ":2: time: expected a finite number, got 'abc'"),
+    (HEADER + "nan,w,e,d\n", ":2: time: expected a finite number, got 'nan'"),
+    (HEADER + "\n1.0,w,e,d\nnan,w,e,d,extra\n", ":4: expected 4 columns, got 5"),
+    (HEADER + "1.0,w,e\n", ":2: expected 4 columns, got 3"),
+    ("time,worker,event\n1.0,w,e\n", ":1: expected header time,worker,event,detail"),
+], ids=["non-numeric", "nan", "extra-column", "three-columns", "header"])
+def test_load_trace_names_the_bad_row(text, named, tmp_path):
+    path = tmp_path / "trace.csv"
+    path.write_text(text)
+    with pytest.raises(ParseError, match=re.escape(f"{path}{named}")):
+        load_trace(path)
 
 
 def test_recovery_empty_script_matches_plain_simulation():
