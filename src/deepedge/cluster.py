@@ -9,6 +9,7 @@ spell them as percentage strings ("88%"), normalized at load time.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 
 from .documents import ValidationError, doc_field, fraction, from_doc, load_doc, save
@@ -97,6 +98,11 @@ class WorkerSpec:
         return out
 
 
+def _duplicates(ids) -> list:
+    """The ids that occur more than once, sorted."""
+    return sorted(i for i, n in Counter(ids).items() if n > 1)
+
+
 @dataclass(frozen=True)
 class ClusterSpec:
     """Workers plus the parameter server state and the available data stores."""
@@ -110,13 +116,11 @@ class ClusterSpec:
         out = []
         if not self.workers:
             out.append("workers: at least one worker is required")
-        ids = [w.id for w in self.workers]
-        for wid in sorted({i for i in ids if ids.count(i) > 1}):
+        for wid in _duplicates(w.id for w in self.workers):
             out.append(f"workers: duplicate worker id '{wid}'")
         if not self.data_stores:
             out.append("data_stores: at least one data store is required")
-        stores = list(self.data_stores)
-        for sid in sorted({s for s in stores if stores.count(s) > 1}):
+        for sid in _duplicates(self.data_stores):
             out.append(f"data_stores: duplicate store id '{sid}'")
         for w in self.workers:
             out.extend(w.violations())

@@ -271,23 +271,30 @@ def _csv_number(text: str, kind: type, where: str):
     return kind(value)
 
 
-def csv_rows(path, columns: tuple[str, ...], numbers: dict[str, type]):
+def csv_rows(path, columns: tuple[str, ...], numbers: dict[str, type],
+             limits: dict[str, tuple] | None = None):
     """The rows of the CSV file at ``path``, whose header must be ``columns``,
     as lists of values; blank rows are skipped. A column named in ``numbers``
-    is read as a finite float, or as a whole number when its type is ``int``.
+    is read as a finite float, or as a whole number when its type is ``int``,
+    and one named in ``limits`` must lie within its (low, high) bounds.
     A bad header, a row with the wrong number of columns or a bad number
     raises ParseError naming ``path:line``, and the column."""
+    limits = limits or {}
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         if next(reader, None) != list(columns):
             raise ParseError(f"{path}:1: expected header {','.join(columns)}")
-        kinds = [(i, name, numbers[name]) for i, name in enumerate(columns) if name in numbers]
+        kinds = [(i, name, numbers[name], limits.get(name, (-math.inf, math.inf)))
+                 for i, name in enumerate(columns) if name in numbers]
         for rec in reader:
             if not rec:
                 continue
             where = f"{path}:{reader.line_num}"
             if len(rec) != len(columns):
                 raise ParseError(f"{where}: expected {len(columns)} columns, got {len(rec)}")
-            for i, name, kind in kinds:
+            for i, name, kind, (low, high) in kinds:
                 rec[i] = _csv_number(rec[i], kind, f"{where}: {name}")
+                if not low <= rec[i] <= high:
+                    bounds = f">= {low}" if high == math.inf else f"within [{low}, {high}]"
+                    raise ParseError(f"{where}: {name}: must be {bounds}, got {rec[i]}")
             yield rec

@@ -12,8 +12,10 @@ Each device class gets an estimator bundle exposing five functions:
 A bundle is backed by either a closed-form parametric profile or by fitted
 models produced by the profiler (one per target); fitted entries override
 the parametric form per target, so a registry can mix both. Each target has
-one evaluation, which takes a batch size or an integer array of them: a table
-over every batch size is one call, and a fitted table one design matrix.
+one evaluation, which takes a batch size or an integer array of them, and a
+node state or a ``StateTable`` of states, one per batch: a table over every
+batch size of every worker of a device class is one call, and a fitted table
+one design matrix.
 """
 
 from __future__ import annotations
@@ -45,8 +47,8 @@ _POSITIVE_FLOOR = 1e-9
 
 
 def _clamp(value, low, high=math.inf):
-    """``value`` limited to [low, high], elementwise for an array."""
-    if isinstance(value, np.ndarray):
+    """``value`` limited to [low, high], elementwise for arrays."""
+    if isinstance(value, np.ndarray) or isinstance(low, np.ndarray):
         return np.minimum(high, np.maximum(low, value))
     return min(high, max(low, value))
 
@@ -247,13 +249,19 @@ class FittedFunction:
 
 # --- the bundle ---------------------------------------------------------------
 
+
+def _smallest(batch_size) -> int:
+    """The batch size, or the smallest of an array of them (1 if it is empty)."""
+    return batch_size if type(batch_size) is int else np.asarray(batch_size).min(initial=1)
+
 # batch sizes max_batch_size projects at once
 _BATCH_BLOCK = 1024
 
 
 class StateTable(NamedTuple):
-    """Projected utilizations over an array of batch sizes, per component an
-    array or a number that broadcasts; ``est_state``'s result for an array."""
+    """Node states as a struct of arrays, per component an array or a number
+    that broadcasts: what the estimators take for a table of states, and what
+    ``est_state`` projects for an array of batch sizes or a table of states."""
 
     cpu_util: np.ndarray
     gpu_util: np.ndarray
@@ -264,8 +272,9 @@ class StateTable(NamedTuple):
 class EstimatorBundle:
     """Estimator set for one device class: parametric profile, fitted overrides, or both.
 
-    A batch size may be an int or an integer array; with an array, every
-    estimate is an array over it, from one evaluation.
+    A batch size may be an int or an integer array, and a node state a
+    ``NodeState`` or a ``StateTable``; with either an array, every estimate is
+    an array over them, from one evaluation.
     """
 
     device_class: str
@@ -296,7 +305,7 @@ class EstimatorBundle:
 
     def est_compute_time(self, state: NodeState, batch_size):
         """Seconds per sample to run one forward+backward pass at this batch size."""
-        if (batch_size if type(batch_size) is int else np.min(batch_size, initial=1)) < 1:
+        if _smallest(batch_size) < 1:
             raise ValueError(f"batch_size must be >= 1, got {batch_size}")
         return self._estimate["compute_time"](state, batch_size, None, 1)
 
@@ -305,7 +314,7 @@ class EstimatorBundle:
         """Seconds for one parameter exchange round (push + server update + pull)."""
         if n_workers < 1:
             raise ValueError(f"n_workers must be >= 1, got {n_workers}")
-        if (batch_size if type(batch_size) is int else np.min(batch_size, initial=1)) < 1:
+        if _smallest(batch_size) < 1:
             raise ValueError(f"batch_size must be >= 1, got {batch_size}")
         return self._estimate["update_time"](state, batch_size, ps_state, n_workers)
 
@@ -323,41 +332,57 @@ class EstimatorBundle:
             return 0.3 * total, 0.4 * total, 0.3 * total
         return self.profile.update_parts(state, batch_size, ps_state)
 
-    def est_state(self, state: NodeState, batch_size):
+    def est_state(self, state, batch_size):
         """95th-percentile projected state once a batch-``b`` training task lands;
-        a ``StateTable`` for an array of batch sizes."""
-        if (batch_size if type(batch_size) is int else np.min(batch_size, initial=1)) < 1:
+        a ``StateTable`` for an array of batch sizes or a table of states."""
+        if _smallest(batch_size) < 1:
             raise ValueError(f"batch_size must be >= 1, got {batch_size}")
         estimate = self._estimate
         # a running task never frees resources, and utilization saturates at 1
         values = (_clamp(estimate["state_cpu"](state, batch_size, None, 1), state.cpu_util, 1.0),
                   _clamp(estimate["state_gpu"](state, batch_size, None, 1), state.gpu_util, 1.0),
                   _clamp(estimate["state_mem"](state, batch_size, None, 1), state.mem_util, 1.0))
-        return StateTable(*values) if isinstance(batch_size, np.ndarray) else NodeState(*values)
+        if isinstance(batch_size, np.ndarray) or isinstance(state, StateTable):
+            return StateTable(*values)
+        return NodeState(*values)
 
     def est_exec_time(self, state):
         """Runtime of the co-located background task under the given state."""
         return self._estimate["exec_time"](state, None, None, 1)
 
-    def max_batch_size(self, mem_util: float, b_min: int, b_max: int,
-                       mem_ceiling: float = 0.95) -> int:
+    def max_batch_size(self, mem_util, b_min, b_max, mem_ceiling: float = 0.95):
         """Largest batch in [b_min, b_max] keeping projected memory <= ceiling; 0 if none.
 
-        Projected memory need not grow with the batch size (a fitted model may
-        dip), so batches are checked from ``b_max`` down, a block at a time.
+        Given equal-length arrays of ``mem_util``, ``b_min`` and ``b_max``, one
+        entry per worker, the answer is an integer array of each worker's batch,
+        from one evaluation per block. Projected memory need not grow with the
+        batch size (a fitted model may dip), so each worker's batches are
+        checked from its ``b_max`` down, at most ``_BATCH_BLOCK`` at a time.
         """
-        if not 0.0 <= mem_util <= 1.0:
+        mem = np.asarray(mem_util, dtype=float).reshape(-1)
+        low = np.asarray(b_min).reshape(-1)
+        top = np.array(b_max, dtype=int).reshape(-1)  # each worker's next batch to check
+        left = top - low + 1  # and how many are left
+        if not (mem.min(initial=math.inf) >= 0.0 and mem.max(initial=-math.inf) <= 1.0):
             raise ValueError(f"mem_util must lie in [0, 1], got {mem_util}")
-        if b_min < 1 or b_max < b_min:
+        if not (low.min(initial=1) >= 1 and left.min(initial=1) >= 1):
             raise ValueError(f"need 1 <= b_min <= b_max, got [{b_min}, {b_max}]")
-        probe = NodeState(0.0, 0.0, mem_util)
-        for top in range(b_max, b_min - 1, -_BATCH_BLOCK):
-            batches = np.arange(top, max(b_min, top - _BATCH_BLOCK + 1) - 1, -1)
-            mem = _clamp(self._estimate["state_mem"](probe, batches, None, 1), mem_util, 1.0)
-            fits = np.flatnonzero(mem <= mem_ceiling)
-            if fits.size:
-                return int(batches[fits[0]])
-        return 0
+        found = np.zeros(top.size, dtype=int)
+        live = np.arange(top.size)  # the workers still looking
+        while live.size:
+            counts = np.minimum(left[live], _BATCH_BLOCK)
+            starts = counts.cumsum() - counts
+            owner = live.repeat(counts)
+            batches = (top[live] + starts).repeat(counts) - np.arange(owner.size)
+            mem_rows = mem[owner]
+            fits = _clamp(self._estimate["state_mem"](StateTable(0.0, 0.0, mem_rows), batches,
+                                                      None, 1), mem_rows, 1.0) <= mem_ceiling
+            # the largest fitting batch of each worker's block, 0 for none
+            found[live] = np.maximum.reduceat(batches * fits, starts)
+            top[live] -= counts
+            left[live] -= counts
+            live = live[(found[live] == 0) & (left[live] > 0)]
+        return found if np.ndim(b_max) else int(found[0])
 
 
 # --- built-in device profiles -------------------------------------------------

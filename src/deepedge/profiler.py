@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import csv
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -165,10 +166,15 @@ class ProfileDataset:
                                  r.value])
 
 
+# utilizations are fractions; a batch and a worker count hold one at least
+CSV_LIMITS = {"cpu_util": (0.0, 1.0), "gpu_util": (0.0, 1.0), "mem_util": (0.0, 1.0),
+              "ps_cpu_util": (0.0, 1.0), "batch": (1, math.inf), "n_workers": (1, math.inf)}
+
+
 def dataset_from_csv(path) -> ProfileDataset:
     return ProfileDataset(rows=tuple(ProfileRow(*rec) for rec in csv_rows(path, CSV_COLUMNS, {
         "cpu_util": float, "gpu_util": float, "mem_util": float, "batch": int,
-        "ps_cpu_util": float, "n_workers": int, "value": float})))
+        "ps_cpu_util": float, "n_workers": int, "value": float}, CSV_LIMITS)))
 
 
 # --- the bench -------------------------------------------------------------

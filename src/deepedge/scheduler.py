@@ -35,7 +35,7 @@ import numpy as np
 
 from .cluster import ClusterSpec, JobSpec, ValidationError, WorkerSpec, validate
 from .documents import doc_field, from_doc, load_doc, save, writer
-from .estimators import EstimatorBundle, bundle_for, default_registry
+from .estimators import EstimatorBundle, StateTable, bundle_for, default_registry
 
 
 class InfeasibleScheduleError(RuntimeError):
@@ -67,12 +67,12 @@ def check_pressure(worker: WorkerSpec, bundle: EstimatorBundle, batch_size) -> t
     if not isinstance(batch_size, np.ndarray) and batch_size == 0:
         return True, {}
     exec_time = bundle.est_exec_time(bundle.est_state(worker.initial_state, batch_size))
-    ok = exec_time <= math.inf  # True, or all True over an array
-    exec_times = {}
-    for app in worker.background_apps:
-        ok = ok & (exec_time <= app.deadline)
-        exec_times[app.id] = exec_time
-    return ok, exec_times
+    return exec_time <= _deadline(worker), {app.id: exec_time for app in worker.background_apps}
+
+
+def _deadline(worker: WorkerSpec) -> float:
+    """The tightest deadline among the worker's background tasks; inf with none."""
+    return min((app.deadline for app in worker.background_apps), default=math.inf)
 
 
 # --- plan structures ------------------------------------------------------------
@@ -213,45 +213,115 @@ def _assignment(worker: WorkerSpec, d: int, b: int, t_c: float, t_u: float,
     return Assignment(worker.id, d, b, t_c, t_u, t_c + t_u / b, ep, cost)
 
 
-class _Tables:
-    """Per-worker estimator values over every pressure-feasible batch size.
+class _Fleet:
+    """A cluster's workers as arrays in cluster order, grouped by device class.
 
-    Batches run from ``b_min`` to the memory cap or the job size, whichever is
-    smaller, since no shard is larger than the job. Compute times and the
-    pressure check depend on the worker alone and are evaluated once per
-    solve; update times also depend on how many workers share the parameter
-    server, so they are kept per worker count. Each is one estimator call
-    over the worker's whole batch range.
+    ``classes`` pairs each class's bundle with its workers' indices, so that
+    an estimate over many workers is one call per class, their node states
+    going in as a ``StateTable``.
     """
 
-    def __init__(self, cluster: ClusterSpec, job: JobSpec, bundles: dict,
-                 maxbatch: dict):
-        self.cluster, self.job, self.bundles, self.maxbatch = cluster, job, bundles, maxbatch
-        self._compute: dict = {}  # worker id -> (batches, t_c)
-        self._update: dict = {}   # (worker id, n) -> t_u
+    def __init__(self, cluster: ClusterSpec, registry: dict):
+        self.workers = cluster.workers
+        number: dict = {}  # device class -> its place in self.classes
+        for w in self.workers:
+            number.setdefault(w.device_class, len(number))
+        self.kind = np.array([number[w.device_class] for w in self.workers])
+        self.classes = [(bundle_for(registry, name), (self.kind == k).nonzero()[0])
+                        for name, k in number.items()]
+        self.cpu, self.gpu, self.mem, self.deadline = np.array(
+            [(w.initial_state.cpu_util, w.initial_state.gpu_util, w.initial_state.mem_util,
+              _deadline(w)) for w in self.workers], dtype=float).T
+        self.b_min, self.b_max = np.array([(w.b_min, w.b_max) for w in self.workers]).T
 
-    def compute(self, worker: WorkerSpec) -> tuple:
-        """(batch sizes, t_c) arrays for this worker."""
-        if worker.id not in self._compute:
-            bundle = self.bundles[worker.id]
-            top = min(self.maxbatch[worker.id], self.job.num_samples)
-            bs = np.arange(worker.b_min, top + 1)
-            bs = bs[check_pressure(worker, bundle, bs)[0]]
-            self._compute[worker.id] = (bs, bundle.est_compute_time(worker.initial_state, bs))
-        return self._compute[worker.id]
+    def states(self, owner: np.ndarray):
+        """The node states of the workers ``owner`` lists, grouped by worker:
+        a ``StateTable``, or the worker's own state if there is one worker."""
+        if owner[0] == owner[-1]:
+            return self.workers[owner[0]].initial_state
+        return StateTable(self.cpu[owner], self.gpu[owner], self.mem[owner])
 
-    def rows(self, worker: WorkerSpec, n: int) -> tuple:
-        """(batch sizes, t_c, t_u) arrays for this worker among ``n`` workers."""
-        bs, t_c = self.compute(worker)
-        key = (worker.id, n)
-        if key not in self._update:
-            self._update[key] = self.bundles[worker.id].est_update_time(
-                worker.initial_state, bs, self.cluster.ps_state, n)
-        return bs, t_c, self._update[key]
+    def by_class(self, owner: np.ndarray) -> list:
+        """(bundle, positions in ``owner``) for each device class among the
+        workers ``owner`` holds the indices of."""
+        if len(self.classes) == 1:
+            return [(self.classes[0][0], np.arange(owner.size))]
+        kind = self.kind[owner]
+        return [(bundle, (kind == k).nonzero()[0]) for k, (bundle, _) in enumerate(self.classes)]
 
-    def fastest_rate(self, worker: WorkerSpec) -> float:
-        """Samples per second with no update time at all: a bound on any split."""
-        return 1.0 / self.compute(worker)[1].min()
+    def max_batch_sizes(self, mem_ceiling: float) -> np.ndarray:
+        """Every worker's largest batch under the memory ceiling; 0 for none."""
+        out = np.empty(len(self.workers), dtype=int)
+        for bundle, members in self.classes:
+            out[members] = bundle.max_batch_size(self.mem[members], self.b_min[members],
+                                                 self.b_max[members], mem_ceiling)
+        return out
+
+
+class _Tables:
+    """Estimator values over every pressure-feasible batch size of every
+    worker with a memory cap, as flat arrays of rows.
+
+    A worker's batches run from ``b_min`` to the memory cap or the job size,
+    whichever is smaller, since no shard is larger than the job. Rows are
+    grouped by worker in cluster order (``owner`` numbers them), batches
+    ascending within each: the shape ``_min_epoch`` and ``_split`` take.
+    Each table is one estimator call per device class over all its rows: the
+    pressure mask and compute times once per solve, update times once per
+    worker count, since they also depend on how many workers share the
+    parameter server. The mask's rows include each worker's memory cap, and
+    a worker whose background tasks miss a deadline there is left out, into
+    ``failed`` (``at_cap`` has the exec times); so is one with no batch that
+    passes, into ``empty``.
+    """
+
+    def __init__(self, fleet: _Fleet, job: JobSpec, maxbatch: np.ndarray, ps_state):
+        self.ps_state = ps_state
+        eligible = maxbatch.nonzero()[0]
+        low, cap = fleet.b_min[eligible], maxbatch[eligible]
+        top = np.minimum(cap, job.num_samples)
+        # every batch up to top, then the cap where it lies beyond
+        counts = np.maximum(top - low + 1, 0) + (cap > top)
+        last = counts.cumsum() - 1
+        place = np.arange(eligible.size).repeat(counts)  # position in ``eligible``
+        b = low[place] + np.arange(place.size) - (last + 1 - counts)[place]
+        b[last] = cap
+        owner = eligible[place]
+        exec_time, t_c = np.empty(b.size), np.empty(b.size)
+        rows_of = []
+        for bundle, rows in fleet.by_class(owner):
+            if rows.size:
+                states, b_rows = fleet.states(owner[rows]), b[rows]
+                exec_time[rows] = bundle.est_exec_time(bundle.est_state(states, b_rows))
+                t_c[rows] = bundle.est_compute_time(states, b_rows)
+                rows_of.append((bundle, rows))
+        ok = exec_time <= fleet.deadline[owner]
+        passed = ok[last]
+        self.failed, self.at_cap = eligible[~passed], exec_time[last[~passed]]
+        keep = ok & passed[place] & (b <= top[place])
+        has_rows = np.bincount(place[keep], minlength=eligible.size) > 0
+        self.empty, self.top = eligible[passed & ~has_rows], top[passed & ~has_rows]
+        self.workers = eligible[has_rows]  # fleet index of each table worker
+        self.owner = (has_rows.cumsum() - 1)[place[keep]]
+        self.b, self.t_c = b[keep], t_c[keep]
+        # each class's rows in the table, and their states
+        at = keep.cumsum() - 1
+        self.classes = [(bundle, at[rows], fleet.states(owner[rows]))
+                        for bundle, rows in ((bundle, rows[keep[rows]]) for bundle, rows in rows_of)
+                        if rows.size]
+        starts = self.owner.searchsorted(np.arange(self.workers.size))
+        # samples per second with no update time at all: a bound on any split
+        self.fastest_rate = 1.0 / np.minimum.reduceat(self.t_c, starts)
+        members = [fleet.workers[i] for i in self.workers.tolist()]
+        self.rate = np.array([_transfer_rate(w, job.source_store) for w in members])
+        self.init = np.array([w.init_cost for w in members], dtype=float)
+
+    def update(self, n: int) -> np.ndarray:
+        """Update times at every row with ``n`` workers sharing the parameter server."""
+        out = np.empty(self.b.size)
+        for bundle, rows, states in self.classes:
+            out[rows] = bundle.est_update_time(states, self.b[rows], self.ps_state, n)
+        return out
 
 
 def _rounds_within(limit, r: np.ndarray) -> np.ndarray:
@@ -301,8 +371,8 @@ def _min_epoch(b: np.ndarray, r: np.ndarray, owner: np.ndarray, starts: np.ndarr
         else:
             lo = mid
     base = np.maximum.reduceat(b * k_lo, starts)
-    entry = np.repeat(np.arange(b.size), counts)
-    k = k_lo[entry] + 1 + np.arange(entry.size) - np.repeat(np.cumsum(counts) - counts, counts)
+    entry = np.arange(b.size).repeat(counts)
+    k = k_lo[entry] + 1 + np.arange(entry.size) - (counts.cumsum() - counts).repeat(counts)
     times, worker, values = k * r[entry], owner[entry], k * b[entry]
     order = np.lexsort((times, worker))
     times, worker, values = times[order], worker[order], values[order]
@@ -310,12 +380,11 @@ def _min_epoch(b: np.ndarray, r: np.ndarray, owner: np.ndarray, starts: np.ndarr
     offset = values.max() + 1.0
     reach = np.maximum(np.maximum.accumulate(values + worker * offset) - worker * offset,
                        base[worker])
-    first = np.roll(worker, 1) != worker
-    first[0] = True
-    gain = reach - np.where(first, base[worker], np.roll(reach, 1))
-    by_time = np.argsort(times, kind="stable")
-    covered_after = base.sum() + np.cumsum(gain[by_time])
-    return float(times[by_time][np.argmax(covered_after >= M)])
+    first = np.concatenate(([True], worker[1:] != worker[:-1]))
+    gain = reach - np.where(first, base[worker], np.concatenate(([0.0], reach[:-1])))
+    by_time = times.argsort(kind="stable")
+    covered_after = base.sum() + gain[by_time].cumsum()
+    return float(times[by_time][(covered_after >= M).argmax()])
 
 
 def _epochs(d, b: np.ndarray, r: np.ndarray) -> np.ndarray:
@@ -336,8 +405,8 @@ def _split(b: np.ndarray, r: np.ndarray, owner: np.ndarray, rate: np.ndarray,
     smallest feasible batch.
     """
     M = job.num_samples
-    starts = np.searchsorted(owner, np.arange(len(rate)))
-    ends = np.append(starts[1:], b.size)
+    starts = owner.searchsorted(np.arange(len(rate)))
+    ends = np.concatenate((starts[1:], [b.size]))
     epoch = _min_epoch(b, r, owner, starts, M)
     shards = np.maximum.reduceat(b * _rounds_within(epoch, r), starts).astype(int)
     excess = int(shards.sum()) - M
@@ -380,36 +449,36 @@ def _split(b: np.ndarray, r: np.ndarray, owner: np.ndarray, rate: np.ndarray,
     return shards
 
 
-def _assign(workers: list, tables: _Tables, job: JobSpec) -> tuple:
-    """Assignments for the best integer split over ``workers``, each of which
-    has at least one feasible batch in its table, and how many splits that
-    took.
+def _assign(alive: np.ndarray, tables: _Tables, workers: tuple, job: JobSpec) -> tuple:
+    """Assignments for the best integer split over the table workers marked
+    ``alive`` (``workers`` are the cluster's), the mask of those assigned, and
+    how many splits that took.
 
     A worker whose shard comes out empty leaves, and the split is redone with
     update times priced for the workers that remain. Each batch size is the
     table entry with the shortest epoch for its shard (ties to the larger).
     """
-    rate = {w.id: _transfer_rate(w, job.source_store) for w in workers}
     splits = 0
     while True:
         splits += 1
-        rows = [tables.rows(w, len(workers)) for w in workers]
-        shards = _split(
-            np.concatenate([bs for bs, _, _ in rows]),
-            np.concatenate([bs * t_c + t_u for bs, t_c, t_u in rows]),
-            np.repeat(np.arange(len(rows)), [len(bs) for bs, _, _ in rows]),
-            np.array([rate[w.id] for w in workers]),
-            np.array([w.init_cost for w in workers]), job)
+        members = alive.nonzero()[0]
+        b, t_c, t_u, owner = tables.b, tables.t_c, tables.update(members.size), tables.owner
+        if members.size < alive.size:
+            rows = alive[owner].nonzero()[0]
+            b, t_c, t_u, owner = b[rows], t_c[rows], t_u[rows], (alive.cumsum() - 1)[owner[rows]]
+        r = b * t_c + t_u
+        shards = _split(b, r, owner, tables.rate[members], tables.init[members], job)
         if shards.all():
             break
-        workers = [w for w, d in zip(workers, shards) if d > 0]
-    out = []
-    for w, d, (bs, t_c, t_u) in zip(workers, shards, rows):
-        d = int(d)
-        epochs = _epochs(d, bs, bs * t_c + t_u)
-        i = len(bs) - 1 - int(np.argmin(epochs[::-1]))
-        out.append(_assignment(w, d, int(bs[i]), float(t_c[i]), float(t_u[i]), job))
-    return out, splits
+        alive = alive.copy()
+        alive[members[shards == 0]] = False
+    starts = owner.searchsorted(np.arange(members.size))
+    epochs = _epochs(shards[owner], b, r)
+    shortest = epochs == np.minimum.reduceat(epochs, starts)[owner]
+    best = np.maximum.reduceat(np.arange(b.size) * shortest, starts)
+    out = [_assignment(workers[w], d, int(b[i]), float(t_c[i]), float(t_u[i]), job)
+           for w, d, i in zip(tables.workers[members].tolist(), shards.tolist(), best.tolist())]
+    return out, alive, splits
 
 
 def total_cost(assignments) -> float:
@@ -424,72 +493,57 @@ def solve(cluster: ClusterSpec, job: JobSpec, registry: dict | None = None,
     if problems:
         raise ValidationError("; ".join(problems))
 
-    bundles = {w.id: bundle_for(registry, w.device_class) for w in cluster.workers}
+    fleet = _Fleet(cluster, registry)
+    workers = cluster.workers
     removal_log: list = []
-    maxbatch: dict = {}
-    eligible = []
-    for w in cluster.workers:
-        mb = bundles[w.id].max_batch_size(w.initial_state.mem_util, w.b_min, w.b_max,
-                                          mem_ceiling)
-        maxbatch[w.id] = mb
-        if mb == 0:
-            removal_log.append(Removal(
-                w.id, "pressure",
-                f"no batch in [{w.b_min}, {w.b_max}] keeps projected memory "
-                f"under {mem_ceiling:.2f}"))
-            continue
-        eligible.append(w)
-
-    # background deadlines are checked at the largest batch a worker could run
-    active = []
-    for w in eligible:
-        ok, exec_times = check_pressure(w, bundles[w.id], maxbatch[w.id])
-        if ok:
-            active.append(w)
-            continue
-        worst = max(exec_times, key=exec_times.get)
+    maxbatch = fleet.max_batch_sizes(mem_ceiling)
+    for i in (maxbatch == 0).nonzero()[0].tolist():
+        w = workers[i]
         removal_log.append(Removal(
             w.id, "pressure",
-            f"background task '{worst}' projected at {exec_times[worst]:.4f} s over its "
-            f"deadline with batch {maxbatch[w.id]}"))
+            f"no batch in [{w.b_min}, {w.b_max}] keeps projected memory "
+            f"under {mem_ceiling:.2f}"))
 
-    tables = _Tables(cluster, job, bundles, maxbatch)
-    for w in active:
-        if not len(tables.compute(w)[0]):
-            removal_log.append(Removal(
-                w.id, "pressure",
-                f"no batch from {w.b_min} to {min(maxbatch[w.id], job.num_samples)} "
-                f"samples passes the pressure check"))
-    active = [w for w in active if len(tables.compute(w)[0])]
+    # background deadlines are checked at the largest batch a worker could run
+    tables = _Tables(fleet, job, maxbatch, cluster.ps_state)
+    for i, exec_time in zip(tables.failed.tolist(), tables.at_cap.tolist()):
+        w = workers[i]
+        removal_log.append(Removal(
+            w.id, "pressure",
+            f"background task '{w.background_apps[0].id}' projected at {exec_time:.4f} s "
+            f"over its deadline with batch {maxbatch[i]}"))
+    for i, top in zip(tables.empty.tolist(), tables.top.tolist()):
+        removal_log.append(Removal(
+            workers[i].id, "pressure",
+            f"no batch from {workers[i].b_min} to {top} samples passes the pressure check"))
+    alive = np.ones(tables.workers.size, dtype=bool)
     candidates = []  # (epoch time, total cost, assignments, removal log length)
     n_splits = 0
-    while active:
-        assignments, splits = _assign(active, tables, job)
+    while alive.any():
+        assignments, assigned, splits = _assign(alive, tables, workers, job)
         n_splits += splits
         epoch = max(a.epoch_time for a in assignments)
-        assigned = {a.worker_id for a in assignments}
-        for w in active:
-            if w.id not in assigned:
-                removal_log.append(Removal(
-                    w.id, "slowest",
-                    f"left without samples; the other workers finish the "
-                    f"epoch in {epoch:.4f} s"))
-        active = [w for w in active if w.id in assigned]
+        for i in tables.workers[alive & ~assigned].tolist():
+            removal_log.append(Removal(
+                workers[i].id, "slowest",
+                f"left without samples; the other workers finish the "
+                f"epoch in {epoch:.4f} s"))
         improved = not candidates or epoch < min(c[0] for c in candidates)
         candidates.append((epoch, total_cost(assignments), assignments, len(removal_log)))
-        if not improved or len(active) <= 1:
+        if not improved or len(assignments) <= 1:
             break
-        slowest = max(assignments, key=lambda a: a.t_total)
+        k = max(range(len(assignments)), key=lambda j: assignments[j].t_total)
+        slowest = assignments[k]
         removal_log.append(Removal(
             slowest.worker_id, "slowest",
             f"dropped while searching for a faster plan; per-sample time "
             f"{slowest.t_total:.4f} s"))
-        active = [w for w in active if w.id != slowest.worker_id]
+        alive = assigned.copy()
+        alive[assigned.nonzero()[0][k]] = False
         # even without update times the rest could not finish sooner, so the
         # next candidate would lose and end the search
         best_epoch = min(c[0] for c in candidates)
-        if job.num_samples > best_epoch * (1 + 1e-9) * sum(
-                tables.fastest_rate(w) for w in active):
+        if job.num_samples > best_epoch * (1 + 1e-9) * sum(list(tables.fastest_rate[alive])):
             break
 
     if not candidates:
@@ -518,25 +572,25 @@ def fairness_plan(cluster: ClusterSpec, job: JobSpec, registry: dict | None = No
     problems = validate(cluster, job)
     if problems:
         raise ValidationError("; ".join(problems))
-    workers = sorted(cluster.workers, key=lambda w: w.id)
-    n = len(workers)
+    fleet = _Fleet(cluster, registry)
+    workers = cluster.workers
+    order = sorted(range(len(workers)), key=lambda i: workers[i].id)
+    n = len(order)
     base, extra = divmod(job.num_samples, n)
-    int_shares = {w.id: base + (1 if i < extra else 0) for i, w in enumerate(workers)}
-    bundles = {w.id: bundle_for(registry, w.device_class) for w in cluster.workers}
-    maxbatch = {w.id: bundles[w.id].max_batch_size(w.initial_state.mem_util, w.b_min,
-                                                   w.b_max, mem_ceiling)
-                for w in workers}
-    assigned = [w for w in workers if int_shares[w.id] > 0]
-    assignments = []
-    for w in assigned:
-        d = int_shares[w.id]
-        # the naive rule: memory cap or the whole shard, whichever is smaller
-        b = max(1, min(maxbatch[w.id], d))
-        bundle = bundles[w.id]
-        t_c = bundle.est_compute_time(w.initial_state, b)
-        t_u = bundle.est_update_time(w.initial_state, b, cluster.ps_state, len(assigned))
-        assignments.append(_assignment(w, d, b, t_c, t_u, job))
-    shares = {w.id: job.num_samples / n for w in workers}
+    assigned = np.array(order if base else order[:extra])
+    shards = base + (np.arange(assigned.size) < extra)
+    # the naive rule: memory cap or the whole shard, whichever is smaller
+    b = np.maximum(1, np.minimum(fleet.max_batch_sizes(mem_ceiling)[assigned], shards))
+    t_c, t_u = np.empty(assigned.size), np.empty(assigned.size)
+    for bundle, rows in fleet.by_class(assigned):
+        if rows.size:
+            states = fleet.states(assigned[rows])
+            t_c[rows] = bundle.est_compute_time(states, b[rows])
+            t_u[rows] = bundle.est_update_time(states, b[rows], cluster.ps_state, assigned.size)
+    assignments = [_assignment(workers[i], d, b_i, t_c_i, t_u_i, job) for i, d, b_i, t_c_i, t_u_i
+                   in zip(assigned.tolist(), shards.tolist(), b.tolist(), t_c.tolist(),
+                          t_u.tolist())]
+    shares = {workers[i].id: job.num_samples / n for i in order}
     audit = SolveAudit(iterations=0, shares=shares,
                        t_total={a.worker_id: a.t_total for a in assignments})
     return Plan(method="fairness", num_epoch=job.num_epoch,

@@ -159,7 +159,7 @@ def simulate(cluster: ClusterSpec, job: JobSpec, plan: Plan,
     # Per-worker setup: durations, RNG stream, start of the training window.
     info: dict = {}
     for a in plan.assignments:
-        w = cluster.worker(a.worker_id)
+        w = cluster.workers[index_of[a.worker_id]]
         bundle = bundle_for(registry, w.device_class)
         rng = np.random.default_rng(np.random.SeedSequence([seed, index_of[w.id]]))
         t_c = bundle.est_compute_time(w.initial_state, a.batch_size)

@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import deepedge
 from deepedge import JobSpec, default_testbed, load_plan, load_registry, save_cluster, save_job
 from deepedge.cli import main
 
@@ -175,6 +179,47 @@ def test_fit_names_a_non_finite_cell(column, value, tmp_path, capsys):
     assert code == 1
     assert f"{sweep}:3: {column}: expected a finite number, got '{value}'" in err
     assert not registry.exists()
+
+
+def _sweep_with(tmp_path, cells: dict):
+    """A profiled sweep whose third line has the given cells replaced."""
+    sweep = tmp_path / "sweep.csv"
+    main(["profile", "--device", "nano", "--out", str(sweep), "--seed", "5"])
+    lines = sweep.read_text().splitlines()
+    row = lines[2].split(",")
+    for column, value in cells.items():
+        row[lines[0].split(",").index(column)] = value
+    lines[2] = ",".join(row)
+    sweep.write_text("\n".join(lines) + "\n")
+    return sweep
+
+
+@pytest.mark.parametrize("column, value, message", [
+    ("cpu_util", "5.0", "must be within [0.0, 1.0], got 5.0"),
+    ("gpu_util", "-0.1", "must be within [0.0, 1.0], got -0.1"),
+    ("mem_util", "1.5", "must be within [0.0, 1.0], got 1.5"),
+    ("ps_cpu_util", "2", "must be within [0.0, 1.0], got 2.0"),
+    ("batch", "0", "must be >= 1, got 0"),
+    ("n_workers", "-2", "must be >= 1, got -2")])
+def test_fit_names_a_cell_out_of_range(column, value, message, tmp_path, capsys):
+    sweep = _sweep_with(tmp_path, {column: value})
+    registry = tmp_path / "registry.json"
+    code = main(["fit", "--data", str(sweep), "--device", "nano", "--out", str(registry)])
+    assert code == 1
+    assert f"{sweep}:3: {column}: {message}" in capsys.readouterr().err
+    assert not registry.exists()
+
+
+def test_fit_of_a_row_out_of_range_exits_with_one_error_line(tmp_path):
+    sweep = _sweep_with(tmp_path, {"cpu_util": "5.0", "batch": "0", "n_workers": "-2"})
+    src = Path(deepedge.__file__).resolve().parent.parent
+    done = subprocess.run(
+        [sys.executable, "-m", "deepedge.cli", "fit", "--data", str(sweep), "--device", "nano",
+         "--out", str(tmp_path / "registry.json")],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)}, timeout=120)
+    assert done.returncode == 1
+    assert done.stderr.startswith(f"error: {sweep}:3: cpu_util: must be within [0.0, 1.0]")
+    assert "Traceback" not in done.stderr and "Warning" not in done.stderr
 
 
 DATA = Path(__file__).parent / "data"

@@ -155,6 +155,30 @@ def test_max_batch_matches_linear_scan_on_fitted_models(random_fitted_registry):
             assert bundle.max_batch_size(mem, 1, b_max, ceiling) == scan
 
 
+@pytest.mark.parametrize("kind", ["parametric", "fitted"])
+def test_max_batch_over_arrays_matches_one_call_per_worker(kind, random_fitted_registry):
+    rng = np.random.default_rng(9)
+    registry = default_registry() if kind == "parametric" else random_fitted_registry(rng)
+    for bundle in registry.values():
+        # ranges within one block and across several, with some workers out of memory
+        mem = rng.uniform(0.0, 1.0, 40)
+        b_min = rng.integers(1, 40, 40)
+        b_max = b_min + rng.choice([0, 15, 1023, 1024, 3000], 40)
+        ceiling = float(rng.uniform(0.5, 0.95))
+        batched = bundle.max_batch_size(mem, b_min, b_max, ceiling)
+        assert batched.tolist() == [bundle.max_batch_size(float(m), int(lo), int(hi), ceiling)
+                                    for m, lo, hi in zip(mem, b_min, b_max)]
+        assert 0 < np.count_nonzero(batched) < 40
+
+
+def test_max_batch_rejects_bad_array_entries():
+    nano = bundle_for(default_registry(), "nano")
+    with pytest.raises(ValueError, match="mem_util"):
+        nano.max_batch_size(np.array([0.2, 1.2]), np.array([1, 1]), np.array([16, 16]))
+    with pytest.raises(ValueError, match="b_min"):
+        nano.max_batch_size(np.array([0.2, 0.2]), np.array([1, 8]), np.array([16, 4]))
+
+
 def test_estimators_deterministic():
     rng = np.random.default_rng(5)
     bundle = bundle_for(default_registry(), "nano")

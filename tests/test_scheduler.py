@@ -478,35 +478,105 @@ def test_plan_doc_rejects_unknown_fields():
 # --- estimator tables --------------------------------------------------------
 
 
+def _bench_workers(rng, registry, n: int) -> list:
+    """``n`` workers cycling through the testbed's (one tx2, three nano) with
+    random states, each with a deadline met by some batch sizes and missed by
+    others wherever exec time varies."""
+    workers = []
+    for k in range(n):
+        w = default_testbed().workers[k % 4]
+        state = NodeState(*(float(v) for v in rng.uniform(0.0, 0.6, 3)))
+        bundle = bundle_for(registry, w.device_class)
+        deadline = bundle.est_exec_time(bundle.est_state(state, int(rng.integers(1, 17))))
+        workers.append(replace(w, id=f"{w.id}-{k}", initial_state=state,
+                               background_apps=(BackgroundApp("bg", deadline),)))
+    return workers
+
+
 @pytest.mark.parametrize("kind", ["parametric", "fitted"])
 def test_tables_match_scalar_calls(kind, random_fitted_registry):
     rng = np.random.default_rng(21)
     registry = default_registry() if kind == "parametric" else random_fitted_registry(rng)
     job = JobSpec(num_samples=50, num_epoch=1, source_store=STORE)
     ps = NodeState(0.2, 0.0, 0.3)
-    for trial in range(5):
-        workers = []
-        for w in default_testbed().workers:
-            state = NodeState(*(float(v) for v in rng.uniform(0.0, 0.6, 3)))
-            bundle = bundle_for(registry, w.device_class)
-            # met by some batch sizes and missed by others wherever exec time varies
-            deadline = bundle.est_exec_time(bundle.est_state(state, int(rng.integers(1, 17))))
-            workers.append(replace(w, initial_state=state,
-                                   background_apps=(BackgroundApp("bg", deadline),)))
+    # the testbed's four workers, then 26 with the classes interleaved at random
+    for n_workers in [4] * 5 + [26] * 5:
+        workers = _bench_workers(rng, registry, n_workers)
+        if n_workers > 4:
+            workers = [workers[i] for i in rng.permutation(n_workers)]
         cluster = ClusterSpec(tuple(workers), ps, (STORE,))
-        bundles = {w.id: bundle_for(registry, w.device_class) for w in workers}
-        maxbatch = {w.id: bundles[w.id].max_batch_size(w.initial_state.mem_util, w.b_min,
-                                                       w.b_max) for w in workers}
-        tables = scheduler._Tables(cluster, job, bundles, maxbatch)
-        for w in workers:
-            bundle = bundles[w.id]
-            batches = range(w.b_min, min(maxbatch[w.id], job.num_samples) + 1)
+        fleet = scheduler._Fleet(cluster, registry)
+        maxbatch = fleet.max_batch_sizes(0.95)
+        tables = scheduler._Tables(fleet, job, maxbatch, ps)
+        t_u = tables.update(3)
+        table_workers = tables.workers.tolist()
+        failed = dict(zip(tables.failed.tolist(), tables.at_cap.tolist()))
+        for i, w in enumerate(workers):
+            bundle = bundle_for(registry, w.device_class)
+            cap = bundle.max_batch_size(w.initial_state.mem_util, w.b_min, w.b_max)
+            assert maxbatch[i] == cap
+            if not cap:
+                continue
+            ok_at_cap, at_cap = check_pressure(w, bundle, cap)
+            assert (i in failed) == (not ok_at_cap)
+            if not ok_at_cap:
+                assert failed[i] == at_cap["bg"]
+                continue
+            batches = range(w.b_min, min(cap, job.num_samples) + 1)
             verdicts = [check_pressure(w, bundle, b) for b in batches]
             mask, exec_times = check_pressure(w, bundle, np.array(batches))
             assert mask.tolist() == [ok for ok, _ in verdicts]
             assert exec_times["bg"].tolist() == [t["bg"] for _, t in verdicts]
-            bs, t_c, t_u = tables.rows(w, 3)
-            assert bs.tolist() == [b for b, (ok, _) in zip(batches, verdicts) if ok]
-            assert t_c.tolist() == [bundle.est_compute_time(w.initial_state, b) for b in bs.tolist()]
-            assert t_u.tolist() == [bundle.est_update_time(w.initial_state, b, ps, 3)
-                                    for b in bs.tolist()]
+            passing = [b for b, (ok, _) in zip(batches, verdicts) if ok]
+            assert (i in tables.empty.tolist()) == (not passing)
+            if not passing:
+                continue
+            rows = tables.owner == table_workers.index(i)
+            bs = tables.b[rows].tolist()
+            assert bs == passing
+            assert tables.t_c[rows].tolist() == [bundle.est_compute_time(w.initial_state, b)
+                                                 for b in bs]
+            assert t_u[rows].tolist() == [bundle.est_update_time(w.initial_state, b, ps, 3)
+                                          for b in bs]
+
+
+def _counted_calls(monkeypatch) -> dict:
+    """EstimatorBundle method name -> calls made while the test runs."""
+    calls: dict = {}
+    for name in ("est_compute_time", "est_update_time", "update_components", "est_state",
+                 "est_exec_time", "max_batch_size"):
+        method = getattr(EstimatorBundle, name)
+
+        def counted(*args, _method=method, _name=name, **kwargs):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _method(*args, **kwargs)
+        monkeypatch.setattr(EstimatorBundle, name, counted)
+    return calls
+
+
+def test_estimator_calls_per_solve_do_not_grow_with_the_cluster(monkeypatch):
+    def cluster_of(n):
+        """A lightly loaded cluster, a quarter tx2, every worker with a deadline."""
+        rng = np.random.default_rng(0)
+        workers = []
+        for k in range(n):
+            device = "tx2" if k % 4 == 0 else "nano"
+            workers.append(WorkerSpec(
+                id=f"{device}-{k:03d}", device_class=device,
+                initial_state=NodeState(*(float(v) for v in rng.uniform(0.0, 0.3, 3))),
+                background_apps=(BackgroundApp("bg", 0.2),), b_min=1,
+                b_max=64 if device == "tx2" else 16, init_cost=5.0,
+                per_sample_transfer_cost={STORE: 0.001}))
+        return ClusterSpec(tuple(workers), NodeState(0.1, 0.0, 0.3), (STORE,))
+
+    job = JobSpec(num_samples=6000, num_epoch=1, source_store=STORE)
+    counts = []
+    for n in (64, 128):
+        calls = _counted_calls(monkeypatch)
+        plan = solve(cluster_of(n), job)
+        monkeypatch.undo()
+        # every worker is assigned, after the same number of splits and candidates
+        assert len(plan.assignments) == n
+        assert (plan.audit.iterations, plan.audit.candidates_considered) == (2, 2)
+        counts.append(calls)
+    assert counts[0] == counts[1]
