@@ -9,7 +9,6 @@ spell them as percentage strings ("88%"), normalized at load time.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass, field
 
 from .documents import ValidationError, doc_field, fraction, from_doc, load_doc, save
@@ -100,7 +99,10 @@ class WorkerSpec:
 
 def _duplicates(ids) -> list:
     """The ids that occur more than once, sorted."""
-    return sorted(i for i, n in Counter(ids).items() if n > 1)
+    seen, twice = set(), set()
+    for i in ids:
+        (twice if i in seen else seen).add(i)
+    return sorted(twice)
 
 
 @dataclass(frozen=True)

@@ -363,9 +363,9 @@ class EstimatorBundle:
         low = np.asarray(b_min).reshape(-1)
         top = np.array(b_max, dtype=int).reshape(-1)  # each worker's next batch to check
         left = top - low + 1  # and how many are left
-        if not (mem.min(initial=math.inf) >= 0.0 and mem.max(initial=-math.inf) <= 1.0):
+        if not (mem.min() >= 0.0 and mem.max() <= 1.0):
             raise ValueError(f"mem_util must lie in [0, 1], got {mem_util}")
-        if not (low.min(initial=1) >= 1 and left.min(initial=1) >= 1):
+        if not (low.min() >= 1 and left.min() >= 1):
             raise ValueError(f"need 1 <= b_min <= b_max, got [{b_min}, {b_max}]")
         found = np.zeros(top.size, dtype=int)
         live = np.arange(top.size)  # the workers still looking
@@ -375,13 +375,22 @@ class EstimatorBundle:
             owner = live.repeat(counts)
             batches = (top[live] + starts).repeat(counts) - np.arange(owner.size)
             mem_rows = mem[owner]
-            fits = _clamp(self._estimate["state_mem"](StateTable(0.0, 0.0, mem_rows), batches,
-                                                      None, 1), mem_rows, 1.0) <= mem_ceiling
-            # the largest fitting batch of each worker's block, 0 for none
-            found[live] = np.maximum.reduceat(batches * fits, starts)
-            top[live] -= counts
-            left[live] -= counts
-            live = live[(found[live] == 0) & (left[live] > 0)]
+            probe = StateTable(0.0, 0.0, mem_rows)
+            # while every worker has a whole block more, the next is this one shifted down
+            for shift in range(max(1, left[live].min() // _BATCH_BLOCK)):
+                if shift:
+                    batches -= _BATCH_BLOCK
+                fits = _clamp(self._estimate["state_mem"](probe, batches, None, 1),
+                              mem_rows, 1.0) <= mem_ceiling
+                # the largest fitting batch of each worker's block, 0 for none
+                block = np.maximum.reduceat(batches * fits, starts)
+                if block.any():
+                    break
+            found[live] = block
+            done = counts + shift * _BATCH_BLOCK
+            top[live] -= done
+            left[live] -= done
+            live = live[(block == 0) & (left[live] > 0)]
         return found if np.ndim(b_max) else int(found[0])
 
 

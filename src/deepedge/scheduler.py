@@ -30,6 +30,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -221,7 +222,7 @@ class _Fleet:
     going in as a ``StateTable``.
     """
 
-    def __init__(self, cluster: ClusterSpec, registry: dict):
+    def __init__(self, cluster: ClusterSpec, registry: dict, store: str):
         self.workers = cluster.workers
         number: dict = {}  # device class -> its place in self.classes
         for w in self.workers:
@@ -229,9 +230,10 @@ class _Fleet:
         self.kind = np.array([number[w.device_class] for w in self.workers])
         self.classes = [(bundle_for(registry, name), (self.kind == k).nonzero()[0])
                         for name, k in number.items()]
-        self.cpu, self.gpu, self.mem, self.deadline = np.array(
+        self.cpu, self.gpu, self.mem, self.deadline, self.rate, self.init = np.array(
             [(w.initial_state.cpu_util, w.initial_state.gpu_util, w.initial_state.mem_util,
-              _deadline(w)) for w in self.workers], dtype=float).T
+              _deadline(w), _transfer_rate(w, store), w.init_cost) for w in self.workers],
+            dtype=float).T
         self.b_min, self.b_max = np.array([(w.b_min, w.b_max) for w in self.workers]).T
 
     def states(self, owner: np.ndarray):
@@ -287,41 +289,38 @@ class _Tables:
         b = low[place] + np.arange(place.size) - (last + 1 - counts)[place]
         b[last] = cap
         owner = eligible[place]
+        self.size = b.size
         exec_time, t_c = np.empty(b.size), np.empty(b.size)
-        rows_of = []
+        # each class's rows with their states and batches, for the update times
+        self.classes = []
         for bundle, rows in fleet.by_class(owner):
             if rows.size:
                 states, b_rows = fleet.states(owner[rows]), b[rows]
                 exec_time[rows] = bundle.est_exec_time(bundle.est_state(states, b_rows))
                 t_c[rows] = bundle.est_compute_time(states, b_rows)
-                rows_of.append((bundle, rows))
+                self.classes.append((bundle, rows, states, b_rows))
         ok = exec_time <= fleet.deadline[owner]
         passed = ok[last]
         self.failed, self.at_cap = eligible[~passed], exec_time[last[~passed]]
-        keep = ok & passed[place] & (b <= top[place])
-        has_rows = np.bincount(place[keep], minlength=eligible.size) > 0
+        # the rows the splits see: those that pass, of workers passing at their cap
+        self.rows = (ok & passed[place] & (b <= top[place])).nonzero()[0]
+        has_rows = np.bincount(place[self.rows], minlength=eligible.size) > 0
         self.empty, self.top = eligible[passed & ~has_rows], top[passed & ~has_rows]
         self.workers = eligible[has_rows]  # fleet index of each table worker
-        self.owner = (has_rows.cumsum() - 1)[place[keep]]
-        self.b, self.t_c = b[keep], t_c[keep]
-        # each class's rows in the table, and their states
-        at = keep.cumsum() - 1
-        self.classes = [(bundle, at[rows], fleet.states(owner[rows]))
-                        for bundle, rows in ((bundle, rows[keep[rows]]) for bundle, rows in rows_of)
-                        if rows.size]
+        self.owner = (has_rows.cumsum() - 1)[place[self.rows]]
+        self.b, self.t_c = b[self.rows], t_c[self.rows]
         starts = self.owner.searchsorted(np.arange(self.workers.size))
         # samples per second with no update time at all: a bound on any split
         self.fastest_rate = 1.0 / np.minimum.reduceat(self.t_c, starts)
-        members = [fleet.workers[i] for i in self.workers.tolist()]
-        self.rate = np.array([_transfer_rate(w, job.source_store) for w in members])
-        self.init = np.array([w.init_cost for w in members], dtype=float)
+        self.rate, self.init = fleet.rate[self.workers], fleet.init[self.workers]
 
     def update(self, n: int) -> np.ndarray:
-        """Update times at every row with ``n`` workers sharing the parameter server."""
-        out = np.empty(self.b.size)
-        for bundle, rows, states in self.classes:
-            out[rows] = bundle.est_update_time(states, self.b[rows], self.ps_state, n)
-        return out
+        """Update times at every row with ``n`` workers sharing the parameter
+        server, evaluated over the rows the mask had, then cut to the table's."""
+        out = np.empty(self.size)
+        for bundle, rows, states, b_rows in self.classes:
+            out[rows] = bundle.est_update_time(states, b_rows, self.ps_state, n)
+        return out[self.rows]
 
 
 def _rounds_within(limit, r: np.ndarray) -> np.ndarray:
@@ -352,22 +351,26 @@ def _min_epoch(b: np.ndarray, r: np.ndarray, owner: np.ndarray, starts: np.ndarr
     rounds; the breakpoints inside the bracket are sorted once, and each
     one's gain in its worker's capacity is summed in time order.
     """
-    def covered(T):
-        return np.maximum.reduceat(b * _rounds_within(T, r), starts).sum()
+    def covered(k):
+        """Samples covered with ``k`` rounds at each row's batch."""
+        return np.maximum.reduceat(b * k, starts).sum()
 
     speed = np.maximum.reduceat(b / r, starts).sum()
     lo = M / speed * (1 - 1e-9)
     hi = (M + np.maximum.reduceat(b, starts).sum()) / speed * (1 + 1e-9)
-    while covered(hi) < M:
+    k_hi = _rounds_within(hi, r)
+    while covered(k_hi) < M:
         hi *= 2.0
+        k_hi = _rounds_within(hi, r)
     while True:
         k_lo = _rounds_within(lo, r)
-        counts = (_rounds_within(hi, r) - k_lo).astype(int)
+        counts = (k_hi - k_lo).astype(int)
         if counts.sum() <= _MAX_BREAKPOINTS:
             break
         mid = 0.5 * (lo + hi)
-        if covered(mid) >= M:
-            hi = mid
+        k_mid = _rounds_within(mid, r)
+        if covered(k_mid) >= M:
+            hi, k_hi = mid, k_mid
         else:
             lo = mid
     base = np.maximum.reduceat(b * k_lo, starts)
@@ -406,11 +409,12 @@ def _split(b: np.ndarray, r: np.ndarray, owner: np.ndarray, rate: np.ndarray,
     """
     M = job.num_samples
     starts = owner.searchsorted(np.arange(len(rate)))
-    ends = np.concatenate((starts[1:], [b.size]))
     epoch = _min_epoch(b, r, owner, starts, M)
     shards = np.maximum.reduceat(b * _rounds_within(epoch, r), starts).astype(int)
     excess = int(shards.sum()) - M
-    smallest = b[starts].astype(int)
+    if not excess:
+        return shards
+    smallest = b[starts]
     full = rate * shards + init + job.num_epoch * np.minimum.reduceat(
         _epochs(shards[owner], b, r), starts)
     costs: dict = {}  # worker -> (first shard, costs of shards first .. full)
@@ -418,7 +422,7 @@ def _split(b: np.ndarray, r: np.ndarray, owner: np.ndarray, rate: np.ndarray,
     def cost(i: int, d: int) -> float:
         if i not in costs:
             ds = np.arange(max(shards[i] - excess, 1), shards[i] + 1)
-            rows = slice(starts[i], ends[i])
+            rows = slice(starts[i], starts[i + 1] if i + 1 < len(starts) else b.size)
             eps = _epochs(ds[:, None], b[rows], r[rows]).min(axis=1)
             costs[i] = (ds[0], rate[i] * ds + init[i] + job.num_epoch * eps)
         first, values = costs[i]
@@ -449,10 +453,29 @@ def _split(b: np.ndarray, r: np.ndarray, owner: np.ndarray, rate: np.ndarray,
     return shards
 
 
-def _assign(alive: np.ndarray, tables: _Tables, workers: tuple, job: JobSpec) -> tuple:
-    """Assignments for the best integer split over the table workers marked
-    ``alive`` (``workers`` are the cluster's), the mask of those assigned, and
-    how many splits that took.
+class _Candidate(NamedTuple):
+    """A worker set's split: for each assigned worker in table order, its
+    fleet index, shard, batch, t_c and t_u, and its epoch time, total cost
+    and per-sample time, computed as ``_assignment`` computes them."""
+
+    workers: np.ndarray
+    shards: np.ndarray
+    batch: np.ndarray
+    t_c: np.ndarray
+    t_u: np.ndarray
+    epoch: np.ndarray
+    cost: np.ndarray
+    t_total: np.ndarray
+
+    def assignments(self, workers: tuple, job: JobSpec) -> list:
+        return [_assignment(workers[i], d, b, t_c, t_u, job) for i, d, b, t_c, t_u in zip(
+            self.workers.tolist(), self.shards.tolist(), self.batch.tolist(),
+            self.t_c.tolist(), self.t_u.tolist())]
+
+
+def _assign(alive: np.ndarray, tables: _Tables, job: JobSpec) -> tuple:
+    """The best integer split over the table workers marked ``alive``, the
+    mask of those assigned, and how many splits that took.
 
     A worker whose shard comes out empty leaves, and the split is redone with
     update times priced for the workers that remain. Each batch size is the
@@ -476,9 +499,11 @@ def _assign(alive: np.ndarray, tables: _Tables, workers: tuple, job: JobSpec) ->
     epochs = _epochs(shards[owner], b, r)
     shortest = epochs == np.minimum.reduceat(epochs, starts)[owner]
     best = np.maximum.reduceat(np.arange(b.size) * shortest, starts)
-    out = [_assignment(workers[w], d, int(b[i]), float(t_c[i]), float(t_u[i]), job)
-           for w, d, i in zip(tables.workers[members].tolist(), shards.tolist(), best.tolist())]
-    return out, alive, splits
+    b, t_c, t_u = b[best], t_c[best], t_u[best]
+    epoch = np.ceil(shards / b) * r[best]
+    cost = tables.rate[members] * shards + tables.init[members] + epoch * job.num_epoch
+    return (_Candidate(tables.workers[members], shards, b, t_c, t_u, epoch, cost, t_c + t_u / b),
+            alive, splits)
 
 
 def total_cost(assignments) -> float:
@@ -493,7 +518,7 @@ def solve(cluster: ClusterSpec, job: JobSpec, registry: dict | None = None,
     if problems:
         raise ValidationError("; ".join(problems))
 
-    fleet = _Fleet(cluster, registry)
+    fleet = _Fleet(cluster, registry, job.source_store)
     workers = cluster.workers
     removal_log: list = []
     maxbatch = fleet.max_batch_sizes(mem_ceiling)
@@ -517,29 +542,28 @@ def solve(cluster: ClusterSpec, job: JobSpec, registry: dict | None = None,
             workers[i].id, "pressure",
             f"no batch from {workers[i].b_min} to {top} samples passes the pressure check"))
     alive = np.ones(tables.workers.size, dtype=bool)
-    candidates = []  # (epoch time, total cost, assignments, removal log length)
+    candidates = []  # (epoch time, total cost, split, removal log length)
     n_splits = 0
     while alive.any():
-        assignments, assigned, splits = _assign(alive, tables, workers, job)
+        split, assigned, splits = _assign(alive, tables, job)
         n_splits += splits
-        epoch = max(a.epoch_time for a in assignments)
+        epoch = float(split.epoch.max())
         for i in tables.workers[alive & ~assigned].tolist():
             removal_log.append(Removal(
                 workers[i].id, "slowest",
                 f"left without samples; the other workers finish the "
                 f"epoch in {epoch:.4f} s"))
         improved = not candidates or epoch < min(c[0] for c in candidates)
-        candidates.append((epoch, total_cost(assignments), assignments, len(removal_log)))
-        if not improved or len(assignments) <= 1:
+        candidates.append((epoch, float(split.cost.max()), split, len(removal_log)))
+        if not improved or split.workers.size <= 1:
             break
-        k = max(range(len(assignments)), key=lambda j: assignments[j].t_total)
-        slowest = assignments[k]
+        slowest = int(split.t_total.argmax())
         removal_log.append(Removal(
-            slowest.worker_id, "slowest",
+            workers[split.workers[slowest]].id, "slowest",
             f"dropped while searching for a faster plan; per-sample time "
-            f"{slowest.t_total:.4f} s"))
+            f"{split.t_total[slowest]:.4f} s"))
         alive = assigned.copy()
-        alive[assigned.nonzero()[0][k]] = False
+        alive[assigned.nonzero()[0][slowest]] = False
         # even without update times the rest could not finish sooner, so the
         # next candidate would lose and end the search
         best_epoch = min(c[0] for c in candidates)
@@ -550,7 +574,9 @@ def solve(cluster: ClusterSpec, job: JobSpec, registry: dict | None = None,
         raise InfeasibleScheduleError(
             "no eligible workers: " +
             "; ".join(f"{r.worker_id}: {r.detail}" for r in removal_log))
-    _, best_cost, best, log_len = min(candidates, key=lambda c: (c[0], c[1], -len(c[2])))
+    _, best_cost, split, log_len = min(candidates,
+                                       key=lambda c: (c[0], c[1], -c[2].workers.size))
+    best = split.assignments(workers, job)
     inv_sum = sum(1.0 / a.t_total for a in best)
     audit = SolveAudit(
         iterations=n_splits,
@@ -572,7 +598,7 @@ def fairness_plan(cluster: ClusterSpec, job: JobSpec, registry: dict | None = No
     problems = validate(cluster, job)
     if problems:
         raise ValidationError("; ".join(problems))
-    fleet = _Fleet(cluster, registry)
+    fleet = _Fleet(cluster, registry, job.source_store)
     workers = cluster.workers
     order = sorted(range(len(workers)), key=lambda i: workers[i].id)
     n = len(order)

@@ -505,7 +505,7 @@ def test_tables_match_scalar_calls(kind, random_fitted_registry):
         if n_workers > 4:
             workers = [workers[i] for i in rng.permutation(n_workers)]
         cluster = ClusterSpec(tuple(workers), ps, (STORE,))
-        fleet = scheduler._Fleet(cluster, registry)
+        fleet = scheduler._Fleet(cluster, registry, STORE)
         maxbatch = fleet.max_batch_sizes(0.95)
         tables = scheduler._Tables(fleet, job, maxbatch, ps)
         t_u = tables.update(3)
