@@ -249,13 +249,13 @@ class FittedFunction:
 
 # --- the bundle ---------------------------------------------------------------
 
+# batch sizes max_batch_size projects at once, per worker
+_BATCH_BLOCK = 1024
+
 
 def _smallest(batch_size) -> int:
     """The batch size, or the smallest of an array of them (1 if it is empty)."""
     return batch_size if type(batch_size) is int else np.asarray(batch_size).min(initial=1)
-
-# batch sizes max_batch_size projects at once
-_BATCH_BLOCK = 1024
 
 
 class StateTable(NamedTuple):
@@ -363,9 +363,9 @@ class EstimatorBundle:
         low = np.asarray(b_min).reshape(-1)
         top = np.array(b_max, dtype=int).reshape(-1)  # each worker's next batch to check
         left = top - low + 1  # and how many are left
-        if not (mem.min() >= 0.0 and mem.max() <= 1.0):
+        if not (mem.min(initial=0.0) >= 0.0 and mem.max(initial=1.0) <= 1.0):
             raise ValueError(f"mem_util must lie in [0, 1], got {mem_util}")
-        if not (low.min() >= 1 and left.min() >= 1):
+        if not (low.min(initial=1) >= 1 and left.min(initial=1) >= 1):
             raise ValueError(f"need 1 <= b_min <= b_max, got [{b_min}, {b_max}]")
         found = np.zeros(top.size, dtype=int)
         live = np.arange(top.size)  # the workers still looking

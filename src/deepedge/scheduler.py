@@ -9,17 +9,22 @@ and batch sizes across a heterogeneous cluster:
    batch of the largest size it could run, and every worker with no batch
    size up to the job that passes that check.
 3. Epoch time bills every started round in full, so the split is integer
-   from the start: per-worker tables of round times over every
-   pressure-feasible batch give how many samples each worker can finish
-   within a time ``T``; the split is the lowest ``T`` whose capacities cover
-   the job, with the lowest total cost among splits that tie on it. A worker
-   left with no samples leaves the set and the split is priced again for
-   those that remain. Each batch size is the one with the shortest epoch for
-   its shard.
+   from the start: tables of round times over every pressure-feasible batch
+   of every worker give how many samples each worker can finish within a
+   time ``T``; the split is the lowest ``T`` whose capacities cover the job,
+   with the lowest total cost among splits that tie on it. A worker left
+   with no samples leaves the set and the split is priced again for those
+   that remain. Each batch size is the one with the shortest epoch for its
+   shard.
 4. An outer loop removes the slowest assigned worker (the longest
    per-sample time at its batch) and repeats while the predicted epoch time
    keeps improving, and while the workers left could beat it at all with no
    update time; the best candidate wins (ties go to the cheaper plan).
+
+The tables are flat arrays over the whole cluster, each filled with one
+estimator call per device class (the node states going in as a
+``StateTable``), so the number of estimator calls in a solve does not grow
+with the number of workers.
 
 ``fairness_plan`` is the baseline: equal shards for everyone, no interference
 checks, no refinement.
@@ -246,8 +251,6 @@ class _Fleet:
     def by_class(self, owner: np.ndarray) -> list:
         """(bundle, positions in ``owner``) for each device class among the
         workers ``owner`` holds the indices of."""
-        if len(self.classes) == 1:
-            return [(self.classes[0][0], np.arange(owner.size))]
         kind = self.kind[owner]
         return [(bundle, (kind == k).nonzero()[0]) for k, (bundle, _) in enumerate(self.classes)]
 
@@ -456,7 +459,8 @@ def _split(b: np.ndarray, r: np.ndarray, owner: np.ndarray, rate: np.ndarray,
 class _Candidate(NamedTuple):
     """A worker set's split: for each assigned worker in table order, its
     fleet index, shard, batch, t_c and t_u, and its epoch time, total cost
-    and per-sample time, computed as ``_assignment`` computes them."""
+    and per-sample time, computed as ``_assignment`` computes them, so that
+    only the winning candidate's assignments are built."""
 
     workers: np.ndarray
     shards: np.ndarray
