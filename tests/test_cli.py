@@ -164,23 +164,6 @@ def test_infeasible_solve_is_a_clean_error(tmp_path, capsys):
     assert "no eligible workers" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("column, value", [("cpu_util", "nan"), ("value", "inf")])
-def test_fit_names_a_non_finite_cell(column, value, tmp_path, capsys):
-    sweep = tmp_path / "sweep.csv"
-    registry = tmp_path / "registry.json"
-    main(["profile", "--device", "nano", "--out", str(sweep), "--seed", "5"])
-    lines = sweep.read_text().splitlines()
-    cells = lines[2].split(",")
-    cells[lines[0].split(",").index(column)] = value
-    lines[2] = ",".join(cells)
-    sweep.write_text("\n".join(lines) + "\n")
-    code = main(["fit", "--data", str(sweep), "--device", "nano", "--out", str(registry)])
-    err = capsys.readouterr().err
-    assert code == 1
-    assert f"{sweep}:3: {column}: expected a finite number, got '{value}'" in err
-    assert not registry.exists()
-
-
 def _sweep_with(tmp_path, cells: dict):
     """A profiled sweep whose third line has the given cells replaced."""
     sweep = tmp_path / "sweep.csv"
@@ -192,6 +175,17 @@ def _sweep_with(tmp_path, cells: dict):
     lines[2] = ",".join(row)
     sweep.write_text("\n".join(lines) + "\n")
     return sweep
+
+
+@pytest.mark.parametrize("column, value", [("cpu_util", "nan"), ("value", "inf")])
+def test_fit_names_a_non_finite_cell(column, value, tmp_path, capsys):
+    sweep = _sweep_with(tmp_path, {column: value})
+    registry = tmp_path / "registry.json"
+    code = main(["fit", "--data", str(sweep), "--device", "nano", "--out", str(registry)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert f"{sweep}:3: {column}: expected a finite number, got '{value}'" in err
+    assert not registry.exists()
 
 
 @pytest.mark.parametrize("column, value, message", [
