@@ -353,12 +353,27 @@ class EstimatorBundle:
     def max_batch_size(self, mem_util, b_min, b_max, mem_ceiling: float = 0.95):
         """Largest batch in [b_min, b_max] keeping projected memory <= ceiling; 0 if none.
 
-        Given equal-length arrays of ``mem_util``, ``b_min`` and ``b_max``, one
-        entry per worker, the answer is an integer array of each worker's batch,
-        from one evaluation per block. Projected memory need not grow with the
-        batch size (a fitted model may dip), so each worker's batches are
-        checked from its ``b_max`` down, at most ``_BATCH_BLOCK`` at a time.
+        Projected memory need not grow with the batch size (a fitted model may
+        dip), so each worker's batches are checked from its ``b_max`` down, at
+        most ``_BATCH_BLOCK`` at a time. Given equal-length arrays of
+        ``mem_util``, ``b_min`` and ``b_max``, one entry per worker, the answer
+        is an integer array of each worker's batch, from one evaluation per
+        block for all of them; for one worker, plain numbers take a scan with
+        a fraction of that bookkeeping.
         """
+        if not np.ndim(b_max):
+            if not 0.0 <= mem_util <= 1.0:
+                raise ValueError(f"mem_util must lie in [0, 1], got {mem_util}")
+            if b_min < 1 or b_max < b_min:
+                raise ValueError(f"need 1 <= b_min <= b_max, got [{b_min}, {b_max}]")
+            probe = NodeState(0.0, 0.0, mem_util)
+            for top in range(b_max, b_min - 1, -_BATCH_BLOCK):
+                batches = np.arange(top, max(b_min, top - _BATCH_BLOCK + 1) - 1, -1)
+                mem = _clamp(self._estimate["state_mem"](probe, batches, None, 1), mem_util, 1.0)
+                fits = np.flatnonzero(mem <= mem_ceiling)
+                if fits.size:
+                    return int(batches[fits[0]])
+            return 0
         mem = np.asarray(mem_util, dtype=float).reshape(-1)
         low = np.asarray(b_min).reshape(-1)
         top = np.array(b_max, dtype=int).reshape(-1)  # each worker's next batch to check
@@ -391,7 +406,7 @@ class EstimatorBundle:
             top[live] -= done
             left[live] -= done
             live = live[(block == 0) & (left[live] > 0)]
-        return found if np.ndim(b_max) else int(found[0])
+        return found
 
 
 # --- built-in device profiles -------------------------------------------------

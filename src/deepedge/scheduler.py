@@ -73,12 +73,19 @@ def check_pressure(worker: WorkerSpec, bundle: EstimatorBundle, batch_size) -> t
     if not isinstance(batch_size, np.ndarray) and batch_size == 0:
         return True, {}
     exec_time = bundle.est_exec_time(bundle.est_state(worker.initial_state, batch_size))
-    return exec_time <= _deadline(worker), {app.id: exec_time for app in worker.background_apps}
+    return (_meets_deadline(exec_time, _deadline(worker)),
+            {app.id: exec_time for app in worker.background_apps})
 
 
 def _deadline(worker: WorkerSpec) -> float:
     """The tightest deadline among the worker's background tasks; inf with none."""
     return min((app.deadline for app in worker.background_apps), default=math.inf)
+
+
+def _meets_deadline(exec_time, deadline):
+    """The pressure verdict: background tasks projected at ``exec_time`` meet
+    the tightest ``deadline``; elementwise over arrays."""
+    return exec_time <= deadline
 
 
 # --- plan structures ------------------------------------------------------------
@@ -241,11 +248,8 @@ class _Fleet:
             dtype=float).T
         self.b_min, self.b_max = np.array([(w.b_min, w.b_max) for w in self.workers]).T
 
-    def states(self, owner: np.ndarray):
-        """The node states of the workers ``owner`` lists, grouped by worker:
-        a ``StateTable``, or the worker's own state if there is one worker."""
-        if owner[0] == owner[-1]:
-            return self.workers[owner[0]].initial_state
+    def states(self, owner: np.ndarray) -> StateTable:
+        """The node states of the workers ``owner`` lists, as a table."""
         return StateTable(self.cpu[owner], self.gpu[owner], self.mem[owner])
 
     def by_class(self, owner: np.ndarray) -> list:
@@ -302,7 +306,7 @@ class _Tables:
                 exec_time[rows] = bundle.est_exec_time(bundle.est_state(states, b_rows))
                 t_c[rows] = bundle.est_compute_time(states, b_rows)
                 self.classes.append((bundle, rows, states, b_rows))
-        ok = exec_time <= fleet.deadline[owner]
+        ok = _meets_deadline(exec_time, fleet.deadline[owner])
         passed = ok[last]
         self.failed, self.at_cap = eligible[~passed], exec_time[last[~passed]]
         # the rows the splits see: those that pass, of workers passing at their cap
@@ -354,26 +358,22 @@ def _min_epoch(b: np.ndarray, r: np.ndarray, owner: np.ndarray, starts: np.ndarr
     rounds; the breakpoints inside the bracket are sorted once, and each
     one's gain in its worker's capacity is summed in time order.
     """
-    def covered(k):
-        """Samples covered with ``k`` rounds at each row's batch."""
-        return np.maximum.reduceat(b * k, starts).sum()
+    def covered(T):
+        return np.maximum.reduceat(b * _rounds_within(T, r), starts).sum()
 
     speed = np.maximum.reduceat(b / r, starts).sum()
     lo = M / speed * (1 - 1e-9)
     hi = (M + np.maximum.reduceat(b, starts).sum()) / speed * (1 + 1e-9)
-    k_hi = _rounds_within(hi, r)
-    while covered(k_hi) < M:
+    while covered(hi) < M:
         hi *= 2.0
-        k_hi = _rounds_within(hi, r)
     while True:
         k_lo = _rounds_within(lo, r)
-        counts = (k_hi - k_lo).astype(int)
+        counts = (_rounds_within(hi, r) - k_lo).astype(int)
         if counts.sum() <= _MAX_BREAKPOINTS:
             break
         mid = 0.5 * (lo + hi)
-        k_mid = _rounds_within(mid, r)
-        if covered(k_mid) >= M:
-            hi, k_hi = mid, k_mid
+        if covered(mid) >= M:
+            hi = mid
         else:
             lo = mid
     base = np.maximum.reduceat(b * k_lo, starts)
@@ -412,12 +412,11 @@ def _split(b: np.ndarray, r: np.ndarray, owner: np.ndarray, rate: np.ndarray,
     """
     M = job.num_samples
     starts = owner.searchsorted(np.arange(len(rate)))
+    ends = np.append(starts[1:], b.size)
     epoch = _min_epoch(b, r, owner, starts, M)
     shards = np.maximum.reduceat(b * _rounds_within(epoch, r), starts).astype(int)
     excess = int(shards.sum()) - M
-    if not excess:
-        return shards
-    smallest = b[starts]
+    smallest = b[starts].astype(int)
     full = rate * shards + init + job.num_epoch * np.minimum.reduceat(
         _epochs(shards[owner], b, r), starts)
     costs: dict = {}  # worker -> (first shard, costs of shards first .. full)
@@ -425,7 +424,7 @@ def _split(b: np.ndarray, r: np.ndarray, owner: np.ndarray, rate: np.ndarray,
     def cost(i: int, d: int) -> float:
         if i not in costs:
             ds = np.arange(max(shards[i] - excess, 1), shards[i] + 1)
-            rows = slice(starts[i], starts[i + 1] if i + 1 < len(starts) else b.size)
+            rows = slice(starts[i], ends[i])
             eps = _epochs(ds[:, None], b[rows], r[rows]).min(axis=1)
             costs[i] = (ds[0], rate[i] * ds + init[i] + job.num_epoch * eps)
         first, values = costs[i]
@@ -459,8 +458,9 @@ def _split(b: np.ndarray, r: np.ndarray, owner: np.ndarray, rate: np.ndarray,
 class _Candidate(NamedTuple):
     """A worker set's split: for each assigned worker in table order, its
     fleet index, shard, batch, t_c and t_u, and its epoch time, total cost
-    and per-sample time, computed as ``_assignment`` computes them, so that
-    only the winning candidate's assignments are built."""
+    and per-sample time, priced as arrays to rank the candidates. They must
+    equal what ``_assignment`` computes for the winner's assignments, bit for
+    bit (``test_candidates_are_priced_as_their_assignments``)."""
 
     workers: np.ndarray
     shards: np.ndarray
@@ -602,25 +602,25 @@ def fairness_plan(cluster: ClusterSpec, job: JobSpec, registry: dict | None = No
     problems = validate(cluster, job)
     if problems:
         raise ValidationError("; ".join(problems))
-    fleet = _Fleet(cluster, registry, job.source_store)
-    workers = cluster.workers
-    order = sorted(range(len(workers)), key=lambda i: workers[i].id)
-    n = len(order)
+    workers = sorted(cluster.workers, key=lambda w: w.id)
+    n = len(workers)
     base, extra = divmod(job.num_samples, n)
-    assigned = np.array(order if base else order[:extra])
-    shards = base + (np.arange(assigned.size) < extra)
-    # the naive rule: memory cap or the whole shard, whichever is smaller
-    b = np.maximum(1, np.minimum(fleet.max_batch_sizes(mem_ceiling)[assigned], shards))
-    t_c, t_u = np.empty(assigned.size), np.empty(assigned.size)
-    for bundle, rows in fleet.by_class(assigned):
-        if rows.size:
-            states = fleet.states(assigned[rows])
-            t_c[rows] = bundle.est_compute_time(states, b[rows])
-            t_u[rows] = bundle.est_update_time(states, b[rows], cluster.ps_state, assigned.size)
-    assignments = [_assignment(workers[i], d, b_i, t_c_i, t_u_i, job) for i, d, b_i, t_c_i, t_u_i
-                   in zip(assigned.tolist(), shards.tolist(), b.tolist(), t_c.tolist(),
-                          t_u.tolist())]
-    shares = {workers[i].id: job.num_samples / n for i in order}
+    int_shares = {w.id: base + (1 if i < extra else 0) for i, w in enumerate(workers)}
+    bundles = {w.id: bundle_for(registry, w.device_class) for w in cluster.workers}
+    maxbatch = {w.id: bundles[w.id].max_batch_size(w.initial_state.mem_util, w.b_min,
+                                                   w.b_max, mem_ceiling)
+                for w in workers}
+    assigned = [w for w in workers if int_shares[w.id] > 0]
+    assignments = []
+    for w in assigned:
+        d = int_shares[w.id]
+        # the naive rule: memory cap or the whole shard, whichever is smaller
+        b = max(1, min(maxbatch[w.id], d))
+        bundle = bundles[w.id]
+        t_c = bundle.est_compute_time(w.initial_state, b)
+        t_u = bundle.est_update_time(w.initial_state, b, cluster.ps_state, len(assigned))
+        assignments.append(_assignment(w, d, b, t_c, t_u, job))
+    shares = {w.id: job.num_samples / n for w in workers}
     audit = SolveAudit(iterations=0, shares=shares,
                        t_total={a.worker_id: a.t_total for a in assignments})
     return Plan(method="fairness", num_epoch=job.num_epoch,

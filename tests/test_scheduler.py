@@ -438,6 +438,29 @@ def test_total_cost_is_max_over_workers():
     assert total_cost(plan.assignments) == pytest.approx(plan.total_cost)
 
 
+def test_candidates_are_priced_as_their_assignments():
+    """The solver ranks candidate splits by prices computed as arrays, and
+    builds the winner's assignments with scalar ones: both must agree."""
+    rng = np.random.default_rng(41)
+    reg = default_registry()
+    done = 0
+    while done < 40:
+        cluster = random_feasible_cluster(rng, max_workers=24)
+        job = JobSpec(num_samples=int(rng.integers(50, 3000)),
+                      num_epoch=int(rng.integers(1, 4)), source_store=STORE)
+        fleet = scheduler._Fleet(cluster, reg, STORE)
+        tables = scheduler._Tables(fleet, job, fleet.max_batch_sizes(0.95), cluster.ps_state)
+        if not tables.workers.size:
+            continue
+        done += 1
+        split, _, _ = scheduler._assign(np.ones(tables.workers.size, dtype=bool), tables, job)
+        priced = zip(split.epoch.tolist(), split.cost.tolist(), split.t_total.tolist())
+        for a, (epoch, cost, t_total) in zip(split.assignments(cluster.workers, job), priced):
+            assert (a.epoch_time, a.cost.total, a.t_total) == (epoch, cost, t_total)
+            assert a.epoch_time == epoch_time(a.num_samples, a.batch_size, a.t_compute,
+                                              a.t_update)
+
+
 # --- plan documents ----------------------------------------------------------
 
 
