@@ -1,10 +1,12 @@
 """Offline profiling: sweep a device bench, then fit estimator models.
 
 ``run_sweep`` walks a factorial grid over node state and batch size and
-records one observation per grid point per target. Observations can carry
-multiplicative measurement noise; each recorded value summarizes a number of
-repeated draws (sample mean for duration targets, 95th percentile for state
-targets, matching how the state estimators are defined).
+records one observation per grid point per target. Each target is one
+estimator evaluation over the whole grid (update time one per worker-count
+level), with the grid's node states as one ``StateTable``. Observations can
+carry multiplicative measurement noise; each recorded value summarizes a
+number of repeated draws (sample mean for duration targets, 95th percentile
+for state targets, matching how the state estimators are defined).
 
 ``fit`` performs ordinary least squares on the fixed nonlinear basis shared
 with the estimators (raw features, pairwise products, and the same divided
@@ -17,16 +19,18 @@ from __future__ import annotations
 import csv
 import itertools
 import math
+import operator
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .cluster import NodeState
 from .documents import ValidationError, csv_rows
 from .estimators import (EstimatorBundle, FittedFunction, FEATURES_BY_TARGET,
-                         TARGETS, design_matrix, basis_terms)
+                         TARGETS, StateTable, design_matrix, basis_terms)
 
-_STATE_TARGETS = ("state_cpu", "state_gpu", "state_mem")
+# state target -> the component of the projected state it records
+_STATE_FIELDS = {"state_cpu": "cpu_util", "state_gpu": "gpu_util", "state_mem": "mem_util"}
 
 CSV_COLUMNS = ("device_class", "target", "cpu_util", "gpu_util", "mem_util",
                "batch", "ps_cpu_util", "n_workers", "value")
@@ -61,19 +65,21 @@ class SweepPlan:
             for v in getattr(self, name):
                 if not 0.0 <= v <= 1.0:
                     raise ValidationError(f"sweep.{name}: level {v} outside [0, 1]")
-        for b in self.batch_levels:
-            if int(b) != b or b < 1:
-                raise ValidationError(f"sweep.batch_levels: {b} is not a positive integer")
-        for n in self.n_workers_levels:
-            if int(n) != n or n < 1:
-                raise ValidationError(f"sweep.n_workers_levels: {n} is not a positive integer")
-        if self.repetitions < 1:
-            raise ValidationError(f"sweep.repetitions: must be >= 1, got {self.repetitions}")
+        for name in ("batch_levels", "n_workers_levels"):
+            for v in getattr(self, name):
+                if not (math.isfinite(v) and v >= 1 and int(v) == v):
+                    raise ValidationError(f"sweep.{name}: {v} is not a positive integer")
+        reps = self.repetitions
+        if isinstance(reps, bool) or not isinstance(reps, (int, np.integer)) or reps < 1:
+            raise ValidationError(f"sweep.repetitions: must be an integer >= 1, got {reps!r}")
         if not 0.0 <= self.noise < 1.0:
             raise ValidationError(f"sweep.noise: must lie in [0, 1), got {self.noise}")
         unknown = [t for t in self.targets if t not in TARGETS]
         if unknown:
             raise ValidationError(f"sweep.targets: unknown {unknown}")
+        twice = sorted({t for t in self.targets if self.targets.count(t) > 1})
+        if twice:
+            raise ValidationError(f"sweep.targets: {twice} listed more than once")
 
     @property
     def grid_size(self) -> int:
@@ -111,8 +117,7 @@ def reference_grid(device_class: str = "tx2", repetitions: int = 5,
 # --- datasets --------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ProfileRow:
+class ProfileRow(NamedTuple):
     device_class: str
     target: str
     cpu_util: float
@@ -122,9 +127,6 @@ class ProfileRow:
     ps_cpu_util: float
     n_workers: int
     value: float
-
-    def feature(self, name: str) -> float:
-        return float(getattr(self, name))
 
 
 @dataclass(frozen=True)
@@ -152,9 +154,9 @@ class ProfileDataset:
         rows = [r for r in self.rows if r.target == target]
         if not rows:
             raise ValidationError(f"dataset has no rows for target '{target}'")
-        X = np.asarray([[r.feature(n) for n in names] for r in rows], dtype=float)
-        y = np.asarray([r.value for r in rows], dtype=float)
-        return X, y
+        columns = operator.attrgetter(*names, "value")
+        table = np.array([columns(r) for r in rows], dtype=float)
+        return table[:, :-1], table[:, -1]
 
     def to_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:
@@ -180,45 +182,51 @@ def dataset_from_csv(path) -> ProfileDataset:
 # --- the bench -------------------------------------------------------------
 
 
-def _truth(bundle: EstimatorBundle, target: str, c, g, m, b, ps, n) -> float:
-    state = NodeState(c, g, m)
-    if target == "compute_time":
-        return bundle.est_compute_time(state, b)
-    if target == "update_time":
-        return bundle.est_update_time(state, b, NodeState(ps, 0.0, 0.0), n)
-    if target == "exec_time":
-        return bundle.est_exec_time(state)
-    projected = bundle.est_state(state, b)
-    return {"state_cpu": projected.cpu_util, "state_gpu": projected.gpu_util,
-            "state_mem": projected.mem_util}[target]
-
-
 def run_sweep(bundle: EstimatorBundle, plan: SweepPlan, seed: int = 0) -> ProfileDataset:
     """Measure every target at every grid point.
 
-    With nonzero noise, each grid point gets ``repetitions`` draws of
-    ``truth * (1 + N(0, noise))``; duration targets record the sample mean,
+    Each target is one estimator evaluation over the whole grid, and update
+    time one per worker-count level. With nonzero noise, each grid point gets
+    ``repetitions`` draws of ``truth * (1 + N(0, noise))``, target by target
+    and point by point in grid order; duration targets record the sample mean,
     state targets the 95th percentile (state estimates are defined as
     worst-plausible, not typical). With zero noise values are exact.
     """
+    ps_levels = tuple(float(ps) for ps in plan.ps_cpu_levels)
+    n_levels = tuple(int(n) for n in plan.n_workers_levels)
+    # each point's row fields; the levels are shared, not copied per row
+    points = [(float(c), float(g), float(m), int(b), ps_levels[i % len(ps_levels)],
+               n_levels[i // len(ps_levels) % len(n_levels)])
+              for i, (c, g, m, b) in enumerate(plan.points())]
+    cpu, gpu, mem, batch, ps, _ = np.array(points, dtype=float).T
+    batch = batch.astype(int)
+    grid = StateTable(cpu, gpu, mem)
+    level = np.arange(len(points)) // len(ps_levels) % len(n_levels)
     rng = np.random.default_rng(seed)
+    projected = None
     rows = []
     for target in plan.targets:
-        for i, (c, g, m, b) in enumerate(plan.points()):
-            ps = plan.ps_cpu_levels[i % len(plan.ps_cpu_levels)]
-            n = plan.n_workers_levels[(i // len(plan.ps_cpu_levels))
-                                      % len(plan.n_workers_levels)]
-            truth = _truth(bundle, target, c, g, m, int(b), ps, int(n))
-            if plan.noise == 0.0:
-                value = truth
-            else:
-                draws = truth * (1.0 + rng.normal(0.0, plan.noise, plan.repetitions))
-                if target in _STATE_TARGETS:
-                    value = float(np.percentile(draws, 95))
-                else:
-                    value = float(np.mean(draws))
-            rows.append(ProfileRow(bundle.device_class, target, float(c), float(g),
-                                   float(m), int(b), float(ps), int(n), value))
+        if target == "compute_time":
+            truth = bundle.est_compute_time(grid, batch)
+        elif target == "update_time":
+            truth = np.empty(len(points))
+            for k, n in enumerate(n_levels):
+                at = level == k
+                truth[at] = bundle.est_update_time(StateTable(cpu[at], gpu[at], mem[at]),
+                                                   batch[at], StateTable(ps[at], 0.0, 0.0), n)
+        elif target == "exec_time":
+            truth = bundle.est_exec_time(grid)
+        else:
+            if projected is None:
+                projected = bundle.est_state(grid, batch)
+            truth = getattr(projected, _STATE_FIELDS[target])
+        if plan.noise != 0.0:
+            draws = truth[:, None] * (1.0 + rng.normal(0.0, plan.noise,
+                                                       (len(points), plan.repetitions)))
+            truth = (np.percentile(draws, 95, axis=1) if target in _STATE_FIELDS
+                     else draws.mean(axis=1))
+        rows += [ProfileRow(bundle.device_class, target, *point, value)
+                 for point, value in zip(points, truth.tolist())]
     return ProfileDataset(rows=tuple(rows))
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import re
 
 import numpy as np
@@ -7,6 +8,7 @@ from deepedge import (EstimatorBundle, NodeState, ParametricProfile, ParseError,
                       ValidationError, bundle_for, dataset_from_csv,
                       default_registry, fit, fit_all, fitted_bundle, mape,
                       run_sweep, reference_grid)
+from deepedge.estimators import FEATURES_BY_TARGET, TARGETS
 from deepedge.profiler import CSV_COLUMNS, ProfileDataset, ProfileRow, SweepPlan
 
 
@@ -53,6 +55,123 @@ def test_sweep_plan_validation():
         SweepPlan(cpu_levels=(0,), gpu_levels=(0,), mem_levels=(0,), batch_levels=(0,))
     with pytest.raises(ValidationError):
         small_plan(noise=-0.1)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("repetitions", 2.5),
+    ("repetitions", True),
+    ("batch_levels", (1, float("nan"))),
+    ("batch_levels", (float("inf"),)),
+    ("n_workers_levels", (float("nan"),)),
+    ("n_workers_levels", (1, float("inf"))),
+    ("targets", ("compute_time", "state_mem", "compute_time")),
+])
+def test_sweep_plan_names_a_bad_field(field, value):
+    with pytest.raises(ValidationError, match=rf"^sweep\.{field}: "):
+        dataclasses.replace(small_plan(), **{field: value})
+
+
+def _reference_sweep(bundle, plan, seed):
+    """The sweep point by point: one scalar estimator call per grid point and
+    target, and one noise draw of ``repetitions`` per point."""
+    def truth(target, state, b, ps, n):
+        if target == "compute_time":
+            return bundle.est_compute_time(state, b)
+        if target == "update_time":
+            return bundle.est_update_time(state, b, NodeState(ps, 0.0, 0.0), n)
+        if target == "exec_time":
+            return bundle.est_exec_time(state)
+        projected = bundle.est_state(state, b)
+        return {"state_cpu": projected.cpu_util, "state_gpu": projected.gpu_util,
+                "state_mem": projected.mem_util}[target]
+
+    rng = np.random.default_rng(seed)
+    rows = []
+    for target in plan.targets:
+        for i, (c, g, m, b) in enumerate(plan.points()):
+            ps = plan.ps_cpu_levels[i % len(plan.ps_cpu_levels)]
+            n = plan.n_workers_levels[(i // len(plan.ps_cpu_levels))
+                                      % len(plan.n_workers_levels)]
+            value = truth(target, NodeState(c, g, m), int(b), ps, int(n))
+            if plan.noise != 0.0:
+                draws = value * (1.0 + rng.normal(0.0, plan.noise, plan.repetitions))
+                value = float(np.percentile(draws, 95) if target.startswith("state_")
+                              else np.mean(draws))
+            rows.append(ProfileRow(bundle.device_class, target, float(c), float(g),
+                                   float(m), int(b), float(ps), int(n), value))
+    return rows
+
+
+def _reprs(rows):
+    return [tuple(repr(getattr(row, name)) for name in CSV_COLUMNS) for row in rows]
+
+
+@pytest.mark.parametrize("fitted", [False, True], ids=["parametric", "fitted"])
+@pytest.mark.parametrize("noise", [0.0, 0.04])
+@pytest.mark.parametrize("repetitions", [1, 5])
+@pytest.mark.parametrize("targets", [TARGETS, ("state_mem", "update_time", "exec_time",
+                                               "state_cpu")], ids=["all", "subset"])
+def test_sweep_matches_the_point_by_point_reference(fitted, noise, repetitions, targets,
+                                                    random_fitted_registry):
+    registry = (random_fitted_registry(np.random.default_rng(11)) if fitted
+                else default_registry())
+    # 90 grid points: neither 4 PS levels nor 4 x 7 level pairs divide them
+    plan = SweepPlan(cpu_levels=(0.0, 0.3, 0.55), gpu_levels=(0.05, 0.4),
+                     mem_levels=(0.0, 0.2, 0.45), batch_levels=(1, 3, 8, 16, 64),
+                     ps_cpu_levels=(0.0, 0.7, 0.3, 1.0),
+                     n_workers_levels=(1, 2, 9, 4, 3, 16, 5),
+                     repetitions=repetitions, noise=noise, targets=targets)
+    for device_class in ("tx2", "nano"):
+        bundle = registry[device_class]
+        got = run_sweep(bundle, plan, seed=7).rows
+        assert _reprs(got) == _reprs(_reference_sweep(bundle, plan, seed=7))
+
+
+def test_reference_grid_sweep_matches_the_point_by_point_reference():
+    bundle = bundle_for(default_registry(), "nano")
+    plan = reference_grid("nano", noise=0.02)
+    assert _reprs(run_sweep(bundle, plan, seed=1).rows) == _reprs(
+        _reference_sweep(bundle, plan, seed=1))
+
+
+def test_dataset_arrays_match_the_per_cell_construction():
+    bundle = bundle_for(default_registry(), "tx2")
+    rows = list(run_sweep(bundle, small_plan(noise=0.02), seed=3).rows)
+    np.random.default_rng(4).shuffle(rows)  # targets interleaved, as a CSV may hold them
+    data = ProfileDataset(rows=tuple(rows))
+    for target, names in FEATURES_BY_TARGET.items():
+        X, y = data.arrays(target)
+        mine = [r for r in rows if r.target == target]
+        want_X = np.asarray([[float(getattr(r, n)) for n in names] for r in mine])
+        want_y = np.asarray([r.value for r in mine])
+        assert X.shape == want_X.shape and y.shape == want_y.shape
+        assert np.array_equal(X, want_X) and np.array_equal(y, want_y)
+
+
+def test_sweep_makes_as_many_estimator_calls_on_one_point_as_on_the_reference_grid(
+        monkeypatch):
+    calls = []
+
+    def counted(name, method):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return method(*args, **kwargs)
+        return wrapper
+
+    for name, method in list(vars(EstimatorBundle).items()):
+        if callable(method) and not name.startswith("_"):
+            monkeypatch.setattr(EstimatorBundle, name, counted(name, method))
+    bundle = bundle_for(default_registry(), "tx2")
+
+    def count(plan):
+        calls.clear()
+        run_sweep(bundle, plan, seed=0)
+        return len(calls)
+
+    one_point = SweepPlan(cpu_levels=(0.1,), gpu_levels=(0.2,), mem_levels=(0.1,),
+                          batch_levels=(4,), noise=0.02)
+    assert count(one_point) > 0
+    assert count(one_point) == count(reference_grid("tx2", noise=0.02))
 
 
 def test_mape_basics():
