@@ -18,17 +18,17 @@ from .scheduler import (Assignment, CostBreakdown, InfeasibleScheduleError, Plan
 from .profiler import (FitReport, ProfileDataset, ProfileRow, SweepPlan,
                        dataset_from_csv, fit, fit_all, fitted_bundle, mape,
                        run_sweep, reference_grid)
-from .simulator import (ArcEvent, CrashEvent, CrashRecord, RecoveryResult,
+from .simulator import (ArcEvent, CrashEvent, CrashRecord, IllegalTransitionError,
+                        JobPhase, LEGAL_TRANSITIONS, PhaseChange, RecoveryResult,
                         SimConfig, SimResult, TraceEvent, Violation,
-                        inject_and_recover, load_trace, save_trace, simulate)
+                        inject_and_recover, load_trace, save_trace, simulate,
+                        validate_transitions)
 from .orchestrator import (BenchReport, BenchStressModel, BenchTrial, Histogram,
-                           IllegalTransitionError, JobPhase, JobReport,
-                           LEGAL_TRANSITIONS, LogisticFit, PhaseChange, bench,
-                           bench_report_from_doc, bench_report_to_doc,
-                           crossing_epoch, fit_accuracy_curve, load_bench_report,
-                           logistic, refine_num_epoch, render_report, run_job,
-                           save_bench_report, save_histogram_csv,
-                           simulate_accuracy, validate_transitions)
+                           JobReport, LogisticFit, bench, bench_report_from_doc,
+                           bench_report_to_doc, crossing_epoch, fit_accuracy_curve,
+                           load_bench_report, logistic, refine_num_epoch,
+                           render_report, run_job, save_bench_report,
+                           save_histogram_csv, simulate_accuracy)
 
 __all__ = [
     "__version__",
@@ -50,14 +50,14 @@ __all__ = [
     "FitReport", "ProfileDataset", "ProfileRow", "SweepPlan", "dataset_from_csv",
     "fit", "fit_all", "fitted_bundle", "mape", "run_sweep", "reference_grid",
     # simulator
-    "ArcEvent", "CrashEvent", "CrashRecord", "RecoveryResult", "SimConfig",
-    "SimResult", "TraceEvent", "Violation", "inject_and_recover", "load_trace",
-    "save_trace", "simulate",
+    "ArcEvent", "CrashEvent", "CrashRecord", "IllegalTransitionError", "JobPhase",
+    "LEGAL_TRANSITIONS", "PhaseChange", "RecoveryResult", "SimConfig", "SimResult",
+    "TraceEvent", "Violation", "inject_and_recover", "load_trace", "save_trace",
+    "simulate", "validate_transitions",
     # orchestrator
-    "BenchReport", "BenchStressModel", "BenchTrial", "Histogram", "IllegalTransitionError",
-    "JobPhase", "JobReport", "LEGAL_TRANSITIONS", "LogisticFit", "PhaseChange",
-    "bench", "bench_report_from_doc", "bench_report_to_doc", "crossing_epoch",
-    "fit_accuracy_curve", "load_bench_report", "logistic", "refine_num_epoch",
-    "render_report", "run_job", "save_bench_report", "save_histogram_csv",
-    "simulate_accuracy", "validate_transitions",
+    "BenchReport", "BenchStressModel", "BenchTrial", "Histogram", "JobReport",
+    "LogisticFit", "bench", "bench_report_from_doc", "bench_report_to_doc",
+    "crossing_epoch", "fit_accuracy_curve", "load_bench_report", "logistic",
+    "refine_num_epoch", "render_report", "run_job", "save_bench_report",
+    "save_histogram_csv", "simulate_accuracy",
 ]

@@ -113,6 +113,8 @@ def _cmd_run(args) -> int:
     print(f"status: {report.status}")
     if report.recovery is not None:
         rec = report.recovery
+        for ev in rec.events:
+            print(f"  {ev.kind}: {ev.worker} at {ev.time:.3f} s")
         print(f"attempts: {len(rec.attempts)}, excluded: {list(rec.excluded) or 'none'}")
         if rec.violations:
             for v in rec.violations:

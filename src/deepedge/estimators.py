@@ -390,21 +390,13 @@ class EstimatorBundle:
             owner = live.repeat(counts)
             batches = (top[live] + starts).repeat(counts) - np.arange(owner.size)
             mem_rows = mem[owner]
-            probe = StateTable(0.0, 0.0, mem_rows)
-            # while every worker has a whole block more, the next is this one shifted down
-            for shift in range(max(1, left[live].min() // _BATCH_BLOCK)):
-                if shift:
-                    batches -= _BATCH_BLOCK
-                fits = _clamp(self._estimate["state_mem"](probe, batches, None, 1),
-                              mem_rows, 1.0) <= mem_ceiling
-                # the largest fitting batch of each worker's block, 0 for none
-                block = np.maximum.reduceat(batches * fits, starts)
-                if block.any():
-                    break
+            fits = _clamp(self._estimate["state_mem"](StateTable(0.0, 0.0, mem_rows), batches,
+                                                      None, 1), mem_rows, 1.0) <= mem_ceiling
+            # the largest fitting batch of each worker's block, 0 for none
+            block = np.maximum.reduceat(batches * fits, starts)
             found[live] = block
-            done = counts + shift * _BATCH_BLOCK
-            top[live] -= done
-            left[live] -= done
+            top[live] -= counts
+            left[live] -= counts
             live = live[(block == 0) & (left[live] > 0)]
         return found
 

@@ -3,8 +3,9 @@
 A model-update job moves through a small phase machine: it is requested,
 solved into a plan, samples transfer, workers register, training runs, and
 the job completes; crashes interrupt and retrigger it, and a job that cannot
-be (re)planned is abandoned. ``run_job`` drives the simulator through that
-machine and returns the phase log alongside the execution record.
+be (re)planned is abandoned. ``run_job`` requests the job and solves its
+first plan; the simulator's recovery loop writes every phase from there on,
+and ``run_job`` returns that log alongside the execution record.
 
 Accuracy over epochs is modeled as a logistic curve fit with a damped
 Gauss-Newton loop; ``refine_num_epoch`` uses the fit to shrink a job's epoch
@@ -17,7 +18,6 @@ and deadline violations into a serializable report.
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -28,67 +28,17 @@ from .cluster import ClusterSpec, JobSpec, NodeState, ValidationError, default_t
 from .documents import from_doc, load_doc, save, to_doc
 from .estimators import bundle_for, default_registry
 from .scheduler import InfeasibleScheduleError, Plan, fairness_plan, solve
-from .simulator import (RecoveryResult, SimConfig, inject_and_recover, simulate,
-                        ABANDONED, COMPLETED)
-
-
-class JobPhase(enum.Enum):
-    REQUESTED = "requested"
-    SOLVED = "solved"
-    TRANSFERRING = "transferring"
-    REGISTERED = "registered"
-    RUNNING = "running"
-    INTERRUPTED = "interrupted"
-    RETRIGGERED = "retriggered"
-    COMPLETED = "completed"
-    ABANDONED = "abandoned"
-
-
-LEGAL_TRANSITIONS = {
-    JobPhase.REQUESTED: frozenset({JobPhase.SOLVED, JobPhase.ABANDONED}),
-    JobPhase.SOLVED: frozenset({JobPhase.TRANSFERRING}),
-    JobPhase.TRANSFERRING: frozenset({JobPhase.REGISTERED}),
-    JobPhase.REGISTERED: frozenset({JobPhase.RUNNING}),
-    JobPhase.RUNNING: frozenset({JobPhase.INTERRUPTED, JobPhase.COMPLETED}),
-    JobPhase.INTERRUPTED: frozenset({JobPhase.RETRIGGERED, JobPhase.ABANDONED}),
-    JobPhase.RETRIGGERED: frozenset({JobPhase.SOLVED}),
-    JobPhase.COMPLETED: frozenset(),
-    JobPhase.ABANDONED: frozenset(),
-}
-
-
-class IllegalTransitionError(RuntimeError):
-    pass
-
-
-@dataclass(frozen=True)
-class PhaseChange:
-    time: float
-    phase: JobPhase
-
-
-def validate_transitions(changes) -> None:
-    """Raise if a phase log starts wrong, jumps illegally, or goes back in time."""
-    if not changes:
-        raise IllegalTransitionError("empty phase log")
-    if changes[0].phase is not JobPhase.REQUESTED:
-        raise IllegalTransitionError(
-            f"phase log must start at requested, got {changes[0].phase.value}")
-    for prev, cur in zip(changes, changes[1:]):
-        if cur.phase not in LEGAL_TRANSITIONS[prev.phase]:
-            raise IllegalTransitionError(
-                f"illegal transition {prev.phase.value} -> {cur.phase.value}")
-        if cur.time < prev.time - 1e-9:
-            raise IllegalTransitionError(
-                f"phase log goes back in time at {cur.phase.value}: "
-                f"{cur.time} < {prev.time}")
-    terminal = changes[-1].phase
-    if LEGAL_TRANSITIONS[terminal]:
-        raise IllegalTransitionError(
-            f"phase log ends in non-terminal phase {terminal.value}")
+# IllegalTransitionError is imported for callers that validate a phase log
+# through this module and catch its error here
+from .simulator import (IllegalTransitionError, JobPhase, PhaseChange, RecoveryResult,
+                        SimConfig, inject_and_recover, simulate, validate_transitions,
+                        ABANDONED)
 
 
 # --- accuracy curve -----------------------------------------------------------
+
+
+GAUSS_NEWTON_MAX_ITER = 100
 
 
 def logistic(k, L: float, r: float, k0: float):
@@ -109,7 +59,7 @@ class LogisticFit:
         return logistic(k, self.L, self.r, self.k0)
 
 
-def _gauss_newton(k, y, start, max_iter=100):
+def _gauss_newton(k, y, start):
     """Levenberg-style damped Gauss-Newton for the 3-parameter logistic."""
     L, r, k0 = start
     lam = 1e-3
@@ -121,7 +71,7 @@ def _gauss_newton(k, y, start, max_iter=100):
 
     s, res, sse = evaluate(L, r, k0)
     iterations = 0
-    for iterations in range(1, max_iter + 1):
+    for iterations in range(1, GAUSS_NEWTON_MAX_ITER + 1):
         grad_mid = L * s * (1.0 - s)
         J = np.column_stack([s, grad_mid * (k - k0), -grad_mid * r])
         H = J.T @ J
@@ -150,7 +100,7 @@ def _gauss_newton(k, y, start, max_iter=100):
     return LogisticFit(L=L, r=r, k0=k0, sse=sse, iterations=iterations)
 
 
-def fit_accuracy_curve(epochs, accuracies, max_iter: int = 100) -> LogisticFit:
+def fit_accuracy_curve(epochs, accuracies) -> LogisticFit:
     """Fit accuracy(k) = L / (1 + exp(-r (k - k0))) to observed epochs.
 
     Multi-start on the growth rate, best sum of squares wins. Needs at least
@@ -170,7 +120,7 @@ def fit_accuracy_curve(epochs, accuracies, max_iter: int = 100) -> LogisticFit:
     k0_guess = float(k[int(np.argmin(half))])
     best = None
     for r0 in (0.3, 0.8, 1.5):
-        fit = _gauss_newton(k, y, (L0, r0, k0_guess), max_iter=max_iter)
+        fit = _gauss_newton(k, y, (L0, r0, k0_guess))
         if best is None or fit.sse < best.sse:
             best = fit
     return best
@@ -248,42 +198,17 @@ def run_job(cluster: ClusterSpec, job: JobSpec, registry: dict | None = None,
             accuracy_observations=None) -> JobReport:
     """Take a job from request to a terminal phase and report the whole arc."""
     registry = registry if registry is not None else default_registry()
-    phases = [PhaseChange(0.0, JobPhase.REQUESTED)]
+    requested = PhaseChange(0.0, JobPhase.REQUESTED)
     try:
         plan = solve(cluster, job, registry)
     except (InfeasibleScheduleError, ValidationError):
-        phases.append(PhaseChange(0.0, JobPhase.ABANDONED))
+        phases = (requested, PhaseChange(0.0, JobPhase.ABANDONED))
         validate_transitions(phases)
-        return JobReport(status=ABANDONED, phases=tuple(phases), plan=None,
+        return JobReport(status=ABANDONED, phases=phases, plan=None,
                          final_plan=None, recovery=None)
-    phases.append(PhaseChange(0.0, JobPhase.SOLVED))
-    phases.append(PhaseChange(0.0, JobPhase.TRANSFERRING))
-
     rec = inject_and_recover(cluster, job, registry, seed=seed, config=config,
                              plan=plan)
-
-    attempt_offsets = [0.0] + [ev.time for ev in rec.events if ev.kind == "detected"]
-    first_running = attempt_offsets[0] + max(rec.attempts[0].train_starts.values())
-    phases.append(PhaseChange(first_running, JobPhase.REGISTERED))
-    phases.append(PhaseChange(first_running, JobPhase.RUNNING))
-
-    attempt_idx = 0
-    for ev in rec.events:
-        if ev.kind == "detected":
-            phases.append(PhaseChange(ev.time, JobPhase.INTERRUPTED))
-        elif ev.kind == "retriggered":
-            attempt_idx += 1
-            phases.append(PhaseChange(ev.time, JobPhase.RETRIGGERED))
-            phases.append(PhaseChange(ev.time, JobPhase.SOLVED))
-            phases.append(PhaseChange(ev.time, JobPhase.TRANSFERRING))
-            start = (attempt_offsets[attempt_idx]
-                     + max(rec.attempts[attempt_idx].train_starts.values()))
-            phases.append(PhaseChange(start, JobPhase.REGISTERED))
-            phases.append(PhaseChange(start, JobPhase.RUNNING))
-        elif ev.kind == COMPLETED:
-            phases.append(PhaseChange(ev.time, JobPhase.COMPLETED))
-        elif ev.kind == ABANDONED:
-            phases.append(PhaseChange(ev.time, JobPhase.ABANDONED))
+    phases = (requested,) + rec.phases
     validate_transitions(phases)
 
     refined = None
@@ -293,7 +218,7 @@ def run_job(cluster: ClusterSpec, job: JobSpec, registry: dict | None = None,
         if len(obs) >= 3:
             refined = refine_num_epoch(obs, job.target_accuracy, job.num_epoch)
             fit = fit_accuracy_curve([k for k, _ in obs], [a for _, a in obs])
-    return JobReport(status=rec.status, phases=tuple(phases), plan=plan,
+    return JobReport(status=rec.status, phases=phases, plan=plan,
                      final_plan=rec.plans[-1], recovery=rec,
                      refined_num_epoch=refined, accuracy_fit=fit)
 

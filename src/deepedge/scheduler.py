@@ -44,6 +44,10 @@ from .documents import doc_field, from_doc, load_doc, save, writer
 from .estimators import EstimatorBundle, StateTable, bundle_for, default_registry
 
 
+# the projected memory utilization no planned batch may exceed
+MEM_CEILING = 0.95
+
+
 class InfeasibleScheduleError(RuntimeError):
     """No worker can run the job within its memory and deadline constraints."""
 
@@ -514,8 +518,7 @@ def total_cost(assignments) -> float:
     return max((a.cost.total for a in assignments), default=0.0)
 
 
-def solve(cluster: ClusterSpec, job: JobSpec, registry: dict | None = None,
-          mem_ceiling: float = 0.95) -> Plan:
+def solve(cluster: ClusterSpec, job: JobSpec, registry: dict | None = None) -> Plan:
     """Find a low-cost feasible plan; raises InfeasibleScheduleError if none exists."""
     registry = registry if registry is not None else default_registry()
     problems = validate(cluster, job)
@@ -525,13 +528,13 @@ def solve(cluster: ClusterSpec, job: JobSpec, registry: dict | None = None,
     fleet = _Fleet(cluster, registry, job.source_store)
     workers = cluster.workers
     removal_log: list = []
-    maxbatch = fleet.max_batch_sizes(mem_ceiling)
+    maxbatch = fleet.max_batch_sizes(MEM_CEILING)
     for i in (maxbatch == 0).nonzero()[0].tolist():
         w = workers[i]
         removal_log.append(Removal(
             w.id, "pressure",
             f"no batch in [{w.b_min}, {w.b_max}] keeps projected memory "
-            f"under {mem_ceiling:.2f}"))
+            f"under {MEM_CEILING:.2f}"))
 
     # background deadlines are checked at the largest batch a worker could run
     tables = _Tables(fleet, job, maxbatch, cluster.ps_state)
@@ -591,8 +594,7 @@ def solve(cluster: ClusterSpec, job: JobSpec, registry: dict | None = None,
                 assignments=tuple(best), removed=tuple(removal_log[:log_len]), audit=audit)
 
 
-def fairness_plan(cluster: ClusterSpec, job: JobSpec, registry: dict | None = None,
-                  mem_ceiling: float = 0.95) -> Plan:
+def fairness_plan(cluster: ClusterSpec, job: JobSpec, registry: dict | None = None) -> Plan:
     """Equal shards for every worker, no interference awareness.
 
     The remainder goes to the lowest worker ids; batch size is capped by the
@@ -608,7 +610,7 @@ def fairness_plan(cluster: ClusterSpec, job: JobSpec, registry: dict | None = No
     int_shares = {w.id: base + (1 if i < extra else 0) for i, w in enumerate(workers)}
     bundles = {w.id: bundle_for(registry, w.device_class) for w in cluster.workers}
     maxbatch = {w.id: bundles[w.id].max_batch_size(w.initial_state.mem_util, w.b_min,
-                                                   w.b_max, mem_ceiling)
+                                                   w.b_max, MEM_CEILING)
                 for w in workers}
     assigned = [w for w in workers if int_shares[w.id] > 0]
     assignments = []

@@ -14,12 +14,17 @@ the server, so one worker's draws never shift another's.
 Failures: scripted crash events kill a worker mid-training. A crash is
 noticed one heartbeat later, every worker is stopped, and the job restarts
 from scratch. A worker that crashes too often is excluded and the plan is
-re-solved without it (``inject_and_recover`` drives that arc).
+re-solved without it. ``inject_and_recover`` drives that arc and writes it as
+the job's phase log: solved, transferring, registered and running for each
+attempt, interrupted and retriggered between attempts, and completed or
+abandoned at the end. Alongside the phases it logs what they cannot say:
+which worker crashed when, and which worker was excluded.
 """
 
 from __future__ import annotations
 
 import csv
+import enum
 import heapq
 import math
 from collections import deque
@@ -52,18 +57,14 @@ class SimConfig:
     ``jitter`` is the standard deviation of the multiplicative noise on every
     duration (0 gives a deterministic run). ``crashes`` hold absolute times
     on this run's clock; a crash only fires if its worker is actively
-    training at that moment. ``include_transfer`` exists so a retriggered
-    attempt can skip re-fetching samples when the deployment keeps them
-    cached on the workers.
+    training at that moment.
     """
 
     jitter: float = 0.0
     heartbeat_period: float = 1.0
     max_strikes: int = 3
-    retrigger_transfer: bool = True
     crashes: tuple = ()
     trace_level: str = "phases"  # "none", "phases", or "rounds"
-    include_transfer: bool = True
 
     def __post_init__(self):
         if not (math.isfinite(self.jitter) and self.jitter >= 0):
@@ -167,13 +168,12 @@ def simulate(cluster: ClusterSpec, job: JobSpec, plan: Plan,
                                                        cluster.ps_state)
         rounds_per_epoch = math.ceil(a.num_samples / a.batch_size)
         rate = w.per_sample_transfer_cost.get(job.source_store, 0.0)
-        transfer = _jitter(rng, sigma, rate * a.num_samples if config.include_transfer else 0.0)
+        transfer = _jitter(rng, sigma, rate * a.num_samples)
         init = _jitter(rng, sigma, w.init_cost)
         train_start = transfer + init
         if want_phases:
-            if config.include_transfer:
-                trace.append(TraceEvent(transfer, w.id, "transfer_end",
-                                        f"{a.num_samples} samples"))
+            trace.append(TraceEvent(transfer, w.id, "transfer_end",
+                                    f"{a.num_samples} samples"))
             trace.append(TraceEvent(train_start, w.id, "train_start",
                                     f"batch {a.batch_size}"))
         ok, exec_times = check_pressure(w, bundle, a.batch_size)
@@ -287,17 +287,73 @@ def simulate(cluster: ClusterSpec, job: JobSpec, plan: Plan,
 # --- crash/recovery arc ------------------------------------------------------
 
 
+class JobPhase(enum.Enum):
+    REQUESTED = "requested"
+    SOLVED = "solved"
+    TRANSFERRING = "transferring"
+    REGISTERED = "registered"
+    RUNNING = "running"
+    INTERRUPTED = "interrupted"
+    RETRIGGERED = "retriggered"
+    COMPLETED = "completed"
+    ABANDONED = "abandoned"
+
+
+LEGAL_TRANSITIONS = {
+    JobPhase.REQUESTED: frozenset({JobPhase.SOLVED, JobPhase.ABANDONED}),
+    JobPhase.SOLVED: frozenset({JobPhase.TRANSFERRING}),
+    JobPhase.TRANSFERRING: frozenset({JobPhase.REGISTERED}),
+    JobPhase.REGISTERED: frozenset({JobPhase.RUNNING}),
+    JobPhase.RUNNING: frozenset({JobPhase.INTERRUPTED, JobPhase.COMPLETED}),
+    JobPhase.INTERRUPTED: frozenset({JobPhase.RETRIGGERED, JobPhase.ABANDONED}),
+    JobPhase.RETRIGGERED: frozenset({JobPhase.SOLVED}),
+    JobPhase.COMPLETED: frozenset(),
+    JobPhase.ABANDONED: frozenset(),
+}
+
+
+class IllegalTransitionError(RuntimeError):
+    pass
+
+
+@dataclass(frozen=True)
+class PhaseChange:
+    time: float
+    phase: JobPhase
+
+
+def validate_transitions(changes) -> None:
+    """Raise if a phase log starts wrong, jumps illegally, or goes back in time."""
+    if not changes:
+        raise IllegalTransitionError("empty phase log")
+    if changes[0].phase is not JobPhase.REQUESTED:
+        raise IllegalTransitionError(
+            f"phase log must start at requested, got {changes[0].phase.value}")
+    for prev, cur in zip(changes, changes[1:]):
+        if cur.phase not in LEGAL_TRANSITIONS[prev.phase]:
+            raise IllegalTransitionError(
+                f"illegal transition {prev.phase.value} -> {cur.phase.value}")
+        if cur.time < prev.time - 1e-9:
+            raise IllegalTransitionError(
+                f"phase log goes back in time at {cur.phase.value}: "
+                f"{cur.time} < {prev.time}")
+    terminal = changes[-1].phase
+    if LEGAL_TRANSITIONS[terminal]:
+        raise IllegalTransitionError(
+            f"phase log ends in non-terminal phase {terminal.value}")
+
+
 @dataclass(frozen=True)
 class ArcEvent:
     time: float
-    kind: str  # crash, detected, excluded, retriggered, completed, abandoned
-    worker: str = ""
+    kind: str  # crash | excluded
+    worker: str
 
 
 @dataclass(frozen=True)
 class RecoveryResult:
     status: str  # completed | abandoned
-    total_time: float
+    phases: tuple  # PhaseChange from the first solve on, on the global clock
     attempts: tuple  # SimResult per attempt, in order
     plans: tuple  # Plan used by each attempt (parallel to attempts)
     excluded: tuple
@@ -305,6 +361,10 @@ class RecoveryResult:
     events: tuple  # ArcEvent, on the global clock
     violations: tuple  # deduplicated (worker, app) pairs
     trace: tuple  # merged TraceEvents, on the global clock
+
+    @property
+    def total_time(self) -> float:
+        return self.phases[-1].time
 
 
 def inject_and_recover(cluster: ClusterSpec, job: JobSpec,
@@ -316,53 +376,58 @@ def inject_and_recover(cluster: ClusterSpec, job: JobSpec,
     Crash times in ``config.crashes`` are on the global clock spanning all
     attempts. After ``max_strikes`` crashes a worker is excluded and the plan
     is re-solved over the remaining workers; if nobody useful remains, the
-    job is abandoned.
+    job is abandoned. An attempt is registered and running once its last
+    worker starts training, or when its crash fires if that comes first.
     """
     registry = registry if registry is not None else default_registry()
     current_plan = plan if plan is not None else solve(cluster, job, registry)
     pending = sorted(config.crashes, key=lambda e: e.time)
     active_cluster = cluster
     offset = 0.0
-    attempt = 0
     strikes: dict = {}
     excluded: list = []
+    phases = [PhaseChange(0.0, JobPhase.SOLVED), PhaseChange(0.0, JobPhase.TRANSFERRING)]
     events: list = []
     attempts: list = []
     plans: list = []
     trace: list = []
     seen_violations: dict = {}
 
+    def result(status):
+        return RecoveryResult(
+            status=status, phases=tuple(phases), attempts=tuple(attempts),
+            plans=tuple(plans), excluded=tuple(excluded), strikes=dict(strikes),
+            events=tuple(events), violations=tuple(seen_violations.values()),
+            trace=tuple(trace))
+
     while True:
         local = tuple(CrashEvent(e.worker_id, e.time - offset)
                       for e in pending if e.time > offset)
-        cfg = replace(config, crashes=local,
-                      include_transfer=(attempt == 0 or config.retrigger_transfer))
-        attempt_seed = int(np.random.SeedSequence([seed, attempt]).generate_state(1)[0])
+        attempt_seed = int(np.random.SeedSequence([seed, len(attempts)]).generate_state(1)[0])
         res = simulate(active_cluster, job, current_plan, registry,
-                       seed=attempt_seed, config=cfg)
+                       seed=attempt_seed, config=replace(config, crashes=local))
         attempts.append(res)
         plans.append(current_plan)
         for ev in res.trace:
             trace.append(TraceEvent(ev.time + offset, ev.worker, ev.event, ev.detail))
         for v in res.violations:
             seen_violations.setdefault((v.worker_id, v.app_id), v)
+        running = max(res.train_starts.values())
+        if res.crash is not None:
+            running = min(running, res.crash.fire_time)
+        phases.append(PhaseChange(offset + running, JobPhase.REGISTERED))
+        phases.append(PhaseChange(offset + running, JobPhase.RUNNING))
 
         if res.status == COMPLETED:
-            total = offset + res.makespan
-            events.append(ArcEvent(total, COMPLETED))
-            return RecoveryResult(
-                status=COMPLETED, total_time=total, attempts=tuple(attempts),
-                plans=tuple(plans), excluded=tuple(excluded), strikes=dict(strikes),
-                events=tuple(events), violations=tuple(seen_violations.values()),
-                trace=tuple(trace))
+            phases.append(PhaseChange(offset + res.makespan, JobPhase.COMPLETED))
+            return result(COMPLETED)
 
         wid = res.crash.worker_id
         strikes[wid] = strikes.get(wid, 0) + 1
         events.append(ArcEvent(offset + res.crash.fire_time, "crash", wid))
-        detect_global = offset + res.crash.detect_time
-        events.append(ArcEvent(detect_global, "detected", wid))
-        pending = [e for e in pending if e.time > detect_global]
-        offset = detect_global
+        offset += res.crash.detect_time
+        phases.append(PhaseChange(offset, JobPhase.INTERRUPTED))
+        pending = [e for e in pending if e.time > offset]
 
         if strikes[wid] >= config.max_strikes:
             excluded.append(wid)
@@ -374,14 +439,10 @@ def inject_and_recover(cluster: ClusterSpec, job: JobSpec,
             try:
                 current_plan = solve(active_cluster, job, registry)
             except (InfeasibleScheduleError, ValidationError):
-                events.append(ArcEvent(offset, ABANDONED))
-                return RecoveryResult(
-                    status=ABANDONED, total_time=offset, attempts=tuple(attempts),
-                    plans=tuple(plans), excluded=tuple(excluded),
-                    strikes=dict(strikes), events=tuple(events),
-                    violations=tuple(seen_violations.values()), trace=tuple(trace))
-        events.append(ArcEvent(offset, "retriggered"))
-        attempt += 1
+                phases.append(PhaseChange(offset, JobPhase.ABANDONED))
+                return result(ABANDONED)
+        phases += [PhaseChange(offset, phase) for phase in
+                   (JobPhase.RETRIGGERED, JobPhase.SOLVED, JobPhase.TRANSFERRING)]
 
 
 # --- trace files --------------------------------------------------------------

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -75,6 +76,32 @@ def test_run_with_crash(specs, capsys):
     text = capsys.readouterr().out
     assert "retriggered" in text
     assert "status: completed" in text
+
+
+def test_run_prints_crash_and_exclusion_events(specs, capsys):
+    cluster, job = specs
+    code = main(["run", "--cluster", cluster, "--job", job, "--crash", "nano-0:8",
+                 "--crash", "nano-0:20", "--crash", "nano-0:35"])
+    assert code == 0
+    text = capsys.readouterr().out
+    assert text.count("crash: nano-0 at") == 3
+    assert "excluded: nano-0 at" in text
+    assert "excluded: ['nano-0']" in text
+
+
+def test_run_with_a_crash_before_the_last_worker_trains(tmp_path, capsys):
+    testbed = default_testbed()
+    slow = replace(testbed, workers=tuple(
+        replace(w, per_sample_transfer_cost={"store-0": 0.02}) if w.id == "nano-2" else w
+        for w in testbed.workers))
+    cluster, job = tmp_path / "cluster.json", tmp_path / "job.json"
+    save_cluster(slow, cluster)
+    save_job(JobSpec(num_samples=2000, num_epoch=1, source_store="store-0"), job)
+    code = main(["run", "--cluster", str(cluster), "--job", str(job), "--crash", "tx2-0:6"])
+    assert code == 0
+    text = capsys.readouterr().out
+    assert "status: completed" in text
+    assert "crash: tx2-0 at 6.000 s" in text
 
 
 def test_profile_then_fit_then_solve(tmp_path, capsys):

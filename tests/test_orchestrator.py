@@ -7,7 +7,8 @@ from deepedge import (CrashEvent, IllegalTransitionError, JobPhase, JobSpec,
                       LEGAL_TRANSITIONS, NodeState, PhaseChange, SimConfig,
                       bench, bench_report_from_doc, bench_report_to_doc,
                       crossing_epoch, default_registry, default_testbed,
-                      fairness_plan, fit_accuracy_curve, load_bench_report,
+                      fairness_plan, fit_accuracy_curve, inject_and_recover,
+                      load_bench_report,
                       logistic, refine_num_epoch, render_report, run_job,
                       save_bench_report, save_histogram_csv, simulate_accuracy,
                       solve, validate_transitions)
@@ -169,6 +170,36 @@ def test_crash_triggers_a_second_solve():
     i = seq.index("retriggered")
     assert seq[i:i + 5] == ["retriggered", "solved", "transferring",
                             "registered", "running"]
+
+
+def test_run_job_phases_are_the_recovery_loops():
+    cluster = default_testbed()
+    job = JobSpec(num_samples=2000, num_epoch=2, source_store=STORE)
+    cfg = SimConfig(jitter=0.05, crashes=(CrashEvent("nano-0", 8.0), CrashEvent("nano-0", 30.0),
+                                          CrashEvent("nano-0", 60.0)))
+    report = run_job(cluster, job, seed=3, config=cfg)
+    rec = inject_and_recover(cluster, job, seed=3, config=cfg)
+    assert report.phases == (PhaseChange(0.0, JobPhase.REQUESTED),) + rec.phases
+    assert report.total_time == rec.total_time
+
+
+def slow_nano_2_testbed():
+    cluster = default_testbed()
+    return replace(cluster, workers=tuple(
+        replace(w, per_sample_transfer_cost={STORE: 0.02}) if w.id == "nano-2" else w
+        for w in cluster.workers))
+
+
+def test_crash_before_the_last_worker_trains_stamps_running_at_the_crash():
+    # tx2-0 trains from 5.0 s and crashes at 6.0 s, while nano-2 still
+    # fetches its samples until about 12.9 s
+    job = JobSpec(num_samples=2000, num_epoch=1, source_store=STORE)
+    cfg = SimConfig(crashes=(CrashEvent("tx2-0", 6.0),))
+    report = run_job(slow_nano_2_testbed(), job, config=cfg)
+    assert report.status == "completed"
+    validate_transitions(report.phases)
+    assert [(p.time, p.phase.value) for p in report.phases[3:6]] == [
+        (6.0, "registered"), (6.0, "running"), (7.0, "interrupted")]
 
 
 def test_exhausting_the_cluster_abandons():

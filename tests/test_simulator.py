@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from deepedge import (BackgroundApp, ClusterSpec, CrashEvent, EstimatorBundle,
-                      JobSpec, NodeState, ParametricProfile, SimConfig,
+                      JobPhase, JobSpec, NodeState, ParametricProfile, SimConfig,
                       ParseError, ValidationError, WorkerSpec, default_testbed, fairness_plan,
                       inject_and_recover, load_trace, save_trace, simulate, solve)
 
@@ -225,8 +225,12 @@ def test_single_strike_keeps_worker_in_the_pool():
     assert rec.status == "completed"
     assert rec.strikes == {"nano-0": 1}
     assert rec.excluded == ()
-    kinds = [ev.kind for ev in rec.events]
-    assert kinds == ["crash", "detected", "retriggered", "completed"]
+    assert [(ev.kind, ev.worker, ev.time) for ev in rec.events] == [("crash", "nano-0", 8.0)]
+    attempt = ["solved", "transferring", "registered", "running"]
+    assert [p.phase.value for p in rec.phases] == (
+        attempt + ["interrupted", "retriggered"] + attempt + ["completed"])
+    # detected one heartbeat after the crash, and retriggered at once
+    assert [p.time for p in rec.phases[4:8]] == [9.0] * 4
     # the second attempt still schedules the struck worker
     assert any(a.worker_id == "nano-0" for a in rec.plans[1].assignments)
 
@@ -241,7 +245,10 @@ def test_three_strikes_exclude_the_worker():
     assert rec.strikes == {"nano-0": 3}
     assert rec.excluded == ("nano-0",)
     assert all(a.worker_id != "nano-0" for a in rec.plans[-1].assignments)
-    assert [ev.kind for ev in rec.events].count("retriggered") == 3
+    assert [(ev.kind, ev.worker) for ev in rec.events] == (
+        [("crash", "nano-0")] * 3 + [("excluded", "nano-0")])
+    assert rec.events[-1].time == rec.events[-2].time + 1.0
+    assert [p.phase for p in rec.phases].count(JobPhase.RETRIGGERED) == 3
 
 
 def test_striking_out_every_worker_abandons():
@@ -253,7 +260,9 @@ def test_striking_out_every_worker_abandons():
     rec = inject_and_recover(cluster, job, seed=0, config=cfg)
     assert rec.status == "abandoned"
     assert set(rec.excluded) == {"nano-0", "nano-1", "nano-2", "tx2-0"}
-    assert rec.events[-1].kind == "abandoned"
+    assert [ev.kind for ev in rec.events] == ["crash", "excluded"] * 4
+    assert [p.phase for p in rec.phases[-2:]] == [JobPhase.INTERRUPTED, JobPhase.ABANDONED]
+    assert rec.total_time == rec.events[-1].time
 
 
 @pytest.mark.parametrize("kwargs, field", [
