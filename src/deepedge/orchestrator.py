@@ -104,7 +104,7 @@ def fit_accuracy_curve(epochs, accuracies) -> LogisticFit:
     """Fit accuracy(k) = L / (1 + exp(-r (k - k0))) to observed epochs.
 
     Multi-start on the growth rate, best sum of squares wins. Needs at least
-    three observations; accuracies must lie in [0, 1].
+    three observations; epochs must be finite and accuracies lie in [0, 1].
     """
     k = np.asarray(epochs, dtype=float)
     y = np.asarray(accuracies, dtype=float)
@@ -112,8 +112,11 @@ def fit_accuracy_curve(epochs, accuracies) -> LogisticFit:
         raise ValidationError("epochs and accuracies must be equal-length vectors")
     if k.size < 3:
         raise ValidationError(f"need at least 3 observations to fit, got {k.size}")
-    if np.any((y < 0.0) | (y > 1.0)):
-        raise ValidationError("accuracies must lie in [0, 1]")
+    if not np.all(np.isfinite(k)):
+        raise ValidationError(f"epochs: must be finite numbers, got {k.tolist()}")
+    # written so that NaN fails it too
+    if not np.all((y >= 0.0) & (y <= 1.0)):
+        raise ValidationError(f"accuracies: must lie in [0, 1], got {y.tolist()}")
     top = float(np.max(y))
     L0 = min(1.0, max(top + 0.05, 0.1))
     half = np.abs(y - top / 2.0)
@@ -253,9 +256,14 @@ class BenchStressModel:
     max_resamples: int = 1000
 
     def draw_states(self, rng, cluster: ClusterSpec, registry: dict):
-        """(worker_id -> NodeState, stormy worker ids) passing the health check."""
+        """(worker_id -> NodeState, stormy worker ids) passing the health check.
+
+        Raises ValidationError, naming a background task the last draw made
+        late, if none of ``max_resamples`` draws passes.
+        """
         candidates = [w.id for w in cluster.workers
                       if w.device_class not in self.exempt_classes]
+        missed = "nothing drawn"
         for _ in range(self.max_resamples):
             size = int(rng.choice(len(self.storm_weights), p=self.storm_weights))
             size = min(size, len(candidates))
@@ -272,17 +280,20 @@ class BenchStressModel:
                     mem_util=float(np.clip(self.mem_base + self.mem_gain * s
                                            + rng.uniform(0, self.noise), 0, 1)),
                 )
-            healthy = True
+            missed = None
             for w in cluster.workers:
                 bundle = bundle_for(registry, w.device_class)
                 idle_exec = bundle.est_exec_time(states[w.id])
-                if any(idle_exec > app.deadline for app in w.background_apps):
-                    healthy = False
+                late = [app for app in w.background_apps if idle_exec > app.deadline]
+                if late:
+                    missed = (f"worker '{w.id}' runs background task '{late[0].id}' in "
+                              f"{idle_exec:.4f} s, over its {late[0].deadline:.4f} s deadline")
                     break
-            if healthy:
+            if missed is None:
                 return states, tuple(sorted(str(w) for w in stormy))
-        raise RuntimeError("could not draw a healthy stress scenario; "
-                           "loosen the stress model or deadlines")
+        raise ValidationError(f"could not draw a healthy stress scenario in "
+                              f"{self.max_resamples} tries (last: {missed}); "
+                              f"loosen the stress model or the deadlines")
 
 
 @dataclass(frozen=True)

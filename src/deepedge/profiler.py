@@ -10,8 +10,8 @@ for state targets, matching how the state estimators are defined).
 
 ``fit`` performs ordinary least squares on the fixed nonlinear basis shared
 with the estimators (raw features, pairwise products, and the same divided
-by batch size), with a ridge fallback if the normal equations are too sick
-to solve directly.
+by batch size). Sweeps and CSV datasets hold finite values only, and on
+finite inputs the least-squares solve gives finite coefficients.
 """
 
 from __future__ import annotations
@@ -249,11 +249,10 @@ class FitReport:
     model: FittedFunction
     n_train: int
     n_test: int
-    used_ridge: bool = False
 
 
 def fit(dataset: ProfileDataset, target: str, train_fraction: float = 0.84,
-        seed: int = 0, ridge: float = 1e-9) -> FitReport:
+        seed: int = 0) -> FitReport:
     """Least squares over the fixed basis with a held-out split.
 
     Rows are shuffled with the given seed; the first ``train_fraction`` go to
@@ -275,12 +274,7 @@ def fit(dataset: ProfileDataset, target: str, train_fraction: float = 0.84,
             f"target '{target}': {len(train)} training rows cannot determine "
             f"{n_terms} basis coefficients")
     A = design_matrix(names, X[train])
-    coef, _, rank, _ = np.linalg.lstsq(A, y[train], rcond=None)
-    used_ridge = False
-    if not np.all(np.isfinite(coef)):
-        gram = A.T @ A + ridge * np.eye(A.shape[1])
-        coef = np.linalg.solve(gram, A.T @ y[train])
-        used_ridge = True
+    coef = np.linalg.lstsq(A, y[train], rcond=None)[0]
     train_mape = mape(A @ coef, y[train])
     test_mape = None
     if len(test) > 0:
@@ -288,8 +282,7 @@ def fit(dataset: ProfileDataset, target: str, train_fraction: float = 0.84,
     model = FittedFunction(target=target, feature_names=tuple(names),
                            coefficients=tuple(float(c) for c in coef),
                            train_mape=train_mape, test_mape=test_mape)
-    return FitReport(model=model, n_train=len(train), n_test=len(test),
-                     used_ridge=used_ridge)
+    return FitReport(model=model, n_train=len(train), n_test=len(test))
 
 
 def fit_all(dataset: ProfileDataset, targets=None, train_fraction: float = 0.84,

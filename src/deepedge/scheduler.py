@@ -21,13 +21,16 @@ and batch sizes across a heterogeneous cluster:
    keeps improving, and while the workers left could beat it at all with no
    update time; the best candidate wins (ties go to the cheaper plan).
 
-The tables are flat arrays over the whole cluster, each filled with one
-estimator call per device class (the node states going in as a
+One set of tables (``_Tables``) holds the memory caps, the pressure mask
+and the round times as flat arrays over the whole cluster, each filled with
+one estimator call per device class (the node states going in as a
 ``StateTable``), so the number of estimator calls in a solve does not grow
-with the number of workers.
+with the number of workers. One pricing function (``_price``) turns shards
+and batches into epoch times and costs over arrays; it ranks the
+candidates, and the winner's assignments are read off its arrays.
 
 ``fairness_plan`` is the baseline: equal shards for everyone, no interference
-checks, no refinement.
+checks, no refinement. It prices its shards with the same ``_price``.
 """
 
 from __future__ import annotations
@@ -101,10 +104,6 @@ class CostBreakdown:
     init: float
     train: float
     total: float
-
-    @staticmethod
-    def build(transfer: float, init: float, train: float) -> "CostBreakdown":
-        return CostBreakdown(transfer, init, train, transfer + init + train)
 
 
 @dataclass(frozen=True)
@@ -219,79 +218,45 @@ def largest_remainder(shares: dict, total: int, weight: dict) -> dict:
 # --- the solver -----------------------------------------------------------------
 
 
-def _assignment(worker: WorkerSpec, d: int, b: int, t_c: float, t_u: float,
-                job: JobSpec) -> Assignment:
-    ep = epoch_time(d, b, t_c, t_u)
-    cost = CostBreakdown.build(
-        transfer=_transfer_rate(worker, job.source_store) * d,
-        init=worker.init_cost,
-        train=ep * job.num_epoch,
-    )
-    return Assignment(worker.id, d, b, t_c, t_u, t_c + t_u / b, ep, cost)
-
-
-class _Fleet:
-    """A cluster's workers as arrays in cluster order, grouped by device class.
-
-    ``classes`` pairs each class's bundle with its workers' indices, so that
-    an estimate over many workers is one call per class, their node states
-    going in as a ``StateTable``.
-    """
-
-    def __init__(self, cluster: ClusterSpec, registry: dict, store: str):
-        self.workers = cluster.workers
-        number: dict = {}  # device class -> its place in self.classes
-        for w in self.workers:
-            number.setdefault(w.device_class, len(number))
-        self.kind = np.array([number[w.device_class] for w in self.workers])
-        self.classes = [(bundle_for(registry, name), (self.kind == k).nonzero()[0])
-                        for name, k in number.items()]
-        self.cpu, self.gpu, self.mem, self.deadline, self.rate, self.init = np.array(
-            [(w.initial_state.cpu_util, w.initial_state.gpu_util, w.initial_state.mem_util,
-              _deadline(w), _transfer_rate(w, store), w.init_cost) for w in self.workers],
-            dtype=float).T
-        self.b_min, self.b_max = np.array([(w.b_min, w.b_max) for w in self.workers]).T
-
-    def states(self, owner: np.ndarray) -> StateTable:
-        """The node states of the workers ``owner`` lists, as a table."""
-        return StateTable(self.cpu[owner], self.gpu[owner], self.mem[owner])
-
-    def by_class(self, owner: np.ndarray) -> list:
-        """(bundle, positions in ``owner``) for each device class among the
-        workers ``owner`` holds the indices of."""
-        kind = self.kind[owner]
-        return [(bundle, (kind == k).nonzero()[0]) for k, (bundle, _) in enumerate(self.classes)]
-
-    def max_batch_sizes(self, mem_ceiling: float) -> np.ndarray:
-        """Every worker's largest batch under the memory ceiling; 0 for none."""
-        out = np.empty(len(self.workers), dtype=int)
-        for bundle, members in self.classes:
-            out[members] = bundle.max_batch_size(self.mem[members], self.b_min[members],
-                                                 self.b_max[members], mem_ceiling)
-        return out
-
-
 class _Tables:
-    """Estimator values over every pressure-feasible batch size of every
-    worker with a memory cap, as flat arrays of rows.
+    """A cluster's estimator values over every pressure-feasible batch size
+    of every worker with a memory cap, as flat arrays of rows.
 
-    A worker's batches run from ``b_min`` to the memory cap or the job size,
-    whichever is smaller, since no shard is larger than the job. Rows are
-    grouped by worker in cluster order (``owner`` numbers them), batches
-    ascending within each: the shape ``_min_epoch`` and ``_split`` take.
-    Each table is one estimator call per device class over all its rows: the
-    pressure mask and compute times once per solve, update times once per
-    worker count, since they also depend on how many workers share the
-    parameter server. The mask's rows include each worker's memory cap, and
-    a worker whose background tasks miss a deadline there is left out, into
-    ``failed`` (``at_cap`` has the exec times); so is one with no batch that
-    passes, into ``empty``.
+    Workers are grouped by device class, so that each table is one
+    estimator call per class over all its rows, their node states going in
+    as a ``StateTable``: the memory cap of every worker (``maxbatch``, 0 for
+    none), then the pressure mask and compute times once per solve, and
+    update times once per worker count, since they also depend on how many
+    workers share the parameter server. A worker's batches run from
+    ``b_min`` to its memory cap or the job size, whichever is smaller, since
+    no shard is larger than the job. Rows are grouped by worker in cluster
+    order (``owner`` numbers them), batches ascending within each: the shape
+    ``_min_epoch`` and ``_split`` take. The mask's rows include each
+    worker's memory cap, and a worker whose background tasks miss a
+    deadline there is left out, into ``failed`` (``at_cap`` has the exec
+    times); so is one with no batch that passes, into ``empty``.
     """
 
-    def __init__(self, fleet: _Fleet, job: JobSpec, maxbatch: np.ndarray, ps_state):
-        self.ps_state = ps_state
-        eligible = maxbatch.nonzero()[0]
-        low, cap = fleet.b_min[eligible], maxbatch[eligible]
+    def __init__(self, cluster: ClusterSpec, registry: dict, job: JobSpec):
+        self.ps_state = cluster.ps_state
+        workers = cluster.workers
+        number: dict = {}  # device class -> its place in bundles
+        for w in workers:
+            number.setdefault(w.device_class, len(number))
+        kind = np.array([number[w.device_class] for w in workers])
+        bundles = [bundle_for(registry, name) for name in number]
+        cpu, gpu, mem, deadline, rate, init = np.array(
+            [(w.initial_state.cpu_util, w.initial_state.gpu_util, w.initial_state.mem_util,
+              _deadline(w), _transfer_rate(w, job.source_store), w.init_cost) for w in workers],
+            dtype=float).T
+        b_min, b_max = np.array([(w.b_min, w.b_max) for w in workers], dtype=int).T
+        self.maxbatch = np.empty(len(workers), dtype=int)
+        for k, bundle in enumerate(bundles):
+            members = (kind == k).nonzero()[0]
+            self.maxbatch[members] = bundle.max_batch_size(mem[members], b_min[members],
+                                                           b_max[members], MEM_CEILING)
+        eligible = self.maxbatch.nonzero()[0]
+        low, cap = b_min[eligible], self.maxbatch[eligible]
         top = np.minimum(cap, job.num_samples)
         # every batch up to top, then the cap where it lies beyond
         counts = np.maximum(top - low + 1, 0) + (cap > top)
@@ -304,26 +269,28 @@ class _Tables:
         exec_time, t_c = np.empty(b.size), np.empty(b.size)
         # each class's rows with their states and batches, for the update times
         self.classes = []
-        for bundle, rows in fleet.by_class(owner):
+        for k, bundle in enumerate(bundles):
+            rows = (kind[owner] == k).nonzero()[0]
             if rows.size:
-                states, b_rows = fleet.states(owner[rows]), b[rows]
+                o = owner[rows]
+                states, b_rows = StateTable(cpu[o], gpu[o], mem[o]), b[rows]
                 exec_time[rows] = bundle.est_exec_time(bundle.est_state(states, b_rows))
                 t_c[rows] = bundle.est_compute_time(states, b_rows)
                 self.classes.append((bundle, rows, states, b_rows))
-        ok = _meets_deadline(exec_time, fleet.deadline[owner])
+        ok = _meets_deadline(exec_time, deadline[owner])
         passed = ok[last]
         self.failed, self.at_cap = eligible[~passed], exec_time[last[~passed]]
         # the rows the splits see: those that pass, of workers passing at their cap
         self.rows = (ok & passed[place] & (b <= top[place])).nonzero()[0]
         has_rows = np.bincount(place[self.rows], minlength=eligible.size) > 0
         self.empty, self.top = eligible[passed & ~has_rows], top[passed & ~has_rows]
-        self.workers = eligible[has_rows]  # fleet index of each table worker
+        self.workers = eligible[has_rows]  # cluster index of each table worker
         self.owner = (has_rows.cumsum() - 1)[place[self.rows]]
         self.b, self.t_c = b[self.rows], t_c[self.rows]
         starts = self.owner.searchsorted(np.arange(self.workers.size))
         # samples per second with no update time at all: a bound on any split
         self.fastest_rate = 1.0 / np.minimum.reduceat(self.t_c, starts)
-        self.rate, self.init = fleet.rate[self.workers], fleet.init[self.workers]
+        self.rate, self.init = rate[self.workers], init[self.workers]
 
     def update(self, n: int) -> np.ndarray:
         """Update times at every row with ``n`` workers sharing the parameter
@@ -460,11 +427,11 @@ def _split(b: np.ndarray, r: np.ndarray, owner: np.ndarray, rate: np.ndarray,
 
 
 class _Candidate(NamedTuple):
-    """A worker set's split: for each assigned worker in table order, its
-    fleet index, shard, batch, t_c and t_u, and its epoch time, total cost
-    and per-sample time, priced as arrays to rank the candidates. They must
-    equal what ``_assignment`` computes for the winner's assignments, bit for
-    bit (``test_candidates_are_priced_as_their_assignments``)."""
+    """A worker set's split, priced: for each assigned worker, its index
+    into the worker tuple the split was made over, its shard, batch, t_c and
+    t_u, its epoch time, the parts and total of its cost, and its per-sample
+    time. The arrays rank the candidates, and the winner's assignments are
+    read off them."""
 
     workers: np.ndarray
     shards: np.ndarray
@@ -472,13 +439,27 @@ class _Candidate(NamedTuple):
     t_c: np.ndarray
     t_u: np.ndarray
     epoch: np.ndarray
-    cost: np.ndarray
+    transfer: np.ndarray
+    init: np.ndarray
+    train: np.ndarray
+    total: np.ndarray
     t_total: np.ndarray
 
-    def assignments(self, workers: tuple, job: JobSpec) -> list:
-        return [_assignment(workers[i], d, b, t_c, t_u, job) for i, d, b, t_c, t_u in zip(
-            self.workers.tolist(), self.shards.tolist(), self.batch.tolist(),
-            self.t_c.tolist(), self.t_u.tolist())]
+    def assignments(self, workers: tuple) -> list:
+        columns = zip(*(a.tolist() for a in (
+            self.workers, self.shards, self.batch, self.t_c, self.t_u, self.t_total,
+            self.epoch, self.transfer, self.init, self.train, self.total)))
+        return [Assignment(workers[i].id, d, b, t_c, t_u, t_total, epoch, CostBreakdown(*cost))
+                for i, d, b, t_c, t_u, t_total, epoch, *cost in columns]
+
+
+def _price(workers, shards, b, t_c, t_u, rate, init, job: JobSpec) -> _Candidate:
+    """Each worker's epoch (``epoch_time`` over arrays), cost and per-sample
+    time with shard ``shards`` at batch ``b``."""
+    epoch = np.ceil(shards / b) * (b * t_c + t_u)
+    transfer, train = rate * shards, epoch * job.num_epoch
+    return _Candidate(workers, shards, b, t_c, t_u, epoch, transfer, init, train,
+                      transfer + init + train, t_c + t_u / b)
 
 
 def _assign(alive: np.ndarray, tables: _Tables, job: JobSpec) -> tuple:
@@ -507,10 +488,8 @@ def _assign(alive: np.ndarray, tables: _Tables, job: JobSpec) -> tuple:
     epochs = _epochs(shards[owner], b, r)
     shortest = epochs == np.minimum.reduceat(epochs, starts)[owner]
     best = np.maximum.reduceat(np.arange(b.size) * shortest, starts)
-    b, t_c, t_u = b[best], t_c[best], t_u[best]
-    epoch = np.ceil(shards / b) * r[best]
-    cost = tables.rate[members] * shards + tables.init[members] + epoch * job.num_epoch
-    return (_Candidate(tables.workers[members], shards, b, t_c, t_u, epoch, cost, t_c + t_u / b),
+    return (_price(tables.workers[members], shards, b[best], t_c[best], t_u[best],
+                   tables.rate[members], tables.init[members], job),
             alive, splits)
 
 
@@ -525,10 +504,10 @@ def solve(cluster: ClusterSpec, job: JobSpec, registry: dict | None = None) -> P
     if problems:
         raise ValidationError("; ".join(problems))
 
-    fleet = _Fleet(cluster, registry, job.source_store)
+    tables = _Tables(cluster, registry, job)
     workers = cluster.workers
     removal_log: list = []
-    maxbatch = fleet.max_batch_sizes(MEM_CEILING)
+    maxbatch = tables.maxbatch
     for i in (maxbatch == 0).nonzero()[0].tolist():
         w = workers[i]
         removal_log.append(Removal(
@@ -537,7 +516,6 @@ def solve(cluster: ClusterSpec, job: JobSpec, registry: dict | None = None) -> P
             f"under {MEM_CEILING:.2f}"))
 
     # background deadlines are checked at the largest batch a worker could run
-    tables = _Tables(fleet, job, maxbatch, cluster.ps_state)
     for i, exec_time in zip(tables.failed.tolist(), tables.at_cap.tolist()):
         w = workers[i]
         removal_log.append(Removal(
@@ -561,7 +539,7 @@ def solve(cluster: ClusterSpec, job: JobSpec, registry: dict | None = None) -> P
                 f"left without samples; the other workers finish the "
                 f"epoch in {epoch:.4f} s"))
         improved = not candidates or epoch < min(c[0] for c in candidates)
-        candidates.append((epoch, float(split.cost.max()), split, len(removal_log)))
+        candidates.append((epoch, float(split.total.max()), split, len(removal_log)))
         if not improved or split.workers.size <= 1:
             break
         slowest = int(split.t_total.argmax())
@@ -583,7 +561,7 @@ def solve(cluster: ClusterSpec, job: JobSpec, registry: dict | None = None) -> P
             "; ".join(f"{r.worker_id}: {r.detail}" for r in removal_log))
     _, best_cost, split, log_len = min(candidates,
                                        key=lambda c: (c[0], c[1], -c[2].workers.size))
-    best = split.assignments(workers, job)
+    best = split.assignments(workers)
     inv_sum = sum(1.0 / a.t_total for a in best)
     audit = SolveAudit(
         iterations=n_splits,
@@ -613,15 +591,17 @@ def fairness_plan(cluster: ClusterSpec, job: JobSpec, registry: dict | None = No
                                                    w.b_max, MEM_CEILING)
                 for w in workers}
     assigned = [w for w in workers if int_shares[w.id] > 0]
-    assignments = []
+    rows = []
     for w in assigned:
         d = int_shares[w.id]
         # the naive rule: memory cap or the whole shard, whichever is smaller
         b = max(1, min(maxbatch[w.id], d))
         bundle = bundles[w.id]
-        t_c = bundle.est_compute_time(w.initial_state, b)
-        t_u = bundle.est_update_time(w.initial_state, b, cluster.ps_state, len(assigned))
-        assignments.append(_assignment(w, d, b, t_c, t_u, job))
+        rows.append((d, b, bundle.est_compute_time(w.initial_state, b),
+                     bundle.est_update_time(w.initial_state, b, cluster.ps_state, len(assigned)),
+                     _transfer_rate(w, job.source_store), w.init_cost))
+    priced = _price(np.arange(len(assigned)), *(np.array(col) for col in zip(*rows)), job)
+    assignments = priced.assignments(assigned)
     shares = {w.id: job.num_samples / n for w in workers}
     audit = SolveAudit(iterations=0, shares=shares,
                        t_total={a.worker_id: a.t_total for a in assignments})

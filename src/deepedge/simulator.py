@@ -35,9 +35,12 @@ import numpy as np
 from .cluster import ClusterSpec, JobSpec, ValidationError
 from .documents import csv_rows
 from .estimators import bundle_for, default_registry
-from .scheduler import InfeasibleScheduleError, Plan, check_pressure, solve
+from .scheduler import InfeasibleScheduleError, Plan, _transfer_rate, check_pressure, solve
 
 PS_STREAM_KEY = 10 ** 6
+
+# seconds between heartbeats: a crash is noticed this long after it happens
+HEARTBEAT_PERIOD = 1.0
 
 COMPLETED = "completed"
 INTERRUPTED = "interrupted"
@@ -61,7 +64,6 @@ class SimConfig:
     """
 
     jitter: float = 0.0
-    heartbeat_period: float = 1.0
     max_strikes: int = 3
     crashes: tuple = ()
     trace_level: str = "phases"  # "none", "phases", or "rounds"
@@ -69,9 +71,6 @@ class SimConfig:
     def __post_init__(self):
         if not (math.isfinite(self.jitter) and self.jitter >= 0):
             raise ValidationError(f"sim.jitter: must be a finite number >= 0, got {self.jitter}")
-        if not (math.isfinite(self.heartbeat_period) and self.heartbeat_period > 0):
-            raise ValidationError(f"sim.heartbeat_period: must be a finite number > 0, "
-                                  f"got {self.heartbeat_period}")
         for i, crash in enumerate(self.crashes):
             if not (math.isfinite(crash.time) and crash.time >= 0):
                 raise ValidationError(f"sim.crashes[{i}].time: must be a finite number >= 0, "
@@ -167,8 +166,7 @@ def simulate(cluster: ClusterSpec, job: JobSpec, plan: Plan,
         push, service, pull = bundle.update_components(w.initial_state, a.batch_size,
                                                        cluster.ps_state)
         rounds_per_epoch = math.ceil(a.num_samples / a.batch_size)
-        rate = w.per_sample_transfer_cost.get(job.source_store, 0.0)
-        transfer = _jitter(rng, sigma, rate * a.num_samples)
+        transfer = _jitter(rng, sigma, _transfer_rate(w, job.source_store) * a.num_samples)
         init = _jitter(rng, sigma, w.init_cost)
         train_start = transfer + init
         if want_phases:
@@ -260,7 +258,7 @@ def simulate(cluster: ClusterSpec, job: JobSpec, plan: Plan,
                       and st["train_start"] <= time)
             if not active:
                 continue
-            detect = time + config.heartbeat_period
+            detect = time + HEARTBEAT_PERIOD
             crash_rec = CrashRecord(wid, time, detect)
             if want_phases:
                 trace.append(TraceEvent(time, wid, "crash", ""))

@@ -145,6 +145,38 @@ def test_bench_and_report(tmp_path, capsys):
     assert "|" in md.read_text()
 
 
+def test_bench_with_no_healthy_scenario_is_a_clean_error(tmp_path, capsys):
+    testbed = default_testbed()
+    tight = tuple(replace(w, background_apps=tuple(replace(app, deadline=0.01)
+                                                   for app in w.background_apps))
+                  for w in testbed.workers)
+    cluster = tmp_path / "cluster.json"
+    save_cluster(replace(testbed, workers=tight), cluster)
+    code = main(["bench", "--cluster", str(cluster), "--trials", "1"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: could not draw a healthy stress scenario")
+    assert "background task 'vision-stream'" in err and "worker '" in err
+    assert "Traceback" not in err
+
+
+def test_simulate_with_no_rate_for_the_job_store_is_a_clean_error(specs, tmp_path, capsys):
+    cluster, job = specs
+    plan = tmp_path / "plan.json"
+    assert main(["solve", "--cluster", cluster, "--job", job, "--out", str(plan)]) == 0
+    testbed = default_testbed()
+    tx2 = replace(testbed.workers[0], per_sample_transfer_cost={"other": 0.5})
+    save_cluster(replace(testbed, workers=(tx2,) + testbed.workers[1:],
+                         data_stores=("store-0", "other")), cluster)
+    capsys.readouterr()
+    code = main(["simulate", "--cluster", cluster, "--job", job, "--plan", str(plan)])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert "makespan" not in captured.out
+    assert captured.err == ("error: worker 'tx2-0' has no transfer cost for "
+                            "data store 'store-0'\n")
+
+
 def test_missing_file_is_a_clean_error(tmp_path, capsys):
     job = tmp_path / "job.json"
     save_job(JobSpec(num_samples=10, num_epoch=1, source_store="store-0"), job)

@@ -11,7 +11,7 @@ from deepedge import (CrashEvent, IllegalTransitionError, JobPhase, JobSpec,
                       load_bench_report,
                       logistic, refine_num_epoch, render_report, run_job,
                       save_bench_report, save_histogram_csv, simulate_accuracy,
-                      solve, validate_transitions)
+                      solve, validate_transitions, ValidationError)
 from deepedge.orchestrator import BenchStressModel
 from dataclasses import replace
 
@@ -80,6 +80,23 @@ def test_fit_input_validation():
         fit_accuracy_curve([1, 2], [0.1, 0.2])
     with pytest.raises(Exception):
         fit_accuracy_curve([1, 2, 3], [0.1, 0.2, 1.4])
+
+
+@pytest.mark.parametrize("epochs, accuracies, field", [
+    ([1, 2, 3, 4], [0.2, math.nan, 0.6, 0.7], "accuracies"),
+    ([1, 2, 3, 4], [0.2, 0.4, math.inf, 0.7], "accuracies"),
+    ([1, 2, 3, 4], [0.2, 0.4, -0.1, 0.7], "accuracies"),
+    ([1, math.nan, 3, 4], [0.2, 0.4, 0.6, 0.7], "epochs"),
+    ([1, 2, math.inf, 4], [0.2, 0.4, 0.6, 0.7], "epochs"),
+])
+def test_fit_names_a_non_finite_or_out_of_range_field(epochs, accuracies, field):
+    with pytest.raises(ValidationError, match=f"^{field}: "):
+        fit_accuracy_curve(epochs, accuracies)
+
+
+def test_refine_rejects_a_nan_accuracy():
+    with pytest.raises(ValidationError, match="^accuracies: "):
+        refine_num_epoch([(1, 0.2), (2, math.nan), (3, 0.6)], 0.5, 10)
 
 
 def test_crossing_epoch_analytic():

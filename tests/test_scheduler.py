@@ -438,9 +438,10 @@ def test_total_cost_is_max_over_workers():
     assert total_cost(plan.assignments) == pytest.approx(plan.total_cost)
 
 
-def test_candidates_are_priced_as_their_assignments():
-    """The solver ranks candidate splits by prices computed as arrays, and
-    builds the winner's assignments with scalar ones: both must agree."""
+def test_every_assignment_is_priced_by_the_cost_model():
+    """Each assignment of both planners carries exactly the epoch time, costs
+    and per-sample time the cost model gives for its shard and batch, and the
+    plan's total cost is the largest of its workers'."""
     rng = np.random.default_rng(41)
     reg = default_registry()
     done = 0
@@ -448,17 +449,23 @@ def test_candidates_are_priced_as_their_assignments():
         cluster = random_feasible_cluster(rng, max_workers=24)
         job = JobSpec(num_samples=int(rng.integers(50, 3000)),
                       num_epoch=int(rng.integers(1, 4)), source_store=STORE)
-        fleet = scheduler._Fleet(cluster, reg, STORE)
-        tables = scheduler._Tables(fleet, job, fleet.max_batch_sizes(0.95), cluster.ps_state)
-        if not tables.workers.size:
+        try:
+            plans = (solve(cluster, job, reg), fairness_plan(cluster, job, reg))
+        except InfeasibleScheduleError:
             continue
         done += 1
-        split, _, _ = scheduler._assign(np.ones(tables.workers.size, dtype=bool), tables, job)
-        priced = zip(split.epoch.tolist(), split.cost.tolist(), split.t_total.tolist())
-        for a, (epoch, cost, t_total) in zip(split.assignments(cluster.workers, job), priced):
-            assert (a.epoch_time, a.cost.total, a.t_total) == (epoch, cost, t_total)
-            assert a.epoch_time == epoch_time(a.num_samples, a.batch_size, a.t_compute,
-                                              a.t_update)
+        workers = {w.id: w for w in cluster.workers}
+        for plan in plans:
+            for a in plan.assignments:
+                w, cost = workers[a.worker_id], a.cost
+                d, b, t_c, t_u = a.num_samples, a.batch_size, a.t_compute, a.t_update
+                assert a.epoch_time == epoch_time(d, b, t_c, t_u)
+                assert cost.transfer == w.per_sample_transfer_cost[STORE] * d
+                assert cost.init == w.init_cost
+                assert cost.train == a.epoch_time * job.num_epoch
+                assert cost.total == cost.transfer + cost.init + cost.train
+                assert a.t_total == t_c + t_u / b
+            assert plan.total_cost == max(a.cost.total for a in plan.assignments)
 
 
 # --- plan documents ----------------------------------------------------------
@@ -528,9 +535,8 @@ def test_tables_match_scalar_calls(kind, random_fitted_registry):
         if n_workers > 4:
             workers = [workers[i] for i in rng.permutation(n_workers)]
         cluster = ClusterSpec(tuple(workers), ps, (STORE,))
-        fleet = scheduler._Fleet(cluster, registry, STORE)
-        maxbatch = fleet.max_batch_sizes(0.95)
-        tables = scheduler._Tables(fleet, job, maxbatch, ps)
+        tables = scheduler._Tables(cluster, registry, job)
+        maxbatch = tables.maxbatch
         t_u = tables.update(3)
         table_workers = tables.workers.tolist()
         failed = dict(zip(tables.failed.tolist(), tables.at_cap.tolist()))

@@ -268,8 +268,8 @@ def test_striking_out_every_worker_abandons():
 @pytest.mark.parametrize("kwargs, field", [
     ({"jitter": math.nan}, "sim.jitter"),
     ({"jitter": math.inf}, "sim.jitter"),
-    ({"heartbeat_period": math.nan}, "sim.heartbeat_period"),
-    ({"heartbeat_period": math.inf}, "sim.heartbeat_period"),
+    ({"jitter": -0.1}, "sim.jitter"),
+    ({"crashes": (CrashEvent("nano-0", math.inf),)}, "sim.crashes[0].time"),
     ({"crashes": (CrashEvent("nano-0", 3.0), CrashEvent("nano-0", math.nan))},
      "sim.crashes[1].time"),
     ({"crashes": (CrashEvent("nano-0", -5.0),)}, "sim.crashes[0].time"),
@@ -296,3 +296,15 @@ def test_simulate_checks_the_plan_against_the_job():
     for assignments, message in cases:
         with pytest.raises(ValidationError, match=re.escape(message)):
             simulate(cluster, job, replace(plan, assignments=tuple(assignments + rest)))
+
+
+def test_simulate_rejects_a_worker_with_no_rate_for_the_job_store():
+    job = JobSpec(num_samples=400, num_epoch=1, source_store="store-0")
+    plan = solve(default_testbed(), job)
+    testbed = default_testbed()
+    tx2 = replace(testbed.workers[0], per_sample_transfer_cost={"other": 0.5})
+    cluster = replace(testbed, workers=(tx2,) + testbed.workers[1:],
+                      data_stores=("store-0", "other"))
+    with pytest.raises(ValidationError, match=re.escape(
+            "worker 'tx2-0' has no transfer cost for data store 'store-0'")):
+        simulate(cluster, job, plan)
