@@ -1,6 +1,8 @@
+import hashlib
+import json
 import math
 import re
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -199,6 +201,141 @@ def test_load_trace_names_the_bad_row(text, named, tmp_path):
     path.write_text(text)
     with pytest.raises(ParseError, match=re.escape(f"{path}{named}")):
         load_trace(path)
+
+
+def tie_case(n=1, inits=(0.0, 0.0)):
+    """Jitter-0 workers of two rounds each: 1 s of compute, 0.5 s push and
+    pull, and a 2 s service. Alone, a worker is served over [1.5, 3.5] and
+    [5.5, 7.5] and finishes at 8.0."""
+    reg = flat_registry(base_forward=0.5, base_push=0.5, base_pull=0.5, ps_update=2.0)
+    cluster = flat_cluster(n=n, b_min=2, b_max=2)
+    cluster = replace(cluster, workers=tuple(replace(w, init_cost=c)
+                                             for w, c in zip(cluster.workers, inits)))
+    job = JobSpec(num_samples=4 * n, num_epoch=1, source_store=STORE)
+    plan = solve(cluster, job, reg)
+    assert [a.num_samples for a in plan.assignments] == [4] * n
+    return cluster, job, plan, reg
+
+
+def run_ties(case, *crashes, plan=None):
+    cluster, job, case_plan, reg = case
+    cfg = SimConfig(trace_level="rounds", crashes=tuple(CrashEvent(*c) for c in crashes))
+    return simulate(cluster, job, plan or case_plan, reg, config=cfg)
+
+
+def service_starts(res):
+    return [(ev.time, ev.worker, ev.detail) for ev in res.trace if ev.event == "ps_service_start"]
+
+
+def test_a_crash_as_a_service_ends_comes_after_it():
+    case = tie_case()
+    just_before = run_ties(case, ("w0", 3.4999))
+    assert just_before.status == "interrupted" and just_before.rounds_completed == {"w0": 0}
+    res = run_ties(case, ("w0", 3.5))
+    assert res.status == "interrupted" and res.crash.fire_time == 3.5
+    assert res.rounds_completed == {"w0": 1}
+    # at the end of its last service the worker is done, so the crash is ignored
+    last = run_ties(case, ("w0", 7.5))
+    assert last.status == "completed" and last.crash is None
+    assert last.makespan == 8.0 and last.rounds_completed == {"w0": 2}
+
+
+def test_a_crash_during_the_final_pull_is_ignored():
+    case = tie_case()
+    final_pull = run_ties(case, ("w0", 7.75))
+    assert final_pull.status == "completed" and final_pull.makespan == 8.0
+    assert final_pull.worker_finish == {"w0": 8.0}
+    earlier_pull = run_ties(case, ("w0", 3.75))
+    assert earlier_pull.status == "interrupted" and earlier_pull.rounds_completed == {"w0": 1}
+    assert earlier_pull.worker_finish == {"w0": None}
+
+
+def test_a_crash_as_an_arrival_is_served_comes_after_the_service_starts():
+    # both arrive at 1.5: w0 is served at once, w1 waits until 3.5
+    case = tie_case(n=2)
+    waiting = run_ties(case, ("w1", 3.5))
+    assert waiting.crash.worker_id == "w1"
+    assert service_starts(waiting) == [(1.5, "w0", "round 1"), (3.5, "w1", "round 1")]
+    assert waiting.rounds_completed == {"w0": 1, "w1": 0}
+    idle = run_ties(case, ("w1", 1.5))
+    assert service_starts(idle) == [(1.5, "w0", "round 1")]
+    assert idle.rounds_completed == {"w0": 0, "w1": 0}
+
+
+def test_crashes_at_one_instant_are_checked_in_script_order():
+    case = tie_case(n=2)
+    assert run_ties(case, ("w1", 2.0), ("w0", 2.0)).crash.worker_id == "w1"
+    assert run_ties(case, ("w0", 2.0), ("w1", 2.0)).crash.worker_id == "w0"
+    # the script is ordered by time, whatever order it is written in
+    assert run_ties(case, ("w1", 2.5), ("w0", 2.0)).crash.worker_id == "w0"
+    # an ignored crash hands the instant on to the next one
+    late = tie_case(n=2, inits=(0.0, 4.0))
+    assert run_ties(late, ("w1", 2.0), ("w0", 2.0)).crash.worker_id == "w0"
+
+
+def test_crashes_before_the_train_start_or_on_an_unassigned_worker_are_ignored():
+    case = tie_case(n=1, inits=(2.0,))
+    early = run_ties(case, ("w0", 1.0))
+    assert early.status == "completed" and early.makespan == 10.0
+    at_start = run_ties(case, ("w0", 2.0))
+    assert at_start.crash.fire_time == 2.0
+    cluster, job, _, reg = tie_case(n=2)
+    _, _, solo_plan, _ = tie_case(n=1)
+    res = run_ties((cluster, replace(job, num_samples=4), solo_plan, reg), ("w1", 2.0))
+    assert res.status == "completed" and res.makespan == 8.0
+
+
+def test_simultaneous_arrivals_are_served_in_the_order_scheduled():
+    case = tie_case(n=2)
+    assert service_starts(run_ties(case))[:2] == [(1.5, "w0", "round 1"), (3.5, "w1", "round 1")]
+    plan = case[2]
+    reversed_plan = replace(plan, assignments=plan.assignments[::-1])
+    assert service_starts(run_ties(case, plan=reversed_plan))[:2] == [
+        (1.5, "w1", "round 1"), (3.5, "w0", "round 1")]
+    # w1 starts training at 4.0 and arrives at 5.5, as w0 comes back for its
+    # second round; w1's arrival was scheduled first, so it is served first
+    late = run_ties(tie_case(n=2, inits=(0.0, 4.0)))
+    assert service_starts(late) == [(1.5, "w0", "round 1"), (5.5, "w1", "round 1"),
+                                    (7.5, "w0", "round 2"), (9.5, "w1", "round 2")]
+    assert late.worker_finish == {"w0": 10.0, "w1": 12.0}
+
+
+# sha256 over every result of crash_sweep(); any change to when a round is
+# served, counted or cut short by a crash moves it
+CRASH_SWEEP_DIGEST = "4c6ecf85e5a7b5a5ac3be7db96118bc5a73d8e499ba3a4e6b4d55fe9c7983ddb"
+
+
+def crash_sweep():
+    """Results on the stressed testbed for seeded jobs, plans, jitters and
+    crash scripts, at every trace level. Most crash times are event times of
+    the same run without crashes, so they meet services and pulls exactly."""
+    cluster = default_testbed(stressed=True)
+    ids = [w.id for w in cluster.workers]
+    rng = np.random.default_rng(7)
+    for trial in range(60):
+        job = JobSpec(num_samples=int(rng.integers(200, 1500)),
+                      num_epoch=int(rng.integers(1, 3)), source_store="store-0")
+        plan = solve(cluster, job) if trial % 2 else fairness_plan(cluster, job)
+        jitter = (0.0, 0.05, 0.2)[trial % 3]
+        seed = int(rng.integers(1000))
+        clean = simulate(cluster, job, plan, seed=seed,
+                         config=SimConfig(jitter=jitter, trace_level="rounds"))
+        times = sorted({ev.time for ev in clean.trace})
+        crashes = tuple(
+            CrashEvent(ids[int(rng.integers(len(ids)))],
+                       times[int(rng.integers(len(times)))] if rng.random() < 0.7
+                       else float(rng.uniform(0.0, clean.makespan)))
+            for _ in range(int(rng.integers(0, 4))))
+        for level in ("none", "phases", "rounds"):
+            yield simulate(cluster, job, plan, seed=seed,
+                           config=SimConfig(jitter=jitter, crashes=crashes, trace_level=level))
+
+
+def test_crash_sweep_matches_the_pinned_digest():
+    digest = hashlib.sha256()
+    for res in crash_sweep():
+        digest.update(json.dumps(asdict(res), sort_keys=True).encode())
+    assert digest.hexdigest() == CRASH_SWEEP_DIGEST
 
 
 def test_recovery_empty_script_matches_plain_simulation():
