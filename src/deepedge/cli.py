@@ -18,7 +18,7 @@ from .documents import ParseError, ValidationError
 from .estimators import load_registry, save_registry
 from .orchestrator import (bench, load_bench_report, render_report, run_job,
                            save_bench_report, save_histogram_csv)
-from .profiler import dataset_from_csv, fit_all, run_sweep, reference_grid
+from .profiler import dataset_from_csv, fitted_bundle, run_sweep, reference_grid
 from .scheduler import (InfeasibleScheduleError, fairness_plan, load_plan,
                         plan_to_doc, save_plan, solve)
 from .simulator import CrashEvent, SimConfig, save_trace, simulate
@@ -140,12 +140,9 @@ def _cmd_profile(args) -> int:
 def _cmd_fit(args) -> int:
     dataset = dataset_from_csv(args.data)
     registry = load_registry(args.registry)
-    reports = fit_all(dataset, train_fraction=args.train_fraction, seed=args.seed)
-    from .estimators import EstimatorBundle
     base = registry.get(args.device).profile if args.device in registry else None
-    registry[args.device] = EstimatorBundle(
-        device_class=args.device, profile=base,
-        models={t: r.model for t, r in reports.items()})
+    registry[args.device], reports = fitted_bundle(args.device, dataset, base,
+                                                   args.train_fraction, args.seed)
     for target, rep in sorted(reports.items()):
         test = f"{rep.model.test_mape:.3f}%" if rep.model.test_mape is not None else "n/a"
         print(f"{target:14s} train mape {rep.model.train_mape:.3f}%  "

@@ -138,6 +138,21 @@ def crossing_epoch(fit: LogisticFit, target: float) -> float | None:
     return fit.k0 - math.log(fit.L / target - 1.0) / fit.r
 
 
+def _read_observations(observations) -> list:
+    """(epoch, accuracy) pairs sorted by epoch; every epoch must be a whole number."""
+    obs = []
+    for i, (k, a) in enumerate(observations):
+        try:
+            epoch, accuracy = float(k), float(a)
+        except (TypeError, ValueError):
+            raise ValidationError(f"observations[{i}]: epoch and accuracy must be numbers, "
+                                  f"got ({k!r}, {a!r})") from None
+        if not epoch.is_integer():
+            raise ValidationError(f"observations[{i}].epoch: must be a whole number, got {k}")
+        obs.append((int(epoch), accuracy))
+    return sorted(obs)
+
+
 def refine_num_epoch(observations, target_accuracy: float | None,
                      current_num_epoch: int) -> int:
     """Shrink an epoch budget to the first epoch expected to hit the target.
@@ -153,7 +168,7 @@ def refine_num_epoch(observations, target_accuracy: float | None,
         return current_num_epoch
     if not 0.0 < target_accuracy <= 1.0:
         raise ValueError(f"target accuracy must be in (0, 1], got {target_accuracy}")
-    obs = sorted((int(k), float(a)) for k, a in observations)
+    obs = _read_observations(observations)
     if len(obs) < 3:
         raise ValueError(f"need at least 3 observations, got {len(obs)}")
     fit = fit_accuracy_curve([k for k, _ in obs], [a for _, a in obs])
@@ -217,7 +232,7 @@ def run_job(cluster: ClusterSpec, job: JobSpec, registry: dict | None = None,
     refined = None
     fit = None
     if accuracy_observations is not None and job.target_accuracy is not None:
-        obs = sorted((int(k), float(a)) for k, a in accuracy_observations)
+        obs = _read_observations(accuracy_observations)
         if len(obs) >= 3:
             refined = refine_num_epoch(obs, job.target_accuracy, job.num_epoch)
             fit = fit_accuracy_curve([k for k, _ in obs], [a for _, a in obs])

@@ -6,6 +6,13 @@ server-side update, and a pull of fresh weights. All cross-worker coupling
 happens at the server queue, so queueing delay emerges from the simulation
 instead of the scheduler's linear contention stand-in.
 
+The only events are arrivals at the server, in a heap ordered by time and
+then by the order they were scheduled. The earliest arrival is served from
+the later of its arrival and the end of the previous service; once served,
+its worker pulls and computes, and its next arrival joins the heap. A
+scripted crash, taken in time order, is checked just before the first
+service that ends after it.
+
 Randomness is optional and reproducible: every duration can be stretched by
 multiplicative jitter, with one RNG stream per worker (seeded from the job
 seed and the worker's position in the cluster) plus a dedicated stream for
@@ -26,8 +33,8 @@ from __future__ import annotations
 import csv
 import enum
 import heapq
+import itertools
 import math
-from collections import deque
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -192,82 +199,62 @@ def simulate(cluster: ClusterSpec, job: JobSpec, plan: Plan,
             "train_start": train_start, "rounds_done": 0, "finish": None,
         }
 
-    # Event loop. Priorities keep simultaneous events deterministic:
-    # server completions first, then queue arrivals, crashes last.
+    # Arrivals are keyed (time, order of scheduling), and ``free`` is when the
+    # server ends its last service. The sort is stable: crashes at one
+    # instant are checked in script order.
     heap: list = []
-    seq = 0
-
-    def schedule(time, priority, kind, wid):
-        nonlocal seq
-        heapq.heappush(heap, (time, priority, seq, kind, wid))
-        seq += 1
-
+    order = itertools.count()
     for wid, st in info.items():
         first = (st["train_start"]
                  + _jitter(st["rng"], sigma, st["batch"] * st["t_c"])
                  + _jitter(st["rng"], sigma, st["push"]))
-        schedule(first, 1, "arrival", wid)
-    for ev in config.crashes:
-        schedule(ev.time, 2, "crash", ev.worker_id)
-
-    queue: deque = deque()
-    busy = False
+        heapq.heappush(heap, (first, next(order), wid))
+    crashes = sorted(config.crashes, key=lambda e: e.time)
+    checked = 0
+    free = 0.0
     crash_rec = None
 
-    def start_service(now):
-        nonlocal busy
-        wid = queue.popleft()
-        busy = True
-        dur = _jitter(rng_ps, sigma, info[wid]["service"])
-        if want_rounds:
-            trace.append(TraceEvent(now, wid, "ps_service_start",
-                                    f"round {info[wid]['rounds_done'] + 1}"))
-        schedule(now + dur, 0, "service_done", wid)
-
     while heap:
-        time, _, _, kind, wid = heapq.heappop(heap)
-        if kind == "arrival":
-            queue.append(wid)
-            if not busy:
-                start_service(time)
-        elif kind == "service_done":
-            busy = False
-            st = info[wid]
-            pull_end = time + _jitter(st["rng"], sigma, st["pull"])
-            st["rounds_done"] += 1
-            if want_rounds:
-                trace.append(TraceEvent(time, wid, "ps_service_end",
-                                        f"round {st['rounds_done']}"))
-            if st["rounds_done"] % st["rpe"] == 0 and want_phases:
-                trace.append(TraceEvent(pull_end, wid, "epoch_end",
-                                        f"epoch {st['rounds_done'] // st['rpe']}"))
-            if st["rounds_done"] >= st["total_rounds"]:
-                st["finish"] = pull_end
-                if want_phases:
-                    trace.append(TraceEvent(pull_end, wid, "finish", ""))
-            else:
-                nxt = (pull_end
-                       + _jitter(st["rng"], sigma, st["batch"] * st["t_c"])
-                       + _jitter(st["rng"], sigma, st["push"]))
-                schedule(nxt, 1, "arrival", wid)
-            if queue and not busy:
-                start_service(time)
-        else:  # crash
-            st = info.get(wid)
-            active = (st is not None and st["finish"] is None
-                      and st["train_start"] <= time)
-            if not active:
-                continue
-            detect = time + HEARTBEAT_PERIOD
-            crash_rec = CrashRecord(wid, time, detect)
-            if want_phases:
-                trace.append(TraceEvent(time, wid, "crash", ""))
-                trace.append(TraceEvent(detect, wid, "crash_detected",
-                                        "stopping all workers"))
+        arrival, _, wid = heapq.heappop(heap)
+        st = info[wid]
+        start = max(arrival, free)
+        free = start + _jitter(rng_ps, sigma, st["service"])
+        while crash_rec is None and checked < len(crashes) and crashes[checked].time < free:
+            ev = crashes[checked]
+            checked += 1
+            victim = info.get(ev.worker_id)
+            # a worker is done once its last service ends, and crashes only while training
+            if (victim is not None and victim["finish"] is None
+                    and victim["train_start"] <= ev.time):
+                crash_rec = CrashRecord(ev.worker_id, ev.time, ev.time + HEARTBEAT_PERIOD)
+        if want_rounds and (crash_rec is None or start <= crash_rec.fire_time):
+            trace.append(TraceEvent(start, wid, "ps_service_start",
+                                    f"round {st['rounds_done'] + 1}"))
+        if crash_rec is not None:
             break
+        pull_end = free + _jitter(st["rng"], sigma, st["pull"])
+        st["rounds_done"] += 1
+        if want_rounds:
+            trace.append(TraceEvent(free, wid, "ps_service_end", f"round {st['rounds_done']}"))
+        if st["rounds_done"] % st["rpe"] == 0 and want_phases:
+            trace.append(TraceEvent(pull_end, wid, "epoch_end",
+                                    f"epoch {st['rounds_done'] // st['rpe']}"))
+        if st["rounds_done"] >= st["total_rounds"]:
+            st["finish"] = pull_end
+            if want_phases:
+                trace.append(TraceEvent(pull_end, wid, "finish", ""))
+        else:
+            nxt = (pull_end
+                   + _jitter(st["rng"], sigma, st["batch"] * st["t_c"])
+                   + _jitter(st["rng"], sigma, st["push"]))
+            heapq.heappush(heap, (nxt, next(order), wid))
 
     if crash_rec is not None:
         status, makespan = INTERRUPTED, crash_rec.detect_time
+        if want_phases:
+            trace.append(TraceEvent(crash_rec.fire_time, crash_rec.worker_id, "crash", ""))
+            trace.append(TraceEvent(crash_rec.detect_time, crash_rec.worker_id,
+                                    "crash_detected", "stopping all workers"))
     else:
         status = COMPLETED
         makespan = max(st["finish"] for st in info.values())

@@ -139,6 +139,7 @@ def test_max_batch_linear_scan_value():
     # 0.3 + 0.2 + 0.01 b <= 0.95 gives b = 45, however far above it the scan starts
     for b_max in (64, 10 ** 6):
         assert bundle.max_batch_size(0.3, 1, b_max) == 45
+    assert type(bundle.max_batch_size(0.3, 1, 64)) is int
 
 
 def test_max_batch_matches_linear_scan_on_fitted_models(random_fitted_registry):
@@ -166,8 +167,12 @@ def test_max_batch_over_arrays_matches_one_call_per_worker(kind, random_fitted_r
         b_max = b_min + rng.choice([0, 15, 1023, 1024, 3000], 40)
         ceiling = float(rng.uniform(0.5, 0.95))
         batched = bundle.max_batch_size(mem, b_min, b_max, ceiling)
-        assert batched.tolist() == [bundle.max_batch_size(float(m), int(lo), int(hi), ceiling)
-                                    for m, lo, hi in zip(mem, b_min, b_max)]
+        scan = []
+        for m, lo, hi in zip(mem, b_min, b_max):
+            batches = np.arange(lo, hi + 1)
+            fits = bundle.est_state(NodeState(0.0, 0.0, float(m)), batches).mem_util <= ceiling
+            scan.append(int(batches[fits].max(initial=0)))
+        assert batched.tolist() == scan
         assert 0 < np.count_nonzero(batched) < 40
 
 

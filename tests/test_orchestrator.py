@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -99,6 +100,23 @@ def test_refine_rejects_a_nan_accuracy():
         refine_num_epoch([(1, 0.2), (2, math.nan), (3, 0.6)], 0.5, 10)
 
 
+@pytest.mark.parametrize("reading, named", [
+    ((2.9, 0.4), ".epoch: must be a whole number, got 2.9"),
+    ((math.nan, 0.4), ".epoch: must be a whole number, got nan"),
+    ((math.inf, 0.4), ".epoch: must be a whole number, got inf"),
+    (("two", 0.4), ": epoch and accuracy must be numbers, got ('two', 0.4)"),
+    ((2, None), ": epoch and accuracy must be numbers, got (2, None)"),
+])
+def test_refine_and_run_job_name_a_bad_observation(reading, named):
+    obs = [(1, 0.2), reading, (3, 0.6)]
+    message = "^" + re.escape(f"observations[1]{named}") + "$"
+    with pytest.raises(ValidationError, match=message):
+        refine_num_epoch(obs, 0.5, 10)
+    job = JobSpec(num_samples=600, num_epoch=3, source_store=STORE, target_accuracy=0.5)
+    with pytest.raises(ValidationError, match=message):
+        run_job(default_testbed(), job, accuracy_observations=obs)
+
+
 def test_crossing_epoch_analytic():
     fit = fit_accuracy_curve(np.arange(1, 13), logistic(np.arange(1, 13), 0.9, 0.8, 4.0))
     k_star = crossing_epoch(fit, 0.85)
@@ -142,6 +160,8 @@ def test_refine_input_validation():
     with pytest.raises(ValueError):
         refine_num_epoch([(1, 0.1), (2, 0.2), (3, 0.3)], 0.8, 0)
     assert refine_num_epoch([(1, 0.1)], None, 10) == 10
+    # a whole epoch given as a float reads as that epoch
+    assert refine_num_epoch([(1, 0.2), (2.0, 0.4), (3, 0.6)], 0.5, 10) == 3
 
 
 def test_refine_monotone_in_target():
