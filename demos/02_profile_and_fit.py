@@ -7,8 +7,8 @@ from deepedge import (NodeState, bundle_for, default_registry, fit_all,
 truth = bundle_for(default_registry(), "nano")
 
 # The reference grid: 5 cpu x 6 gpu x 5 mem x 11 batch levels = 1650
-# points, each measured for compute time, update time, projected state,
-# background exec time, and max batch.
+# points, each measured for compute time, update time, projected cpu,
+# gpu and memory state, and background exec time.
 
 plan = reference_grid("nano")
 print(f"grid points: {plan.grid_size}")

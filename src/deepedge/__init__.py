@@ -15,9 +15,8 @@ from .scheduler import (Assignment, CostBreakdown, InfeasibleScheduleError, Plan
                         Removal, SolveAudit, check_pressure, epoch_time,
                         fairness_plan, largest_remainder, load_plan, plan_from_doc,
                         plan_to_doc, save_plan, solve, total_cost)
-from .profiler import (FitReport, ProfileDataset, ProfileRow, SweepPlan,
-                       dataset_from_csv, fit, fit_all, fitted_bundle, mape,
-                       run_sweep, reference_grid)
+from .profiler import (FitReport, ProfileDataset, SweepPlan, dataset_from_csv, fit,
+                       fit_all, fitted_bundle, mape, run_sweep, reference_grid)
 from .simulator import (ArcEvent, CrashEvent, CrashRecord, IllegalTransitionError,
                         JobPhase, LEGAL_TRANSITIONS, PhaseChange, RecoveryResult,
                         SimConfig, SimResult, TraceEvent, Violation,
@@ -47,8 +46,8 @@ __all__ = [
     "largest_remainder", "load_plan", "plan_from_doc", "plan_to_doc", "save_plan",
     "solve", "total_cost",
     # profiler
-    "FitReport", "ProfileDataset", "ProfileRow", "SweepPlan", "dataset_from_csv",
-    "fit", "fit_all", "fitted_bundle", "mape", "run_sweep", "reference_grid",
+    "FitReport", "ProfileDataset", "SweepPlan", "dataset_from_csv", "fit", "fit_all",
+    "fitted_bundle", "mape", "run_sweep", "reference_grid",
     # simulator
     "ArcEvent", "CrashEvent", "CrashRecord", "IllegalTransitionError", "JobPhase",
     "LEGAL_TRANSITIONS", "PhaseChange", "RecoveryResult", "SimConfig", "SimResult",

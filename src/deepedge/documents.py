@@ -273,12 +273,12 @@ def _csv_number(text: str, kind: type, where: str):
 
 def csv_rows(path, columns: tuple[str, ...], numbers: dict[str, type],
              limits: dict[str, tuple] | None = None):
-    """The rows of the CSV file at ``path``, whose header must be ``columns``,
-    as lists of values; blank rows are skipped. A column named in ``numbers``
-    is read as a finite float, or as a whole number when its type is ``int``,
-    and one named in ``limits`` must lie within its (low, high) bounds.
-    A bad header, a row with the wrong number of columns or a bad number
-    raises ParseError naming ``path:line``, and the column."""
+    """The rows of the CSV file at ``path``, whose header must be ``columns``, as
+    (``path:line``, values) pairs; blank rows are skipped. A column named in
+    ``numbers`` is read as a finite float, or as a whole number when its type is
+    ``int``, and one named in ``limits`` must lie within its (low, high) bounds.
+    A bad header, a row with the wrong number of columns or a bad number raises
+    ParseError naming ``path:line``, and the column."""
     limits = limits or {}
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -297,4 +297,4 @@ def csv_rows(path, columns: tuple[str, ...], numbers: dict[str, type],
                 if not low <= rec[i] <= high:
                     bounds = f">= {low}" if high == math.inf else f"within [{low}, {high}]"
                     raise ParseError(f"{where}: {name}: must be {bounds}, got {rec[i]}")
-            yield rec
+            yield where, rec

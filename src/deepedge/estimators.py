@@ -252,6 +252,9 @@ class FittedFunction:
 # batch sizes max_batch_size projects at once, per worker
 _BATCH_BLOCK = 1024
 
+# the projected memory utilization no planned batch may exceed
+MEM_CEILING = 0.95
+
 
 def _smallest(batch_size) -> int:
     """The batch size, or the smallest of an array of them (1 if it is empty)."""
@@ -350,7 +353,7 @@ class EstimatorBundle:
         """Runtime of the co-located background task under the given state."""
         return self._estimate["exec_time"](state, None, None, 1)
 
-    def max_batch_size(self, mem_util, b_min, b_max, mem_ceiling: float = 0.95):
+    def max_batch_size(self, mem_util, b_min, b_max, mem_ceiling: float = MEM_CEILING):
         """Largest batch in [b_min, b_max] keeping projected memory <= ceiling; 0 if none.
 
         Projected memory need not grow with the batch size (a fitted model may

@@ -139,8 +139,8 @@ def crossing_epoch(fit: LogisticFit, target: float) -> float | None:
 
 
 def _read_observations(observations) -> list:
-    """(epoch, accuracy) pairs sorted by epoch; every epoch must be a whole number."""
-    obs = []
+    """(epoch, accuracy) pairs sorted by epoch; each epoch a whole number >= 0, seen once."""
+    obs = {}
     for i, (k, a) in enumerate(observations):
         try:
             epoch, accuracy = float(k), float(a)
@@ -149,8 +149,12 @@ def _read_observations(observations) -> list:
                                   f"got ({k!r}, {a!r})") from None
         if not epoch.is_integer():
             raise ValidationError(f"observations[{i}].epoch: must be a whole number, got {k}")
-        obs.append((int(epoch), accuracy))
-    return sorted(obs)
+        if epoch < 0:
+            raise ValidationError(f"observations[{i}].epoch: must be >= 0, got {k}")
+        if int(epoch) in obs:
+            raise ValidationError(f"observations[{i}].epoch: epoch {k} is already observed")
+        obs[int(epoch)] = accuracy
+    return sorted(obs.items())
 
 
 def refine_num_epoch(observations, target_accuracy: float | None,

@@ -8,6 +8,11 @@ carry multiplicative measurement noise; each recorded value summarizes a
 number of repeated draws (sample mean for duration targets, 95th percentile
 for state targets, matching how the state estimators are defined).
 
+A ``ProfileDataset`` holds one device class's sweep as a float table per
+target: one row per point in recording order, one column per
+``CSV_COLUMNS[2:]`` (the features, then the value). A fit selects columns,
+and the CSV file is the tables one after the other.
+
 ``fit`` performs ordinary least squares on the fixed nonlinear basis shared
 with the estimators (raw features, pairwise products, and the same divided
 by batch size). Sweeps and CSV datasets hold finite values only, and on
@@ -17,15 +22,12 @@ finite inputs the least-squares solve gives finite coefficients.
 from __future__ import annotations
 
 import csv
-import itertools
 import math
-import operator
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
-from .documents import ValidationError, csv_rows
+from .documents import ParseError, ValidationError, csv_rows
 from .estimators import (EstimatorBundle, FittedFunction, FEATURES_BY_TARGET,
                          TARGETS, StateTable, design_matrix, basis_terms)
 
@@ -34,6 +36,7 @@ _STATE_FIELDS = {"state_cpu": "cpu_util", "state_gpu": "gpu_util", "state_mem": 
 
 CSV_COLUMNS = ("device_class", "target", "cpu_util", "gpu_util", "mem_util",
                "batch", "ps_cpu_util", "n_workers", "value")
+_COLUMN = {name: i for i, name in enumerate(CSV_COLUMNS[2:])}
 
 
 @dataclass(frozen=True)
@@ -74,6 +77,8 @@ class SweepPlan:
             raise ValidationError(f"sweep.repetitions: must be an integer >= 1, got {reps!r}")
         if not 0.0 <= self.noise < 1.0:
             raise ValidationError(f"sweep.noise: must lie in [0, 1), got {self.noise}")
+        if not self.targets:
+            raise ValidationError("sweep.targets: needs at least one target")
         unknown = [t for t in self.targets if t not in TARGETS]
         if unknown:
             raise ValidationError(f"sweep.targets: unknown {unknown}")
@@ -85,10 +90,6 @@ class SweepPlan:
     def grid_size(self) -> int:
         return (len(self.cpu_levels) * len(self.gpu_levels)
                 * len(self.mem_levels) * len(self.batch_levels))
-
-    def points(self):
-        return itertools.product(self.cpu_levels, self.gpu_levels,
-                                 self.mem_levels, self.batch_levels)
 
 
 def reference_grid(device_class: str = "tx2", repetitions: int = 5,
@@ -117,55 +118,30 @@ def reference_grid(device_class: str = "tx2", repetitions: int = 5,
 # --- datasets --------------------------------------------------------------
 
 
-class ProfileRow(NamedTuple):
-    device_class: str
-    target: str
-    cpu_util: float
-    gpu_util: float
-    mem_util: float
-    batch: int
-    ps_cpu_util: float
-    n_workers: int
-    value: float
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ProfileDataset:
-    rows: tuple
+    """One device class's sweep: target -> float table, one row per point."""
 
-    def __post_init__(self):
-        for row in self.rows:
-            if row.target not in TARGETS:
-                raise ValidationError(f"dataset row has unknown target '{row.target}'")
+    device_class: str
+    tables: dict
 
     def __len__(self) -> int:
-        return len(self.rows)
-
-    def targets(self) -> tuple:
-        seen = []
-        for row in self.rows:
-            if row.target not in seen:
-                seen.append(row.target)
-        return tuple(seen)
+        return sum(len(table) for table in self.tables.values())
 
     def arrays(self, target: str):
         """(feature matrix, values) for one target, columns per its feature list."""
-        names = FEATURES_BY_TARGET[target]
-        rows = [r for r in self.rows if r.target == target]
-        if not rows:
+        if target not in self.tables:
             raise ValidationError(f"dataset has no rows for target '{target}'")
-        columns = operator.attrgetter(*names, "value")
-        table = np.array([columns(r) for r in rows], dtype=float)
-        return table[:, :-1], table[:, -1]
+        table = self.tables[target]
+        return table[:, [_COLUMN[name] for name in FEATURES_BY_TARGET[target]]], table[:, -1]
 
     def to_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(CSV_COLUMNS)
-            for r in self.rows:
-                writer.writerow([r.device_class, r.target, r.cpu_util, r.gpu_util,
-                                 r.mem_util, r.batch, r.ps_cpu_util, r.n_workers,
-                                 r.value])
+            for target, table in self.tables.items():
+                writer.writerows([self.device_class, target, c, g, m, int(b), ps, int(n), v]
+                                 for c, g, m, b, ps, n, v in table.tolist())
 
 
 # utilizations are fractions; a batch and a worker count hold one at least
@@ -174,16 +150,34 @@ CSV_LIMITS = {"cpu_util": (0.0, 1.0), "gpu_util": (0.0, 1.0), "mem_util": (0.0, 
 
 
 def dataset_from_csv(path) -> ProfileDataset:
-    return ProfileDataset(rows=tuple(ProfileRow(*rec) for rec in csv_rows(path, CSV_COLUMNS, {
-        "cpu_util": float, "gpu_util": float, "mem_util": float, "batch": int,
-        "ps_cpu_util": float, "n_workers": int, "value": float}, CSV_LIMITS)))
+    """The sweep in a CSV file, its rows grouped into one table per target.
+
+    A row with an unknown target or another device class than the first row's
+    raises ParseError naming ``path:line`` and the column; a file without rows
+    one naming ``path``."""
+    device_class, rows = None, {}
+    for where, (dc, target, *values) in csv_rows(path, CSV_COLUMNS, {
+            "cpu_util": float, "gpu_util": float, "mem_util": float, "batch": int,
+            "ps_cpu_util": float, "n_workers": int, "value": float}, CSV_LIMITS):
+        if target not in TARGETS:
+            raise ParseError(f"{where}: target: unknown target {target!r}")
+        if device_class is None:
+            device_class = dc
+        elif dc != device_class:
+            raise ParseError(f"{where}: device_class: {dc!r} differs from the first "
+                             f"row's {device_class!r}")
+        rows.setdefault(target, []).append(values)
+    if device_class is None:
+        raise ParseError(f"{path}: no data rows")
+    return ProfileDataset(device_class, {target: np.array(values, dtype=float)
+                                         for target, values in rows.items()})
 
 
 # --- the bench -------------------------------------------------------------
 
 
 def run_sweep(bundle: EstimatorBundle, plan: SweepPlan, seed: int = 0) -> ProfileDataset:
-    """Measure every target at every grid point.
+    """Measure every target at every grid point, batch levels varying fastest.
 
     Each target is one estimator evaluation over the whole grid, and update
     time one per worker-count level. With nonzero noise, each grid point gets
@@ -192,24 +186,23 @@ def run_sweep(bundle: EstimatorBundle, plan: SweepPlan, seed: int = 0) -> Profil
     state targets the 95th percentile (state estimates are defined as
     worst-plausible, not typical). With zero noise values are exact.
     """
-    ps_levels = tuple(float(ps) for ps in plan.ps_cpu_levels)
-    n_levels = tuple(int(n) for n in plan.n_workers_levels)
-    # each point's row fields; the levels are shared, not copied per row
-    points = [(float(c), float(g), float(m), int(b), ps_levels[i % len(ps_levels)],
-               n_levels[i // len(ps_levels) % len(n_levels)])
-              for i, (c, g, m, b) in enumerate(plan.points())]
-    cpu, gpu, mem, batch, ps, _ = np.array(points, dtype=float).T
+    cpu, gpu, mem, batch = (axis.ravel().astype(float) for axis in np.meshgrid(
+        plan.cpu_levels, plan.gpu_levels, plan.mem_levels, plan.batch_levels, indexing="ij"))
+    point = np.arange(cpu.size)
+    ps = np.array(plan.ps_cpu_levels, dtype=float)[point % len(plan.ps_cpu_levels)]
+    level = point // len(plan.ps_cpu_levels) % len(plan.n_workers_levels)
+    n_levels = [int(n) for n in plan.n_workers_levels]
+    features = np.column_stack((cpu, gpu, mem, batch, ps, np.array(n_levels, float)[level]))
     batch = batch.astype(int)
     grid = StateTable(cpu, gpu, mem)
-    level = np.arange(len(points)) // len(ps_levels) % len(n_levels)
     rng = np.random.default_rng(seed)
     projected = None
-    rows = []
+    tables = {}
     for target in plan.targets:
         if target == "compute_time":
             truth = bundle.est_compute_time(grid, batch)
         elif target == "update_time":
-            truth = np.empty(len(points))
+            truth = np.empty(cpu.size)
             for k, n in enumerate(n_levels):
                 at = level == k
                 truth[at] = bundle.est_update_time(StateTable(cpu[at], gpu[at], mem[at]),
@@ -222,12 +215,11 @@ def run_sweep(bundle: EstimatorBundle, plan: SweepPlan, seed: int = 0) -> Profil
             truth = getattr(projected, _STATE_FIELDS[target])
         if plan.noise != 0.0:
             draws = truth[:, None] * (1.0 + rng.normal(0.0, plan.noise,
-                                                       (len(points), plan.repetitions)))
+                                                       (cpu.size, plan.repetitions)))
             truth = (np.percentile(draws, 95, axis=1) if target in _STATE_FIELDS
                      else draws.mean(axis=1))
-        rows += [ProfileRow(bundle.device_class, target, *point, value)
-                 for point, value in zip(points, truth.tolist())]
-    return ProfileDataset(rows=tuple(rows))
+        tables[target] = np.column_stack((features, truth))
+    return ProfileDataset(bundle.device_class, tables)
 
 
 # --- fitting ---------------------------------------------------------------
@@ -285,12 +277,10 @@ def fit(dataset: ProfileDataset, target: str, train_fraction: float = 0.84,
     return FitReport(model=model, n_train=len(train), n_test=len(test))
 
 
-def fit_all(dataset: ProfileDataset, targets=None, train_fraction: float = 0.84,
-            seed: int = 0) -> dict:
-    """target -> FitReport for every requested (or present) target."""
-    targets = tuple(targets) if targets is not None else dataset.targets()
+def fit_all(dataset: ProfileDataset, train_fraction: float = 0.84, seed: int = 0) -> dict:
+    """target -> FitReport for every target in the dataset."""
     return {t: fit(dataset, t, train_fraction=train_fraction, seed=seed)
-            for t in targets}
+            for t in dataset.tables}
 
 
 def fitted_bundle(device_class: str, dataset: ProfileDataset, base_profile=None,

@@ -44,11 +44,7 @@ import numpy as np
 
 from .cluster import ClusterSpec, JobSpec, ValidationError, WorkerSpec, validate
 from .documents import doc_field, from_doc, load_doc, save, writer
-from .estimators import EstimatorBundle, StateTable, bundle_for, default_registry
-
-
-# the projected memory utilization no planned batch may exceed
-MEM_CEILING = 0.95
+from .estimators import MEM_CEILING, EstimatorBundle, StateTable, bundle_for, default_registry
 
 
 class InfeasibleScheduleError(RuntimeError):
@@ -254,7 +250,7 @@ class _Tables:
         for k, bundle in enumerate(bundles):
             members = (kind == k).nonzero()[0]
             self.maxbatch[members] = bundle.max_batch_size(mem[members], b_min[members],
-                                                           b_max[members], MEM_CEILING)
+                                                           b_max[members])
         eligible = self.maxbatch.nonzero()[0]
         low, cap = b_min[eligible], self.maxbatch[eligible]
         top = np.minimum(cap, job.num_samples)
@@ -588,7 +584,7 @@ def fairness_plan(cluster: ClusterSpec, job: JobSpec, registry: dict | None = No
     int_shares = {w.id: base + (1 if i < extra else 0) for i, w in enumerate(workers)}
     bundles = {w.id: bundle_for(registry, w.device_class) for w in cluster.workers}
     maxbatch = {w.id: bundles[w.id].max_batch_size(w.initial_state.mem_util, w.b_min,
-                                                   w.b_max, MEM_CEILING)
+                                                   w.b_max)
                 for w in workers}
     assigned = [w for w in workers if int_shares[w.id] > 0]
     rows = []

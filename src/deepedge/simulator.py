@@ -445,4 +445,4 @@ def save_trace(trace, path) -> None:
 
 
 def load_trace(path) -> tuple:
-    return tuple(TraceEvent(*rec) for rec in csv_rows(path, TRACE_COLUMNS, {"time": float}))
+    return tuple(TraceEvent(*rec) for _, rec in csv_rows(path, TRACE_COLUMNS, {"time": float}))

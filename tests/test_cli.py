@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -127,6 +128,17 @@ def test_profile_then_fit_then_solve(tmp_path, capsys):
     code = main(["solve", "--cluster", str(cluster_path), "--job", str(job_path),
                  "--registry", str(registry_path)])
     assert code == 0
+
+
+def test_profile_and_fit_write_the_pinned_bytes(tmp_path):
+    sweep, registry = tmp_path / "sweep.csv", tmp_path / "registry.json"
+    assert main(["profile", "--device", "nano", "--noise", "0.02", "--seed", "1",
+                 "--out", str(sweep)]) == 0
+    assert main(["fit", "--data", str(sweep), "--device", "nano", "--out", str(registry)]) == 0
+    assert hashlib.sha256(sweep.read_bytes()).hexdigest() == (
+        "c0d9bdf86e804ab6e0289228381b06f05aa3ff6216f8e1078008c7318b8061c6")
+    assert hashlib.sha256(registry.read_bytes()).hexdigest() == (
+        "db209372453aca8399cc146403617c0ec6058e061eb0dd24df8b185cb92a3805")
 
 
 def test_bench_and_report(tmp_path, capsys):

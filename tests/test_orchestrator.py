@@ -106,6 +106,8 @@ def test_refine_rejects_a_nan_accuracy():
     ((math.inf, 0.4), ".epoch: must be a whole number, got inf"),
     (("two", 0.4), ": epoch and accuracy must be numbers, got ('two', 0.4)"),
     ((2, None), ": epoch and accuracy must be numbers, got (2, None)"),
+    ((-3, 0.4), ".epoch: must be >= 0, got -3"),
+    ((1, 0.4), ".epoch: epoch 1 is already observed"),
 ])
 def test_refine_and_run_job_name_a_bad_observation(reading, named):
     obs = [(1, 0.2), reading, (3, 0.6)]

@@ -1,4 +1,6 @@
+import csv
 import dataclasses
+import itertools
 import re
 
 import numpy as np
@@ -9,7 +11,7 @@ from deepedge import (EstimatorBundle, NodeState, ParametricProfile, ParseError,
                       default_registry, fit, fit_all, fitted_bundle, mape,
                       run_sweep, reference_grid)
 from deepedge.estimators import FEATURES_BY_TARGET, TARGETS
-from deepedge.profiler import CSV_COLUMNS, ProfileDataset, ProfileRow, SweepPlan
+from deepedge.profiler import CSV_COLUMNS, ProfileDataset, SweepPlan
 
 
 def small_plan(noise=0.0, targets=None):
@@ -21,6 +23,18 @@ def small_plan(noise=0.0, targets=None):
                      noise=noise, **kwargs)
 
 
+def _rows(data):
+    """The dataset as CSV-like rows: (device_class, target, *features, value)."""
+    return [(data.device_class, target, c, g, m, int(b), ps, int(n), value)
+            for target, table in data.tables.items()
+            for c, g, m, b, ps, n, value in table.tolist()]
+
+
+def _same_tables(a, b):
+    return (a.device_class == b.device_class and list(a.tables) == list(b.tables)
+            and all(np.array_equal(a.tables[t], b.tables[t]) for t in a.tables))
+
+
 def test_reference_grid_size():
     plan = reference_grid("tx2")
     assert plan.grid_size == 1650
@@ -29,21 +43,21 @@ def test_reference_grid_size():
 def test_sweep_noiseless_matches_oracle_exactly():
     bundle = bundle_for(default_registry(), "tx2")
     data = run_sweep(bundle, small_plan(), seed=0)
-    for row in data.rows:
-        state = NodeState(row.cpu_util, row.gpu_util, row.mem_util)
-        if row.target == "compute_time":
-            assert row.value == bundle.est_compute_time(state, row.batch)
-        elif row.target == "exec_time":
-            assert row.value == bundle.est_exec_time(state)
-        elif row.target == "state_mem":
-            assert row.value == bundle.est_state(state, row.batch).mem_util
+    for _, target, c, g, m, b, _, _, value in _rows(data):
+        state = NodeState(c, g, m)
+        if target == "compute_time":
+            assert value == bundle.est_compute_time(state, b)
+        elif target == "exec_time":
+            assert value == bundle.est_exec_time(state)
+        elif target == "state_mem":
+            assert value == bundle.est_state(state, b).mem_util
 
 
 def test_sweep_deterministic_per_seed():
     bundle = bundle_for(default_registry(), "nano")
     plan = small_plan(noise=0.05)
-    assert run_sweep(bundle, plan, seed=3) == run_sweep(bundle, plan, seed=3)
-    assert run_sweep(bundle, plan, seed=3) != run_sweep(bundle, plan, seed=4)
+    assert _same_tables(run_sweep(bundle, plan, seed=3), run_sweep(bundle, plan, seed=3))
+    assert not _same_tables(run_sweep(bundle, plan, seed=3), run_sweep(bundle, plan, seed=4))
 
 
 def test_sweep_plan_validation():
@@ -65,6 +79,7 @@ def test_sweep_plan_validation():
     ("n_workers_levels", (float("nan"),)),
     ("n_workers_levels", (1, float("inf"))),
     ("targets", ("compute_time", "state_mem", "compute_time")),
+    ("targets", ()),
 ])
 def test_sweep_plan_names_a_bad_field(field, value):
     with pytest.raises(ValidationError, match=rf"^sweep\.{field}: "):
@@ -88,7 +103,8 @@ def _reference_sweep(bundle, plan, seed):
     rng = np.random.default_rng(seed)
     rows = []
     for target in plan.targets:
-        for i, (c, g, m, b) in enumerate(plan.points()):
+        for i, (c, g, m, b) in enumerate(itertools.product(
+                plan.cpu_levels, plan.gpu_levels, plan.mem_levels, plan.batch_levels)):
             ps = plan.ps_cpu_levels[i % len(plan.ps_cpu_levels)]
             n = plan.n_workers_levels[(i // len(plan.ps_cpu_levels))
                                       % len(plan.n_workers_levels)]
@@ -97,13 +113,13 @@ def _reference_sweep(bundle, plan, seed):
                 draws = value * (1.0 + rng.normal(0.0, plan.noise, plan.repetitions))
                 value = float(np.percentile(draws, 95) if target.startswith("state_")
                               else np.mean(draws))
-            rows.append(ProfileRow(bundle.device_class, target, float(c), float(g),
-                                   float(m), int(b), float(ps), int(n), value))
+            rows.append((bundle.device_class, target, float(c), float(g), float(m), int(b),
+                         float(ps), int(n), value))
     return rows
 
 
 def _reprs(rows):
-    return [tuple(repr(getattr(row, name)) for name in CSV_COLUMNS) for row in rows]
+    return [tuple(repr(field) for field in row) for row in rows]
 
 
 @pytest.mark.parametrize("fitted", [False, True], ids=["parametric", "fitted"])
@@ -123,27 +139,30 @@ def test_sweep_matches_the_point_by_point_reference(fitted, noise, repetitions, 
                      repetitions=repetitions, noise=noise, targets=targets)
     for device_class in ("tx2", "nano"):
         bundle = registry[device_class]
-        got = run_sweep(bundle, plan, seed=7).rows
+        got = _rows(run_sweep(bundle, plan, seed=7))
         assert _reprs(got) == _reprs(_reference_sweep(bundle, plan, seed=7))
 
 
 def test_reference_grid_sweep_matches_the_point_by_point_reference():
     bundle = bundle_for(default_registry(), "nano")
     plan = reference_grid("nano", noise=0.02)
-    assert _reprs(run_sweep(bundle, plan, seed=1).rows) == _reprs(
+    assert _reprs(_rows(run_sweep(bundle, plan, seed=1))) == _reprs(
         _reference_sweep(bundle, plan, seed=1))
 
 
-def test_dataset_arrays_match_the_per_cell_construction():
+def test_dataset_arrays_match_the_per_cell_construction(tmp_path):
     bundle = bundle_for(default_registry(), "tx2")
-    rows = list(run_sweep(bundle, small_plan(noise=0.02), seed=3).rows)
+    rows = _rows(run_sweep(bundle, small_plan(noise=0.02), seed=3))
     np.random.default_rng(4).shuffle(rows)  # targets interleaved, as a CSV may hold them
-    data = ProfileDataset(rows=tuple(rows))
+    path = tmp_path / "sweep.csv"
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh).writerows([CSV_COLUMNS] + rows)
+    data = dataset_from_csv(path)
     for target, names in FEATURES_BY_TARGET.items():
         X, y = data.arrays(target)
-        mine = [r for r in rows if r.target == target]
-        want_X = np.asarray([[float(getattr(r, n)) for n in names] for r in mine])
-        want_y = np.asarray([r.value for r in mine])
+        mine = [r for r in rows if r[1] == target]
+        want_X = np.asarray([[float(r[CSV_COLUMNS.index(n)]) for n in names] for r in mine])
+        want_y = np.asarray([r[-1] for r in mine])
         assert X.shape == want_X.shape and y.shape == want_y.shape
         assert np.array_equal(X, want_X) and np.array_equal(y, want_y)
 
@@ -215,21 +234,10 @@ def test_fit_shuffled_labels_does_not_crash():
     bundle = bundle_for(default_registry(), "tx2")
     data = run_sweep(bundle, small_plan(), seed=0)
     rng = np.random.default_rng(9)
-    rows = []
-    by_target = {}
-    for row in data.rows:
-        by_target.setdefault(row.target, []).append(row.value)
-    for vals in by_target.values():
-        rng.shuffle(vals)
-    counters = {t: 0 for t in by_target}
-    for row in data.rows:
-        i = counters[row.target]
-        counters[row.target] += 1
-        rows.append(ProfileRow(row.device_class, row.target, row.cpu_util,
-                               row.gpu_util, row.mem_util, row.batch,
-                               row.ps_cpu_util, row.n_workers,
-                               by_target[row.target][i]))
-    shuffled = ProfileDataset(rows=tuple(rows))
+    tables = {target: table.copy() for target, table in data.tables.items()}
+    for table in tables.values():
+        table[:, -1] = rng.permutation(table[:, -1])
+    shuffled = ProfileDataset(data.device_class, tables)
     reports = fit_all(shuffled, seed=0)
     for report in reports.values():
         assert np.isfinite(report.model.train_mape)
@@ -268,9 +276,7 @@ def test_dataset_csv_round_trip(tmp_path):
     data.to_csv(path)
     again = dataset_from_csv(path)
     assert len(again) == len(data)
-    for a, b in zip(again.rows, data.rows):
-        assert a.target == b.target
-        assert a.value == pytest.approx(b.value, rel=1e-12)
+    assert _same_tables(again, data)
 
 
 @pytest.mark.parametrize("column, value, named", [
@@ -278,12 +284,20 @@ def test_dataset_csv_round_trip(tmp_path):
     ("value", "inf", "value: expected a finite number, got 'inf'"),
     ("batch", "16.5", "batch: expected a whole number, got '16.5'"),
     ("n_workers", "inf", "n_workers: expected a whole number, got 'inf'"),
+    ("target", "bogus", "target: unknown target 'bogus'"),
+    ("device_class", "tx2", "device_class: 'tx2' differs from the first row's 'nano'"),
+    (None, None, "no data rows"),  # the header alone
 ])
 def test_dataset_csv_names_a_bad_number(column, value, named, tmp_path):
-    row = dict(zip(CSV_COLUMNS, ["nano", "compute_time", "0.1", "0.1", "0.1", "16",
-                                 "0.2", "2", "0.5"]))
-    row[column] = value
+    good = dict(zip(CSV_COLUMNS, ["nano", "compute_time", "0.1", "0.1", "0.1", "16",
+                                  "0.2", "2", "0.5"]))
     path = tmp_path / "sweep.csv"
-    path.write_text(",".join(CSV_COLUMNS) + "\n\n" + ",".join(row.values()) + "\n")
-    with pytest.raises(ParseError, match=re.escape(f"{path}:3: {named}")):
+    text = ",".join(CSV_COLUMNS) + "\n\n"
+    where = f"{path}"
+    if column is not None:
+        # a good row, then the bad one at line 4
+        text += ",".join(good.values()) + "\n" + ",".join({**good, column: value}.values()) + "\n"
+        where += ":4"
+    path.write_text(text)
+    with pytest.raises(ParseError, match="^" + re.escape(f"{where}: {named}") + "$"):
         dataset_from_csv(path)
