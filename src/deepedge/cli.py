@@ -140,6 +140,10 @@ def _cmd_profile(args) -> int:
 def _cmd_fit(args) -> int:
     dataset = dataset_from_csv(args.data)
     registry = load_registry(args.registry)
+    if args.device in registry and args.device != dataset.device_class:
+        raise ValidationError(f"--device: '{args.device}' is already a registry class, but "
+                              f"{args.data} profiles '{dataset.device_class}'; fit it under "
+                              f"'{dataset.device_class}' or a new name")
     base = registry.get(args.device).profile if args.device in registry else None
     registry[args.device], reports = fitted_bundle(args.device, dataset, base,
                                                    args.train_fraction, args.seed)

@@ -8,8 +8,10 @@ first plan; the simulator's recovery loop writes every phase from there on,
 and ``run_job`` returns that log alongside the execution record.
 
 Accuracy over epochs is modeled as a logistic curve fit with a damped
-Gauss-Newton loop; ``refine_num_epoch`` uses the fit to shrink a job's epoch
-budget to the first epoch expected to reach the target accuracy.
+Gauss-Newton loop. The loop runs on Python floats, because a fit sees only a
+handful of readings and a 3x3 system, where numpy's per-call overhead would
+dominate. ``refine_num_epoch`` uses the fit to shrink a job's epoch budget to
+the first epoch expected to reach the target accuracy.
 
 ``bench`` compares the interference-aware plan against the equal-sharding
 baseline across randomized background-load scenarios and aggregates speedups
@@ -43,7 +45,9 @@ GAUSS_NEWTON_MAX_ITER = 100
 
 def logistic(k, L: float, r: float, k0: float):
     k = np.asarray(k, dtype=float)
-    out = L / (1.0 + np.exp(-r * (k - k0)))
+    # exp overflows to inf far below the midpoint, and L / inf is the right limit 0
+    with np.errstate(over="ignore"):
+        out = L / (1.0 + np.exp(-r * (k - k0)))
     return float(out) if out.ndim == 0 else out
 
 
@@ -59,31 +63,78 @@ class LogisticFit:
         return logistic(k, self.L, self.r, self.k0)
 
 
-def _gauss_newton(k, y, start):
-    """Levenberg-style damped Gauss-Newton for the 3-parameter logistic."""
+def _sigmoid(z: float) -> float:
+    """1 / (1 + exp(z)), 0.0 once exp(z) would overflow a float."""
+    return 0.0 if z > 709.0 else 1.0 / (1.0 + math.exp(z))
+
+
+def _solve3(r0, r1, r2):
+    """x solving the 3x3 system given as augmented rows (a_i0, a_i1, a_i2, b_i).
+
+    LU with partial pivoting, as LAPACK's gesv runs it: the row with the
+    largest |a_ij| pivots column j, the first such on a tie. None when a
+    pivot is exactly zero.
+    """
+    if abs(r1[0]) > abs(r0[0]) and abs(r1[0]) >= abs(r2[0]):
+        r0, r1 = r1, r0
+    elif abs(r2[0]) > abs(r0[0]) and abs(r2[0]) > abs(r1[0]):
+        r0, r2 = r2, r0
+    if r0[0] == 0.0:
+        return None
+    f1, f2 = r1[0] / r0[0], r2[0] / r0[0]
+    r1 = (r1[1] - f1 * r0[1], r1[2] - f1 * r0[2], r1[3] - f1 * r0[3])
+    r2 = (r2[1] - f2 * r0[1], r2[2] - f2 * r0[2], r2[3] - f2 * r0[3])
+    if abs(r2[0]) > abs(r1[0]):
+        r1, r2 = r2, r1
+    if r1[0] == 0.0:
+        return None
+    f = r2[0] / r1[0]
+    u22 = r2[1] - f * r1[1]
+    if u22 == 0.0:
+        return None
+    x2 = (r2[2] - f * r1[2]) / u22
+    x1 = (r1[2] - r1[1] * x2) / r1[0]
+    return (r0[3] - r0[2] * x2 - r0[1] * x1) / r0[0], x1, x2
+
+
+def _gauss_newton(k: list, y: list, start):
+    """Levenberg-style damped Gauss-Newton for the 3-parameter logistic on lists of floats."""
     L, r, k0 = start
     lam = 1e-3
 
     def evaluate(L, r, k0):
-        s = 1.0 / (1.0 + np.exp(-r * (k - k0)))
-        res = L * s - y
-        return s, res, float(res @ res)
+        s = [_sigmoid(-r * (ki - k0)) for ki in k]
+        res = [L * si - yi for si, yi in zip(s, y)]
+        return s, res, sum([e * e for e in res])
 
     s, res, sse = evaluate(L, r, k0)
     iterations = 0
     for iterations in range(1, GAUSS_NEWTON_MAX_ITER + 1):
-        grad_mid = L * s * (1.0 - s)
-        J = np.column_stack([s, grad_mid * (k - k0), -grad_mid * r])
-        H = J.T @ J
-        g = J.T @ res
-        try:
-            step = np.linalg.solve(H + lam * (np.diag(np.diag(H)) + 1e-12 * np.eye(3)), -g)
-        except np.linalg.LinAlgError:
+        # J's rows are (s, grad_mid * (k - k0), -grad_mid * r); sum the six
+        # distinct entries of J^T J and the three of J^T res in one pass
+        haa = hab = hac = hbb = hbc = hcc = ga = gb = gc = 0.0
+        for ki, a, e in zip(k, s, res):
+            grad_mid = L * a * (1.0 - a)
+            b = grad_mid * (ki - k0)
+            c = -grad_mid * r
+            haa += a * a
+            hab += a * b
+            hac += a * c
+            hbb += b * b
+            hbc += b * c
+            hcc += c * c
+            ga += a * e
+            gb += b * e
+            gc += c * e
+        step = _solve3((haa + lam * (haa + 1e-12), hab, hac, -ga),
+                       (hab, hbb + lam * (hbb + 1e-12), hbc, -gb),
+                       (hac, hbc, hcc + lam * (hcc + 1e-12), -gc))
+        if step is None:
             lam *= 4.0
             continue
-        L2 = float(np.clip(L + step[0], 1e-6, 1.0))
-        r2 = float(np.clip(r + step[1], 1e-6, 50.0))
-        k02 = float(np.clip(k0 + step[2], -1e6, 1e6))
+        L2 = min(max(L + step[0], 1e-6), 1.0)
+        r2 = min(max(r + step[1], 1e-6), 50.0)
+        k02 = min(max(k0 + step[2], -1e6), 1e6)
         s2, res2, sse2 = evaluate(L2, r2, k02)
         if sse2 < sse:
             moved = abs(L2 - L) + abs(r2 - r) + abs(k02 - k0)
@@ -121,9 +172,10 @@ def fit_accuracy_curve(epochs, accuracies) -> LogisticFit:
     L0 = min(1.0, max(top + 0.05, 0.1))
     half = np.abs(y - top / 2.0)
     k0_guess = float(k[int(np.argmin(half))])
+    k_list, y_list = k.tolist(), y.tolist()
     best = None
     for r0 in (0.3, 0.8, 1.5):
-        fit = _gauss_newton(k, y, (L0, r0, k0_guess))
+        fit = _gauss_newton(k_list, y_list, (L0, r0, k0_guess))
         if best is None or fit.sse < best.sse:
             best = fit
     return best

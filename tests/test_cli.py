@@ -141,6 +141,27 @@ def test_profile_and_fit_write_the_pinned_bytes(tmp_path):
         "db209372453aca8399cc146403617c0ec6058e061eb0dd24df8b185cb92a3805")
 
 
+def test_fit_refuses_to_replace_another_registry_class(tmp_path, capsys):
+    sweep, registry = tmp_path / "nano.csv", tmp_path / "registry.json"
+    assert main(["profile", "--device", "nano", "--repetitions", "1", "--out", str(sweep)]) == 0
+    capsys.readouterr()
+    code = main(["fit", "--data", str(sweep), "--device", "tx2", "--out", str(registry)])
+    assert code == 1
+    assert capsys.readouterr().err.startswith(
+        f"error: --device: 'tx2' is already a registry class, but {sweep} profiles 'nano'")
+    assert not registry.exists()
+
+
+def test_fit_stores_a_sweep_under_a_new_class(tmp_path):
+    sweep, registry = tmp_path / "nano.csv", tmp_path / "registry.json"
+    assert main(["profile", "--device", "nano", "--repetitions", "1", "--out", str(sweep)]) == 0
+    assert main(["fit", "--data", str(sweep), "--device", "nano-measured",
+                 "--out", str(registry)]) == 0
+    fitted = load_registry(registry)
+    assert fitted["nano-measured"].models
+    assert not fitted["tx2"].models and not fitted["nano"].models
+
+
 def test_bench_and_report(tmp_path, capsys):
     bench_path = tmp_path / "bench.json"
     code = main(["bench", "--trials", "4", "--seed", "2", "--samples", "500",

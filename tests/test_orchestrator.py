@@ -1,5 +1,7 @@
 import math
+import random
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -9,11 +11,11 @@ from deepedge import (CrashEvent, IllegalTransitionError, JobPhase, JobSpec,
                       bench, bench_report_from_doc, bench_report_to_doc,
                       crossing_epoch, default_registry, default_testbed,
                       fairness_plan, fit_accuracy_curve, inject_and_recover,
-                      load_bench_report,
+                      LogisticFit, load_bench_report,
                       logistic, refine_num_epoch, render_report, run_job,
                       save_bench_report, save_histogram_csv, simulate_accuracy,
                       solve, validate_transitions, ValidationError)
-from deepedge.orchestrator import BenchStressModel
+from deepedge.orchestrator import BenchStressModel, _gauss_newton
 from dataclasses import replace
 
 STORE = "store-0"
@@ -176,6 +178,100 @@ def test_refine_monotone_in_target():
         lo = float(rng.uniform(0.3, 0.6)) * L
         hi = float(rng.uniform(0.75, 0.95)) * L
         assert refine_num_epoch(obs, lo, 50) <= refine_num_epoch(obs, hi, 50)
+
+
+def _gauss_newton_numpy(k, y, start):
+    """The numpy loop the fit ran before it moved to Python floats, kept as an oracle."""
+    L, r, k0 = start
+    lam = 1e-3
+
+    def evaluate(L, r, k0):
+        # the loop relied on exp overflowing to inf; the suite turns the warning into an error
+        with np.errstate(over="ignore"):
+            s = 1.0 / (1.0 + np.exp(-r * (k - k0)))
+        res = L * s - y
+        return s, res, float(res @ res)
+
+    s, res, sse = evaluate(L, r, k0)
+    iterations = 0
+    for iterations in range(1, 101):
+        grad_mid = L * s * (1.0 - s)
+        J = np.column_stack([s, grad_mid * (k - k0), -grad_mid * r])
+        H = J.T @ J
+        g = J.T @ res
+        try:
+            step = np.linalg.solve(H + lam * (np.diag(np.diag(H)) + 1e-12 * np.eye(3)), -g)
+        except np.linalg.LinAlgError:
+            lam *= 4.0
+            continue
+        L2 = float(np.clip(L + step[0], 1e-6, 1.0))
+        r2 = float(np.clip(r + step[1], 1e-6, 50.0))
+        k02 = float(np.clip(k0 + step[2], -1e6, 1e6))
+        s2, res2, sse2 = evaluate(L2, r2, k02)
+        if sse2 < sse:
+            moved = abs(L2 - L) + abs(r2 - r) + abs(k02 - k0)
+            L, r, k0, s, res = L2, r2, k02, s2, res2
+            improved = sse - sse2
+            sse = sse2
+            lam = max(lam * 0.5, 1e-12)
+            if improved < 1e-14 and moved < 1e-10:
+                break
+        else:
+            lam *= 4.0
+            if lam > 1e12:
+                break
+    return LogisticFit(L=L, r=r, k0=k0, sse=sse, iterations=iterations)
+
+
+def _oracle_readings():
+    """Accuracy readings that exercise the fit: random curves, bench draws, edge cases."""
+    rng = np.random.default_rng(2024)
+    for _ in range(2000):
+        k = np.arange(1.0, 1.0 + int(rng.integers(3, 11)))
+        L, r, k0 = rng.uniform(0.5, 1.0), rng.uniform(0.2, 2.0), rng.uniform(0.0, 8.0)
+        noise = float(rng.choice([0.0, 0.01, 0.05]))
+        yield k, np.clip(logistic(k, L, r, k0) + rng.normal(0.0, noise, k.size), 0.0, 1.0)
+    draws = random.Random(7)
+    for _ in range(300):  # five readings, drawn as the crash-recovery benchmark draws them
+        L, r, k0 = draws.uniform(0.85, 0.95), draws.uniform(0.8, 1.5), draws.uniform(1.5, 3.0)
+        y = [round(min(1.0, max(0.0, L / (1.0 + math.exp(-r * (k - k0)))
+                                + draws.uniform(-0.01, 0.01))), 4) for k in range(1, 6)]
+        yield np.arange(1.0, 6.0), np.array(y)
+    k = np.arange(1.0, 7.0)
+    yield k, np.zeros(6)
+    yield k, np.ones(6)
+    yield k, np.full(6, 0.5)
+    yield k, np.array([0.2, 0.6, 0.2, 0.6, 0.2, 0.6])
+
+
+def test_fit_on_python_floats_matches_the_numpy_loop():
+    targets = (0.3, 0.5, 0.7, 0.9)
+    for k, y in _oracle_readings():
+        top = float(np.max(y))
+        L0 = min(1.0, max(top + 0.05, 0.1))
+        k0_guess = float(k[int(np.argmin(np.abs(y - top / 2.0)))])
+        ref = None
+        for r0 in (0.3, 0.8, 1.5):
+            start = (L0, r0, k0_guess)
+            want = _gauss_newton_numpy(k, y, start)
+            got = _gauss_newton(k.tolist(), y.tolist(), start)
+            assert abs(got.sse - want.sse) <= 1e-10, (k, y, start, got, want)
+            if ref is None or want.sse < ref.sse:
+                ref = want
+        fit = fit_accuracy_curve(k, y)
+        for target in targets:
+            want, got = crossing_epoch(ref, target), crossing_epoch(fit, target)
+            assert (want is None) == (got is None), (k, y, target, fit, ref)
+            if want is not None:
+                assert math.ceil(got - 1e-9) == math.ceil(want - 1e-9), (k, y, target, fit, ref)
+
+
+def test_fit_and_logistic_raise_no_overflow_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        fit_accuracy_curve([1, 2, 3], [0.0251, 0.0012, 0.0545])
+        refine_num_epoch([(1, 0.0251), (2, 0.0012), (3, 0.0545)], 0.5, 10)
+        assert LogisticFit(0.9, 50.0, 20.0, 0.0, 1).predict(0) == 0.0
 
 
 def test_simulate_accuracy_deterministic_and_clipped():
