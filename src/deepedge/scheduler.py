@@ -309,7 +309,8 @@ def _rounds_within(limit, r: np.ndarray) -> np.ndarray:
     return k
 
 
-# breakpoints _min_epoch sorts at once; with more, it halves its bracket first
+# breakpoints _min_epoch's bracket may hold, useful or not; with more, it
+# halves the bracket first (until halving can no longer split it)
 _MAX_BREAKPOINTS = 100_000
 
 
@@ -320,10 +321,15 @@ def _min_epoch(b: np.ndarray, r: np.ndarray, owner: np.ndarray, starts: np.ndarr
     ``b`` and ``r`` list every worker's feasible batches and their round
     times, grouped by ``owner`` with each group beginning at ``starts``. A
     worker's capacity lies between ``T * s - b_max`` and ``T * s``, ``s``
-    being its best samples per second, which brackets the answer.
-    Capacities change only where ``T`` is a whole number of some worker's
-    rounds; the breakpoints inside the bracket are sorted once, and each
-    one's gain in its worker's capacity is summed in time order.
+    being its best samples per second, which brackets the answer ``lo < T
+    <= hi``. Capacities change only at breakpoints, where ``T`` is a whole
+    number ``k`` of some worker's rounds, and only where the value ``k * b``
+    there is above the worker's capacity at ``lo``; the other breakpoints of
+    the bracket are dropped. The rest are sorted by time once, grouped by
+    worker (keeping time order) to take each one's gain over its worker's
+    running capacity, and the gains are summed in time order. The gains are
+    whole numbers, so the sums are exact and tied times may come in any
+    order.
     """
     def covered(T):
         return np.maximum.reduceat(b * _rounds_within(T, r), starts).sum()
@@ -334,30 +340,34 @@ def _min_epoch(b: np.ndarray, r: np.ndarray, owner: np.ndarray, starts: np.ndarr
     while covered(hi) < M:
         hi *= 2.0
     while True:
-        k_lo = _rounds_within(lo, r)
-        counts = (_rounds_within(hi, r) - k_lo).astype(int)
-        if counts.sum() <= _MAX_BREAKPOINTS:
-            break
+        k_lo, k_hi = _rounds_within(lo, r), _rounds_within(hi, r)
         mid = 0.5 * (lo + hi)
+        if (k_hi - k_lo).sum() <= _MAX_BREAKPOINTS or not lo < mid < hi:
+            break
         if covered(mid) >= M:
             hi = mid
         else:
             lo = mid
     base = np.maximum.reduceat(b * k_lo, starts)
+    # the first round count whose value tops the capacity at lo (base >= b * k_lo)
+    k_first = base[owner] // b + 1
+    counts = np.maximum(k_hi - k_first + 1, 0).astype(int)
     entry = np.arange(b.size).repeat(counts)
-    k = k_lo[entry] + 1 + np.arange(entry.size) - (counts.cumsum() - counts).repeat(counts)
-    times, worker, values = k * r[entry], owner[entry], k * b[entry]
-    order = np.lexsort((times, worker))
-    times, worker, values = times[order], worker[order], values[order]
+    k = k_first[entry] + np.arange(entry.size) - (counts.cumsum() - counts).repeat(counts)
+    times = k * r[entry]
+    by_time = times.argsort()
+    times, entry, k = times[by_time], entry[by_time], k[by_time]
+    worker = owner[entry]
+    # numpy's stable sort is a radix sort on ints of 16 bits or fewer
+    grouped =worker.astype(np.min_scalar_type(starts.size - 1)).argsort(kind="stable")
+    worker, values = worker[grouped], k[grouped] * b[entry[grouped]]
     # each worker's capacity after each of its breakpoints, and what that gained
     offset = values.max() + 1.0
-    reach = np.maximum(np.maximum.accumulate(values + worker * offset) - worker * offset,
-                       base[worker])
+    reach = np.maximum.accumulate(values + worker * offset) - worker * offset
     first = np.concatenate(([True], worker[1:] != worker[:-1]))
-    gain = reach - np.where(first, base[worker], np.concatenate(([0.0], reach[:-1])))
-    by_time = times.argsort(kind="stable")
-    covered_after = base.sum() + gain[by_time].cumsum()
-    return float(times[by_time][(covered_after >= M).argmax()])
+    gain = np.empty(reach.size)
+    gain[grouped] = reach - np.where(first, base[worker], np.concatenate(([0.0], reach[:-1])))
+    return float(times[(base.sum() + gain.cumsum() >= M).argmax()])
 
 
 def _epochs(d, b: np.ndarray, r: np.ndarray) -> np.ndarray:

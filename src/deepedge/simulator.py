@@ -134,7 +134,12 @@ def _jitter(rng, sigma: float, duration: float) -> float:
 def simulate(cluster: ClusterSpec, job: JobSpec, plan: Plan,
              registry: dict | None = None, seed: int = 0,
              config: SimConfig = SimConfig()) -> SimResult:
-    """Run one attempt of the plan to completion or first detected crash."""
+    """Run one attempt of the plan to completion or first detected crash.
+
+    A plan that does not fit the cluster and the job (an unknown or repeated
+    worker, shards that do not sum to the job, another epoch count, a batch
+    above ``min(b_max, shard)``) raises ``ValidationError`` naming the field.
+    """
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
     registry = registry if registry is not None else default_registry()
@@ -152,6 +157,13 @@ def simulate(cluster: ClusterSpec, job: JobSpec, plan: Plan,
     if plan.num_samples != job.num_samples:
         raise ValidationError(f"plan.assignments: shards sum to {plan.num_samples} samples, "
                               f"the job has {job.num_samples}")
+    if plan.num_epoch != job.num_epoch:
+        raise ValidationError(f"plan.num_epoch: {plan.num_epoch}, the job has {job.num_epoch}")
+    for i, a in enumerate(plan.assignments):
+        b_max = cluster.workers[index_of[a.worker_id]].b_max
+        if a.batch_size > min(b_max, a.num_samples):
+            raise ValidationError(f"plan.assignments[{i}].batch_size: {a.batch_size} is above "
+                                  f"min(b_max, num_samples) = min({b_max}, {a.num_samples})")
     for ev in config.crashes:
         if ev.worker_id not in index_of:
             raise ValidationError(f"crash script names unknown worker '{ev.worker_id}'")

@@ -336,6 +336,9 @@ BAD_DOCUMENTS = [
     ("plan", ("assignments", 0, "num_samples"), 5, "plan.assignments: shards sum to 1013"),
     ("plan", ("assignments", 0, "num_samples"), 0, "plan.assignments[0]"),
     ("plan", ("assignments", 1, "batch_size"), 0, "plan.assignments[1]"),
+    ("plan", ("assignments", 0, "batch_size"), 100000,
+     "plan.assignments[0].batch_size: 100000 is above min(b_max, num_samples) = min(64, 992)"),
+    ("plan", ("num_epoch",), 7, "plan.num_epoch: 7, the job has 2"),
     ("cluster", ("workers", 0, "background_apps", 0, "id"), 5,
      "cluster.workers[0].background_apps[0].id"),
     ("cluster", ("workers", 1, "background_apps", 0, "description"), 5,

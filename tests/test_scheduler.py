@@ -1,3 +1,4 @@
+import bisect
 import math
 import re
 from dataclasses import replace
@@ -339,6 +340,66 @@ def test_solve_same_plan_when_epoch_bracket_is_halved_first(monkeypatch):
     plans = [solve(cluster, job, reg) for cluster, job in cases]
     monkeypatch.setattr(scheduler, "_MAX_BREAKPOINTS", 1)
     assert [solve(cluster, job, reg) for cluster, job in cases] == plans
+
+
+def _random_table(rng, n_workers: int, tied: bool) -> tuple:
+    """A ``_min_epoch`` table: each worker's batches ascending with their
+    round times; with ``tied``, round times on a quarter-second grid, so
+    that breakpoints coincide within and across workers, and every other
+    worker a copy of the one before it."""
+    b, r, owner = [], [], []
+    for w in range(n_workers):
+        if tied and w % 2:
+            rows = [i for i, o in enumerate(owner) if o == w - 1]
+            b += [b[i] for i in rows]
+            r += [r[i] for i in rows]
+        else:
+            batches = np.unique(rng.integers(1, 65, size=int(rng.integers(1, 9))))
+            if tied:
+                times = 0.25 * rng.integers(1, 41, size=batches.size)
+            else:
+                times = batches * rng.uniform(0.01, 0.2) + rng.uniform(0.0, 0.5)
+            b += batches.tolist()
+            r += times.tolist()
+        owner += [w] * (len(b) - len(owner))
+    return np.array(b), np.array(r), np.array(owner)
+
+
+def _min_epoch_by_enumeration(b, r, owner, M: int) -> float:
+    """The smallest breakpoint time ``k * r_b`` at which the workers' summed
+    capacities cover ``M``, among every breakpoint up to a time that covers it."""
+    def covered(T):
+        caps = np.zeros(owner[-1] + 1)
+        np.maximum.at(caps, owner, b * scheduler._rounds_within(T, r))
+        return caps.sum()
+
+    top = r.min()
+    while covered(top) < M:
+        top *= 2.0
+    times = np.unique(np.concatenate([np.arange(1.0, top // r_b + 2) * r_b for r_b in r]))
+    # capacities never shrink as T grows, so the first time that covers M is
+    # found by bisection
+    first = bisect.bisect_left(times.tolist(), True, key=lambda T: covered(T) >= M)
+    return float(times[first])
+
+
+MIN_EPOCH_TABLES = ("one worker", "many workers", "tied times", "one breakpoint per bracket")
+
+
+@pytest.mark.parametrize("kind", MIN_EPOCH_TABLES)
+def test_min_epoch_matches_enumeration(kind, monkeypatch):
+    rng = np.random.default_rng(MIN_EPOCH_TABLES.index(kind))
+    if kind == "one breakpoint per bracket":
+        monkeypatch.setattr(scheduler, "_MAX_BREAKPOINTS", 1)
+    for case in range(75):
+        n_workers = (1 if kind == "one worker" else
+                     int(rng.integers(100, 151)) if kind == "many workers" else
+                     int(rng.integers(1, 20)))
+        b, r, owner = _random_table(rng, n_workers, tied=kind == "tied times" or bool(case % 2))
+        M = int(rng.integers(1, 20_001))
+        starts = owner.searchsorted(np.arange(n_workers))
+        assert (scheduler._min_epoch(b, r, owner, starts, M)
+                == _min_epoch_by_enumeration(b, r, owner, M)), (kind, case)
 
 
 def test_solve_never_splits_below_the_minimum_batch():

@@ -422,6 +422,7 @@ def test_simulate_checks_the_plan_against_the_job():
     plan = solve(cluster, job)
     first, second, *rest = plan.assignments
     short = 1600 - first.num_samples + 5
+    top = min(cluster.worker(first.worker_id).b_max, first.num_samples)
     cases = [
         ([first, replace(second, worker_id=first.worker_id)],
          f"plan.assignments[1]: worker '{first.worker_id}' is assigned twice"),
@@ -429,10 +430,17 @@ def test_simulate_checks_the_plan_against_the_job():
          f"plan.assignments: shards sum to {short} samples, the job has 1600"),
         ([replace(first, batch_size=0), second], "plan.assignments[0]: num_samples and batch_size"),
         ([replace(first, num_samples=0), second], "plan.assignments[0]: num_samples and batch_size"),
+        ([replace(first, batch_size=top + 1), second],
+         f"plan.assignments[0].batch_size: {top + 1} is above min(b_max, num_samples)"),
     ]
     for assignments, message in cases:
         with pytest.raises(ValidationError, match=re.escape(message)):
             simulate(cluster, job, replace(plan, assignments=tuple(assignments + rest)))
+    with pytest.raises(ValidationError, match=re.escape("plan.num_epoch: 7, the job has 1")):
+        simulate(cluster, job, replace(plan, num_epoch=7))
+    # the largest batch the bound allows still runs
+    at_top = replace(plan, assignments=(replace(first, batch_size=top), second, *rest))
+    assert simulate(cluster, job, at_top).status == "completed"
 
 
 def test_simulate_rejects_a_worker_with_no_rate_for_the_job_store():
