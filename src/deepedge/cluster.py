@@ -1,9 +1,13 @@
 """Cluster, job, and node-state data model and their JSON documents.
 
-Documents are read and written by the codec in ``documents``: unknown
-fields are rejected so typos in experiment configs surface early instead of
-silently doing nothing. Utilizations are fractions in [0, 1]; configs may
-spell them as percentage strings ("88%"), normalized at load time.
+Every spec checks its own invariants when it is built, whether by hand, by
+``dataclasses.replace`` or from a document, and raises ``ValidationError``
+naming the first broken field; ``validate`` checks only what ties a cluster
+and a job together. Documents are read and written by the codec in
+``documents``: unknown fields are rejected so typos in experiment configs
+surface early instead of silently doing nothing. Utilizations are fractions
+in [0, 1]; configs may spell them as percentage strings ("88%"), normalized
+at load time.
 """
 
 from __future__ import annotations
@@ -45,14 +49,22 @@ class BackgroundApp:
     deadline: float
     description: str = ""
 
-    def violations(self, ctx: str = "") -> list[str]:
-        prefix = f"{ctx}background_app '{self.id}'" if self.id else f"{ctx}background_app"
-        out = []
+    def __post_init__(self):
         if not self.id:
-            out.append(f"{prefix}.id: must be non-empty")
-        if not isinstance(self.deadline, (int, float)) or self.deadline <= 0 or not math.isfinite(self.deadline):
-            out.append(f"{prefix}.deadline: must be a positive finite number of seconds")
-        return out
+            raise ValidationError("background_app.id: must be non-empty")
+        if not (isinstance(self.deadline, (int, float)) and 0 < self.deadline < math.inf):
+            raise ValidationError(f"background_app '{self.id}'.deadline: must be a positive "
+                                  f"finite number of seconds")
+
+
+def _duplicate(ids):
+    """The first id that occurs a second time, or None."""
+    seen = set()
+    for i in ids:
+        if i in seen:
+            return i
+        seen.add(i)
+    return None
 
 
 @dataclass(frozen=True)
@@ -69,40 +81,29 @@ class WorkerSpec:
     # seconds per sample, keyed by data store id
     per_sample_transfer_cost: dict[str, float] = field(default_factory=dict)
 
-    def violations(self) -> list[str]:
-        prefix = f"worker '{self.id}'"
-        out = []
+    def __post_init__(self):
+        b_min, b_max, apps = self.b_min, self.b_max, self.background_apps
         if not self.id:
-            out.append("worker.id: must be non-empty")
+            raise ValidationError("worker.id: must be non-empty")
         if not self.device_class:
-            out.append(f"{prefix}.device_class: must be non-empty")
-        if type(self.b_min) is not int or type(self.b_max) is not int:
-            out.append(f"{prefix}.b_min/b_max: must be integers")
-            return out
-        if self.b_min < 1:
-            out.append(f"{prefix}.b_min: must be >= 1, got {self.b_min}")
-        if self.b_max < self.b_min:
-            out.append(f"{prefix}.b_max: must be >= b_min, got b_min={self.b_min} b_max={self.b_max}")
-        if not math.isfinite(self.init_cost) or self.init_cost < 0:
-            out.append(f"{prefix}.init_cost: must be >= 0 seconds")
-        seen = set()
-        for app in self.background_apps:
-            out.extend(app.violations(ctx=f"{prefix}."))
-            if app.id in seen:
-                out.append(f"{prefix}.background_apps: duplicate app id '{app.id}'")
-            seen.add(app.id)
-        for store, cost in self.per_sample_transfer_cost.items():
-            if not isinstance(cost, (int, float)) or not math.isfinite(cost) or cost < 0:
-                out.append(f"{prefix}.per_sample_transfer_cost['{store}']: must be >= 0 seconds/sample")
-        return out
-
-
-def _duplicates(ids) -> list:
-    """The ids that occur more than once, sorted."""
-    seen, twice = set(), set()
-    for i in ids:
-        (twice if i in seen else seen).add(i)
-    return sorted(twice)
+            problem = "device_class: must be non-empty"
+        elif type(b_min) is not int or type(b_max) is not int:
+            problem = "b_min/b_max: must be integers"
+        elif b_min < 1:
+            problem = f"b_min: must be >= 1, got {b_min}"
+        elif b_max < b_min:
+            problem = f"b_max: must be >= b_min, got b_min={b_min} b_max={b_max}"
+        elif not 0 <= self.init_cost < math.inf:
+            problem = "init_cost: must be >= 0 seconds"
+        elif len(apps) > 1 and (twice := _duplicate(app.id for app in apps)):
+            problem = f"background_apps: duplicate app id '{twice}'"
+        else:
+            problem = next((f"per_sample_transfer_cost['{store}']: must be >= 0 seconds/sample"
+                            for store, cost in self.per_sample_transfer_cost.items()
+                            if not (isinstance(cost, (int, float)) and 0 <= cost < math.inf)),
+                           None)
+        if problem:
+            raise ValidationError(f"worker '{self.id}'.{problem}")
 
 
 @dataclass(frozen=True)
@@ -114,19 +115,17 @@ class ClusterSpec:
     ps_state: NodeState
     data_stores: tuple[str, ...]
 
-    def violations(self) -> list[str]:
-        out = []
+    def __post_init__(self):
         if not self.workers:
-            out.append("workers: at least one worker is required")
-        for wid in _duplicates(w.id for w in self.workers):
-            out.append(f"workers: duplicate worker id '{wid}'")
+            raise ValidationError("workers: at least one worker is required")
+        twice = _duplicate(w.id for w in self.workers)
+        if twice is not None:
+            raise ValidationError(f"workers: duplicate worker id '{twice}'")
         if not self.data_stores:
-            out.append("data_stores: at least one data store is required")
-        for sid in _duplicates(self.data_stores):
-            out.append(f"data_stores: duplicate store id '{sid}'")
-        for w in self.workers:
-            out.extend(w.violations())
-        return out
+            raise ValidationError("data_stores: at least one data store is required")
+        twice = _duplicate(self.data_stores)
+        if twice is not None:
+            raise ValidationError(f"data_stores: duplicate store id '{twice}'")
 
     def worker(self, worker_id: str) -> WorkerSpec:
         for w in self.workers:
@@ -145,32 +144,28 @@ class JobSpec:
     source_store: str
     target_accuracy: float | None = None
 
-    def violations(self) -> list[str]:
-        out = []
+    def __post_init__(self):
         if type(self.num_samples) is not int or self.num_samples < 1:
-            out.append(f"job.num_samples: must be a positive integer, got {self.num_samples}")
+            raise ValidationError(f"job.num_samples: must be a positive integer, "
+                                  f"got {self.num_samples}")
         if type(self.num_epoch) is not int or self.num_epoch < 1:
-            out.append(f"job.num_epoch: must be a positive integer, got {self.num_epoch}")
+            raise ValidationError(f"job.num_epoch: must be a positive integer, got {self.num_epoch}")
         if not self.source_store:
-            out.append("job.source_store: must be non-empty")
+            raise ValidationError("job.source_store: must be non-empty")
         if self.target_accuracy is not None and not 0.0 < self.target_accuracy <= 1.0:
-            out.append(f"job.target_accuracy: must lie in (0, 1], got {self.target_accuracy}")
-        return out
+            raise ValidationError(f"job.target_accuracy: must lie in (0, 1], "
+                                  f"got {self.target_accuracy}")
 
 
 def validate(cluster: ClusterSpec, job: JobSpec) -> list[str]:
-    """Every violated invariant as a message; empty list means schedulable input."""
-    out = cluster.violations() + job.violations()
-    if job.source_store and job.source_store not in cluster.data_stores:
-        out.append(f"job.source_store: '{job.source_store}' is not one of the cluster's data stores")
-    else:
-        for w in cluster.workers:
-            if job.source_store and job.source_store not in w.per_sample_transfer_cost:
-                out.append(
-                    f"worker '{w.id}'.per_sample_transfer_cost: no entry for source store "
-                    f"'{job.source_store}'"
-                )
-    return out
+    """What makes a cluster and a job, each valid on its own, unfit for each
+    other, as messages; an empty list means schedulable input. The job's store
+    must be one of the cluster's, and every worker needs a transfer cost for it."""
+    store = job.source_store
+    if store not in cluster.data_stores:
+        return [f"job.source_store: '{store}' is not one of the cluster's data stores"]
+    return [f"worker '{w.id}'.per_sample_transfer_cost: no entry for source store '{store}'"
+            for w in cluster.workers if store not in w.per_sample_transfer_cost]
 
 
 # --- documents ----------------------------------------------------------------

@@ -6,9 +6,11 @@ when None), ``tuple[X, ...]`` as a list, ``dict[str, X]`` as an object,
 ``Any`` as any JSON value, and nested dataclasses. ``doc_field`` declares a
 field's document key or value reader where they differ. A class with a
 ``DOCUMENT`` name is a top-level document and carries ``"schema": 1``.
-Unknown, missing and mistyped fields, then the first of ``violations()``,
-raise ``ValidationError`` naming the path, e.g.
-``plan.assignments[0].cost.train: missing``. Each class's reader and writer
+Unknown, missing and mistyped fields raise ``ValidationError`` naming the
+path, e.g. ``plan.assignments[0].cost.train: missing``; so does a class's
+own check in ``__post_init__``, its message prefixed with the path unless it
+starts with it already, e.g. ``cluster.workers[0]: worker 'w0'.b_max: ...``
+or ``job.num_samples: ...``. Each class's reader and writer
 are compiled once, so a document costs what hand-written code does.
 ``csv_rows`` reads the CSV tables (profiling sweeps, simulator traces) and
 names a bad row by ``path:line``.
@@ -145,10 +147,7 @@ def decode(doc):
         raise ValidationError(f"expected an object, got {{doc!r}}")
     if not keys.issuperset(doc):
         raise ValidationError(f"unknown field {{next(k for k in doc if k not in keys)!r}}"){reads}
-    try:
-        return cls({args})
-    except ValidationError as exc:
-        raise at("", exc)"""
+    return cls({args})"""
 _READ = """
     try:
         v{i} = read_{i}(doc[{key!r}]){default}
@@ -212,15 +211,12 @@ def from_doc(cls: type, doc, ctx: str | None = None):
         found = repr(doc["schema"]) if "schema" in doc else "nothing"
         raise ValidationError(f"{ctx}.schema: expected {SCHEMA_VERSION}, found {found}")
     try:
-        obj = spec.decode(doc)
+        return spec.decode(doc)
     except ValidationError as exc:
-        raise ValidationError(f"{ctx}{exc.path}: {exc}") from None
-    problems = obj.violations() if hasattr(obj, "violations") else ()
-    if problems:
+        where, message = f"{ctx}{exc.path}", str(exc)
         # prefixed with the path unless the message starts with it already
-        raise ValidationError(problems[0] if problems[0].startswith(ctx)
-                              else f"{ctx}: {problems[0]}")
-    return obj
+        raise ValidationError(message if message.startswith(where)
+                              else f"{where}: {message}") from None
 
 
 def to_doc(obj) -> dict:

@@ -53,6 +53,15 @@ def _clamp(value, low, high=math.inf):
     return min(high, max(low, value))
 
 
+# the profile coefficients that may be zero but not negative
+_NON_NEGATIVE = (
+    "base_backward", "cpu_slope", "gpu_slope", "base_push", "base_pull", "ps_update",
+    "ps_cpu_slope", "contention_slope", "batch_update_coef", "mem_per_batch_unit",
+    "cpu_pressure", "gpu_pressure", "bg_base_exec", "bg_cpu_slope", "bg_gpu_slope",
+    "bg_mem_slope",
+)
+
+
 @dataclass(frozen=True)
 class ParametricProfile:
     """Closed-form estimator coefficients for one device class.
@@ -89,23 +98,17 @@ class ParametricProfile:
     bg_gpu_slope: float = 0.0
     bg_mem_slope: float = 0.0
 
-    def violations(self) -> list[str]:
-        out = []
-        if not (math.isfinite(self.base_forward) and self.base_forward > 0):
-            out.append(f"profile.base_forward: must be > 0 seconds/sample, got {self.base_forward}")
-        non_negative = (
-            "base_backward", "cpu_slope", "gpu_slope", "base_push", "base_pull",
-            "ps_update", "ps_cpu_slope", "contention_slope", "batch_update_coef",
-            "mem_per_batch_unit", "cpu_pressure", "gpu_pressure",
-            "bg_base_exec", "bg_cpu_slope", "bg_gpu_slope", "bg_mem_slope",
-        )
-        for name in non_negative:
+    def __post_init__(self):
+        if not 0 < self.base_forward < math.inf:
+            raise ValidationError(f"base_forward: must be > 0 seconds/sample, "
+                                  f"got {self.base_forward}")
+        for name in _NON_NEGATIVE:
             value = getattr(self, name)
-            if not math.isfinite(value) or value < 0:
-                out.append(f"profile.{name}: must be >= 0, got {value}")
-        if not (math.isfinite(self.base_mem_footprint) and 0.0 <= self.base_mem_footprint < 1.0):
-            out.append(f"profile.base_mem_footprint: must lie in [0, 1), got {self.base_mem_footprint}")
-        return out
+            if not 0 <= value < math.inf:
+                raise ValidationError(f"{name}: must be >= 0, got {value}")
+        if not 0.0 <= self.base_mem_footprint < 1.0:
+            raise ValidationError(f"base_mem_footprint: must lie in [0, 1), "
+                                  f"got {self.base_mem_footprint}")
 
     # The closed form of each target, named after it. Like FittedFunction.estimate
     # they take (state, batch size, parameter-server state, worker count), and
@@ -197,21 +200,18 @@ class FittedFunction:
     test_mape: float | None = None
 
     def __post_init__(self):
-        expected = len(basis_terms(self.feature_names))
+        if self.target not in TARGETS:
+            raise ValidationError(f"target: unknown target '{self.target}'")
+        features = FEATURES_BY_TARGET[self.target]
+        if tuple(self.feature_names) != features:
+            raise ValidationError(f"features: expected {list(features)} for target "
+                                  f"'{self.target}', got {list(self.feature_names)}")
+        expected = len(basis_terms(features))
         if len(self.coefficients) != expected:
             raise ValidationError(
                 f"fitted '{self.target}': expected {expected} coefficients for "
-                f"features {list(self.feature_names)}, got {len(self.coefficients)}"
+                f"features {list(features)}, got {len(self.coefficients)}"
             )
-
-    def violations(self) -> list[str]:
-        if self.target not in TARGETS:
-            return [f"target: unknown target '{self.target}'"]
-        expected = FEATURES_BY_TARGET[self.target]
-        if self.feature_names != expected:
-            return [f"features: expected {list(expected)} for target '{self.target}', "
-                    f"got {list(self.feature_names)}"]
-        return []
 
     @cached_property
     def _coefficients(self) -> np.ndarray:
@@ -291,10 +291,6 @@ class EstimatorBundle:
                 raise ValidationError(
                     f"bundle '{self.device_class}': no profile and no fitted model for {missing}"
                 )
-        else:
-            problems = self.profile.violations()
-            if problems:
-                raise ValidationError(f"bundle '{self.device_class}': {problems[0]}")
         for target in self.models:
             if target not in TARGETS:
                 raise ValidationError(f"bundle '{self.device_class}': unknown target '{target}'")
@@ -353,8 +349,9 @@ class EstimatorBundle:
         """Runtime of the co-located background task under the given state."""
         return self._estimate["exec_time"](state, None, None, 1)
 
-    def max_batch_size(self, mem_util, b_min, b_max, mem_ceiling: float = MEM_CEILING):
-        """Largest batch in [b_min, b_max] keeping projected memory <= ceiling; 0 if none.
+    def max_batch_size(self, mem_util, b_min, b_max):
+        """Largest batch in [b_min, b_max] keeping projected memory <= ``MEM_CEILING``;
+        0 if none.
 
         Projected memory need not grow with the batch size (a fitted model may
         dip), so each worker's batches are checked from its ``b_max`` down, at
@@ -380,7 +377,7 @@ class EstimatorBundle:
             batches = (top[live] + starts).repeat(counts) - np.arange(owner.size)
             mem_rows = mem[owner]
             fits = _clamp(self._estimate["state_mem"](StateTable(0.0, 0.0, mem_rows), batches,
-                                                      None, 1), mem_rows, 1.0) <= mem_ceiling
+                                                      None, 1), mem_rows, 1.0) <= MEM_CEILING
             # the largest fitting batch of each worker's block, 0 for none
             block = np.maximum.reduceat(batches * fits, starts)
             found[live] = block

@@ -410,21 +410,22 @@ class BenchReport:
     num_samples: int
     num_epoch: int
 
-    def violations(self) -> list[str]:
-        """Summary fields that disagree with the trials or are out of range."""
+    def __post_init__(self):
+        """Summary fields must agree with the trials and lie in range."""
         counted = {"n_trials": len(self.trials),
                    "violations_heuristic": sum(t.heuristic_violations for t in self.trials),
                    "violations_fairness": sum(t.fairness_violations for t in self.trials)}
-        out = [f"bench report.{name}: {getattr(self, name)}, but the trials count {n}"
-               for name, n in counted.items() if getattr(self, name) != n]
+        for name, n in counted.items():
+            if getattr(self, name) != n:
+                raise ValidationError(f"bench report.{name}: {getattr(self, name)}, "
+                                      f"but the trials count {n}")
         if not 0.0 <= self.frac_speedup_ge_1_5 <= 1.0:
-            out.append(f"bench report.frac_speedup_ge_1_5: must lie in [0, 1], "
-                       f"got {self.frac_speedup_ge_1_5}")
+            raise ValidationError(f"bench report.frac_speedup_ge_1_5: must lie in [0, 1], "
+                                  f"got {self.frac_speedup_ge_1_5}")
         counts = self.histogram.counts
         if min(counts, default=0) < 0 or sum(counts) > self.n_trials:
-            out.append(f"bench report.histogram.counts: must be >= 0 and sum to at most "
-                       f"{self.n_trials} trials, got {list(counts)}")
-        return out
+            raise ValidationError(f"bench report.histogram.counts: must be >= 0 and sum to at "
+                                  f"most {self.n_trials} trials, got {list(counts)}")
 
 
 HISTOGRAM_EDGES = tuple(round(0.8 + 0.2 * i, 1) for i in range(13))  # 0.8 .. 3.2

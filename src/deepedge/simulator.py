@@ -429,11 +429,11 @@ def inject_and_recover(cluster: ClusterSpec, job: JobSpec,
         if strikes[wid] >= config.max_strikes:
             excluded.append(wid)
             events.append(ArcEvent(offset, "excluded", wid))
-            active_cluster = replace(
-                active_cluster,
-                workers=tuple(w for w in active_cluster.workers if w.id != wid))
             pending = [e for e in pending if e.worker_id != wid]
-            try:
+            try:  # a cluster with no worker left fails to build
+                active_cluster = replace(
+                    active_cluster,
+                    workers=tuple(w for w in active_cluster.workers if w.id != wid))
                 current_plan = solve(active_cluster, job, registry)
             except (InfeasibleScheduleError, ValidationError):
                 phases.append(PhaseChange(offset, JobPhase.ABANDONED))

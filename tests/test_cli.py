@@ -345,13 +345,23 @@ BAD_DOCUMENTS = [
      "cluster.workers[1].background_apps[0].description"),
     ("cluster", ("workers", 0, "per_sample_transfer_cost"), 0.001,
      "cluster.workers[0].per_sample_transfer_cost"),
+    ("cluster", ("workers", 0, "b_max"), 0,
+     "cluster.workers[0]: worker 'tx2-0'.b_max: must be >= b_min, got b_min=1 b_max=0"),
+    ("cluster", ("workers", 1, "id"), "tx2-0", "cluster: workers: duplicate worker id 'tx2-0'"),
+    ("cluster", ("workers", 2, "init_cost"), -5.0,
+     "cluster.workers[2]: worker 'nano-1'.init_cost: must be >= 0 seconds"),
     ("job", ("source_store",), 5, "job.source_store"),
+    ("job", ("num_samples",), 0, "error: job.num_samples: must be a positive integer, got 0"),
     ("job", ("epsilon",), 0.5, "job: unknown field 'epsilon'"),
     ("job", ("tau",), 40, "job: unknown field 'tau'"),
     ("registry", ("devices", "nano", "models", "exec_time", "schema"), 1,
      "registry.devices['nano'].models['exec_time']: unknown field 'schema'"),
     ("registry", ("devices", "nano", "models", "exec_time", "terms"), ["1"],
      "registry.devices['nano'].models['exec_time']: expected target 'exec_time' with terms"),
+    ("registry", ("devices", "tx2", "profile", "base_forward"), 0,
+     "registry.devices['tx2'].profile: base_forward: must be > 0 seconds/sample, got 0.0"),
+    ("registry", ("devices", "nano", "models", "exec_time", "target"), "bogus",
+     "registry.devices['nano'].models['exec_time']: target: unknown target 'bogus'"),
     ("bench", ("trials", 0, "surprise"), 1, "bench report.trials[0]: unknown field 'surprise'"),
     ("bench", ("mean_speedup",), float("nan"), "bench report.mean_speedup: must be finite"),
     ("bench", ("trials", 0, "speedup"), DELETE, "bench report.trials[0].speedup: missing"),
@@ -409,4 +419,7 @@ def test_bad_input_is_a_clean_error(argv, named, tmp_path, capsys):
     assert code == 1
     assert err.startswith("error:")
     assert named in err
+    # the message names its path once
+    where = err.removeprefix("error: ").split(": ")[0]
+    assert err.count(where) == 1
     assert "Traceback" not in err

@@ -1,5 +1,6 @@
 import json
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -133,12 +134,28 @@ def test_validate_flags_unknown_store():
     assert "nowhere" in problems[0]
 
 
+def _raises_when_built(cls, good: dict, field: str, **bad):
+    """``cls`` refuses ``bad`` values with a ValidationError naming ``field``,
+    whether built directly or by ``dataclasses.replace`` of a good one."""
+    with pytest.raises(ValidationError, match=re.escape(field)):
+        cls(**{**good, **bad})
+    with pytest.raises(ValidationError, match=re.escape(field)):
+        replace(cls(**good), **bad)
+
+
+WORKER = dict(id="w", device_class="tx2", initial_state=NodeState(0, 0, 0), b_min=1, b_max=4)
+
+
 def test_worker_batch_bounds_checked():
-    w = WorkerSpec(id="w", device_class="tx2", initial_state=NodeState(0, 0, 0),
-                   b_min=8, b_max=2)
-    problems = w.violations()
-    assert len(problems) == 1
-    assert "b_max" in problems[0]
+    _raises_when_built(WorkerSpec, WORKER, "worker 'w'.b_max: must be >= b_min", b_min=8, b_max=2)
+    _raises_when_built(WorkerSpec, WORKER, "worker 'w'.b_min: must be >= 1", b_min=0)
+
+
+def test_a_testbed_worker_with_a_negative_init_cost_cannot_be_built():
+    # such a tx2 once reached simulate, and its training started before its set-up
+    tx2 = default_testbed().workers[0]
+    _raises_when_built(WorkerSpec, vars(tx2), "worker 'tx2-0'.init_cost", init_cost=-5.0,
+                       b_min=50)
 
 
 def test_node_state_rejects_bad_values():
@@ -151,18 +168,20 @@ def test_node_state_rejects_bad_values():
 
 
 def test_duplicate_ids_flagged():
-    w = WorkerSpec(id="w", device_class="tx2", initial_state=NodeState(0, 0, 0),
-                   b_min=1, b_max=4)
-    cluster = ClusterSpec(workers=(w, w), ps_state=NodeState(0, 0, 0),
-                          data_stores=("s", "s"))
-    problems = cluster.violations()
-    assert any("duplicate worker id" in p for p in problems)
-    assert any("duplicate store id" in p for p in problems)
+    w = WorkerSpec(**WORKER)
+    good = dict(workers=(w,), ps_state=NodeState(0, 0, 0), data_stores=("s",))
+    _raises_when_built(ClusterSpec, good, "workers: duplicate worker id 'w'", workers=(w, w))
+    _raises_when_built(ClusterSpec, good, "data_stores: duplicate store id 's'",
+                       data_stores=("s", "s"))
+    app = BackgroundApp(id="a", deadline=0.1)
+    _raises_when_built(WorkerSpec, WORKER, "worker 'w'.background_apps: duplicate app id 'a'",
+                       background_apps=(app, app))
 
 
 def test_background_app_needs_positive_deadline():
-    app = BackgroundApp(id="a", deadline=0.0)
-    assert any("deadline" in p for p in app.violations())
+    for deadline in (0.0, -1.0, float("nan"), float("inf")):
+        _raises_when_built(BackgroundApp, dict(id="a", deadline=0.1), "'a'.deadline",
+                           deadline=deadline)
 
 
 def test_cluster_round_trip(tmp_path):
@@ -189,11 +208,11 @@ def test_doc_round_trip_equality():
 
 
 def test_job_field_validation():
-    assert JobSpec(num_samples=0, num_epoch=1, source_store="s").violations()
-    assert JobSpec(num_samples=1, num_epoch=0, source_store="s").violations()
-    assert JobSpec(num_samples=1, num_epoch=1, source_store="").violations()
-    assert JobSpec(num_samples=1, num_epoch=1, source_store="s",
-                   target_accuracy=1.5).violations()
+    good = dict(num_samples=1, num_epoch=1, source_store="s")
+    _raises_when_built(JobSpec, good, "job.num_samples", num_samples=0)
+    _raises_when_built(JobSpec, good, "job.num_epoch", num_epoch=0)
+    _raises_when_built(JobSpec, good, "job.source_store", source_store="")
+    _raises_when_built(JobSpec, good, "job.target_accuracy", target_accuracy=1.5)
 
 
 def test_loading_garbage_never_crashes(tmp_path):
@@ -238,7 +257,6 @@ def test_random_documents_round_trip():
             ))
         cluster = ClusterSpec(workers=tuple(workers),
                               ps_state=NodeState(*(float(v) for v in rng.uniform(0, 1, 3))),
-                              data_stores=stores)
-        assert cluster.violations() == []
+                              data_stores=stores)  # which checks itself
         doc = json.loads(json.dumps(to_doc(cluster)))
         assert cluster_from_doc(doc) == cluster

@@ -4,6 +4,7 @@ import pytest
 from deepedge import (EstimatorBundle, NodeState, ParametricProfile,
                       ValidationError, bundle_for, default_registry,
                       load_registry, save_registry)
+from deepedge import estimators
 from deepedge.estimators import DEVICE_PROFILES
 
 IDLE = NodeState(0.0, 0.0, 0.0)
@@ -142,7 +143,7 @@ def test_max_batch_linear_scan_value():
     assert type(bundle.max_batch_size(0.3, 1, 64)) is int
 
 
-def test_max_batch_matches_linear_scan_on_fitted_models(random_fitted_registry):
+def test_max_batch_matches_linear_scan_on_fitted_models(random_fitted_registry, monkeypatch):
     rng = np.random.default_rng(8)
     registry = random_fitted_registry(rng)
     for bundle in registry.values():
@@ -153,11 +154,13 @@ def test_max_batch_matches_linear_scan_on_fitted_models(random_fitted_registry):
             ceiling = bundle.est_state(probe, int(rng.integers(1, b_max + 1))).mem_util
             scan = next((b for b in range(b_max, 0, -1)
                          if bundle.est_state(probe, b).mem_util <= ceiling), 0)
-            assert bundle.max_batch_size(mem, 1, b_max, ceiling) == scan
+            monkeypatch.setattr(estimators, "MEM_CEILING", ceiling)
+            assert bundle.max_batch_size(mem, 1, b_max) == scan
 
 
 @pytest.mark.parametrize("kind", ["parametric", "fitted"])
-def test_max_batch_over_arrays_matches_one_call_per_worker(kind, random_fitted_registry):
+def test_max_batch_over_arrays_matches_one_call_per_worker(kind, random_fitted_registry,
+                                                           monkeypatch):
     rng = np.random.default_rng(9)
     registry = default_registry() if kind == "parametric" else random_fitted_registry(rng)
     for bundle in registry.values():
@@ -166,7 +169,8 @@ def test_max_batch_over_arrays_matches_one_call_per_worker(kind, random_fitted_r
         b_min = rng.integers(1, 40, 40)
         b_max = b_min + rng.choice([0, 15, 1023, 1024, 3000], 40)
         ceiling = float(rng.uniform(0.5, 0.95))
-        batched = bundle.max_batch_size(mem, b_min, b_max, ceiling)
+        monkeypatch.setattr(estimators, "MEM_CEILING", ceiling)
+        batched = bundle.max_batch_size(mem, b_min, b_max)
         scan = []
         for m, lo, hi in zip(mem, b_min, b_max):
             batches = np.arange(lo, hi + 1)
