@@ -524,9 +524,11 @@ def solve(cluster: ClusterSpec, job: JobSpec, registry: dict | None = None) -> P
     # background deadlines are checked at the largest batch a worker could run
     for i, exec_time in zip(tables.failed.tolist(), tables.at_cap.tolist()):
         w = workers[i]
+        late = next(app for app in w.background_apps
+                    if not _meets_deadline(exec_time, app.deadline))
         removal_log.append(Removal(
             w.id, "pressure",
-            f"background task '{w.background_apps[0].id}' projected at {exec_time:.4f} s "
+            f"background task '{late.id}' projected at {exec_time:.4f} s "
             f"over its deadline with batch {maxbatch[i]}"))
     for i, top in zip(tables.empty.tolist(), tables.top.tolist()):
         removal_log.append(Removal(
@@ -582,7 +584,9 @@ def fairness_plan(cluster: ClusterSpec, job: JobSpec, registry: dict | None = No
     """Equal shards for every worker, no interference awareness.
 
     The remainder goes to the lowest worker ids; batch size is capped by the
-    memory scan but deadlines of co-located tasks are ignored.
+    memory scan but deadlines of co-located tasks are ignored. A worker with
+    a shard below its ``b_min``, or no batch that fits in memory, makes the
+    plan infeasible.
     """
     registry = registry if registry is not None else default_registry()
     problems = validate(cluster, job)
@@ -592,17 +596,19 @@ def fairness_plan(cluster: ClusterSpec, job: JobSpec, registry: dict | None = No
     n = len(workers)
     base, extra = divmod(job.num_samples, n)
     int_shares = {w.id: base + (1 if i < extra else 0) for i, w in enumerate(workers)}
-    bundles = {w.id: bundle_for(registry, w.device_class) for w in cluster.workers}
-    maxbatch = {w.id: bundles[w.id].max_batch_size(w.initial_state.mem_util, w.b_min,
-                                                   w.b_max)
-                for w in workers}
     assigned = [w for w in workers if int_shares[w.id] > 0]
     rows = []
     for w in assigned:
-        d = int_shares[w.id]
+        d, bundle = int_shares[w.id], bundle_for(registry, w.device_class)
+        if d < w.b_min:
+            raise InfeasibleScheduleError(f"worker '{w.id}': an equal shard of {d} samples "
+                                          f"is below its b_min of {w.b_min}")
+        cap = bundle.max_batch_size(w.initial_state.mem_util, w.b_min, w.b_max)
+        if cap == 0:
+            raise InfeasibleScheduleError(f"worker '{w.id}': no batch in [{w.b_min}, {w.b_max}] "
+                                          f"keeps projected memory under {MEM_CEILING:.2f}")
         # the naive rule: memory cap or the whole shard, whichever is smaller
-        b = max(1, min(maxbatch[w.id], d))
-        bundle = bundles[w.id]
+        b = min(cap, d)
         rows.append((d, b, bundle.est_compute_time(w.initial_state, b),
                      bundle.est_update_time(w.initial_state, b, cluster.ps_state, len(assigned)),
                      _transfer_rate(w, job.source_store), w.init_cost))

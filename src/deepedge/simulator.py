@@ -138,7 +138,8 @@ def simulate(cluster: ClusterSpec, job: JobSpec, plan: Plan,
 
     A plan that does not fit the cluster and the job (an unknown or repeated
     worker, shards that do not sum to the job, another epoch count, a batch
-    above ``min(b_max, shard)``) raises ``ValidationError`` naming the field.
+    above ``min(b_max, shard)`` or below ``b_min``) raises ``ValidationError``
+    naming the field.
     """
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
@@ -160,10 +161,13 @@ def simulate(cluster: ClusterSpec, job: JobSpec, plan: Plan,
     if plan.num_epoch != job.num_epoch:
         raise ValidationError(f"plan.num_epoch: {plan.num_epoch}, the job has {job.num_epoch}")
     for i, a in enumerate(plan.assignments):
-        b_max = cluster.workers[index_of[a.worker_id]].b_max
-        if a.batch_size > min(b_max, a.num_samples):
+        w = cluster.workers[index_of[a.worker_id]]
+        if a.batch_size > min(w.b_max, a.num_samples):
             raise ValidationError(f"plan.assignments[{i}].batch_size: {a.batch_size} is above "
-                                  f"min(b_max, num_samples) = min({b_max}, {a.num_samples})")
+                                  f"min(b_max, num_samples) = min({w.b_max}, {a.num_samples})")
+        if a.batch_size < w.b_min:
+            raise ValidationError(f"plan.assignments[{i}].batch_size: {a.batch_size} is below "
+                                  f"b_min = {w.b_min}")
     for ev in config.crashes:
         if ev.worker_id not in index_of:
             raise ValidationError(f"crash script names unknown worker '{ev.worker_id}'")

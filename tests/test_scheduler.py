@@ -279,6 +279,23 @@ def test_solve_checks_pressure_at_the_memory_capped_batch():
     assert removal.detail.endswith(f"with batch {cap}")
 
 
+def test_a_deadline_removal_names_an_app_that_misses_its_deadline():
+    reg = default_registry()
+    nano = bundle_for(reg, "nano")
+    state = NodeState(0.2, 0.2, 0.2)
+    at_cap = nano.est_exec_time(nano.est_state(state, nano.max_batch_size(0.2, 1, 64)))
+    # the first app meets its deadline at the cap, the second misses it
+    apps = (BackgroundApp(id="bg-0", deadline=at_cap + 0.01),
+            BackgroundApp(id="bg-1", deadline=at_cap - 0.01))
+    w = WorkerSpec(id="nano-x", device_class="nano", initial_state=state, background_apps=apps,
+                   b_min=1, b_max=64, per_sample_transfer_cost={STORE: 0.0})
+    testbed = default_testbed()
+    cluster = replace(testbed, workers=testbed.workers + (w,))
+    plan = solve(cluster, JobSpec(num_samples=2000, num_epoch=2, source_store=STORE), reg)
+    [removal] = [r for r in plan.removed if r.worker_id == "nano-x"]
+    assert removal.detail.startswith(f"background task 'bg-1' projected at {at_cap:.4f} s")
+
+
 def test_audit_counts_splits_and_holds_the_proportional_shares():
     rng = np.random.default_rng(29)
     reg = default_registry()
@@ -465,6 +482,27 @@ def test_fairness_ignores_pressure():
     job = JobSpec(num_samples=1000, num_epoch=1, source_store=STORE)
     plan = fairness_plan(cluster, job)
     assert len(plan.assignments) == 4  # the loaded worker stays in
+
+
+def test_fairness_refuses_a_shard_below_b_min():
+    testbed = default_testbed()
+    cluster = replace(testbed, workers=tuple(replace(w, b_min=4) for w in testbed.workers))
+    # six samples over four workers give shards of 2, 2, 1 and 1
+    with pytest.raises(InfeasibleScheduleError, match=re.escape(
+            "worker 'nano-0': an equal shard of 2 samples is below its b_min of 4")):
+        fairness_plan(cluster, JobSpec(num_samples=6, num_epoch=1, source_store=STORE))
+    plan = fairness_plan(cluster, JobSpec(num_samples=16, num_epoch=1, source_store=STORE))
+    assert [a.batch_size for a in plan.assignments] == [4, 4, 4, 4]
+
+
+def test_fairness_refuses_a_worker_with_no_batch_in_memory():
+    testbed = default_testbed()
+    full = replace(testbed.workers[1], initial_state=NodeState(0.05, 0.0, 0.9))
+    cluster = replace(testbed, workers=(testbed.workers[0], full) + testbed.workers[2:])
+    assert bundle_for(default_registry(), "nano").max_batch_size(0.9, 1, 16) == 0
+    with pytest.raises(InfeasibleScheduleError, match=re.escape(
+            "worker 'nano-0': no batch in [1, 16] keeps projected memory under 0.95")):
+        fairness_plan(cluster, JobSpec(num_samples=2000, num_epoch=1, source_store=STORE))
 
 
 # --- cost model ------------------------------------------------------------

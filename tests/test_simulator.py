@@ -443,6 +443,25 @@ def test_simulate_checks_the_plan_against_the_job():
     assert simulate(cluster, job, at_top).status == "completed"
 
 
+def test_simulate_rejects_a_batch_below_b_min():
+    job = JobSpec(num_samples=2000, num_epoch=2, source_store="store-0")
+    testbed = default_testbed()
+    plan = solve(testbed, job)
+    # an assignment whose batch is below its worker's b_max, so b_min can go above it
+    i, a = next((i, a) for i, a in enumerate(plan.assignments)
+                if a.batch_size < testbed.worker(a.worker_id).b_max)
+
+    def with_b_min(b_min):
+        return replace(testbed, workers=tuple(replace(w, b_min=b_min) if w.id == a.worker_id
+                                              else w for w in testbed.workers))
+
+    with pytest.raises(ValidationError, match=re.escape(
+            f"plan.assignments[{i}].batch_size: {a.batch_size} is below "
+            f"b_min = {a.batch_size + 1}")):
+        simulate(with_b_min(a.batch_size + 1), job, plan)
+    assert simulate(with_b_min(a.batch_size), job, plan).status == "completed"
+
+
 def test_simulate_rejects_a_worker_with_no_rate_for_the_job_store():
     job = JobSpec(num_samples=400, num_epoch=1, source_store="store-0")
     plan = solve(default_testbed(), job)
