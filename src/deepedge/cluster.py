@@ -118,13 +118,11 @@ class ClusterSpec:
     def __post_init__(self):
         if not self.workers:
             raise ValidationError("workers: at least one worker is required")
-        twice = _duplicate(w.id for w in self.workers)
-        if twice is not None:
+        if (twice := _duplicate(w.id for w in self.workers)) is not None:
             raise ValidationError(f"workers: duplicate worker id '{twice}'")
         if not self.data_stores:
             raise ValidationError("data_stores: at least one data store is required")
-        twice = _duplicate(self.data_stores)
-        if twice is not None:
+        if (twice := _duplicate(self.data_stores)) is not None:
             raise ValidationError(f"data_stores: duplicate store id '{twice}'")
 
     def worker(self, worker_id: str) -> WorkerSpec:

@@ -53,15 +53,6 @@ def _clamp(value, low, high=math.inf):
     return min(high, max(low, value))
 
 
-# the profile coefficients that may be zero but not negative
-_NON_NEGATIVE = (
-    "base_backward", "cpu_slope", "gpu_slope", "base_push", "base_pull", "ps_update",
-    "ps_cpu_slope", "contention_slope", "batch_update_coef", "mem_per_batch_unit",
-    "cpu_pressure", "gpu_pressure", "bg_base_exec", "bg_cpu_slope", "bg_gpu_slope",
-    "bg_mem_slope",
-)
-
-
 @dataclass(frozen=True)
 class ParametricProfile:
     """Closed-form estimator coefficients for one device class.
@@ -102,7 +93,10 @@ class ParametricProfile:
         if not 0 < self.base_forward < math.inf:
             raise ValidationError(f"base_forward: must be > 0 seconds/sample, "
                                   f"got {self.base_forward}")
-        for name in _NON_NEGATIVE:
+        for name in ("base_backward", "cpu_slope", "gpu_slope", "base_push", "base_pull",
+                     "ps_update", "ps_cpu_slope", "contention_slope", "batch_update_coef",
+                     "mem_per_batch_unit", "cpu_pressure", "gpu_pressure", "bg_base_exec",
+                     "bg_cpu_slope", "bg_gpu_slope", "bg_mem_slope"):
             value = getattr(self, name)
             if not 0 <= value < math.inf:
                 raise ValidationError(f"{name}: must be >= 0, got {value}")
@@ -350,8 +344,7 @@ class EstimatorBundle:
         return self._estimate["exec_time"](state, None, None, 1)
 
     def max_batch_size(self, mem_util, b_min, b_max):
-        """Largest batch in [b_min, b_max] keeping projected memory <= ``MEM_CEILING``;
-        0 if none.
+        """Largest batch in [b_min, b_max] keeping projected memory <= MEM_CEILING; 0 if none.
 
         Projected memory need not grow with the batch size (a fitted model may
         dip), so each worker's batches are checked from its ``b_max`` down, at

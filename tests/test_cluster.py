@@ -152,7 +152,6 @@ def test_worker_batch_bounds_checked():
 
 
 def test_a_testbed_worker_with_a_negative_init_cost_cannot_be_built():
-    # such a tx2 once reached simulate, and its training started before its set-up
     tx2 = default_testbed().workers[0]
     _raises_when_built(WorkerSpec, vars(tx2), "worker 'tx2-0'.init_cost", init_cost=-5.0,
                        b_min=50)
@@ -257,6 +256,6 @@ def test_random_documents_round_trip():
             ))
         cluster = ClusterSpec(workers=tuple(workers),
                               ps_state=NodeState(*(float(v) for v in rng.uniform(0, 1, 3))),
-                              data_stores=stores)  # which checks itself
+                              data_stores=stores)
         doc = json.loads(json.dumps(to_doc(cluster)))
         assert cluster_from_doc(doc) == cluster
