@@ -13,7 +13,9 @@ at load time.
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 from .documents import ValidationError, doc_field, fraction, from_doc, load_doc, save
 
@@ -78,10 +80,13 @@ class WorkerSpec:
     b_min: int = 1
     b_max: int = 1
     init_cost: float = 0.0
-    # seconds per sample, keyed by data store id
-    per_sample_transfer_cost: dict[str, float] = field(default_factory=dict)
+    # seconds per sample, keyed by data store id; held read-only, so that
+    # the check below cannot be undone after it
+    per_sample_transfer_cost: Mapping[str, float] = field(default_factory=dict)
 
     def __post_init__(self):
+        object.__setattr__(self, "per_sample_transfer_cost",
+                           MappingProxyType(dict(self.per_sample_transfer_cost)))
         b_min, b_max, apps = self.b_min, self.b_max, self.background_apps
         if not self.id:
             raise ValidationError("worker.id: must be non-empty")

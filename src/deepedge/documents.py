@@ -2,7 +2,8 @@
 
 ``from_doc`` and ``to_doc`` read and write a dataclass by its fields' type
 hints: ``int``, ``float`` (finite), ``str``, ``bool``, ``X | None`` (left out
-when None), ``tuple[X, ...]`` as a list, ``dict[str, X]`` as an object,
+when None), ``tuple[X, ...]`` as a list, ``dict[str, X]`` and
+``Mapping[str, X]`` as an object (read as a dict either way),
 ``Any`` as any JSON value, and nested dataclasses. ``doc_field`` declares a
 field's document key or value reader where they differ. A class with a
 ``DOCUMENT`` name is a top-level document and carries ``"schema": 1``.
@@ -23,6 +24,7 @@ import json
 import math
 import types
 import typing
+from collections.abc import Mapping
 from dataclasses import MISSING, field, fields, is_dataclass
 from functools import cache
 from pathlib import Path
@@ -119,7 +121,7 @@ def _reader(tp):
         return _spec(tp).decode
     if origin is tuple and args[1:] == (Ellipsis,):
         return _each(_reader(args[0]), list)
-    if origin is dict and args[0] is str:
+    if origin in (dict, Mapping) and args[0] is str:
         return _each(_reader(args[1]), dict)
     return _SCALARS[tp]  # a KeyError here names a type with no document form
 
@@ -133,9 +135,11 @@ def _write(tp, value: str, depth: int = 0) -> str:
     if origin is tuple:
         inner = _write(args[0], item, depth + 1)
         return f"list({value})" if inner == item else f"[{inner} for {item} in {value}]"
-    if origin is dict:
+    if origin in (dict, Mapping):
         inner = _write(args[1], item, depth + 1)
-        return value if inner == item else f"{{k: {inner} for k, {item} in {value}.items()}}"
+        if inner != item:
+            return f"{{k: {inner} for k, {item} in {value}.items()}}"
+        return value if origin is dict else f"dict({value})"  # a read-only view is copied
     return value  # a number, a string, a bool, any JSON value or an object of them
 
 

@@ -115,8 +115,12 @@ class ParametricProfile:
     def update_parts(self, state, b, ps_state) -> tuple:
         """(push, server service, pull); they sum to the update time of one worker."""
         worker_load = (1.0 + self.cpu_slope * state.cpu_util) * (1.0 + self.batch_update_coef / b)
-        service = self.ps_update * (1.0 + self.ps_cpu_slope * ps_state.cpu_util)
-        return self.base_push * worker_load, service, self.base_pull * worker_load
+        return (self.base_push * worker_load, self.service_time(ps_state),
+                self.base_pull * worker_load)
+
+    def service_time(self, ps_state) -> float:
+        """The server's part of an update, the same for every worker and batch."""
+        return self.ps_update * (1.0 + self.ps_cpu_slope * ps_state.cpu_util)
 
     def update_time(self, state, b, ps_state, n):
         push, service, pull = self.update_parts(state, b, ps_state)
@@ -159,13 +163,26 @@ def basis_terms(feature_names) -> list[tuple[str, tuple[int, ...], bool]]:
 
 
 @lru_cache(maxsize=None)
-def _term_columns(feature_names: tuple) -> tuple:
-    """Every basis term as the product of two columns of ``[1, X]`` (left and
-    right index arrays), plus a mask of the terms divided by the batch size."""
+def _term_rows(feature_names: tuple) -> tuple:
+    """Every basis term as the product of two rows of ``[1, X.T]`` (left and
+    right index arrays), the terms divided by the batch size, and the row
+    that holds the batch size (the ones, if no term is divided)."""
     terms = basis_terms(feature_names)
     left = np.array([idx[0] + 1 if idx else 0 for _, idx, _ in terms])
     right = np.array([idx[1] + 1 if len(idx) > 1 else 0 for _, idx, _ in terms])
-    return left, right, np.array([recip for _, _, recip in terms])
+    divided = np.array([recip for _, _, recip in terms]).nonzero()[0]
+    return left, right, divided, (feature_names.index("batch") + 1 if divided.size else 0)
+
+
+def _terms(feature_names: tuple, P: np.ndarray) -> np.ndarray:
+    """The basis with one row per term and one column per point, from ``P``:
+    a row of ones, then one row per feature. Whole rows are gathered, which
+    is faster than gathering columns; the values are the same either way."""
+    left, right, divided, batch = _term_rows(feature_names)
+    D = P[left]
+    D *= P[right]
+    D[divided] /= P[batch]
+    return D
 
 
 def design_matrix(feature_names, X: np.ndarray) -> np.ndarray:
@@ -174,13 +191,9 @@ def design_matrix(feature_names, X: np.ndarray) -> np.ndarray:
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[1] != len(names):
         raise ValueError(f"feature matrix must be (n, {len(names)})")
-    left, right, divided = _term_columns(names)
-    padded = np.concatenate([np.ones((len(X), 1)), X], axis=1)
-    # row-major, so that a row's terms sum in the same order whatever the row count
-    D = np.multiply(padded[:, left], padded[:, right], order="C")
-    if divided.any():
-        D[:, divided] /= X[:, [names.index("batch")]]
-    return D
+    P = np.empty((len(names) + 1, len(X)))
+    P[0], P[1:] = 1.0, X.T
+    return np.ascontiguousarray(_terms(names, P).T)
 
 
 @dataclass(frozen=True)
@@ -223,10 +236,14 @@ class FittedFunction:
         except KeyError as exc:
             raise ValueError(f"fitted '{self.target}': missing feature {exc}") from None
         points = np.broadcast(*values)
-        X = np.empty((points.size, len(values)))
+        P = np.empty((len(values) + 1, points.size))
+        P[0] = 1.0
         for j, value in enumerate(values):
-            X[:, j] = value
-        y = (design_matrix(self.feature_names, X) * self._coefficients).sum(axis=1)
+            P[j + 1] = value
+        # summed over a row-major copy, so that a point's terms sum in the same
+        # order whatever the number of points
+        y = np.multiply(_terms(FEATURES_BY_TARGET[self.target], P).T, self._coefficients,
+                        order="C").sum(axis=1)
         return y.reshape(points.shape) if points.shape else float(y[0])
 
     def estimate(self, state, b, ps_state, n):
@@ -311,7 +328,7 @@ class EstimatorBundle:
             raise ValueError(f"batch_size must be >= 1, got {batch_size}")
         return self._estimate["update_time"](state, batch_size, ps_state, n_workers)
 
-    def update_components(self, state: NodeState, batch_size: int,
+    def update_components(self, state: NodeState, batch_size,
                           ps_state: NodeState) -> tuple[float, float, float]:
         """(push, server service, pull) durations for the event-driven simulator.
 
@@ -324,6 +341,13 @@ class EstimatorBundle:
             total = self.est_update_time(state, batch_size, ps_state, n_workers=1)
             return 0.3 * total, 0.4 * total, 0.3 * total
         return self.profile.update_parts(state, batch_size, ps_state)
+
+    def est_service_time(self, state: NodeState, batch_size, ps_state: NodeState):
+        """The server service of ``update_components`` alone: a number for a
+        parametric profile, whatever the state and batch."""
+        if "update_time" in self.models:
+            return self.update_components(state, batch_size, ps_state)[1]
+        return self.profile.service_time(ps_state)
 
     def est_state(self, state, batch_size):
         """95th-percentile projected state once a batch-``b`` training task lands;

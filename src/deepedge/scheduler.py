@@ -15,18 +15,25 @@ and batch sizes across a heterogeneous cluster:
    with the lowest total cost among splits that tie on it. A worker left
    with no samples leaves the set and the split is priced again for those
    that remain. Each batch size is the one with the shortest epoch for its
-   shard.
-4. An outer loop removes the slowest assigned worker (the longest
-   per-sample time at its batch) and repeats while the predicted epoch time
-   keeps improving, and while the workers left could beat it at all with no
-   update time; the best candidate wins (ties go to the cheaper plan).
+   shard. Each split also gets the parameter server's busy time per epoch:
+   every worker's rounds times the service time ``simulate`` queues for it
+   at its batch, the least time one FIFO server needs for the epoch.
+4. Candidates are ranked by the longer of their epoch and their server
+   time. If the server binds with every worker in, dropping the slowest one
+   at a time would barely trim its busy time, so the worker count is
+   bisected instead, over those workers fastest first (by per-sample time
+   at their batch), down to the two counts where the epoch meets the server
+   time. Otherwise an outer loop removes the slowest assigned worker (the
+   longest per-sample time at its batch) and repeats while the candidates
+   keep improving, and while the workers left could beat them at all with
+   no update time. The best candidate wins (ties go to the cheaper plan).
 
 One set of tables (``_Tables``) holds the memory caps, the pressure mask
 and the round times as flat arrays over the whole cluster, each filled with
 one estimator call per device class (the node states going in as a
-``StateTable``), so the number of estimator calls in a solve does not grow
-with the number of workers. One pricing function (``_price``) turns shards
-and batches into epoch times and costs over arrays; it ranks the
+``StateTable``), so the estimator calls for a split or a candidate do not
+grow with the number of workers. One pricing function (``_price``) turns
+shards and batches into epoch times and costs over arrays; it ranks the
 candidates, and the winner's assignments are read off its arrays.
 
 ``fairness_plan`` is the baseline: equal shards for everyone, no interference
@@ -117,7 +124,9 @@ class Assignment:
 @dataclass(frozen=True)
 class Removal:
     worker_id: str = doc_field(key="worker")
-    reason: str  # "pressure" or "slowest"
+    # "pressure", or "slowest": dropped by the outer loop, left without
+    # samples by a split, or left out where the parameter server binds
+    reason: str
     detail: str = ""
 
 
@@ -221,9 +230,10 @@ class _Tables:
     Workers are grouped by device class, so that each table is one
     estimator call per class over all its rows, their node states going in
     as a ``StateTable``: the memory cap of every worker (``maxbatch``, 0 for
-    none), then the pressure mask and compute times once per solve, and
-    update times once per worker count, since they also depend on how many
-    workers share the parameter server. A worker's batches run from
+    none), then the pressure mask and compute times once per solve, update
+    times once per worker count, since they also depend on how many workers
+    share the parameter server, and the server's service times at each
+    candidate's chosen batches only. A worker's batches run from
     ``b_min`` to its memory cap or the job size, whichever is smaller, since
     no shard is larger than the job. Rows are grouped by worker in cluster
     order (``owner`` numbers them), batches ascending within each: the shape
@@ -287,6 +297,7 @@ class _Tables:
         # samples per second with no update time at all: a bound on any split
         self.fastest_rate = 1.0 / np.minimum.reduceat(self.t_c, starts)
         self.rate, self.init = rate[self.workers], init[self.workers]
+        self.bundles, self.kind, self.states = bundles, kind, (cpu, gpu, mem)
 
     def update(self, n: int) -> np.ndarray:
         """Update times at every row with ``n`` workers sharing the parameter
@@ -295,6 +306,20 @@ class _Tables:
         for bundle, rows, states, b_rows in self.classes:
             out[rows] = bundle.est_update_time(states, b_rows, self.ps_state, n)
         return out[self.rows]
+
+    def service(self, rows: np.ndarray) -> np.ndarray:
+        """The parameter server's busy seconds for one round at each of the
+        table's ``rows``: the service time ``simulate`` queues for the row's
+        worker at its batch, one estimator call per device class."""
+        out = np.empty(rows.size)
+        workers = self.workers[self.owner[rows]]
+        for k, bundle in enumerate(self.bundles):
+            at = (self.kind[workers] == k).nonzero()[0]
+            if at.size:
+                w = workers[at]
+                states = StateTable(*(column[w] for column in self.states))
+                out[at] = bundle.est_service_time(states, self.b[rows[at]], self.ps_state)
+        return out
 
 
 def _rounds_within(limit, r: np.ndarray) -> np.ndarray:
@@ -470,7 +495,9 @@ def _price(workers, shards, b, t_c, t_u, rate, init, job: JobSpec) -> _Candidate
 
 def _assign(alive: np.ndarray, tables: _Tables, job: JobSpec) -> tuple:
     """The best integer split over the table workers marked ``alive``, the
-    mask of those assigned, and how many splits that took.
+    mask of those assigned, how many splits that took, and the parameter
+    server's busy seconds per epoch under the split: every assigned worker's
+    rounds times its service time.
 
     A worker whose shard comes out empty leaves, and the split is redone with
     update times priced for the workers that remain. Each batch size is the
@@ -494,9 +521,57 @@ def _assign(alive: np.ndarray, tables: _Tables, job: JobSpec) -> tuple:
     epochs = _epochs(shards[owner], b, r)
     shortest = epochs == np.minimum.reduceat(epochs, starts)[owner]
     best = np.maximum.reduceat(np.arange(b.size) * shortest, starts)
+    service = tables.service(best if members.size == alive.size else rows[best])
     return (_price(tables.workers[members], shards, b[best], t_c[best], t_u[best],
                    tables.rate[members], tables.init[members], job),
-            alive, splits)
+            alive, splits, float((np.ceil(shards / b[best]) * service).sum()))
+
+
+def _left_without_samples(workers: tuple, indices: np.ndarray, epoch: float) -> list:
+    """Removals for the workers at ``indices`` that a split left with no samples."""
+    return [Removal(workers[i].id, "slowest",
+                    f"left without samples; the other workers finish the "
+                    f"epoch in {epoch:.4f} s") for i in indices.tolist()]
+
+
+def _bisect(first: _Candidate, assigned: np.ndarray, tables: _Tables, job: JobSpec,
+            log_len: int) -> tuple:
+    """Candidates over the fastest ``n`` of ``first``'s workers (by per-sample
+    time), for the ``n`` where their epoch meets the parameter server's busy
+    time, and how many splits they took.
+
+    ``first``, over every worker in ``assigned``, is server-bound: the server
+    is busy longer than the workers' epoch. One worker always outlasts the
+    server, since its update time includes the service. Bisection keeps a
+    server-bound count above and a worker-bound one below, down to two
+    neighbours, and both are priced. Each candidate carries the removal
+    log's length ``log_len`` and its cut: the workers it left with no
+    samples, the workers beyond its ``n``, and its server time.
+    """
+    order = assigned.nonzero()[0][first.t_total.argsort(kind="stable")]
+    out, n_splits = [], 0
+
+    def price(n: int) -> bool:
+        nonlocal n_splits
+        alive = np.zeros(assigned.size, dtype=bool)
+        alive[order[:n]] = True
+        split, kept, splits, busy = _assign(alive, tables, job)
+        n_splits += splits
+        epoch = float(split.epoch.max())
+        cut = (tables.workers[alive & ~kept], tables.workers[order[n:]], busy)
+        out.append((max(epoch, busy), float(split.total.max()), split, log_len, cut))
+        return busy > epoch
+
+    lo, hi = 1, order.size
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if price(mid):
+            hi = mid
+        else:
+            lo = mid
+    if lo == 1:  # every count bisection priced was server-bound
+        price(1)
+    return out, n_splits
 
 
 def total_cost(assignments) -> float:
@@ -535,19 +610,23 @@ def solve(cluster: ClusterSpec, job: JobSpec, registry: dict | None = None) -> P
             workers[i].id, "pressure",
             f"no batch from {workers[i].b_min} to {top} samples passes the pressure check"))
     alive = np.ones(tables.workers.size, dtype=bool)
-    candidates = []  # (epoch time, total cost, split, removal log length)
+    # (the longer of epoch and server time, total cost, split, removal log
+    # length, and the server cut that leaves workers out, if any)
+    candidates = []
     n_splits = 0
     while alive.any():
-        split, assigned, splits = _assign(alive, tables, job)
+        split, assigned, splits, busy = _assign(alive, tables, job)
         n_splits += splits
         epoch = float(split.epoch.max())
-        for i in tables.workers[alive & ~assigned].tolist():
-            removal_log.append(Removal(
-                workers[i].id, "slowest",
-                f"left without samples; the other workers finish the "
-                f"epoch in {epoch:.4f} s"))
-        improved = not candidates or epoch < min(c[0] for c in candidates)
-        candidates.append((epoch, float(split.total.max()), split, len(removal_log)))
+        removal_log += _left_without_samples(workers, tables.workers[alive & ~assigned], epoch)
+        longer = max(epoch, busy)
+        improved = not candidates or longer < min(c[0] for c in candidates)
+        candidates.append((longer, float(split.total.max()), split, len(removal_log), None))
+        if busy > epoch and len(candidates) == 1:
+            bisected, splits = _bisect(split, assigned, tables, job, len(removal_log))
+            candidates += bisected
+            n_splits += splits
+            break
         if not improved or split.workers.size <= 1:
             break
         slowest = int(split.t_total.argmax())
@@ -567,8 +646,18 @@ def solve(cluster: ClusterSpec, job: JobSpec, registry: dict | None = None) -> P
         raise InfeasibleScheduleError(
             "no eligible workers: " +
             "; ".join(f"{r.worker_id}: {r.detail}" for r in removal_log))
-    _, best_cost, split, log_len = min(candidates,
-                                       key=lambda c: (c[0], c[1], -c[2].workers.size))
+    _, best_cost, split, log_len, cut = min(candidates,
+                                            key=lambda c: (c[0], c[1], -c[2].workers.size))
+    removed = removal_log[:log_len]
+    if cut is not None:
+        empty, left_out, busy = cut
+        epoch = float(split.epoch.max())
+        removed += _left_without_samples(workers, empty, epoch)
+        removed += [Removal(
+            workers[i].id, "slowest",
+            f"left out where the parameter server binds: with {split.workers.size} workers "
+            f"it is busy {busy:.4f} s per epoch, and they finish the epoch in {epoch:.4f} s")
+            for i in left_out.tolist()]
     best = split.assignments(workers)
     inv_sum = sum(1.0 / a.t_total for a in best)
     audit = SolveAudit(
@@ -577,7 +666,7 @@ def solve(cluster: ClusterSpec, job: JobSpec, registry: dict | None = None) -> P
         t_total={a.worker_id: a.t_total for a in best},
         candidates_considered=len(candidates))
     return Plan(method="heuristic", num_epoch=job.num_epoch, total_cost=best_cost,
-                assignments=tuple(best), removed=tuple(removal_log[:log_len]), audit=audit)
+                assignments=tuple(best), removed=tuple(removed), audit=audit)
 
 
 def fairness_plan(cluster: ClusterSpec, job: JobSpec, registry: dict | None = None) -> Plan:

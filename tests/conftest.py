@@ -1,9 +1,11 @@
 """Shared test helpers."""
 
+import random
+
 import pytest
 
-from deepedge import (EstimatorBundle, FittedFunction, basis_terms, bundle_for,
-                      check_pressure, epoch_time)
+from deepedge import (BackgroundApp, ClusterSpec, EstimatorBundle, FittedFunction, NodeState,
+                      WorkerSpec, basis_terms, bundle_for, check_pressure, epoch_time)
 from deepedge.estimators import FEATURES_BY_TARGET, TARGETS
 
 
@@ -56,3 +58,32 @@ def _random_fitted_registry(rng):
 @pytest.fixture
 def random_fitted_registry():
     return _random_fitted_registry
+
+
+def _ladder_cluster(n_workers: int) -> ClusterSpec:
+    """A lightly loaded cluster of ``n_workers``, a quarter tx2, drawn as
+    ``perfbench/ladder.py``'s ``cluster_doc`` draws it (same seed, same draws,
+    same rounding), so that the two give equal clusters."""
+    rng = random.Random(f"perfbench:ladder:{n_workers}")
+
+    def clip(v):
+        return round(min(1.0, max(0.0, v)), 4)
+
+    workers = []
+    for k in range(n_workers):
+        device = "tx2" if k % 4 == 0 else "nano"
+        stress = rng.uniform(0.0, 0.3)
+        state = NodeState(clip(0.80 * stress + rng.uniform(0.0, 0.05)),
+                          clip(0.90 * stress + rng.uniform(0.0, 0.05)),
+                          clip(0.20 + 0.40 * stress + rng.uniform(0.0, 0.05)))
+        workers.append(WorkerSpec(
+            f"{device}-{k:03d}", device, state,
+            (BackgroundApp("vision-stream", 0.2, "periodic feature extraction"),),
+            b_min=1, b_max=64 if device == "tx2" else 16, init_cost=5.0,
+            per_sample_transfer_cost={"store-0": 0.001}))
+    return ClusterSpec(tuple(workers), NodeState(0.1, 0.0, 0.3), ("store-0",))
+
+
+@pytest.fixture
+def ladder_cluster():
+    return _ladder_cluster

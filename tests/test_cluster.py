@@ -1,6 +1,7 @@
 import json
 import re
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -189,6 +190,24 @@ def test_cluster_round_trip(tmp_path):
     save_cluster(cluster, path)
     again = load_cluster(path)
     assert again == cluster
+
+
+def test_transfer_costs_cannot_change_after_the_check():
+    worker = default_testbed().workers[0]
+    with pytest.raises(TypeError):
+        worker.per_sample_transfer_cost["store-0"] = -0.5
+    # nor through the dict the worker was built from
+    costs = {"store-0": 0.001}
+    worker = replace(worker, per_sample_transfer_cost=costs)
+    costs["store-0"] = -0.5
+    assert worker.per_sample_transfer_cost["store-0"] == 0.001
+
+
+@pytest.mark.parametrize("name", ["cluster.json", "wide_cluster.json"])
+def test_golden_cluster_documents_round_trip_unchanged(name):
+    path = Path(__file__).parent / "data" / name
+    cluster = load_cluster(path)
+    assert json.loads(json.dumps(to_doc(cluster))) == json.loads(path.read_text())
 
 
 def test_job_round_trip(tmp_path):

@@ -221,3 +221,26 @@ def test_registry_round_trip(tmp_path):
     # the built-in registry loads when no path is given
     builtin = load_registry(None)
     assert set(builtin) == set(DEVICE_PROFILES)
+
+
+@pytest.mark.parametrize("target", estimators.TARGETS)
+def test_fitted_predictions_match_the_basis_term_by_term(target):
+    """The design matrix equals each basis term computed on its own, and a
+    prediction equals its row of terms times the coefficients summed over a
+    row-major matrix, bit for bit, for one point and for many."""
+    rng = np.random.default_rng(5)
+    names = estimators.FEATURES_BY_TARGET[target]
+    terms = estimators.basis_terms(names)
+    model = estimators.FittedFunction(target, names, tuple(rng.uniform(-1, 1, len(terms))))
+    for n_points in (1, 3, 40):
+        X = rng.uniform(0.0, 1.0, (n_points, len(names)))
+        if "batch" in names:
+            X[:, names.index("batch")] = rng.integers(1, 500, n_points)
+        reference = np.array([[(x[idx[0]] if idx else 1.0) * (x[idx[1]] if len(idx) > 1 else 1.0)
+                               / (x[names.index("batch")] if divided else 1.0)
+                               for _, idx, divided in terms] for x in X])
+        D = estimators.design_matrix(names, X)
+        assert D.flags.c_contiguous and np.array_equal(D, reference)
+        predicted = model.predict(dict(zip(names, X.T)))
+        assert np.array_equal(predicted, (reference * model._coefficients).sum(axis=1))
+        assert model.predict(dict(zip(names, X[0]))) == predicted[0]

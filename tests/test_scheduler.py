@@ -296,6 +296,27 @@ def test_a_deadline_removal_names_an_app_that_misses_its_deadline():
     assert removal.detail.startswith(f"background task 'bg-1' projected at {at_cap:.4f} s")
 
 
+def test_a_server_cut_names_every_worker_it_leaves_out(ladder_cluster):
+    cluster = ladder_cluster(128)
+    job = JobSpec(num_samples=2000, num_epoch=1, source_store=STORE)
+    plan = solve(cluster, job)
+    # assigned and removed workers cover the cluster exactly once
+    named = [a.worker_id for a in plan.assignments] + [r.worker_id for r in plan.removed]
+    assert sorted(named) == sorted(w.id for w in cluster.workers)
+    cut = [r for r in plan.removed if "parameter server binds" in r.detail]
+    assert cut and {r.reason for r in cut} == {"slowest"}
+    # each names the server's busy seconds per epoch and the workers' epoch
+    # at the chosen count
+    busy = sum(math.ceil(a.num_samples / a.batch_size)
+               * bundle_for(default_registry(), cluster.worker(a.worker_id).device_class)
+               .update_components(cluster.worker(a.worker_id).initial_state, a.batch_size,
+                                  cluster.ps_state)[1]
+               for a in plan.assignments)
+    for r in cut:
+        assert (f"with {len(plan.assignments)} workers it is busy {busy:.4f} s per epoch, "
+                f"and they finish the epoch in {plan.epoch_time:.4f} s") in r.detail
+
+
 def test_audit_counts_splits_and_holds_the_proportional_shares():
     rng = np.random.default_rng(29)
     reg = default_registry()
@@ -666,13 +687,17 @@ def test_tables_match_scalar_calls(kind, random_fitted_registry):
                                                  for b in bs]
             assert t_u[rows].tolist() == [bundle.est_update_time(w.initial_state, b, ps, 3)
                                           for b in bs]
+            # the service time simulate queues for the worker at each batch
+            service = tables.service(rows.nonzero()[0])
+            assert service.tolist() == [bundle.update_components(w.initial_state, b, ps)[1]
+                                        for b in bs]
 
 
 def _counted_calls(monkeypatch) -> dict:
     """EstimatorBundle method name -> calls made while the test runs."""
     calls: dict = {}
-    for name in ("est_compute_time", "est_update_time", "update_components", "est_state",
-                 "est_exec_time", "max_batch_size"):
+    for name in ("est_compute_time", "est_update_time", "update_components", "est_service_time",
+                 "est_state", "est_exec_time", "max_batch_size"):
         method = getattr(EstimatorBundle, name)
 
         def counted(*args, _method=method, _name=name, **kwargs):
@@ -682,7 +707,7 @@ def _counted_calls(monkeypatch) -> dict:
     return calls
 
 
-def test_estimator_calls_per_solve_do_not_grow_with_the_cluster(monkeypatch):
+def test_estimator_calls_per_solve_grow_only_with_the_splits(monkeypatch):
     def cluster_of(n):
         """A lightly loaded cluster, a quarter tx2, every worker with a deadline."""
         rng = np.random.default_rng(0)
@@ -698,13 +723,20 @@ def test_estimator_calls_per_solve_do_not_grow_with_the_cluster(monkeypatch):
         return ClusterSpec(tuple(workers), NodeState(0.1, 0.0, 0.3), (STORE,))
 
     job = JobSpec(num_samples=6000, num_epoch=1, source_store=STORE)
-    counts = []
-    for n in (64, 128):
+    tables = []
+    for n in (64, 128, 256):
         calls = _counted_calls(monkeypatch)
         plan = solve(cluster_of(n), job)
         monkeypatch.undo()
-        # every worker is assigned, after the same number of splits and candidates
-        assert len(plan.assignments) == n
-        assert (plan.audit.iterations, plan.audit.candidates_considered) == (2, 2)
-        counts.append(calls)
-    assert counts[0] == counts[1]
+        splits, candidates = plan.audit.iterations, plan.audit.candidates_considered
+        # the server binds, so the worker count is bisected: splits grow
+        # with its logarithm
+        assert len(plan.assignments) < n
+        assert candidates <= splits <= math.log2(n) + 2
+        # per device class, update times once per split and service times
+        # at most once per candidate
+        assert calls.pop("est_update_time") == 2 * splits
+        assert calls.pop("est_service_time") <= 2 * candidates
+        tables.append(calls)
+    # the tables take one call per class and target, whatever the worker count
+    assert tables[0] == tables[1] == tables[2]
