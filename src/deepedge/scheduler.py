@@ -19,14 +19,15 @@ and batch sizes across a heterogeneous cluster:
    every worker's rounds times the service time ``simulate`` queues for it
    at its batch, the least time one FIFO server needs for the epoch.
 4. Candidates are ranked by the longer of their epoch and their server
-   time. If the server binds with every worker in, dropping the slowest one
-   at a time would barely trim its busy time, so the worker count is
-   bisected instead, over those workers fastest first (by per-sample time
-   at their batch), down to the two counts where the epoch meets the server
-   time. Otherwise an outer loop removes the slowest assigned worker (the
-   longest per-sample time at its batch) and repeats while the candidates
-   keep improving, and while the workers left could beat them at all with
-   no update time. The best candidate wins (ties go to the cheaper plan).
+   time. Each is the split over the first ``n`` workers of one order, the
+   all-worker split's assigned workers fastest first (by per-sample time at
+   their batch), priced once per ``n``. If the server binds with every
+   worker in, dropping the slowest one at a time would barely trim its busy
+   time, so ``n`` is bisected down to the two counts where the epoch meets
+   the server time. Otherwise ``n`` walks down one worker at a time while
+   the candidates keep improving, and while the workers left could beat
+   them at all with no update time. The best candidate wins (ties go to the
+   cheaper plan), and the workers beyond its ``n`` are removed.
 
 One set of tables (``_Tables``) holds the memory caps, the pressure mask
 and the round times as flat arrays over the whole cluster, each filled with
@@ -124,8 +125,8 @@ class Assignment:
 @dataclass(frozen=True)
 class Removal:
     worker_id: str = doc_field(key="worker")
-    # "pressure", or "slowest": dropped by the outer loop, left without
-    # samples by a split, or left out where the parameter server binds
+    # "pressure", or "slowest": left without samples by a split, or beyond
+    # the count of fastest workers the worker-count search chose
     reason: str
     detail: str = ""
 
@@ -534,46 +535,6 @@ def _left_without_samples(workers: tuple, indices: np.ndarray, epoch: float) -> 
                     f"epoch in {epoch:.4f} s") for i in indices.tolist()]
 
 
-def _bisect(first: _Candidate, assigned: np.ndarray, tables: _Tables, job: JobSpec,
-            log_len: int) -> tuple:
-    """Candidates over the fastest ``n`` of ``first``'s workers (by per-sample
-    time), for the ``n`` where their epoch meets the parameter server's busy
-    time, and how many splits they took.
-
-    ``first``, over every worker in ``assigned``, is server-bound: the server
-    is busy longer than the workers' epoch. One worker always outlasts the
-    server, since its update time includes the service. Bisection keeps a
-    server-bound count above and a worker-bound one below, down to two
-    neighbours, and both are priced. Each candidate carries the removal
-    log's length ``log_len`` and its cut: the workers it left with no
-    samples, the workers beyond its ``n``, and its server time.
-    """
-    order = assigned.nonzero()[0][first.t_total.argsort(kind="stable")]
-    out, n_splits = [], 0
-
-    def price(n: int) -> bool:
-        nonlocal n_splits
-        alive = np.zeros(assigned.size, dtype=bool)
-        alive[order[:n]] = True
-        split, kept, splits, busy = _assign(alive, tables, job)
-        n_splits += splits
-        epoch = float(split.epoch.max())
-        cut = (tables.workers[alive & ~kept], tables.workers[order[n:]], busy)
-        out.append((max(epoch, busy), float(split.total.max()), split, log_len, cut))
-        return busy > epoch
-
-    lo, hi = 1, order.size
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if price(mid):
-            hi = mid
-        else:
-            lo = mid
-    if lo == 1:  # every count bisection priced was server-bound
-        price(1)
-    return out, n_splits
-
-
 def total_cost(assignments) -> float:
     return max((a.cost.total for a in assignments), default=0.0)
 
@@ -587,11 +548,11 @@ def solve(cluster: ClusterSpec, job: JobSpec, registry: dict | None = None) -> P
 
     tables = _Tables(cluster, registry, job)
     workers = cluster.workers
-    removal_log: list = []
+    removed: list = []
     maxbatch = tables.maxbatch
     for i in (maxbatch == 0).nonzero()[0].tolist():
         w = workers[i]
-        removal_log.append(Removal(
+        removed.append(Removal(
             w.id, "pressure",
             f"no batch in [{w.b_min}, {w.b_max}] keeps projected memory "
             f"under {MEM_CEILING:.2f}"))
@@ -601,63 +562,76 @@ def solve(cluster: ClusterSpec, job: JobSpec, registry: dict | None = None) -> P
         w = workers[i]
         late = next(app for app in w.background_apps
                     if not _meets_deadline(exec_time, app.deadline))
-        removal_log.append(Removal(
+        removed.append(Removal(
             w.id, "pressure",
             f"background task '{late.id}' projected at {exec_time:.4f} s "
             f"over its deadline with batch {maxbatch[i]}"))
     for i, top in zip(tables.empty.tolist(), tables.top.tolist()):
-        removal_log.append(Removal(
+        removed.append(Removal(
             workers[i].id, "pressure",
             f"no batch from {workers[i].b_min} to {top} samples passes the pressure check"))
-    alive = np.ones(tables.workers.size, dtype=bool)
-    # (the longer of epoch and server time, total cost, split, removal log
-    # length, and the server cut that leaves workers out, if any)
-    candidates = []
-    n_splits = 0
-    while alive.any():
-        split, assigned, splits, busy = _assign(alive, tables, job)
-        n_splits += splits
-        epoch = float(split.epoch.max())
-        removal_log += _left_without_samples(workers, tables.workers[alive & ~assigned], epoch)
-        longer = max(epoch, busy)
-        improved = not candidates or longer < min(c[0] for c in candidates)
-        candidates.append((longer, float(split.total.max()), split, len(removal_log), None))
-        if busy > epoch and len(candidates) == 1:
-            bisected, splits = _bisect(split, assigned, tables, job, len(removal_log))
-            candidates += bisected
-            n_splits += splits
-            break
-        if not improved or split.workers.size <= 1:
-            break
-        slowest = int(split.t_total.argmax())
-        removal_log.append(Removal(
-            workers[split.workers[slowest]].id, "slowest",
-            f"dropped while searching for a faster plan; per-sample time "
-            f"{split.t_total[slowest]:.4f} s"))
-        alive = assigned.copy()
-        alive[assigned.nonzero()[0][slowest]] = False
-        # even without update times the rest could not finish sooner, so the
-        # next candidate would lose and end the search
-        best_epoch = min(c[0] for c in candidates)
-        if job.num_samples > best_epoch * (1 + 1e-9) * sum(list(tables.fastest_rate[alive])):
-            break
+    if not tables.workers.size:
+        raise InfeasibleScheduleError("no eligible workers: " + "; ".join(
+            f"{r.worker_id}: {r.detail}" for r in removed))
+    first, assigned, n_splits, busy = _assign(np.ones(tables.workers.size, dtype=bool),
+                                              tables, job)
+    epoch = float(first.epoch.max())
+    removed += _left_without_samples(workers, tables.workers[~assigned], epoch)
+    # the all-worker split's assigned workers, fastest first (by per-sample
+    # time at their batch); candidate n is the split over the first n
+    rank = first.t_total.argsort(kind="stable")
+    order = assigned.nonzero()[0][rank]
+    # n -> (split, its epoch, the server's busy time, the workers it left empty)
+    candidates = {order.size: (first, epoch, busy, order[:0])}
+    server_bound = busy > epoch
 
-    if not candidates:
-        raise InfeasibleScheduleError(
-            "no eligible workers: " +
-            "; ".join(f"{r.worker_id}: {r.detail}" for r in removal_log))
-    _, best_cost, split, log_len, cut = min(candidates,
-                                            key=lambda c: (c[0], c[1], -c[2].workers.size))
-    removed = removal_log[:log_len]
-    if cut is not None:
-        empty, left_out, busy = cut
-        epoch = float(split.epoch.max())
-        removed += _left_without_samples(workers, empty, epoch)
-        removed += [Removal(
-            workers[i].id, "slowest",
+    def price(n: int) -> tuple:
+        nonlocal n_splits
+        if n not in candidates:
+            alive = np.zeros(assigned.size, dtype=bool)
+            alive[order[:n]] = True
+            split, kept, splits, busy = _assign(alive, tables, job)
+            n_splits += splits
+            candidates[n] = (split, float(split.epoch.max()), busy, (alive & ~kept).nonzero()[0])
+        return candidates[n]
+
+    def longer(n: int) -> float:
+        _, epoch, busy, _ = price(n)
+        return max(epoch, busy)
+
+    if server_bound:
+        # bisect down to where the epoch meets the server time, keeping a
+        # server-bound count above and a worker-bound one below (one worker
+        # always outlasts the server, since its update time includes the service)
+        lo, hi = 1, order.size
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            _, epoch, busy, _ = price(mid)
+            if busy > epoch:
+                hi = mid
+            else:
+                lo = mid
+        price(lo)
+    else:
+        # drop the slowest while that improves; stop early where the rest
+        # could not finish sooner even without update times
+        n = order.size
+        while (n > 1 and job.num_samples
+               <= longer(n) * (1 + 1e-9) * float(tables.fastest_rate[order[:n - 1]].sum())
+               and longer(n - 1) < longer(n)):
+            n -= 1
+
+    count = min(candidates, key=lambda n: (longer(n), float(candidates[n][0].total.max()),
+                                           -candidates[n][0].workers.size))
+    split, epoch, busy, empty = candidates[count]
+    removed += _left_without_samples(workers, tables.workers[empty], epoch)
+    for i, t in zip(tables.workers[order[count:]].tolist(), first.t_total[rank[count:]].tolist()):
+        removed.append(Removal(workers[i].id, "slowest", (
             f"left out where the parameter server binds: with {split.workers.size} workers "
-            f"it is busy {busy:.4f} s per epoch, and they finish the epoch in {epoch:.4f} s")
-            for i in left_out.tolist()]
+            f"it is busy {busy:.4f} s per epoch, and they finish the epoch in {epoch:.4f} s"
+            if server_bound else
+            f"left out as slower than the {split.workers.size} workers kept, who finish the "
+            f"epoch in {epoch:.4f} s; per-sample time {t:.4f} s with every worker in")))
     best = split.assignments(workers)
     inv_sum = sum(1.0 / a.t_total for a in best)
     audit = SolveAudit(
@@ -665,7 +639,8 @@ def solve(cluster: ClusterSpec, job: JobSpec, registry: dict | None = None) -> P
         shares={a.worker_id: job.num_samples / (a.t_total * inv_sum) for a in best},
         t_total={a.worker_id: a.t_total for a in best},
         candidates_considered=len(candidates))
-    return Plan(method="heuristic", num_epoch=job.num_epoch, total_cost=best_cost,
+    return Plan(method="heuristic", num_epoch=job.num_epoch,
+                total_cost=float(split.total.max()),
                 assignments=tuple(best), removed=tuple(removed), audit=audit)
 
 

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from deepedge import scheduler
+from deepedge.estimators import DEVICE_PROFILES
 from deepedge import (BackgroundApp, ClusterSpec, EstimatorBundle,
                       InfeasibleScheduleError, JobSpec, NodeState,
                       ParametricProfile, WorkerSpec, bundle_for, check_pressure,
@@ -258,6 +259,9 @@ def test_solve_plan_invariants_hold_on_random_clusters():
         for r in plan.removed:
             assert r.reason in ("pressure", "slowest")
             assert r.detail
+        # assigned and removed workers cover the cluster exactly once
+        named = [a.worker_id for a in plan.assignments] + [r.worker_id for r in plan.removed]
+        assert sorted(named) == sorted(w.id for w in cluster.workers)
 
 
 def test_solve_checks_pressure_at_the_memory_capped_batch():
@@ -315,6 +319,24 @@ def test_a_server_cut_names_every_worker_it_leaves_out(ladder_cluster):
     for r in cut:
         assert (f"with {len(plan.assignments)} workers it is busy {busy:.4f} s per epoch, "
                 f"and they finish the epoch in {plan.epoch_time:.4f} s") in r.detail
+
+
+def test_solve_drops_the_slowest_workers_under_high_contention():
+    # with every extra worker adding 2 s to each update, the server does not
+    # bind, and leaving workers out shortens the epoch: the walk down the
+    # worker count is what finds the two-worker plan
+    registry = {name: EstimatorBundle(device_class=name,
+                                      profile=replace(profile, contention_slope=2.0))
+                for name, profile in DEVICE_PROFILES.items()}
+    cluster = default_testbed()
+    plan = solve(cluster, JobSpec(num_samples=2000, num_epoch=2, source_store=STORE), registry)
+    assert len(plan.assignments) == 2
+    assert plan.epoch_time == pytest.approx(195.932, abs=1e-3)
+    left_out = {r.worker_id: r for r in plan.removed}
+    assert sorted(left_out) == sorted({w.id for w in cluster.workers} - set(plan.shares()))
+    for r in left_out.values():
+        assert r.reason == "slowest"
+        assert "parameter server binds" not in r.detail
 
 
 def test_audit_counts_splits_and_holds_the_proportional_shares():
