@@ -115,12 +115,10 @@ class ParametricProfile:
     def update_parts(self, state, b, ps_state) -> tuple:
         """(push, server service, pull); they sum to the update time of one worker."""
         worker_load = (1.0 + self.cpu_slope * state.cpu_util) * (1.0 + self.batch_update_coef / b)
-        return (self.base_push * worker_load, self.service_time(ps_state),
+        # the server's part is the same for every worker and batch
+        return (self.base_push * worker_load,
+                self.ps_update * (1.0 + self.ps_cpu_slope * ps_state.cpu_util),
                 self.base_pull * worker_load)
-
-    def service_time(self, ps_state) -> float:
-        """The server's part of an update, the same for every worker and batch."""
-        return self.ps_update * (1.0 + self.ps_cpu_slope * ps_state.cpu_util)
 
     def update_time(self, state, b, ps_state, n):
         push, service, pull = self.update_parts(state, b, ps_state)
@@ -330,10 +328,12 @@ class EstimatorBundle:
 
     def update_components(self, state: NodeState, batch_size,
                           ps_state: NodeState) -> tuple[float, float, float]:
-        """(push, server service, pull) durations for the event-driven simulator.
+        """(push, server service, pull) durations of one round: the parts
+        ``simulate`` runs and queues, and the service ``solve`` prices.
 
         For a parametric profile the sum equals ``est_update_time`` at
-        ``n_workers=1`` exactly; queueing then replaces the linear contention
+        ``n_workers=1`` exactly, and the service is a number, whatever the
+        state and batch; queueing then replaces the linear contention
         stand-in. Fitted update models cannot be decomposed, so they get a
         fixed 0.3/0.4/0.3 split of the single-worker estimate.
         """
@@ -341,13 +341,6 @@ class EstimatorBundle:
             total = self.est_update_time(state, batch_size, ps_state, n_workers=1)
             return 0.3 * total, 0.4 * total, 0.3 * total
         return self.profile.update_parts(state, batch_size, ps_state)
-
-    def est_service_time(self, state: NodeState, batch_size, ps_state: NodeState):
-        """The server service of ``update_components`` alone: a number for a
-        parametric profile, whatever the state and batch."""
-        if "update_time" in self.models:
-            return self.update_components(state, batch_size, ps_state)[1]
-        return self.profile.service_time(ps_state)
 
     def est_state(self, state, batch_size):
         """95th-percentile projected state once a batch-``b`` training task lands;

@@ -29,13 +29,14 @@ and batch sizes across a heterogeneous cluster:
    them at all with no update time. The best candidate wins (ties go to the
    cheaper plan), and the workers beyond its ``n`` are removed.
 
-One set of tables (``_Tables``) holds the memory caps, the pressure mask
-and the round times as flat arrays over the whole cluster, each filled with
-one estimator call per device class (the node states going in as a
-``StateTable``), so the estimator calls for a split or a candidate do not
-grow with the number of workers. One pricing function (``_price``) turns
-shards and batches into epoch times and costs over arrays; it ranks the
-candidates, and the winner's assignments are read off its arrays.
+One set of tables (``_Tables``) holds the memory caps, the pressure mask,
+the round times and the server's service times as flat arrays over the
+whole cluster, each filled with one estimator call per device class (the
+node states going in as a ``StateTable``), so the estimator calls for a
+split or a candidate do not grow with the number of workers. One pricing
+function (``_price``) turns shards and batches into epoch times and costs
+over arrays; it ranks the candidates, and the winner's assignments are
+read off its arrays.
 
 ``fairness_plan`` is the baseline: equal shards for everyone, no interference
 checks, no refinement. It prices its shards with the same ``_price``.
@@ -76,16 +77,13 @@ def check_pressure(worker: WorkerSpec, bundle: EstimatorBundle, batch_size) -> t
     """Whether every background task on this worker still meets its deadline
     once a batch of the given size is training there.
 
-    Returns (ok, app_id -> projected exec time). A batch of zero means no
-    training task lands on the worker, so nothing can be pressured. Given an
-    integer array of batch sizes, ``ok`` is a mask over them and each exec
+    Returns (ok, exec time): the background tasks' projected exec time, one
+    for all of them, since they share the node state the batch leaves. Given
+    an integer array of batch sizes, ``ok`` is a mask over them and the exec
     time an array.
     """
-    if not isinstance(batch_size, np.ndarray) and batch_size == 0:
-        return True, {}
     exec_time = bundle.est_exec_time(bundle.est_state(worker.initial_state, batch_size))
-    return (_meets_deadline(exec_time, _deadline(worker)),
-            {app.id: exec_time for app in worker.background_apps})
+    return _meets_deadline(exec_time, _deadline(worker)), exec_time
 
 
 def _deadline(worker: WorkerSpec) -> float:
@@ -180,14 +178,6 @@ class Plan:
 # --- shared helpers -------------------------------------------------------------
 
 
-def _transfer_rate(worker: WorkerSpec, store: str) -> float:
-    rate = worker.per_sample_transfer_cost.get(store)
-    if rate is None:
-        raise ValidationError(f"worker '{worker.id}' has no transfer cost for "
-                              f"data store '{store}'")
-    return rate
-
-
 def largest_remainder(shares: dict, total: int, weight: dict) -> dict:
     """Round float shares to integers summing to ``total``.
 
@@ -231,17 +221,18 @@ class _Tables:
     Workers are grouped by device class, so that each table is one
     estimator call per class over all its rows, their node states going in
     as a ``StateTable``: the memory cap of every worker (``maxbatch``, 0 for
-    none), then the pressure mask and compute times once per solve, update
-    times once per worker count, since they also depend on how many workers
-    share the parameter server, and the server's service times at each
-    candidate's chosen batches only. A worker's batches run from
-    ``b_min`` to its memory cap or the job size, whichever is smaller, since
-    no shard is larger than the job. Rows are grouped by worker in cluster
-    order (``owner`` numbers them), batches ascending within each: the shape
-    ``_min_epoch`` and ``_split`` take. The mask's rows include each
-    worker's memory cap, and a worker whose background tasks miss a
-    deadline there is left out, into ``failed`` (``at_cap`` has the exec
-    times); so is one with no batch that passes, into ``empty``.
+    none), then the pressure mask, compute times and the server's service
+    times (the service ``simulate`` queues for the row's worker at its
+    batch) once per solve, and update times once per worker count, since
+    they also depend on how many workers share the parameter server. A
+    worker's batches run from ``b_min`` to its memory cap or the job size,
+    whichever is smaller, since no shard is larger than the job. Rows are
+    grouped by worker in cluster order (``owner`` numbers them), batches
+    ascending within each: the shape ``_min_epoch`` and ``_split`` take. The
+    mask's rows include each worker's memory cap, and a worker whose
+    background tasks miss a deadline there is left out, into ``failed``
+    (``at_cap`` has the exec times); so is one with no batch that passes,
+    into ``empty``.
     """
 
     def __init__(self, cluster: ClusterSpec, registry: dict, job: JobSpec):
@@ -254,8 +245,8 @@ class _Tables:
         bundles = [bundle_for(registry, name) for name in number]
         cpu, gpu, mem, deadline, rate, init = np.array(
             [(w.initial_state.cpu_util, w.initial_state.gpu_util, w.initial_state.mem_util,
-              _deadline(w), _transfer_rate(w, job.source_store), w.init_cost) for w in workers],
-            dtype=float).T
+              _deadline(w), w.per_sample_transfer_cost[job.source_store], w.init_cost)
+             for w in workers], dtype=float).T
         b_min, b_max = np.array([(w.b_min, w.b_max) for w in workers], dtype=int).T
         self.maxbatch = np.empty(len(workers), dtype=int)
         for k, bundle in enumerate(bundles):
@@ -273,7 +264,7 @@ class _Tables:
         b[last] = cap
         owner = eligible[place]
         self.size = b.size
-        exec_time, t_c = np.empty(b.size), np.empty(b.size)
+        exec_time, t_c, service = np.empty(b.size), np.empty(b.size), np.empty(b.size)
         # each class's rows with their states and batches, for the update times
         self.classes = []
         for k, bundle in enumerate(bundles):
@@ -283,6 +274,7 @@ class _Tables:
                 states, b_rows = StateTable(cpu[o], gpu[o], mem[o]), b[rows]
                 exec_time[rows] = bundle.est_exec_time(bundle.est_state(states, b_rows))
                 t_c[rows] = bundle.est_compute_time(states, b_rows)
+                service[rows] = bundle.update_components(states, b_rows, self.ps_state)[1]
                 self.classes.append((bundle, rows, states, b_rows))
         ok = _meets_deadline(exec_time, deadline[owner])
         passed = ok[last]
@@ -293,12 +285,11 @@ class _Tables:
         self.empty, self.top = eligible[passed & ~has_rows], top[passed & ~has_rows]
         self.workers = eligible[has_rows]  # cluster index of each table worker
         self.owner = (has_rows.cumsum() - 1)[place[self.rows]]
-        self.b, self.t_c = b[self.rows], t_c[self.rows]
+        self.b, self.t_c, self.service = b[self.rows], t_c[self.rows], service[self.rows]
         starts = self.owner.searchsorted(np.arange(self.workers.size))
         # samples per second with no update time at all: a bound on any split
         self.fastest_rate = 1.0 / np.minimum.reduceat(self.t_c, starts)
         self.rate, self.init = rate[self.workers], init[self.workers]
-        self.bundles, self.kind, self.states = bundles, kind, (cpu, gpu, mem)
 
     def update(self, n: int) -> np.ndarray:
         """Update times at every row with ``n`` workers sharing the parameter
@@ -307,20 +298,6 @@ class _Tables:
         for bundle, rows, states, b_rows in self.classes:
             out[rows] = bundle.est_update_time(states, b_rows, self.ps_state, n)
         return out[self.rows]
-
-    def service(self, rows: np.ndarray) -> np.ndarray:
-        """The parameter server's busy seconds for one round at each of the
-        table's ``rows``: the service time ``simulate`` queues for the row's
-        worker at its batch, one estimator call per device class."""
-        out = np.empty(rows.size)
-        workers = self.workers[self.owner[rows]]
-        for k, bundle in enumerate(self.bundles):
-            at = (self.kind[workers] == k).nonzero()[0]
-            if at.size:
-                w = workers[at]
-                states = StateTable(*(column[w] for column in self.states))
-                out[at] = bundle.est_service_time(states, self.b[rows[at]], self.ps_state)
-        return out
 
 
 def _rounds_within(limit, r: np.ndarray) -> np.ndarray:
@@ -508,10 +485,12 @@ def _assign(alive: np.ndarray, tables: _Tables, job: JobSpec) -> tuple:
     while True:
         splits += 1
         members = alive.nonzero()[0]
-        b, t_c, t_u, owner = tables.b, tables.t_c, tables.update(members.size), tables.owner
+        b, t_c, t_u = tables.b, tables.t_c, tables.update(members.size)
+        service, owner = tables.service, tables.owner
         if members.size < alive.size:
             rows = alive[owner].nonzero()[0]
-            b, t_c, t_u, owner = b[rows], t_c[rows], t_u[rows], (alive.cumsum() - 1)[owner[rows]]
+            b, t_c, t_u, service = b[rows], t_c[rows], t_u[rows], service[rows]
+            owner = (alive.cumsum() - 1)[owner[rows]]
         r = b * t_c + t_u
         shards = _split(b, r, owner, tables.rate[members], tables.init[members], job)
         if shards.all():
@@ -522,10 +501,9 @@ def _assign(alive: np.ndarray, tables: _Tables, job: JobSpec) -> tuple:
     epochs = _epochs(shards[owner], b, r)
     shortest = epochs == np.minimum.reduceat(epochs, starts)[owner]
     best = np.maximum.reduceat(np.arange(b.size) * shortest, starts)
-    service = tables.service(best if members.size == alive.size else rows[best])
     return (_price(tables.workers[members], shards, b[best], t_c[best], t_u[best],
                    tables.rate[members], tables.init[members], job),
-            alive, splits, float((np.ceil(shards / b[best]) * service).sum()))
+            alive, splits, float((np.ceil(shards / b[best]) * service[best]).sum()))
 
 
 def _left_without_samples(workers: tuple, indices: np.ndarray, epoch: float) -> list:
@@ -675,7 +653,7 @@ def fairness_plan(cluster: ClusterSpec, job: JobSpec, registry: dict | None = No
         b = min(cap, d)
         rows.append((d, b, bundle.est_compute_time(w.initial_state, b),
                      bundle.est_update_time(w.initial_state, b, cluster.ps_state, len(assigned)),
-                     _transfer_rate(w, job.source_store), w.init_cost))
+                     w.per_sample_transfer_cost[job.source_store], w.init_cost))
     priced = _price(np.arange(len(assigned)), *(np.array(col) for col in zip(*rows)), job)
     assignments = priced.assignments(assigned)
     shares = {w.id: job.num_samples / n for w in workers}

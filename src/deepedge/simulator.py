@@ -39,10 +39,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .cluster import ClusterSpec, JobSpec, ValidationError
+from .cluster import ClusterSpec, JobSpec, ValidationError, validate
 from .documents import csv_rows
 from .estimators import bundle_for, default_registry
-from .scheduler import InfeasibleScheduleError, Plan, _transfer_rate, check_pressure, solve
+from .scheduler import InfeasibleScheduleError, Plan, check_pressure, solve
 
 PS_STREAM_KEY = 10 ** 6
 
@@ -136,14 +136,18 @@ def simulate(cluster: ClusterSpec, job: JobSpec, plan: Plan,
              config: SimConfig = SimConfig()) -> SimResult:
     """Run one attempt of the plan to completion or first detected crash.
 
-    A plan that does not fit the cluster and the job (an unknown or repeated
-    worker, shards that do not sum to the job, another epoch count, a batch
-    above ``min(b_max, shard)`` or below ``b_min``) raises ``ValidationError``
+    A job the cluster cannot serve (``validate``), or a plan that does not
+    fit the cluster and the job (an unknown or repeated worker, shards that
+    do not sum to the job, another epoch count, a batch above
+    ``min(b_max, shard)`` or below ``b_min``) raises ``ValidationError``
     naming the field.
     """
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
     registry = registry if registry is not None else default_registry()
+    problems = validate(cluster, job)
+    if problems:
+        raise ValidationError("; ".join(problems))
     index_of = {w.id: i for i, w in enumerate(cluster.workers)}
     assigned = set()
     for i, a in enumerate(plan.assignments):
@@ -189,7 +193,8 @@ def simulate(cluster: ClusterSpec, job: JobSpec, plan: Plan,
         push, service, pull = bundle.update_components(w.initial_state, a.batch_size,
                                                        cluster.ps_state)
         rounds_per_epoch = math.ceil(a.num_samples / a.batch_size)
-        transfer = _jitter(rng, sigma, _transfer_rate(w, job.source_store) * a.num_samples)
+        transfer = _jitter(rng, sigma, w.per_sample_transfer_cost[job.source_store]
+                           * a.num_samples)
         init = _jitter(rng, sigma, w.init_cost)
         train_start = transfer + init
         if want_phases:
@@ -197,17 +202,15 @@ def simulate(cluster: ClusterSpec, job: JobSpec, plan: Plan,
                                     f"{a.num_samples} samples"))
             trace.append(TraceEvent(train_start, w.id, "train_start",
                                     f"batch {a.batch_size}"))
-        ok, exec_times = check_pressure(w, bundle, a.batch_size)
+        ok, exec_time = check_pressure(w, bundle, a.batch_size)
         if not ok:
             for app in w.background_apps:
-                if exec_times[app.id] > app.deadline:
-                    violations.append(Violation(w.id, app.id, exec_times[app.id],
-                                                app.deadline))
+                if exec_time > app.deadline:
+                    violations.append(Violation(w.id, app.id, exec_time, app.deadline))
                     if want_phases:
                         trace.append(TraceEvent(
                             train_start, w.id, "deadline_violation",
-                            f"'{app.id}' projected {exec_times[app.id]:.4f} s "
-                            f"> {app.deadline:.4f} s"))
+                            f"'{app.id}' projected {exec_time:.4f} s > {app.deadline:.4f} s"))
         info[w.id] = {
             "rng": rng, "t_c": t_c, "push": push, "service": service, "pull": pull,
             "batch": a.batch_size, "rpe": rounds_per_epoch,

@@ -206,8 +206,8 @@ def test_simulate_with_no_rate_for_the_job_store_is_a_clean_error(specs, tmp_pat
     assert code == 1
     captured = capsys.readouterr()
     assert "makespan" not in captured.out
-    assert captured.err == ("error: worker 'tx2-0' has no transfer cost for "
-                            "data store 'store-0'\n")
+    assert captured.err == ("error: worker 'tx2-0'.per_sample_transfer_cost: no entry for "
+                            "source store 'store-0'\n")
 
 
 def test_missing_file_is_a_clean_error(tmp_path, capsys):

@@ -63,14 +63,8 @@ def test_epoch_time_rejects_zero_batch():
 
 def test_pressure_vacuous_without_background_apps():
     w = flat_worker()
-    ok, pressures = check_pressure(w, flat_registry()["flat"], 8)
-    assert ok and pressures == {}
-
-
-def test_pressure_zero_batch_is_trivially_eligible():
-    w = flat_worker(apps=(BackgroundApp(id="a", deadline=0.001),))
-    ok, pressures = check_pressure(w, flat_registry()["flat"], 0)
-    assert ok and pressures == {}
+    ok, exec_time = check_pressure(w, flat_registry(bg_base_exec=5.0)["flat"], 8)
+    assert ok and exec_time == 5.0
 
 
 def test_pressure_tight_deadline_fails():
@@ -80,9 +74,9 @@ def test_pressure_tight_deadline_fails():
                    initial_state=NodeState(0.55, 0.65, 0.45),
                    background_apps=(BackgroundApp(id="cam", deadline=0.2),),
                    b_min=1, b_max=16, per_sample_transfer_cost={STORE: 0.0})
-    ok, pressures = check_pressure(w, nano, 1)
+    ok, exec_time = check_pressure(w, nano, 1)
     assert not ok
-    assert pressures["cam"] > 0.2
+    assert exec_time > 0.2
 
 
 # --- rounding --------------------------------------------------------------
@@ -691,13 +685,13 @@ def test_tables_match_scalar_calls(kind, random_fitted_registry):
             ok_at_cap, at_cap = check_pressure(w, bundle, cap)
             assert (i in failed) == (not ok_at_cap)
             if not ok_at_cap:
-                assert failed[i] == at_cap["bg"]
+                assert failed[i] == at_cap
                 continue
             batches = range(w.b_min, min(cap, job.num_samples) + 1)
             verdicts = [check_pressure(w, bundle, b) for b in batches]
             mask, exec_times = check_pressure(w, bundle, np.array(batches))
             assert mask.tolist() == [ok for ok, _ in verdicts]
-            assert exec_times["bg"].tolist() == [t["bg"] for _, t in verdicts]
+            assert exec_times.tolist() == [t for _, t in verdicts]
             passing = [b for b, (ok, _) in zip(batches, verdicts) if ok]
             assert (i in tables.empty.tolist()) == (not passing)
             if not passing:
@@ -710,16 +704,15 @@ def test_tables_match_scalar_calls(kind, random_fitted_registry):
             assert t_u[rows].tolist() == [bundle.est_update_time(w.initial_state, b, ps, 3)
                                           for b in bs]
             # the service time simulate queues for the worker at each batch
-            service = tables.service(rows.nonzero()[0])
-            assert service.tolist() == [bundle.update_components(w.initial_state, b, ps)[1]
-                                        for b in bs]
+            assert tables.service[rows].tolist() == [
+                bundle.update_components(w.initial_state, b, ps)[1] for b in bs]
 
 
 def _counted_calls(monkeypatch) -> dict:
     """EstimatorBundle method name -> calls made while the test runs."""
     calls: dict = {}
-    for name in ("est_compute_time", "est_update_time", "update_components", "est_service_time",
-                 "est_state", "est_exec_time", "max_batch_size"):
+    for name in ("est_compute_time", "est_update_time", "update_components", "est_state",
+                 "est_exec_time", "max_batch_size"):
         method = getattr(EstimatorBundle, name)
 
         def counted(*args, _method=method, _name=name, **kwargs):
@@ -756,9 +749,9 @@ def test_estimator_calls_per_solve_grow_only_with_the_splits(monkeypatch):
         assert len(plan.assignments) < n
         assert candidates <= splits <= math.log2(n) + 2
         # per device class, update times once per split and service times
-        # at most once per candidate
+        # once per solve, whatever the number of candidates
         assert calls.pop("est_update_time") == 2 * splits
-        assert calls.pop("est_service_time") <= 2 * candidates
+        assert calls.pop("update_components") == 2
         tables.append(calls)
     # the tables take one call per class and target, whatever the worker count
     assert tables[0] == tables[1] == tables[2]

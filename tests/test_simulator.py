@@ -470,5 +470,21 @@ def test_simulate_rejects_a_worker_with_no_rate_for_the_job_store():
     cluster = replace(testbed, workers=(tx2,) + testbed.workers[1:],
                       data_stores=("store-0", "other"))
     with pytest.raises(ValidationError, match=re.escape(
-            "worker 'tx2-0' has no transfer cost for data store 'store-0'")):
+            "worker 'tx2-0'.per_sample_transfer_cost: no entry for source store 'store-0'")):
         simulate(cluster, job, plan)
+
+
+def test_simulate_rejects_a_job_on_a_store_the_cluster_lacks():
+    job = JobSpec(num_samples=400, num_epoch=1, source_store="store-0")
+    plan = solve(default_testbed(), job)
+    testbed = default_testbed()
+    # every worker has a rate for the store, but the cluster does not list it
+    cluster = replace(testbed, workers=tuple(
+        replace(w, per_sample_transfer_cost={**w.per_sample_transfer_cost, "elsewhere": 0.01})
+        for w in testbed.workers))
+    elsewhere = replace(job, source_store="elsewhere")
+    message = "job.source_store: 'elsewhere' is not one of the cluster's data stores"
+    with pytest.raises(ValidationError, match=re.escape(message)):
+        solve(cluster, elsewhere)
+    with pytest.raises(ValidationError, match=re.escape(message)):
+        simulate(cluster, elsewhere, plan)
