@@ -13,10 +13,13 @@ its worker pulls and computes, and its next arrival joins the heap. A
 scripted crash, taken in time order, is checked just before the first
 service that ends after it.
 
-Randomness is optional and reproducible: every duration can be stretched by
-multiplicative jitter, with one RNG stream per worker (seeded from the job
-seed and the worker's position in the cluster) plus a dedicated stream for
-the server, so one worker's draws never shift another's.
+Randomness is optional and reproducible. At jitter ``sigma``, a nonzero
+duration ``d`` becomes ``d * (1 + max(-0.9, sigma * z))`` for one
+standard-normal draw ``z``; a zero duration, or any at jitter 0, draws
+nothing. Each worker draws from its own stream, seeded from the simulation
+seed and its position in the cluster: its transfer, then its init, then per
+round its compute, push and pull. The server's stream draws one service per
+round, in service order. So one worker's draws never shift another's.
 
 Failures: scripted crash events kill a worker mid-training. A crash is
 noticed one heartbeat later, every worker is stopped, and the job restarts
@@ -124,11 +127,19 @@ class SimResult:
     trace: tuple
 
 
-def _jitter(rng, sigma: float, duration: float) -> float:
-    if sigma == 0.0 or duration == 0.0:
-        return duration
-    draw = max(-0.9, float(rng.normal(0.0, sigma)))
-    return duration * (1.0 + draw)
+def _stretcher(sigma: float, seed: int, key: int):
+    """The jitter of stream ``key``, as the module docstring states it; at
+    jitter 0 it builds no generator."""
+    if sigma == 0.0:
+        return lambda duration: duration
+    normal = np.random.default_rng(np.random.SeedSequence([seed, key])).standard_normal
+
+    def stretch(duration):
+        if duration == 0.0:
+            return duration
+        draw = sigma * normal()
+        return duration * (1.0 + (draw if draw > -0.9 else -0.9))
+    return stretch
 
 
 def simulate(cluster: ClusterSpec, job: JobSpec, plan: Plan,
@@ -181,27 +192,32 @@ def simulate(cluster: ClusterSpec, job: JobSpec, plan: Plan,
 
     trace: list = []
     violations: list = []
-    rng_ps = np.random.default_rng(np.random.SeedSequence([seed, PS_STREAM_KEY]))
+    ps_stretch = _stretcher(sigma, seed, PS_STREAM_KEY)
 
-    # Per-worker setup: durations, RNG stream, start of the training window.
-    info: dict = {}
-    for a in plan.assignments:
+    # Per worker, by position in the plan: its id, the start of its training
+    # window, and what each round needs (its stream, the compute, push,
+    # service and pull times, rounds per epoch and in all). Arrivals are
+    # keyed (time, order of scheduling), and ``free`` is when the server ends
+    # its last service.
+    ids: list = []
+    train_start: list = []
+    per_round: list = []
+    heap: list = []
+    order = itertools.count()
+    for p, a in enumerate(plan.assignments):
         w = cluster.workers[index_of[a.worker_id]]
         bundle = bundle_for(registry, w.device_class)
-        rng = np.random.default_rng(np.random.SeedSequence([seed, index_of[w.id]]))
-        t_c = bundle.est_compute_time(w.initial_state, a.batch_size)
+        stretch = _stretcher(sigma, seed, index_of[w.id])
+        compute = a.batch_size * bundle.est_compute_time(w.initial_state, a.batch_size)
         push, service, pull = bundle.update_components(w.initial_state, a.batch_size,
                                                        cluster.ps_state)
         rounds_per_epoch = math.ceil(a.num_samples / a.batch_size)
-        transfer = _jitter(rng, sigma, w.per_sample_transfer_cost[job.source_store]
-                           * a.num_samples)
-        init = _jitter(rng, sigma, w.init_cost)
-        train_start = transfer + init
+        transfer = stretch(w.per_sample_transfer_cost[job.source_store] * a.num_samples)
+        ready = transfer + stretch(w.init_cost)
         if want_phases:
             trace.append(TraceEvent(transfer, w.id, "transfer_end",
                                     f"{a.num_samples} samples"))
-            trace.append(TraceEvent(train_start, w.id, "train_start",
-                                    f"batch {a.batch_size}"))
+            trace.append(TraceEvent(ready, w.id, "train_start", f"batch {a.batch_size}"))
         ok, exec_time = check_pressure(w, bundle, a.batch_size)
         if not ok:
             for app in w.background_apps:
@@ -209,64 +225,55 @@ def simulate(cluster: ClusterSpec, job: JobSpec, plan: Plan,
                     violations.append(Violation(w.id, app.id, exec_time, app.deadline))
                     if want_phases:
                         trace.append(TraceEvent(
-                            train_start, w.id, "deadline_violation",
+                            ready, w.id, "deadline_violation",
                             f"'{app.id}' projected {exec_time:.4f} s > {app.deadline:.4f} s"))
-        info[w.id] = {
-            "rng": rng, "t_c": t_c, "push": push, "service": service, "pull": pull,
-            "batch": a.batch_size, "rpe": rounds_per_epoch,
-            "total_rounds": rounds_per_epoch * job.num_epoch,
-            "train_start": train_start, "rounds_done": 0, "finish": None,
-        }
-
-    # Arrivals are keyed (time, order of scheduling), and ``free`` is when the
-    # server ends its last service. The sort is stable: crashes at one
-    # instant are checked in script order.
-    heap: list = []
-    order = itertools.count()
-    for wid, st in info.items():
-        first = (st["train_start"]
-                 + _jitter(st["rng"], sigma, st["batch"] * st["t_c"])
-                 + _jitter(st["rng"], sigma, st["push"]))
-        heapq.heappush(heap, (first, next(order), wid))
+        ids.append(w.id)
+        train_start.append(ready)
+        per_round.append((stretch, compute, push, service, pull, rounds_per_epoch,
+                          rounds_per_epoch * job.num_epoch))
+        heapq.heappush(heap, (ready + stretch(compute) + stretch(push), next(order), p))
+    done = [0] * len(ids)
+    finish: list = [None] * len(ids)
+    position = {wid: p for p, wid in enumerate(ids)}
+    # the sort is stable: crashes at one instant are checked in script order
     crashes = sorted(config.crashes, key=lambda e: e.time)
+    crash_times = [e.time for e in crashes] + [math.inf]
     checked = 0
     free = 0.0
     crash_rec = None
 
     while heap:
-        arrival, _, wid = heapq.heappop(heap)
-        st = info[wid]
-        start = max(arrival, free)
-        free = start + _jitter(rng_ps, sigma, st["service"])
-        while crash_rec is None and checked < len(crashes) and crashes[checked].time < free:
+        arrival, _, p = heapq.heappop(heap)
+        stretch, compute, push, service, pull, rounds_per_epoch, total = per_round[p]
+        start = arrival if arrival > free else free
+        free = start + ps_stretch(service)
+        while crash_times[checked] < free:
             ev = crashes[checked]
             checked += 1
-            victim = info.get(ev.worker_id)
+            victim = position.get(ev.worker_id)
             # a worker is done once its last service ends, and crashes only while training
-            if (victim is not None and victim["finish"] is None
-                    and victim["train_start"] <= ev.time):
+            if (victim is not None and finish[victim] is None
+                    and train_start[victim] <= ev.time):
                 crash_rec = CrashRecord(ev.worker_id, ev.time, ev.time + HEARTBEAT_PERIOD)
+                break
         if want_rounds and (crash_rec is None or start <= crash_rec.fire_time):
-            trace.append(TraceEvent(start, wid, "ps_service_start",
-                                    f"round {st['rounds_done'] + 1}"))
+            trace.append(TraceEvent(start, ids[p], "ps_service_start", f"round {done[p] + 1}"))
         if crash_rec is not None:
             break
-        pull_end = free + _jitter(st["rng"], sigma, st["pull"])
-        st["rounds_done"] += 1
+        pull_end = free + stretch(pull)
+        done[p] = rounds_done = done[p] + 1
         if want_rounds:
-            trace.append(TraceEvent(free, wid, "ps_service_end", f"round {st['rounds_done']}"))
-        if st["rounds_done"] % st["rpe"] == 0 and want_phases:
-            trace.append(TraceEvent(pull_end, wid, "epoch_end",
-                                    f"epoch {st['rounds_done'] // st['rpe']}"))
-        if st["rounds_done"] >= st["total_rounds"]:
-            st["finish"] = pull_end
+            trace.append(TraceEvent(free, ids[p], "ps_service_end", f"round {rounds_done}"))
+        if rounds_done % rounds_per_epoch == 0 and want_phases:
+            trace.append(TraceEvent(pull_end, ids[p], "epoch_end",
+                                    f"epoch {rounds_done // rounds_per_epoch}"))
+        if rounds_done >= total:
+            finish[p] = pull_end
             if want_phases:
-                trace.append(TraceEvent(pull_end, wid, "finish", ""))
+                trace.append(TraceEvent(pull_end, ids[p], "finish", ""))
         else:
-            nxt = (pull_end
-                   + _jitter(st["rng"], sigma, st["batch"] * st["t_c"])
-                   + _jitter(st["rng"], sigma, st["push"]))
-            heapq.heappush(heap, (nxt, next(order), wid))
+            nxt = pull_end + stretch(compute) + stretch(push)
+            heapq.heappush(heap, (nxt, next(order), p))
 
     if crash_rec is not None:
         status, makespan = INTERRUPTED, crash_rec.detect_time
@@ -276,15 +283,13 @@ def simulate(cluster: ClusterSpec, job: JobSpec, plan: Plan,
                                     "crash_detected", "stopping all workers"))
     else:
         status = COMPLETED
-        makespan = max(st["finish"] for st in info.values())
+        makespan = max(finish)
     trace.sort(key=lambda e: (e.time, e.worker, e.event))
     return SimResult(
-        status=status, makespan=makespan,
-        worker_finish={wid: st["finish"] for wid, st in info.items()},
-        train_starts={wid: st["train_start"] for wid, st in info.items()},
-        epochs_completed={wid: st["rounds_done"] // st["rpe"]
-                          for wid, st in info.items()},
-        rounds_completed={wid: st["rounds_done"] for wid, st in info.items()},
+        status=status, makespan=makespan, worker_finish=dict(zip(ids, finish)),
+        train_starts=dict(zip(ids, train_start)),
+        epochs_completed={wid: d // rpe for wid, d, (*_, rpe, _) in zip(ids, done, per_round)},
+        rounds_completed=dict(zip(ids, done)),
         crash=crash_rec, violations=tuple(violations), trace=tuple(trace))
 
 

@@ -82,7 +82,8 @@ def sim_digests(ladder_cluster) -> dict:
     """Case name -> sha256 of its result."""
     out = {}
     rng = np.random.default_rng(18)
-    for name, (cluster, fair, cases) in clusters(ladder_cluster).items():
+    named = clusters(ladder_cluster)
+    for name, (cluster, fair, cases) in named.items():
         ids = [w.id for w in cluster.workers]
         for jitter in JITTERS:
             for k in range(cases):
@@ -98,7 +99,7 @@ def sim_digests(ladder_cluster) -> dict:
                         jitter=jitter, crashes=crashes, trace_level=level))
                     out[f"{name}-{jitter}-{k}-{level}"] = digest(sim_text(res))
     for name in ("testbed", "stressed", "bare"):
-        cluster = clusters(ladder_cluster)[name][0]
+        cluster = named[name][0]
         ids = [w.id for w in cluster.workers]
         for k, jitter in enumerate(JITTERS):
             job = JobSpec(num_samples=int(rng.integers(200, 3000)),

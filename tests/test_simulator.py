@@ -88,6 +88,20 @@ def test_jitter_perturbs_but_stays_positive():
                     config=SimConfig(jitter=0.3)).makespan != base
 
 
+def test_a_run_without_jitter_builds_no_random_stream(monkeypatch):
+    cluster = default_testbed()
+    job = JobSpec(num_samples=900, num_epoch=2, source_store="store-0")
+    plan = solve(cluster, job)
+    expected = simulate(cluster, job, plan, seed=3)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a random stream was built for a run without jitter")
+    monkeypatch.setattr(np.random, "default_rng", refuse)
+    assert simulate(cluster, job, plan, seed=3) == expected
+    with pytest.raises(AssertionError, match="random stream"):
+        simulate(cluster, job, plan, seed=3, config=SimConfig(jitter=0.05))
+
+
 def test_crash_interrupts_training():
     cluster = default_testbed()
     job = JobSpec(num_samples=2000, num_epoch=2, source_store="store-0")
