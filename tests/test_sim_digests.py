@@ -8,8 +8,11 @@ stressed, the same stressed testbed with every other worker free of init and
 transfer cost (durations that draw nothing), the 96-worker
 ``tests/data/wide_cluster.json`` and a 64-worker ladder cluster, at jitter 0,
 0.03, 0.3 and 0.8 (where the -0.9 clamp fires on about 13% of draws), with
-random crash scripts at every trace level. A change to the simulator that
-moves any draw, any round or any trace event shows here. Regenerate the file
+random crash scripts at every trace level. The stressed testbed and the wide
+cluster run on two fitted registries as well: the benchmark's (tx2 and nano
+swept from ``reference_grid`` at noise 0.02, seed 1, and fitted) and one of
+random coefficients, at jitter 0 and 0.03. A change to the simulator or to
+the estimators that moves any draw, any round or any trace event shows here. Regenerate the file
 (only for a change meant to move simulations) with
 
     PYTHONPATH=src python tests/test_sim_digests.py
@@ -22,8 +25,9 @@ from pathlib import Path
 
 import numpy as np
 
-from deepedge import (CrashEvent, JobSpec, SimConfig, default_testbed, fairness_plan,
-                      inject_and_recover, load_cluster, plan_to_doc, simulate, solve)
+from deepedge import (CrashEvent, EstimatorBundle, JobSpec, SimConfig, default_registry,
+                      default_testbed, fairness_plan, fit_all, inject_and_recover, load_cluster,
+                      plan_to_doc, reference_grid, run_sweep, simulate, solve)
 
 DATA = Path(__file__).parent / "data"
 PINNED = DATA / "sim_digests.json"
@@ -68,6 +72,16 @@ def clusters(ladder_cluster) -> dict:
     }
 
 
+def fitted_registries(random_fitted_registry) -> dict:
+    """Name -> a fitted registry: the benchmark's, and one of random coefficients."""
+    base = default_registry()
+    bench = {dev: EstimatorBundle(dev, models={
+        t: r.model for t, r in fit_all(run_sweep(base[dev], reference_grid(dev, noise=0.02),
+                                                 seed=1)).items()})
+        for dev in ("tx2", "nano")}
+    return {"bench": bench, "random": random_fitted_registry(np.random.default_rng(19))}
+
+
 def crash_script(rng, ids, clean) -> tuple:
     """Up to three crashes, most at event times of the clean run."""
     times = sorted({ev.time for ev in clean.trace})
@@ -78,7 +92,7 @@ def crash_script(rng, ids, clean) -> tuple:
         for _ in range(int(rng.integers(0, 4))))
 
 
-def sim_digests(ladder_cluster) -> dict:
+def sim_digests(ladder_cluster, random_fitted_registry) -> dict:
     """Case name -> sha256 of its result."""
     out = {}
     rng = np.random.default_rng(18)
@@ -113,14 +127,34 @@ def sim_digests(ladder_cluster) -> dict:
             rec = inject_and_recover(cluster, job, seed=k, config=SimConfig(
                 jitter=jitter, crashes=crashes, trace_level=LEVELS[k % 3]))
             out[f"recover-{name}-{jitter}"] = digest(recovery_text(rec))
+    rng = np.random.default_rng(19)
+    for reg_name, registry in fitted_registries(random_fitted_registry).items():
+        for name in ("stressed", "wide"):
+            cluster, fair, _ = named[name]
+            ids = [w.id for w in cluster.workers]
+            for jitter in (0.0, 0.03):
+                for k in range(2):
+                    job = JobSpec(num_samples=int(rng.integers(200, 4000)),
+                                  num_epoch=int(rng.integers(1, 4)), source_store=STORE)
+                    plan = (fairness_plan(cluster, job, registry) if fair and k % 2
+                            else solve(cluster, job, registry))
+                    seed = int(rng.integers(1000))
+                    clean = simulate(cluster, job, plan, registry, seed=seed,
+                                     config=SimConfig(jitter=jitter, trace_level="rounds"))
+                    crashes = crash_script(rng, ids, clean)
+                    for level in LEVELS:
+                        res = simulate(cluster, job, plan, registry, seed=seed, config=SimConfig(
+                            jitter=jitter, crashes=crashes, trace_level=level))
+                        out[f"{reg_name}-{name}-{jitter}-{k}-{level}"] = digest(sim_text(res))
     return out
 
 
-def test_simulations_match_the_pinned_digests(ladder_cluster):
-    assert sim_digests(ladder_cluster) == json.loads(PINNED.read_text())
+def test_simulations_match_the_pinned_digests(ladder_cluster, random_fitted_registry):
+    assert sim_digests(ladder_cluster, random_fitted_registry) == json.loads(PINNED.read_text())
 
 
 if __name__ == "__main__":
-    from conftest import _ladder_cluster
+    from conftest import _ladder_cluster, _random_fitted_registry
 
-    PINNED.write_text(json.dumps(sim_digests(_ladder_cluster), indent=2) + "\n")
+    PINNED.write_text(json.dumps(sim_digests(_ladder_cluster, _random_fitted_registry),
+                                 indent=2) + "\n")
