@@ -15,7 +15,10 @@ the parametric form per target, so a registry can mix both. Each target has
 one evaluation, which takes a batch size or an integer array of them, and a
 node state or a ``StateTable`` of states, one per batch: a table over every
 batch size of every worker of a device class is one call, and a fitted table
-one design matrix.
+one design matrix. A fitted prediction at a point is the same, bit for bit,
+whether the point comes alone or among many, and when all three
+projected-state targets are fitted they share one design, weighted by each
+model's coefficients.
 """
 
 from __future__ import annotations
@@ -42,6 +45,8 @@ FEATURES_BY_TARGET = {
     "state_mem": ("cpu_util", "gpu_util", "mem_util", "batch"),
     "exec_time": ("cpu_util", "gpu_util", "mem_util"),
 }
+
+_STATE_TARGETS = ("state_cpu", "state_gpu", "state_mem")
 
 _POSITIVE_FLOOR = 1e-9
 
@@ -183,6 +188,23 @@ def _terms(feature_names: tuple, P: np.ndarray) -> np.ndarray:
     return D
 
 
+def _predict(feature_names: tuple, values, coefficients: np.ndarray) -> list:
+    """Per row of ``coefficients``, the basis at the points of ``values`` (one
+    per feature) times that row, summed per point: a number for one point
+    given as numbers, else an array of the broadcast points' shape. Terms sum
+    along row-major rows, so a point's prediction is the same alone or among many."""
+    if np.ndarray not in map(type, values):
+        design = _terms(feature_names, np.array([1.0, *values]))
+        return np.multiply(design, coefficients).sum(axis=1).tolist()
+    points = np.broadcast(*values)
+    P = np.empty((len(values) + 1, points.size))
+    P[0] = 1.0
+    for j, value in enumerate(values):
+        P[j + 1] = value
+    y = np.multiply(_terms(feature_names, P).T, coefficients[:, None], order="C").sum(axis=2)
+    return [row.reshape(points.shape) if points.shape else float(row[0]) for row in y]
+
+
 def design_matrix(feature_names, X: np.ndarray) -> np.ndarray:
     """Evaluate the basis on feature rows. X has one column per feature."""
     names = tuple(feature_names)
@@ -220,7 +242,8 @@ class FittedFunction:
 
     @cached_property
     def _coefficients(self) -> np.ndarray:
-        return np.array(self.coefficients, dtype=float)
+        """The coefficients as a one-row matrix, as ``_predict`` takes them."""
+        return np.array([self.coefficients], dtype=float)
 
     def term_names(self) -> list[str]:
         return [name for name, _, _ in basis_terms(self.feature_names)]
@@ -233,26 +256,18 @@ class FittedFunction:
             values = [features[name] for name in self.feature_names]
         except KeyError as exc:
             raise ValueError(f"fitted '{self.target}': missing feature {exc}") from None
-        points = np.broadcast(*values)
-        P = np.empty((len(values) + 1, points.size))
-        P[0] = 1.0
-        for j, value in enumerate(values):
-            P[j + 1] = value
-        # summed over a row-major copy, so that a point's terms sum in the same
-        # order whatever the number of points
-        y = np.multiply(_terms(FEATURES_BY_TARGET[self.target], P).T, self._coefficients,
-                        order="C").sum(axis=1)
-        return y.reshape(points.shape) if points.shape else float(y[0])
+        return _predict(FEATURES_BY_TARGET[self.target], values, self._coefficients)[0]
 
     def estimate(self, state, b, ps_state, n):
         """The prediction under ``state`` at batch size ``b`` with ``n`` workers
         on a parameter server in ``ps_state``. Times are floored just above
         zero, since a fit, unlike the closed form, can dip below it."""
-        features = {"cpu_util": state.cpu_util, "gpu_util": state.gpu_util,
-                    "mem_util": state.mem_util, "batch": b,
-                    "ps_cpu_util": ps_state.cpu_util if ps_state is not None else None,
-                    "n_workers": n}
-        pred = self.predict({name: features[name] for name in FEATURES_BY_TARGET[self.target]})
+        # every target's features are a prefix of the update time's
+        features = dict(zip(FEATURES_BY_TARGET[self.target],
+                            (state.cpu_util, state.gpu_util, state.mem_util, b)))
+        if self.target == "update_time":
+            features.update(ps_cpu_util=ps_state.cpu_util, n_workers=n)
+        pred = self.predict(features)
         return pred if self.target.startswith("state_") else _clamp(pred, _POSITIVE_FLOOR)
 
 
@@ -311,6 +326,14 @@ class EstimatorBundle:
         return {t: self.models[t].estimate if t in self.models else getattr(self.profile, t)
                 for t in TARGETS}
 
+    @cached_property
+    def _state_coefficients(self) -> np.ndarray | None:
+        """The three state models' coefficients, a row each, when all three
+        are fitted (they share their features, so one design serves them);
+        else None."""
+        return (np.array([self.models[t].coefficients for t in _STATE_TARGETS], dtype=float)
+                if all(t in self.models for t in _STATE_TARGETS) else None)
+
     def est_compute_time(self, state: NodeState, batch_size):
         """Seconds per sample to run one forward+backward pass at this batch size."""
         if _smallest(batch_size) < 1:
@@ -347,11 +370,18 @@ class EstimatorBundle:
         a ``StateTable`` for an array of batch sizes or a table of states."""
         if _smallest(batch_size) < 1:
             raise ValueError(f"batch_size must be >= 1, got {batch_size}")
-        estimate = self._estimate
+        coefficients = self._state_coefficients
+        if coefficients is None:
+            estimate = self._estimate
+            cpu = estimate["state_cpu"](state, batch_size, None, 1)
+            gpu = estimate["state_gpu"](state, batch_size, None, 1)
+            mem = estimate["state_mem"](state, batch_size, None, 1)
+        else:
+            cpu, gpu, mem = _predict(FEATURES_BY_TARGET["state_cpu"], (
+                state.cpu_util, state.gpu_util, state.mem_util, batch_size), coefficients)
         # a running task never frees resources, and utilization saturates at 1
-        values = (_clamp(estimate["state_cpu"](state, batch_size, None, 1), state.cpu_util, 1.0),
-                  _clamp(estimate["state_gpu"](state, batch_size, None, 1), state.gpu_util, 1.0),
-                  _clamp(estimate["state_mem"](state, batch_size, None, 1), state.mem_util, 1.0))
+        values = (_clamp(cpu, state.cpu_util, 1.0), _clamp(gpu, state.gpu_util, 1.0),
+                  _clamp(mem, state.mem_util, 1.0))
         if isinstance(batch_size, np.ndarray) or isinstance(state, StateTable):
             return StateTable(*values)
         return NodeState(*values)

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from deepedge import (EstimatorBundle, NodeState, ParametricProfile,
-                      ValidationError, bundle_for, default_registry,
-                      load_registry, save_registry)
+                      ValidationError, bundle_for, default_registry, fitted_bundle,
+                      load_registry, reference_grid, run_sweep, save_registry)
 from deepedge import estimators
 from deepedge.estimators import DEVICE_PROFILES
 
@@ -106,6 +106,44 @@ def test_state_projection_strictly_above_idle():
     tx2 = bundle_for(default_registry(), "tx2")
     new = tx2.est_state(IDLE, 8)
     assert new.cpu_util > 0 and new.gpu_util > 0 and new.mem_util > 0
+
+
+@pytest.mark.parametrize("kind", ["fitted", "mixed", "parametric"])
+def test_state_projection_is_each_targets_estimate_clamped(kind):
+    """``est_state`` is each state target's own estimate, clamped to
+    [current, 1], bit for bit, for one node state and for a table of them: a
+    fitted bundle evaluates the three targets on one shared design, a mixed
+    one (GPU state parametric) and a parametric one target by target."""
+    nano = default_registry()["nano"]
+    fitted, _ = fitted_bundle("nano", run_sweep(nano, reference_grid("nano", noise=0.02), seed=1))
+    bundle = {"fitted": fitted, "parametric": nano,
+              "mixed": EstimatorBundle("nano", profile=DEVICE_PROFILES["nano"], models={
+                  t: m for t, m in fitted.models.items() if t != "state_gpu"})}[kind]
+
+    def one_by_one(state, b):
+        features = {"cpu_util": state.cpu_util, "gpu_util": state.gpu_util,
+                    "mem_util": state.mem_util, "batch": b}
+        return [bundle.models[t].predict(features) if t in bundle.models
+                else getattr(bundle.profile, t)(state, b, None, 1)
+                for t in ("state_cpu", "state_gpu", "state_mem")]
+
+    rng = np.random.default_rng(23)
+    for _ in range(200):
+        state = NodeState(*(float(v) for v in rng.uniform(0.0, 0.7, 3)))
+        b = int(rng.integers(1, 64))
+        now = (state.cpu_util, state.gpu_util, state.mem_util)
+        want = [min(1.0, max(low, value)) for low, value in zip(now, one_by_one(state, b))]
+        got = bundle.est_state(state, b)
+        assert type(got) is NodeState
+        assert [got.cpu_util, got.gpu_util, got.mem_util] == want
+    table = estimators.StateTable(*rng.uniform(0.0, 0.7, (3, 500)))
+    batches = rng.integers(1, 64, 500)
+    got = bundle.est_state(table, batches)
+    assert type(got) is estimators.StateTable
+    for now, value, column in zip(table, one_by_one(table, batches), got):
+        assert np.array_equal(column, np.minimum(1.0, np.maximum(now, value)))
+        # most projections land strictly inside (current, 1), so the clamp hides nothing
+        assert ((column > now) & (column < 1.0)).mean() > 0.5
 
 
 def test_exec_time_baseline_and_growth():

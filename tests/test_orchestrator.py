@@ -180,47 +180,64 @@ def test_refine_monotone_in_target():
         assert refine_num_epoch(obs, lo, 50) <= refine_num_epoch(obs, hi, 50)
 
 
-def _gauss_newton_numpy(k, y, start):
-    """The numpy loop the fit ran before it moved to Python floats, kept as an oracle."""
-    L, r, k0 = start
-    lam = 1e-3
+def _gauss_newton_numpy(k, y, starts):
+    """The numpy loop the fit ran before it moved to Python floats, kept as an
+    oracle and run for many curves at once: row i of ``k`` and ``y`` is one
+    curve, fitted from ``starts[i]`` = (L, r, k0) by its own loop, with its own
+    damping, steps and stopping rule. One fit per row."""
+    L, r, k0 = (np.array(column, dtype=float) for column in zip(*starts))
+    lam = np.full(len(L), 1e-3)
 
-    def evaluate(L, r, k0):
+    def evaluate(rows, L, r, k0):
         # the loop relied on exp overflowing to inf; the suite turns the warning into an error
         with np.errstate(over="ignore"):
-            s = 1.0 / (1.0 + np.exp(-r * (k - k0)))
-        res = L * s - y
-        return s, res, float(res @ res)
+            s = 1.0 / (1.0 + np.exp(-r[:, None] * (k[rows] - k0[:, None])))
+        res = L[:, None] * s - y[rows]
+        return s, res, np.einsum("ij,ij->i", res, res)
 
-    s, res, sse = evaluate(L, r, k0)
-    iterations = 0
-    for iterations in range(1, 101):
-        grad_mid = L * s * (1.0 - s)
-        J = np.column_stack([s, grad_mid * (k - k0), -grad_mid * r])
-        H = J.T @ J
-        g = J.T @ res
+    s, res, sse = evaluate(slice(None), L, r, k0)
+    iterations = np.zeros(len(L), dtype=int)
+    live = np.ones(len(L), dtype=bool)
+    for it in range(1, 101):
+        rows = live.nonzero()[0]
+        if not rows.size:
+            break
+        iterations[rows] = it
+        grad_mid = L[rows, None] * s[rows] * (1.0 - s[rows])
+        J = np.stack([s[rows], grad_mid * (k[rows] - k0[rows, None]),
+                      -grad_mid * r[rows, None]], axis=2)
+        H = J.transpose(0, 2, 1) @ J
+        g = J.transpose(0, 2, 1) @ res[rows, :, None]
+        A = H + lam[rows, None, None] * (H * np.eye(3) + 1e-12 * np.eye(3))
+        solved = np.ones(rows.size, dtype=bool)
         try:
-            step = np.linalg.solve(H + lam * (np.diag(np.diag(H)) + 1e-12 * np.eye(3)), -g)
+            step = np.linalg.solve(A, -g)[..., 0]
         except np.linalg.LinAlgError:
-            lam *= 4.0
-            continue
-        L2 = float(np.clip(L + step[0], 1e-6, 1.0))
-        r2 = float(np.clip(r + step[1], 1e-6, 50.0))
-        k02 = float(np.clip(k0 + step[2], -1e6, 1e6))
-        s2, res2, sse2 = evaluate(L2, r2, k02)
-        if sse2 < sse:
-            moved = abs(L2 - L) + abs(r2 - r) + abs(k02 - k0)
-            L, r, k0, s, res = L2, r2, k02, s2, res2
-            improved = sse - sse2
-            sse = sse2
-            lam = max(lam * 0.5, 1e-12)
-            if improved < 1e-14 and moved < 1e-10:
-                break
-        else:
-            lam *= 4.0
-            if lam > 1e12:
-                break
-    return LogisticFit(L=L, r=r, k0=k0, sse=sse, iterations=iterations)
+            step = np.zeros((rows.size, 3))
+            for j in range(rows.size):
+                try:
+                    step[j] = np.linalg.solve(A[j], -g[j])[:, 0]
+                except np.linalg.LinAlgError:
+                    solved[j] = False
+        lam[rows[~solved]] *= 4.0
+        rows, step = rows[solved], step[solved]
+        L2 = np.clip(L[rows] + step[:, 0], 1e-6, 1.0)
+        r2 = np.clip(r[rows] + step[:, 1], 1e-6, 50.0)
+        k02 = np.clip(k0[rows] + step[:, 2], -1e6, 1e6)
+        s2, res2, sse2 = evaluate(rows, L2, r2, k02)
+        better = sse2 < sse[rows]
+        took = rows[better]
+        moved = (np.abs(L2 - L[rows]) + np.abs(r2 - r[rows]) + np.abs(k02 - k0[rows]))[better]
+        improved = sse[took] - sse2[better]
+        L[took], r[took], k0[took] = L2[better], r2[better], k02[better]
+        s[took], res[took], sse[took] = s2[better], res2[better], sse2[better]
+        lam[took] = np.maximum(lam[took] * 0.5, 1e-12)
+        live[took[(improved < 1e-14) & (moved < 1e-10)]] = False
+        worse = rows[~better]
+        lam[worse] *= 4.0
+        live[worse[lam[worse] > 1e12]] = False
+    return [LogisticFit(L=float(L[i]), r=float(r[i]), k0=float(k0[i]), sse=float(sse[i]),
+                        iterations=int(iterations[i])) for i in range(len(L))]
 
 
 def _oracle_readings():
@@ -244,16 +261,30 @@ def _oracle_readings():
     yield k, np.array([0.2, 0.6, 0.2, 0.6, 0.2, 0.6])
 
 
+def _oracle_starts(k, y) -> list:
+    """The three starts of ``fit_accuracy_curve``."""
+    top = float(np.max(y))
+    L0 = min(1.0, max(top + 0.05, 0.1))
+    k0_guess = float(k[int(np.argmin(np.abs(y - top / 2.0)))])
+    return [(L0, r0, k0_guess) for r0 in (0.3, 0.8, 1.5)]
+
+
 def test_fit_on_python_floats_matches_the_numpy_loop():
     targets = (0.3, 0.5, 0.7, 0.9)
-    for k, y in _oracle_readings():
-        top = float(np.max(y))
-        L0 = min(1.0, max(top + 0.05, 0.1))
-        k0_guess = float(k[int(np.argmin(np.abs(y - top / 2.0)))])
+    readings = list(_oracle_readings())
+    # the oracle fits every (reading, start) of one reading count at once
+    oracle = {}
+    for n in {k.size for k, _ in readings}:
+        cases = [(i, start) for i, (k, y) in enumerate(readings) if k.size == n
+                 for start in _oracle_starts(k, y)]
+        fits = _gauss_newton_numpy(np.array([readings[i][0] for i, _ in cases]),
+                                   np.array([readings[i][1] for i, _ in cases]),
+                                   [start for _, start in cases])
+        oracle.update(zip(cases, fits))
+    for i, (k, y) in enumerate(readings):
         ref = None
-        for r0 in (0.3, 0.8, 1.5):
-            start = (L0, r0, k0_guess)
-            want = _gauss_newton_numpy(k, y, start)
+        for start in _oracle_starts(k, y):
+            want = oracle[i, start]
             got = _gauss_newton(k.tolist(), y.tolist(), start)
             assert abs(got.sse - want.sse) <= 1e-10, (k, y, start, got, want)
             if ref is None or want.sse < ref.sse:

@@ -12,8 +12,8 @@ random crash scripts at every trace level. The stressed testbed and the wide
 cluster run on two fitted registries as well: the benchmark's (tx2 and nano
 swept from ``reference_grid`` at noise 0.02, seed 1, and fitted) and one of
 random coefficients, at jitter 0 and 0.03. A change to the simulator or to
-the estimators that moves any draw, any round or any trace event shows here. Regenerate the file
-(only for a change meant to move simulations) with
+the estimators that moves any draw, any round or any trace event shows here.
+Regenerate the file (only for a change meant to move simulations) with
 
     PYTHONPATH=src python tests/test_sim_digests.py
 """
