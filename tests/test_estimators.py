@@ -261,6 +261,39 @@ def test_registry_round_trip(tmp_path):
     assert set(builtin) == set(DEVICE_PROFILES)
 
 
+_ENTRY = "registry.devices['nano']"
+
+
+@pytest.mark.parametrize("entry, message", [
+    ({"type": "parametric", "profile": {"base_forward": 0.1}, "base": "nano"},
+     f"{_ENTRY}: expected a 'parametric' entry with only a profile, or a 'fitted' one"),
+    ({"type": "magic", "profile": {"base_forward": 0.1}},
+     f"{_ENTRY}: expected a 'parametric' entry with only a profile, or a 'fitted' one"),
+    ({"type": "fitted", "base": "xavier"},
+     f"{_ENTRY}.base: unknown built-in device class 'xavier'"),
+    ({"type": "fitted"},
+     f"{_ENTRY}: bundle 'nano': no profile and no fitted model for ['compute_time', "
+     f"'update_time', 'state_cpu', 'state_gpu', 'state_mem', 'exec_time']"),
+    ({"type": "parametric", "profile": {"base_forward": 0.0}},
+     f"{_ENTRY}.profile: base_forward: must be > 0 seconds/sample, got 0.0"),
+    ({"type": "parametric", "profile": {"base_forward": 0.1, "speed": 1.0}},
+     f"{_ENTRY}.profile: unknown field 'speed'"),
+    ({"type": "parametric", "profile": {"base_forward": "fast"}},
+     f"{_ENTRY}.profile.base_forward: expected a number, got 'fast'"),
+    ({"type": "parametric", "profile": [0.1]},
+     f"{_ENTRY}.profile: expected an object, got [0.1]"),
+])
+def test_registry_refuses_a_bad_entry_naming_it(entry, message):
+    with pytest.raises(ValidationError) as err:
+        estimators.registry_from_doc({"schema": 1, "devices": {"nano": entry}})
+    assert str(err.value) == message
+
+
+def test_bundle_for_an_unknown_class_names_it():
+    with pytest.raises(ValidationError, match="device class 'xavier'"):
+        bundle_for(default_registry(), "xavier")
+
+
 @pytest.mark.parametrize("target", estimators.TARGETS)
 def test_fitted_predictions_match_the_basis_term_by_term(target):
     """The design matrix equals each basis term computed on its own, and a
