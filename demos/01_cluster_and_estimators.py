@@ -4,13 +4,20 @@
 # The testbed is one TX2 plus three Nanos, each running a vision stream
 # with a 0.2 s deadline next to the training task.
 
-from deepedge import JobSpec, bundle_for, default_registry, default_testbed, validate
+from deepedge import (JobSpec, ValidationError, bundle_for, default_registry, default_testbed,
+                      validate)
 
 cluster = default_testbed()
 job = JobSpec(num_samples=2000, num_epoch=2, source_store="store-0")
-problems = validate(cluster, job)
 print(f"workers: {[w.id for w in cluster.workers]}")
-print(f"validation problems: {problems or 'none'}")
+
+# validate returns nothing for a job the cluster can serve, and raises
+# ValidationError naming the fault for one it cannot.
+validate(cluster, job)
+try:
+    validate(cluster, JobSpec(num_samples=2000, num_epoch=2, source_store="store-9"))
+except ValidationError as exc:
+    print(f"a job on another store: {exc}")
 
 # Per-sample compute time falls with batch size because the backward pass
 # amortizes; the update time falls with batch size because fewer rounds

@@ -3,11 +3,11 @@
 Every spec checks its own invariants when it is built, whether by hand, by
 ``dataclasses.replace`` or from a document, and raises ``ValidationError``
 naming the first broken field; ``validate`` checks only what ties a cluster
-and a job together. Documents are read and written by the codec in
-``documents``: unknown fields are rejected so typos in experiment configs
-surface early instead of silently doing nothing. Utilizations are fractions
-in [0, 1]; configs may spell them as percentage strings ("88%"), normalized
-at load time.
+and a job together, and raises ``ValidationError`` when they do not fit.
+Documents are read and written by the codec in ``documents``: unknown fields
+are rejected so typos in experiment configs surface early instead of
+silently doing nothing. Utilizations are fractions in [0, 1]; configs may
+spell them as percentage strings ("88%"), normalized at load time.
 """
 
 from __future__ import annotations
@@ -160,15 +160,18 @@ class JobSpec:
                                   f"got {self.target_accuracy}")
 
 
-def validate(cluster: ClusterSpec, job: JobSpec) -> list[str]:
-    """What makes a cluster and a job, each valid on its own, unfit for each
-    other, as messages; an empty list means schedulable input. The job's store
-    must be one of the cluster's, and every worker needs a transfer cost for it."""
+def validate(cluster: ClusterSpec, job: JobSpec) -> None:
+    """Raise ValidationError, naming what is wrong, when a cluster and a job,
+    each valid on its own, are unfit for each other; return None when they fit.
+    The job's store must be one of the cluster's, and every worker needs a
+    transfer cost for it."""
     store = job.source_store
     if store not in cluster.data_stores:
-        return [f"job.source_store: '{store}' is not one of the cluster's data stores"]
-    return [f"worker '{w.id}'.per_sample_transfer_cost: no entry for source store '{store}'"
-            for w in cluster.workers if store not in w.per_sample_transfer_cost]
+        raise ValidationError(f"job.source_store: '{store}' is not one of the cluster's data stores")
+    problems = [f"worker '{w.id}'.per_sample_transfer_cost: no entry for source store '{store}'"
+                for w in cluster.workers if store not in w.per_sample_transfer_cost]
+    if problems:
+        raise ValidationError("; ".join(problems))
 
 
 # --- documents ----------------------------------------------------------------

@@ -20,6 +20,7 @@ names a bad row by ``path:line``.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 import types
@@ -228,11 +229,6 @@ def to_doc(obj) -> dict:
     return _spec(type(obj)).encode(obj)
 
 
-def writer(cls: type):
-    """``to_doc`` for one class, compiled: no lookup for each call."""
-    return _spec(cls).encode
-
-
 def load_doc(source) -> dict:
     """The top-level JSON object from a path, bytes, or a str that is JSON
     text when it starts with '{' or '[' and a path otherwise."""
@@ -278,23 +274,27 @@ def csv_rows(path, columns: tuple[str, ...], numbers: dict[str, type],
     ``numbers`` is read as a finite float, or as a whole number when its type is
     ``int``, and one named in ``limits`` must lie within its (low, high) bounds.
     A bad header, a row with the wrong number of columns or a bad number raises
-    ParseError naming ``path:line``, and the column."""
+    ParseError naming ``path:line``, and the column; a file that is not UTF-8
+    text one naming ``path``."""
     limits = limits or {}
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        if next(reader, None) != list(columns):
-            raise ParseError(f"{path}:1: expected header {','.join(columns)}")
-        kinds = [(i, name, numbers[name], limits.get(name, (-math.inf, math.inf)))
-                 for i, name in enumerate(columns) if name in numbers]
-        for rec in reader:
-            if not rec:
-                continue
-            where = f"{path}:{reader.line_num}"
-            if len(rec) != len(columns):
-                raise ParseError(f"{where}: expected {len(columns)} columns, got {len(rec)}")
-            for i, name, kind, (low, high) in kinds:
-                rec[i] = _csv_number(rec[i], kind, f"{where}: {name}")
-                if not low <= rec[i] <= high:
-                    bounds = f">= {low}" if high == math.inf else f"within [{low}, {high}]"
-                    raise ParseError(f"{where}: {name}: must be {bounds}, got {rec[i]}")
-            yield where, rec
+    try:
+        text = Path(path).read_bytes().decode("utf-8")
+    except UnicodeDecodeError:
+        raise ParseError(f"{path}: not UTF-8 text") from None
+    reader = csv.reader(io.StringIO(text, newline=""))
+    if next(reader, None) != list(columns):
+        raise ParseError(f"{path}:1: expected header {','.join(columns)}")
+    kinds = [(i, name, numbers[name], limits.get(name, (-math.inf, math.inf)))
+             for i, name in enumerate(columns) if name in numbers]
+    for rec in reader:
+        if not rec:
+            continue
+        where = f"{path}:{reader.line_num}"
+        if len(rec) != len(columns):
+            raise ParseError(f"{where}: expected {len(columns)} columns, got {len(rec)}")
+        for i, name, kind, (low, high) in kinds:
+            rec[i] = _csv_number(rec[i], kind, f"{where}: {name}")
+            if not low <= rec[i] <= high:
+                bounds = f">= {low}" if high == math.inf else f"within [{low}, {high}]"
+                raise ParseError(f"{where}: {name}: must be {bounds}, got {rec[i]}")
+        yield where, rec

@@ -280,9 +280,9 @@ _BATCH_BLOCK = 1024
 MEM_CEILING = 0.95
 
 
-def _smallest(batch_size) -> int:
-    """The batch size, or the smallest of an array of them (1 if it is empty)."""
-    return batch_size if type(batch_size) is int else np.asarray(batch_size).min(initial=1)
+def _smallest(count) -> int:
+    """The number, or the smallest of an array of them (1 if it is empty)."""
+    return count if type(count) is int else np.asarray(count).min(initial=1)
 
 
 class StateTable(NamedTuple):
@@ -299,9 +299,9 @@ class StateTable(NamedTuple):
 class EstimatorBundle:
     """Estimator set for one device class: parametric profile, fitted overrides, or both.
 
-    A batch size may be an int or an integer array, and a node state a
-    ``NodeState`` or a ``StateTable``; with either an array, every estimate is
-    an array over them, from one evaluation.
+    A batch size or worker count may be an int or an array, and a node state
+    a ``NodeState`` or a ``StateTable``; where any is an array, every estimate
+    is an array over them, from one evaluation.
     """
 
     device_class: str
@@ -341,9 +341,9 @@ class EstimatorBundle:
         return self._estimate["compute_time"](state, batch_size, None, 1)
 
     def est_update_time(self, state: NodeState, batch_size, ps_state: NodeState,
-                        n_workers: int):
+                        n_workers):
         """Seconds for one parameter exchange round (push + server update + pull)."""
-        if n_workers < 1:
+        if _smallest(n_workers) < 1:
             raise ValueError(f"n_workers must be >= 1, got {n_workers}")
         if _smallest(batch_size) < 1:
             raise ValueError(f"batch_size must be >= 1, got {batch_size}")
@@ -473,10 +473,11 @@ def bundle_for(registry: dict, device_class: str) -> EstimatorBundle:
 @dataclass(frozen=True)
 class _Device:
     """A registry entry: a parametric profile, or fitted models over a profile,
-    a built-in ``base`` profile or neither; both are read on their own."""
+    a built-in ``base`` profile or neither. The codec reads the profile, and
+    ``_bundle_from_doc`` each model."""
 
     type: str
-    profile: dict[str, Any] | None = None
+    profile: ParametricProfile | None = None
     base: str | None = None
     models: dict[str, dict[str, Any]] | None = None
 
@@ -494,8 +495,7 @@ def _bundle_from_doc(name: str, device: _Device) -> EstimatorBundle:
                               f"or a 'fitted' one")
     if device.base is not None and device.base not in DEVICE_PROFILES:
         raise ValidationError(f"{ctx}.base: unknown built-in device class '{device.base}'")
-    profile = (DEVICE_PROFILES.get(device.base) if device.profile is None
-               else from_doc(ParametricProfile, device.profile, f"{ctx}.profile"))
+    profile = device.profile or DEVICE_PROFILES.get(device.base)
     models = {}
     for target, block in (device.models or {}).items():
         mctx = f"{ctx}.models['{target}']"
@@ -518,7 +518,7 @@ def registry_from_doc(doc: dict) -> dict:
 def registry_to_doc(registry: dict) -> dict:
     return to_doc(_Registry({name: _Device(
         type="fitted" if bundle.models else "parametric",
-        profile=to_doc(bundle.profile) if bundle.profile is not None else None,
+        profile=bundle.profile,
         models={t: {**to_doc(fn), "terms": fn.term_names()}
                 for t, fn in sorted(bundle.models.items())} or None)
         for name, bundle in registry.items()}))

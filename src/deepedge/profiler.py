@@ -179,20 +179,20 @@ def dataset_from_csv(path) -> ProfileDataset:
 def run_sweep(bundle: EstimatorBundle, plan: SweepPlan, seed: int = 0) -> ProfileDataset:
     """Measure every target at every grid point, batch levels varying fastest.
 
-    Each target is one estimator evaluation over the whole grid, and update
-    time one per worker-count level. With nonzero noise, each grid point gets
-    ``repetitions`` draws of ``truth * (1 + N(0, noise))``, target by target
-    and point by point in grid order; duration targets record the sample mean,
-    state targets the 95th percentile (state estimates are defined as
-    worst-plausible, not typical). With zero noise values are exact.
+    Each target is one estimator evaluation over the whole grid. With
+    nonzero noise, each grid point gets ``repetitions`` draws of
+    ``truth * (1 + N(0, noise))``, target by target and point by point in
+    grid order; duration targets record the sample mean, state targets the
+    95th percentile (state estimates are defined as worst-plausible, not
+    typical). With zero noise values are exact.
     """
     cpu, gpu, mem, batch = (axis.ravel().astype(float) for axis in np.meshgrid(
         plan.cpu_levels, plan.gpu_levels, plan.mem_levels, plan.batch_levels, indexing="ij"))
     point = np.arange(cpu.size)
     ps = np.array(plan.ps_cpu_levels, dtype=float)[point % len(plan.ps_cpu_levels)]
-    level = point // len(plan.ps_cpu_levels) % len(plan.n_workers_levels)
-    n_levels = [int(n) for n in plan.n_workers_levels]
-    features = np.column_stack((cpu, gpu, mem, batch, ps, np.array(n_levels, float)[level]))
+    n_workers = np.array(plan.n_workers_levels, dtype=float)[
+        point // len(plan.ps_cpu_levels) % len(plan.n_workers_levels)]
+    features = np.column_stack((cpu, gpu, mem, batch, ps, n_workers))
     batch = batch.astype(int)
     grid = StateTable(cpu, gpu, mem)
     rng = np.random.default_rng(seed)
@@ -202,11 +202,7 @@ def run_sweep(bundle: EstimatorBundle, plan: SweepPlan, seed: int = 0) -> Profil
         if target == "compute_time":
             truth = bundle.est_compute_time(grid, batch)
         elif target == "update_time":
-            truth = np.empty(cpu.size)
-            for k, n in enumerate(n_levels):
-                at = level == k
-                truth[at] = bundle.est_update_time(StateTable(cpu[at], gpu[at], mem[at]),
-                                                   batch[at], StateTable(ps[at], 0.0, 0.0), n)
+            truth = bundle.est_update_time(grid, batch, StateTable(ps, 0.0, 0.0), n_workers)
         elif target == "exec_time":
             truth = bundle.est_exec_time(grid)
         else:

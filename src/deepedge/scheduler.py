@@ -51,8 +51,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .cluster import ClusterSpec, JobSpec, ValidationError, WorkerSpec, validate
-from .documents import doc_field, from_doc, load_doc, save, writer
+from .cluster import ClusterSpec, JobSpec, WorkerSpec, validate
+from .documents import doc_field, from_doc, load_doc, save, to_doc
 from .estimators import MEM_CEILING, EstimatorBundle, StateTable, bundle_for, default_registry
 
 
@@ -520,9 +520,7 @@ def total_cost(assignments) -> float:
 def solve(cluster: ClusterSpec, job: JobSpec, registry: dict | None = None) -> Plan:
     """Find a low-cost feasible plan; raises InfeasibleScheduleError if none exists."""
     registry = registry if registry is not None else default_registry()
-    problems = validate(cluster, job)
-    if problems:
-        raise ValidationError("; ".join(problems))
+    validate(cluster, job)
 
     tables = _Tables(cluster, registry, job)
     workers = cluster.workers
@@ -631,9 +629,7 @@ def fairness_plan(cluster: ClusterSpec, job: JobSpec, registry: dict | None = No
     plan infeasible.
     """
     registry = registry if registry is not None else default_registry()
-    problems = validate(cluster, job)
-    if problems:
-        raise ValidationError("; ".join(problems))
+    validate(cluster, job)
     workers = sorted(cluster.workers, key=lambda w: w.id)
     n = len(workers)
     base, extra = divmod(job.num_samples, n)
@@ -667,8 +663,11 @@ def fairness_plan(cluster: ClusterSpec, job: JobSpec, registry: dict | None = No
 # --- plan documents --------------------------------------------------------------
 
 
-# writer() looks the plan's compiled writer up once, not on every call
-plan_to_doc = writer(Plan)
+def plan_to_doc(plan: Plan) -> dict:
+    """The plan's document; not an alias of ``to_doc``, so wrapping it wraps no other writer."""
+    return to_doc(plan)
+
+
 save_plan = save
 
 

@@ -156,9 +156,7 @@ def simulate(cluster: ClusterSpec, job: JobSpec, plan: Plan,
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
     registry = registry if registry is not None else default_registry()
-    problems = validate(cluster, job)
-    if problems:
-        raise ValidationError("; ".join(problems))
+    validate(cluster, job)
     index_of = {w.id: i for i, w in enumerate(cluster.workers)}
     assigned = set()
     for i, a in enumerate(plan.assignments):

@@ -9,7 +9,8 @@ from pathlib import Path
 import pytest
 
 import deepedge
-from deepedge import JobSpec, default_testbed, load_plan, load_registry, save_cluster, save_job
+from deepedge import (JobSpec, default_testbed, load_plan, load_registry, load_trace, save_cluster,
+                      save_job)
 from deepedge.cli import main
 
 
@@ -306,6 +307,39 @@ def test_fit_of_a_row_out_of_range_exits_with_one_error_line(tmp_path):
     assert done.returncode == 1
     assert done.stderr.startswith(f"error: {sweep}:3: cpu_util: must be within [0.0, 1.0]")
     assert "Traceback" not in done.stderr and "Warning" not in done.stderr
+
+
+def test_fit_of_a_file_that_is_not_utf8_exits_with_one_error_line(tmp_path):
+    sweep = tmp_path / "binary.csv"
+    sweep.write_bytes(b"\x7fELF\x02\x01\x01\x00" + bytes(range(128, 256)))
+    src = Path(deepedge.__file__).resolve().parent.parent
+    done = subprocess.run(
+        [sys.executable, "-m", "deepedge.cli", "fit", "--data", str(sweep), "--device", "nano",
+         "--out", str(tmp_path / "registry.json")],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)}, timeout=120)
+    assert done.returncode == 1
+    assert done.stderr == f"error: {sweep}: not UTF-8 text\n"
+    assert not (tmp_path / "registry.json").exists()
+
+
+def test_crash_time_that_is_not_a_number_is_a_clean_error(specs, capsys):
+    cluster, job = specs
+    code = main(["simulate", "--cluster", cluster, "--job", job, "--crash", "nano-0:abc"])
+    assert code == 1
+    assert capsys.readouterr().err == "error: --crash time must be a number, got 'abc'\n"
+
+
+def test_run_writes_the_merged_trace(specs, tmp_path, capsys):
+    cluster, job = specs
+    trace = tmp_path / "trace.csv"
+    code = main(["run", "--cluster", cluster, "--job", job, "--crash", "nano-0:8.0",
+                 "--trace", str(trace)])
+    assert code == 0
+    assert f"trace written to {trace}" in capsys.readouterr().out
+    events = load_trace(trace)
+    # both attempts are in the file, the second after the first's crash
+    assert [ev.event for ev in events].count("crash") == 1
+    assert events[-1].time > 8.0
 
 
 DATA = Path(__file__).parent / "data"

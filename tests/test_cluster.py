@@ -124,15 +124,14 @@ def test_default_testbed_shape():
 def test_validate_accepts_good_pair():
     cluster = default_testbed()
     job = JobSpec(num_samples=100, num_epoch=1, source_store="store-0")
-    assert validate(cluster, job) == []
+    assert validate(cluster, job) is None
 
 
 def test_validate_flags_unknown_store():
     cluster = default_testbed()
     job = JobSpec(num_samples=100, num_epoch=1, source_store="nowhere")
-    problems = validate(cluster, job)
-    assert len(problems) == 1
-    assert "nowhere" in problems[0]
+    with pytest.raises(ValidationError, match="'nowhere'"):
+        validate(cluster, job)
 
 
 def _raises_when_built(cls, good: dict, field: str, **bad):

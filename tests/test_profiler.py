@@ -301,3 +301,10 @@ def test_dataset_csv_names_a_bad_number(column, value, named, tmp_path):
     path.write_text(text)
     with pytest.raises(ParseError, match="^" + re.escape(f"{where}: {named}") + "$"):
         dataset_from_csv(path)
+
+
+def test_dataset_csv_refuses_bytes_that_are_not_utf8(tmp_path):
+    path = tmp_path / "sweep.csv"
+    path.write_bytes(",".join(CSV_COLUMNS).encode() + b"\n\x7fELF\x02\x01\xd0\xff\n")
+    with pytest.raises(ParseError, match="^" + re.escape(f"{path}: not UTF-8 text") + "$"):
+        dataset_from_csv(path)

@@ -217,6 +217,13 @@ def test_load_trace_names_the_bad_row(text, named, tmp_path):
         load_trace(path)
 
 
+def test_load_trace_refuses_bytes_that_are_not_utf8(tmp_path):
+    path = tmp_path / "trace.csv"
+    path.write_bytes(HEADER.encode() + b"1.0,w,e,caf\xe9\n")
+    with pytest.raises(ParseError, match="^" + re.escape(f"{path}: not UTF-8 text") + "$"):
+        load_trace(path)
+
+
 def tie_case(n=1, inits=(0.0, 0.0)):
     """Jitter-0 workers of two rounds each: 1 s of compute, 0.5 s push and
     pull, and a 2 s service. Alone, a worker is served over [1.5, 3.5] and
@@ -400,6 +407,21 @@ def test_three_strikes_exclude_the_worker():
         [("crash", "nano-0")] * 3 + [("excluded", "nano-0")])
     assert rec.events[-1].time == rec.events[-2].time + 1.0
     assert [p.phase for p in rec.phases].count(JobPhase.RETRIGGERED) == 3
+
+
+def test_recovery_reports_each_violation_once():
+    """Both attempts of a crashed fairness plan miss nano-0's vision-stream
+    deadline; the arc reports that pair once, as the first attempt saw it."""
+    cluster = default_testbed(stressed=True)
+    job = JobSpec(num_samples=2000, num_epoch=1, source_store="store-0")
+    plan = fairness_plan(cluster, job)
+    rec = inject_and_recover(cluster, job, plan=plan,
+                             config=SimConfig(crashes=(CrashEvent("tx2-0", 30.0),)))
+    assert rec.status == "completed" and len(rec.attempts) == 2
+    for attempt in rec.attempts:
+        assert [(v.worker_id, v.app_id) for v in attempt.violations] == [
+            ("nano-0", "vision-stream")]
+    assert rec.violations == rec.attempts[0].violations
 
 
 def test_striking_out_every_worker_abandons():
