@@ -13,8 +13,8 @@ from .estimators import (DEVICE_PROFILES, EstimatorBundle, FittedFunction,
                          save_registry)
 from .scheduler import (Assignment, CostBreakdown, InfeasibleScheduleError, Plan,
                         Removal, SolveAudit, check_pressure, epoch_time,
-                        fairness_plan, largest_remainder, load_plan, plan_from_doc,
-                        plan_to_doc, save_plan, solve, total_cost)
+                        fairness_plan, load_plan, plan_from_doc, plan_to_doc, save_plan,
+                        solve, total_cost)
 from .profiler import (FitReport, ProfileDataset, SweepPlan, dataset_from_csv, fit,
                        fit_all, fitted_bundle, mape, run_sweep, reference_grid)
 from .simulator import (ArcEvent, CrashEvent, CrashRecord, IllegalTransitionError,
@@ -42,9 +42,8 @@ __all__ = [
     "load_registry", "save_registry",
     # scheduler
     "Assignment", "CostBreakdown", "InfeasibleScheduleError", "Plan", "Removal",
-    "SolveAudit", "check_pressure", "epoch_time", "fairness_plan",
-    "largest_remainder", "load_plan", "plan_from_doc", "plan_to_doc", "save_plan",
-    "solve", "total_cost",
+    "SolveAudit", "check_pressure", "epoch_time", "fairness_plan", "load_plan",
+    "plan_from_doc", "plan_to_doc", "save_plan", "solve", "total_cost",
     # profiler
     "FitReport", "ProfileDataset", "SweepPlan", "dataset_from_csv", "fit", "fit_all",
     "fitted_bundle", "mape", "run_sweep", "reference_grid",

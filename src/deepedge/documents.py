@@ -275,10 +275,10 @@ def csv_rows(path, columns: tuple[str, ...], numbers: dict[str, type],
     ``int``, and one named in ``limits`` must lie within its (low, high) bounds.
     A bad header, a row with the wrong number of columns or a bad number raises
     ParseError naming ``path:line``, and the column; a file that is not UTF-8
-    text one naming ``path``."""
+    text one naming ``path``. A leading UTF-8 byte-order mark is skipped."""
     limits = limits or {}
     try:
-        text = Path(path).read_bytes().decode("utf-8")
+        text = Path(path).read_bytes().decode("utf-8-sig")
     except UnicodeDecodeError:
         raise ParseError(f"{path}: not UTF-8 text") from None
     reader = csv.reader(io.StringIO(text, newline=""))

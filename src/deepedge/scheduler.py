@@ -131,20 +131,12 @@ class Removal:
 
 @dataclass(frozen=True)
 class SolveAudit:
-    """What the solver did, kept so plans can be checked after the fact.
-
-    ``t_total`` is each assigned worker's per-sample seconds at its batch,
-    and ``shares`` divides the job's samples in proportion to their inverses:
-    the proportional split, whose ``largest_remainder`` stays within the
-    balance envelope. The plan's shards come from the whole-round split
-    instead, which may sit outside it. ``iterations`` counts the splits
-    priced over all candidates.
-    """
+    """What the solver's search did: ``iterations`` counts the whole-round
+    splits priced over all candidates, and ``candidates_considered`` the
+    worker counts priced."""
 
     iterations: int
-    shares: dict[str, float]
-    t_total: dict[str, float]
-    candidates_considered: int = 1
+    candidates_considered: int
 
 
 @dataclass(frozen=True)
@@ -173,42 +165,6 @@ class Plan:
 
     def shares(self) -> dict:
         return {a.worker_id: a.num_samples for a in self.assignments}
-
-
-# --- shared helpers -------------------------------------------------------------
-
-
-def largest_remainder(shares: dict, total: int, weight: dict) -> dict:
-    """Round float shares to integers summing to ``total``.
-
-    Everyone keeps the floor of their share; each leftover unit goes to the
-    worker whose rounded-up load product grows the least, i.e. the smallest
-    (1 - frac) * weight, with ties to the smaller weight then the smaller id.
-    Giving the spare samples to the fastest workers this way keeps every
-    d * weight within one sample's weight of the rest.
-    """
-    floors = {wid: int(math.floor(s)) for wid, s in shares.items()}
-    fracs = {wid: shares[wid] - floors[wid] for wid in shares}
-    out = dict(floors)
-    leftover = total - sum(floors.values())
-    order = sorted(shares, key=lambda wid: ((1.0 - fracs[wid]) * weight[wid],
-                                            weight[wid], wid))
-    i = 0
-    while leftover > 0 and order:
-        out[order[i % len(order)]] += 1
-        leftover -= 1
-        i += 1
-    # float drift in the shares can leave the floors summing past the total
-    shrink = sorted(shares, key=lambda wid: ((1.0 + fracs[wid]) * weight[wid],
-                                             weight[wid], wid))
-    i = 0
-    while leftover < 0 and any(out[w] > 0 for w in out):
-        wid = shrink[i % len(shrink)]
-        if out[wid] > 0:
-            out[wid] -= 1
-            leftover += 1
-        i += 1
-    return out
 
 
 # --- the solver -----------------------------------------------------------------
@@ -608,16 +564,10 @@ def solve(cluster: ClusterSpec, job: JobSpec, registry: dict | None = None) -> P
             if server_bound else
             f"left out as slower than the {split.workers.size} workers kept, who finish the "
             f"epoch in {epoch:.4f} s; per-sample time {t:.4f} s with every worker in")))
-    best = split.assignments(workers)
-    inv_sum = sum(1.0 / a.t_total for a in best)
-    audit = SolveAudit(
-        iterations=n_splits,
-        shares={a.worker_id: job.num_samples / (a.t_total * inv_sum) for a in best},
-        t_total={a.worker_id: a.t_total for a in best},
-        candidates_considered=len(candidates))
     return Plan(method="heuristic", num_epoch=job.num_epoch,
                 total_cost=float(split.total.max()),
-                assignments=tuple(best), removed=tuple(removed), audit=audit)
+                assignments=tuple(split.assignments(workers)), removed=tuple(removed),
+                audit=SolveAudit(iterations=n_splits, candidates_considered=len(candidates)))
 
 
 def fairness_plan(cluster: ClusterSpec, job: JobSpec, registry: dict | None = None) -> Plan:
@@ -626,7 +576,7 @@ def fairness_plan(cluster: ClusterSpec, job: JobSpec, registry: dict | None = No
     The remainder goes to the lowest worker ids; batch size is capped by the
     memory scan but deadlines of co-located tasks are ignored. A worker with
     a shard below its ``b_min``, or no batch that fits in memory, makes the
-    plan infeasible.
+    plan infeasible. It searches nothing, so its plan has no audit.
     """
     registry = registry if registry is not None else default_registry()
     validate(cluster, job)
@@ -652,12 +602,8 @@ def fairness_plan(cluster: ClusterSpec, job: JobSpec, registry: dict | None = No
                      w.per_sample_transfer_cost[job.source_store], w.init_cost))
     priced = _price(np.arange(len(assigned)), *(np.array(col) for col in zip(*rows)), job)
     assignments = priced.assignments(assigned)
-    shares = {w.id: job.num_samples / n for w in workers}
-    audit = SolveAudit(iterations=0, shares=shares,
-                       t_total={a.worker_id: a.t_total for a in assignments})
     return Plan(method="fairness", num_epoch=job.num_epoch,
-                total_cost=total_cost(assignments),
-                assignments=tuple(assignments), removed=(), audit=audit)
+                total_cost=total_cost(assignments), assignments=tuple(assignments))
 
 
 # --- plan documents --------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Shared test helpers."""
 
+import math
 import random
 
 import pytest
@@ -7,6 +8,48 @@ import pytest
 from deepedge import (BackgroundApp, ClusterSpec, EstimatorBundle, FittedFunction, NodeState,
                       WorkerSpec, basis_terms, bundle_for, check_pressure, epoch_time)
 from deepedge.estimators import FEATURES_BY_TARGET, TARGETS
+
+
+def largest_remainder(shares: dict, total: int, weight: dict) -> dict:
+    """Round float shares to integers summing to ``total``.
+
+    Everyone keeps the floor of their share; each leftover unit goes to the
+    worker whose rounded-up load product grows the least, i.e. the smallest
+    (1 - frac) * weight, with ties to the smaller weight then the smaller id.
+    Giving the spare samples to the fastest workers this way keeps every
+    d * weight within one sample's weight of the rest.
+    """
+    floors = {wid: int(math.floor(s)) for wid, s in shares.items()}
+    fracs = {wid: shares[wid] - floors[wid] for wid in shares}
+    out = dict(floors)
+    leftover = total - sum(floors.values())
+    order = sorted(shares, key=lambda wid: ((1.0 - fracs[wid]) * weight[wid],
+                                            weight[wid], wid))
+    i = 0
+    while leftover > 0 and order:
+        out[order[i % len(order)]] += 1
+        leftover -= 1
+        i += 1
+    # float drift in the shares can leave the floors summing past the total
+    shrink = sorted(shares, key=lambda wid: ((1.0 + fracs[wid]) * weight[wid],
+                                             weight[wid], wid))
+    i = 0
+    while leftover < 0 and any(out[w] > 0 for w in out):
+        wid = shrink[i % len(shrink)]
+        if out[wid] > 0:
+            out[wid] -= 1
+            leftover += 1
+        i += 1
+    return out
+
+
+def proportional_split(plan, num_samples):
+    """Each assigned worker's per-sample seconds at its batch, and the job's
+    samples divided in proportion to their inverses: the split whose
+    ``largest_remainder`` rounding stays within the balance envelope."""
+    t = {a.worker_id: a.t_total for a in plan.assignments}
+    inv_sum = sum(1.0 / a.t_total for a in plan.assignments)
+    return t, {a.worker_id: num_samples / (a.t_total * inv_sum) for a in plan.assignments}
 
 
 def _samples_done_sooner(plan, cluster, registry):

@@ -3,11 +3,11 @@
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the verdict lines.
 Each check pins its tolerance inline; the near-optimality check (number 4)
 reports the distribution of its gaps to the exhaustive optimum. Check 3
-holds the balance envelope only to the proportional split in the plan's
-audit (the samples divided by inverse per-sample time at each assigned
-worker's batch): epoch time bills whole rounds, so the best integer split
-often lies outside it, and check 3 asserts instead that no integer split
-over a plan's workers ends the epoch sooner.
+holds the balance envelope only to the proportional split it derives from
+the plan's assignments (the samples divided by inverse per-sample time at
+each assigned worker's batch): epoch time bills whole rounds, so the best
+integer split often lies outside it, and check 3 asserts instead that no
+integer split over a plan's workers ends the epoch sooner.
 """
 
 import math
@@ -21,10 +21,12 @@ from deepedge import (BackgroundApp, ClusterSpec, CrashEvent, EstimatorBundle,
                       InfeasibleScheduleError, JobPhase, JobSpec, NodeState,
                       ParametricProfile, SimConfig, WorkerSpec, bench,
                       bundle_for, check_pressure, default_registry,
-                      default_testbed, epoch_time, fit_all, largest_remainder,
-                      refine_num_epoch, run_job, run_sweep, simulate,
-                      simulate_accuracy, solve, reference_grid,
+                      default_testbed, epoch_time, fit_all, refine_num_epoch,
+                      run_job, run_sweep, simulate, simulate_accuracy, solve,
+                      reference_grid,
                       validate_transitions)
+
+from conftest import largest_remainder, proportional_split
 
 STORE = "store-0"
 
@@ -176,8 +178,8 @@ def test_criterion_3_conservation_and_balance(samples_done_sooner):
             bad.append(("conservation", checked))
             continue
         # the proportional stage keeps the envelope; the integer split may not
-        t = plan.audit.t_total
-        rounded = largest_remainder(plan.audit.shares, job.num_samples, t)
+        t, shares = proportional_split(plan, job.num_samples)
+        rounded = largest_remainder(shares, job.num_samples, t)
         products = [d * t[wid] for wid, d in rounded.items()]
         slack = max(t.values())
         if max(products) - min(products) > slack * (1 + 1e-9) + 1e-9:

@@ -142,6 +142,16 @@ def test_profile_and_fit_write_the_pinned_bytes(tmp_path):
         "db209372453aca8399cc146403617c0ec6058e061eb0dd24df8b185cb92a3805")
 
 
+def test_fit_of_a_sweep_with_a_byte_order_mark_writes_the_same_registry(tmp_path):
+    sweep, bom = tmp_path / "sweep.csv", tmp_path / "bom.csv"
+    assert main(["profile", "--device", "nano", "--noise", "0.02", "--out", str(sweep)]) == 0
+    bom.write_bytes(b"\xef\xbb\xbf" + sweep.read_bytes())
+    for data in (sweep, bom):
+        assert main(["fit", "--data", str(data), "--device", "nano",
+                     "--out", str(tmp_path / f"{data.stem}.json")]) == 0
+    assert (tmp_path / "bom.json").read_bytes() == (tmp_path / "sweep.json").read_bytes()
+
+
 def test_fit_refuses_to_replace_another_registry_class(tmp_path, capsys):
     sweep, registry = tmp_path / "nano.csv", tmp_path / "registry.json"
     assert main(["profile", "--device", "nano", "--repetitions", "1", "--out", str(sweep)]) == 0
@@ -365,6 +375,7 @@ BAD_DOCUMENTS = [
     ("plan", ("assignments", 0, "worker"), 7, "plan.assignments[0].worker"),
     ("plan", ("removed", 0, "worker"), 3, "plan.removed[0].worker"),
     ("plan", ("audit", "iterations"), "no", "plan.audit.iterations"),
+    ("plan", ("audit", "shares"), {"tx2-0": 987.3}, "plan.audit: unknown field 'shares'"),
     ("plan", ("assignments", 0, "cost", "train"), DELETE, "plan.assignments[0].cost.train: missing"),
     ("plan", ("assignments", 2, "worker"), "nano-1", "plan.assignments[2]: worker 'nano-1'"),
     ("plan", ("assignments", 0, "num_samples"), 5, "plan.assignments: shards sum to 1013"),

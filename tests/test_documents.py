@@ -7,7 +7,8 @@ accuracy, the stressed testbed's solved plan for 2,000 samples over two
 epochs (it has an audit and a pressure removal), the built-in registry with
 ``nano`` replaced by fitted models of seeded random coefficients, and a
 3-trial bench report. The job's ``epsilon`` and ``tau`` and the plan audit's
-``converged`` and ``batches`` were taken out when those fields were deleted.
+``converged`` and ``batches`` were taken out when those fields were deleted,
+and so were the audit's ``shares`` and ``t_total``.
 """
 
 import json

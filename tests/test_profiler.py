@@ -308,3 +308,16 @@ def test_dataset_csv_refuses_bytes_that_are_not_utf8(tmp_path):
     path.write_bytes(",".join(CSV_COLUMNS).encode() + b"\n\x7fELF\x02\x01\xd0\xff\n")
     with pytest.raises(ParseError, match="^" + re.escape(f"{path}: not UTF-8 text") + "$"):
         dataset_from_csv(path)
+
+
+def test_dataset_csv_reads_past_a_byte_order_mark(tmp_path):
+    # spreadsheet exports start UTF-8 text with EF BB BF
+    bundle = bundle_for(default_registry(), "nano")
+    plain, bom = tmp_path / "sweep.csv", tmp_path / "bom.csv"
+    run_sweep(bundle, small_plan(noise=0.02), seed=5).to_csv(plain)
+    bom.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+    assert _same_tables(dataset_from_csv(bom), dataset_from_csv(plain))
+    # the mark excuses no bad bytes after it
+    bom.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes() + b"\xd0\xff\n")
+    with pytest.raises(ParseError, match="^" + re.escape(f"{bom}: not UTF-8 text") + "$"):
+        dataset_from_csv(bom)

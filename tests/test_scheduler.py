@@ -12,9 +12,10 @@ from deepedge import (BackgroundApp, ClusterSpec, EstimatorBundle,
                       InfeasibleScheduleError, JobSpec, NodeState,
                       ParametricProfile, WorkerSpec, bundle_for, check_pressure,
                       default_registry, default_testbed, epoch_time,
-                      fairness_plan, largest_remainder,
-                      load_plan, plan_from_doc, plan_to_doc, save_plan, solve,
-                      total_cost, ValidationError)
+                      fairness_plan, load_plan, plan_from_doc, plan_to_doc,
+                      save_plan, solve, total_cost, ValidationError)
+
+from conftest import largest_remainder, proportional_split
 
 STORE = "store-0"
 
@@ -333,7 +334,52 @@ def test_solve_drops_the_slowest_workers_under_high_contention():
         assert "parameter server binds" not in r.detail
 
 
-def test_audit_counts_splits_and_holds_the_proportional_shares():
+def _subset_gaps(registry, clusters: int) -> list:
+    """For the first ``clusters`` feasible clusters of seed 8, how far the
+    plan ``solve`` returns lies above the exact optimum of the worker-count
+    search: every non-empty subset of the table workers split through
+    ``_assign``, ranked by the longer of its epoch and the server's busy time,
+    as ``solve`` ranks its candidates."""
+    rng = np.random.default_rng(8)
+    gaps = []
+    while len(gaps) < clusters:
+        cluster = random_feasible_cluster(rng, max_workers=8)
+        job = JobSpec(int(rng.integers(50, 3000)), int(rng.integers(1, 4)), STORE)
+        try:
+            plan = solve(cluster, job, registry)
+        except InfeasibleScheduleError:
+            continue
+        tables = scheduler._Tables(cluster, registry, job)
+        n = tables.workers.size
+        longer = {}
+        for mask in range(1, 1 << n):
+            alive = (mask >> np.arange(n)) & 1 == 1
+            split, kept, _, busy = scheduler._assign(alive, tables, job)
+            # a subset whose split leaves workers empty is the subset of those kept
+            longer[frozenset(tables.workers[kept].tolist())] = max(float(split.epoch.max()), busy)
+        index = {w.id: i for i, w in enumerate(cluster.workers)}
+        chosen = longer[frozenset(index[a.worker_id] for a in plan.assignments)]
+        gaps.append(chosen / min(longer.values()) - 1.0)
+    return gaps
+
+
+@pytest.mark.parametrize("slope, clusters, misses, worst", [
+    (None, 50, 0, 0.0),
+    # the walk keeps one fastest-first order, so where a smaller shard moves
+    # a worker to a worse per-sample time it can drop the wrong worker
+    (2.0, 100, 3, 0.13993126475941287),
+], ids=["built-in", "contention-2.0"])
+def test_worker_count_search_against_the_exact_subset_optimum(slope, clusters, misses, worst):
+    registry = default_registry() if slope is None else {
+        name: EstimatorBundle(device_class=name, profile=replace(profile, contention_slope=slope))
+        for name, profile in DEVICE_PROFILES.items()}
+    gaps = _subset_gaps(registry, clusters)
+    assert min(gaps) >= 0.0
+    assert sum(gap > 1e-9 for gap in gaps) == misses
+    assert max(gaps) == pytest.approx(worst, rel=1e-9, abs=1e-12)
+
+
+def test_audit_counts_splits_and_candidates():
     rng = np.random.default_rng(29)
     reg = default_registry()
     done = 0
@@ -348,8 +394,6 @@ def test_audit_counts_splits_and_holds_the_proportional_shares():
         done += 1
         audit = plan.audit
         assert audit.iterations >= audit.candidates_considered >= 1
-        assert audit.t_total == {a.worker_id: a.t_total for a in plan.assignments}
-        assert sum(audit.shares.values()) == pytest.approx(job.num_samples)
 
 
 def test_solve_balances_work_products(samples_done_sooner):
@@ -367,8 +411,8 @@ def test_solve_balances_work_products(samples_done_sooner):
         done += 1
         assert plan.num_samples == job.num_samples
         # the envelope holds where the shares are still proportional
-        t = plan.audit.t_total
-        rounded = largest_remainder(plan.audit.shares, job.num_samples, t)
+        t, shares = proportional_split(plan, job.num_samples)
+        rounded = largest_remainder(shares, job.num_samples, t)
         products = [d * t[wid] for wid, d in rounded.items()]
         assert max(products) - min(products) <= max(t.values()) * (1 + 1e-9) + 1e-9
         # and no integer split over the plan's workers ends the epoch sooner
@@ -492,6 +536,15 @@ def test_fairness_equal_split_remainder_to_low_ids():
     plan = fairness_plan(cluster, job)
     shards = {a.worker_id: a.num_samples for a in plan.assignments}
     assert shards == {"nano-0": 964, "nano-1": 964, "nano-2": 964, "tx2-0": 963}
+
+
+def test_fairness_plan_has_no_audit():
+    # it searches nothing, so its document has no audit to write or read back
+    plan = fairness_plan(default_testbed(), JobSpec(num_samples=3855, num_epoch=2,
+                                                    source_store=STORE))
+    assert plan.audit is None
+    assert "audit" not in plan_to_doc(plan)
+    assert plan_from_doc(plan_to_doc(plan)) == plan
 
 
 def test_fairness_matches_solve_on_homogeneous_idle_cluster():
@@ -618,7 +671,7 @@ def test_plan_round_trip(tmp_path):
 
 @pytest.mark.parametrize("path", [
     *(("assignments", 0, "cost", key) for key in ("transfer", "init", "train", "total")),
-    *(("audit", key) for key in ("iterations", "shares", "t_total")),
+    *(("audit", key) for key in ("iterations", "candidates_considered")),
 ])
 def test_plan_doc_missing_field_is_named(path):
     doc = plan_to_doc(solve(default_testbed(), JobSpec(num_samples=100, num_epoch=1,
@@ -638,6 +691,15 @@ def test_plan_doc_rejects_unknown_fields():
     doc = plan_to_doc(solve(cluster, job))
     doc["surprise"] = 1
     with pytest.raises(Exception, match="surprise"):
+        plan_from_doc(doc)
+
+
+def test_plan_doc_with_the_old_audit_is_refused():
+    # plans once carried the proportional shares and per-sample times in the audit
+    plan = solve(default_testbed(), JobSpec(num_samples=100, num_epoch=1, source_store=STORE))
+    doc = plan_to_doc(plan)
+    doc["audit"]["shares"] = {a.worker_id: float(a.num_samples) for a in plan.assignments}
+    with pytest.raises(ValidationError, match=re.escape("plan.audit: unknown field 'shares'")):
         plan_from_doc(doc)
 
 

@@ -224,6 +224,17 @@ def test_load_trace_refuses_bytes_that_are_not_utf8(tmp_path):
         load_trace(path)
 
 
+def test_load_trace_reads_past_a_byte_order_mark(tmp_path):
+    cluster = default_testbed()
+    job = JobSpec(num_samples=600, num_epoch=1, source_store="store-0")
+    res = simulate(cluster, job, solve(cluster, job), seed=0,
+                   config=SimConfig(trace_level="rounds"))
+    plain, bom = tmp_path / "trace.csv", tmp_path / "bom.csv"
+    save_trace(res.trace, plain)
+    bom.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+    assert load_trace(bom) == load_trace(plain)
+
+
 def tie_case(n=1, inits=(0.0, 0.0)):
     """Jitter-0 workers of two rounds each: 1 s of compute, 0.5 s push and
     pull, and a 2 s service. Alone, a worker is served over [1.5, 3.5] and

@@ -3,7 +3,8 @@
 ``tests/data/wide_plans.json`` holds the sha256 of each plan document (or of
 the infeasibility message) for seeded clusters of 64 to 128 interleaved tx2
 and nano workers: assignments, removals with their order and detail text,
-and the audit. A change to the solver that moves any of them shows here.
+and the audit's counters. A change to the solver that moves any of them
+shows here.
 Regenerate the file (only for a change meant to move plans) with
 
     PYTHONPATH=src python tests/test_wide_plans.py
