@@ -23,8 +23,7 @@ from deepedge import (BackgroundApp, ClusterSpec, CrashEvent, EstimatorBundle,
                       bundle_for, check_pressure, default_registry,
                       default_testbed, epoch_time, fit_all, refine_num_epoch,
                       run_job, run_sweep, simulate, simulate_accuracy, solve,
-                      reference_grid,
-                      validate_transitions)
+                      reference_grid, validate_transitions)
 
 from conftest import largest_remainder, proportional_split
 
