@@ -6,6 +6,7 @@ import pathlib
 import tempfile
 
 from deepedge import bench, render_report, save_histogram_csv
+from deepedge.orchestrator import HISTOGRAM_EDGES
 
 report = bench(n_trials=120, seed=0)
 
@@ -18,11 +19,11 @@ print(f"deadline violations  heuristic={report.violations_heuristic}  "
       f"fairness={report.violations_fairness}")
 
 # Speedups bucket into a fixed histogram (0.8x to 3.2x in 0.2x steps)
-# so runs with different trial counts stay comparable.
+# so runs with different trial counts stay comparable. The report stores
+# only its trials; the histogram and every figure above derive from them.
 
 print("\nspeedup histogram:")
-for lo, hi, count in zip(report.histogram.edges, report.histogram.edges[1:],
-                         report.histogram.counts):
+for lo, hi, count in zip(HISTOGRAM_EDGES, HISTOGRAM_EDGES[1:], report.histogram):
     bar = "#" * count
     print(f"  {lo:.1f}-{hi:.1f}x {bar}")
 

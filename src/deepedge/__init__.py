@@ -22,11 +22,10 @@ from .simulator import (ArcEvent, CrashEvent, CrashRecord, IllegalTransitionErro
                         SimConfig, SimResult, TraceEvent, Violation,
                         inject_and_recover, load_trace, save_trace, simulate,
                         validate_transitions)
-from .orchestrator import (BenchReport, BenchStressModel, BenchTrial, Histogram,
-                           JobReport, LogisticFit, bench, bench_report_from_doc,
-                           bench_report_to_doc, crossing_epoch, fit_accuracy_curve,
-                           load_bench_report, logistic, refine_num_epoch,
-                           render_report, run_job, save_bench_report,
+from .orchestrator import (BenchReport, BenchTrial, JobReport, LogisticFit, bench,
+                           bench_report_from_doc, bench_report_to_doc, crossing_epoch,
+                           fit_accuracy_curve, load_bench_report, logistic,
+                           refine_num_epoch, render_report, run_job, save_bench_report,
                            save_histogram_csv, simulate_accuracy)
 
 __all__ = [
@@ -53,9 +52,9 @@ __all__ = [
     "TraceEvent", "Violation", "inject_and_recover", "load_trace", "save_trace",
     "simulate", "validate_transitions",
     # orchestrator
-    "BenchReport", "BenchStressModel", "BenchTrial", "Histogram", "JobReport",
-    "LogisticFit", "bench", "bench_report_from_doc", "bench_report_to_doc",
-    "crossing_epoch", "fit_accuracy_curve", "load_bench_report", "logistic",
-    "refine_num_epoch", "render_report", "run_job", "save_bench_report",
-    "save_histogram_csv", "simulate_accuracy",
+    "BenchReport", "BenchTrial", "JobReport", "LogisticFit", "bench",
+    "bench_report_from_doc", "bench_report_to_doc", "crossing_epoch",
+    "fit_accuracy_curve", "load_bench_report", "logistic", "refine_num_epoch",
+    "render_report", "run_job", "save_bench_report", "save_histogram_csv",
+    "simulate_accuracy",
 ]

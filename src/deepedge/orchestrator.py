@@ -14,8 +14,9 @@ dominate. ``refine_num_epoch`` uses the fit to shrink a job's epoch budget to
 the first epoch expected to reach the target accuracy.
 
 ``bench`` compares the interference-aware plan against the equal-sharding
-baseline across randomized background-load scenarios and aggregates speedups
-and deadline violations into a serializable report.
+baseline across randomized background-load scenarios. Its serializable report
+stores each trial's makespans and deadline violations, and derives every
+summary figure from them.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ import numpy as np
 from .cluster import ClusterSpec, JobSpec, NodeState, ValidationError, default_testbed
 from .documents import from_doc, load_doc, save, to_doc
 from .estimators import bundle_for, default_registry
-from .scheduler import InfeasibleScheduleError, Plan, fairness_plan, solve
+from .scheduler import InfeasibleScheduleError, Plan, fairness_plan, late_apps, solve
 # IllegalTransitionError is imported for callers that validate a phase log
 # through this module and catch its error here
 from .simulator import (IllegalTransitionError, JobPhase, PhaseChange, RecoveryResult,
@@ -300,78 +301,51 @@ def run_job(cluster: ClusterSpec, job: JobSpec, registry: dict | None = None,
 # --- the bench ------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class BenchStressModel:
-    """Random background-load scenarios: a few workers get hammered, the rest idle.
+def draw_states(rng, cluster: ClusterSpec, registry: dict):
+    """(worker_id -> NodeState, stormy worker ids) for one random background-load
+    scenario: a few workers get hammered, the rest idle.
 
-    Each trial picks a storm size (how many non-exempt workers run hot), then
-    draws a stress level per worker and maps it to cpu/gpu/mem utilization.
-    Exempt device classes never host a storm; on the reference testbed the
-    big board has the thermal and memory headroom to shrug off co-located
-    load, so storms concentrate on the small boards where they actually bite.
-    Scenarios where a background task already misses its deadline before any
-    training lands are redrawn, so every trial starts from a healthy cluster.
+    Each draw picks a storm size (0, 1 or 2 stormy workers, with probabilities
+    0.40, 0.35 and 0.25), then draws a stress level per worker and maps it to
+    cpu/gpu/mem utilization. ``tx2`` workers never host a storm; on the
+    reference testbed the big board has the thermal and memory headroom to
+    shrug off co-located load, so storms concentrate on the small boards where
+    they actually bite. Scenarios where a background task already misses its
+    deadline before any training lands are redrawn, so every trial starts from
+    a healthy cluster. Raises ValidationError, naming a background task the
+    last draw made late, if none of 1000 draws passes.
     """
-
-    storm_weights: tuple = (0.40, 0.35, 0.25)  # P(0, 1, 2 stormy workers)
-    heavy_low: float = 0.75
-    heavy_high: float = 1.0
-    light_low: float = 0.0
-    light_high: float = 0.3
-    cpu_gain: float = 0.80
-    gpu_gain: float = 0.90
-    mem_base: float = 0.20
-    mem_gain: float = 0.40
-    noise: float = 0.05
-    exempt_classes: tuple = ("tx2",)
-    max_resamples: int = 1000
-
-    def draw_states(self, rng, cluster: ClusterSpec, registry: dict):
-        """(worker_id -> NodeState, stormy worker ids) passing the health check.
-
-        Raises ValidationError, naming a background task the last draw made
-        late, if none of ``max_resamples`` draws passes.
-        """
-        candidates = [w.id for w in cluster.workers
-                      if w.device_class not in self.exempt_classes]
-        missed = "nothing drawn"
-        for _ in range(self.max_resamples):
-            size = int(rng.choice(len(self.storm_weights), p=self.storm_weights))
-            size = min(size, len(candidates))
-            stormy = set(rng.choice(candidates, size=size, replace=False)) if size else set()
-            states = {}
-            for w in cluster.workers:
-                if w.id in stormy:
-                    s = rng.uniform(self.heavy_low, self.heavy_high)
-                else:
-                    s = rng.uniform(self.light_low, self.light_high)
-                states[w.id] = NodeState(
-                    cpu_util=float(np.clip(self.cpu_gain * s + rng.uniform(0, self.noise), 0, 1)),
-                    gpu_util=float(np.clip(self.gpu_gain * s + rng.uniform(0, self.noise), 0, 1)),
-                    mem_util=float(np.clip(self.mem_base + self.mem_gain * s
-                                           + rng.uniform(0, self.noise), 0, 1)),
-                )
-            missed = None
-            for w in cluster.workers:
-                bundle = bundle_for(registry, w.device_class)
-                idle_exec = bundle.est_exec_time(states[w.id])
-                late = [app for app in w.background_apps if idle_exec > app.deadline]
-                if late:
-                    missed = (f"worker '{w.id}' runs background task '{late[0].id}' in "
-                              f"{idle_exec:.4f} s, over its {late[0].deadline:.4f} s deadline")
-                    break
-            if missed is None:
-                return states, tuple(sorted(str(w) for w in stormy))
-        raise ValidationError(f"could not draw a healthy stress scenario in "
-                              f"{self.max_resamples} tries (last: {missed}); "
-                              f"loosen the stress model or the deadlines")
+    candidates = [w.id for w in cluster.workers if w.device_class != "tx2"]
+    missed = "nothing drawn"
+    for _ in range(1000):
+        size = min(int(rng.choice(3, p=(0.40, 0.35, 0.25))), len(candidates))
+        stormy = set(rng.choice(candidates, size=size, replace=False)) if size else set()
+        states = {}
+        for w in cluster.workers:
+            s = rng.uniform(0.75, 1.0) if w.id in stormy else rng.uniform(0.0, 0.3)
+            states[w.id] = NodeState(
+                cpu_util=float(np.clip(0.80 * s + rng.uniform(0, 0.05), 0, 1)),
+                gpu_util=float(np.clip(0.90 * s + rng.uniform(0, 0.05), 0, 1)),
+                mem_util=float(np.clip(0.20 + 0.40 * s + rng.uniform(0, 0.05), 0, 1)))
+        missed = None
+        for w in cluster.workers:
+            idle_exec = bundle_for(registry, w.device_class).est_exec_time(states[w.id])
+            late = late_apps(w, idle_exec)
+            if late:
+                missed = (f"worker '{w.id}' runs background task '{late[0].id}' in "
+                          f"{idle_exec:.4f} s, over its {late[0].deadline:.4f} s deadline")
+                break
+        if missed is None:
+            return states, tuple(sorted(str(w) for w in stormy))
+    raise ValidationError(f"could not draw a healthy stress scenario in 1000 tries "
+                          f"(last: {missed}); loosen the background deadlines")
 
 
 @dataclass(frozen=True)
 class BenchTrial:
-    index: int
+    """One scenario run under both plans; its index is its place in the report."""
+
     stormy_workers: tuple[str, ...]
-    speedup: float
     heuristic_makespan: float
     fairness_makespan: float
     heuristic_violations: int
@@ -379,67 +353,91 @@ class BenchTrial:
     heuristic_workers: int
     fairness_workers: int
 
-
-@dataclass(frozen=True)
-class Histogram:
-    """Trial counts between consecutive speedup edges."""
-
-    edges: tuple[float, ...]
-    counts: tuple[int, ...]
-
     def __post_init__(self):
-        if len(self.edges) != len(self.counts) + 1:
-            raise ValidationError(f"expected {len(self.counts) + 1} edges for {len(self.counts)} counts")
+        for name in ("heuristic_makespan", "fairness_makespan"):
+            if not getattr(self, name) > 0.0:
+                raise ValidationError(f"{name}: must be > 0 seconds, got {getattr(self, name)}")
+        for name in ("heuristic_violations", "fairness_violations",
+                     "heuristic_workers", "fairness_workers"):
+            if getattr(self, name) < 0:
+                raise ValidationError(f"{name}: must be >= 0, got {getattr(self, name)}")
+
+    @property
+    def speedup(self) -> float:
+        """Equal sharding's makespan over the interference-aware plan's."""
+        return self.fairness_makespan / self.heuristic_makespan
+
+
+HISTOGRAM_EDGES = tuple(round(0.8 + 0.2 * i, 1) for i in range(13))  # 0.8 .. 3.2
 
 
 @dataclass(frozen=True)
 class BenchReport:
+    """A bench run's trials and settings; each summary figure derives from the trials."""
+
     DOCUMENT = "bench report"
     trials: tuple[BenchTrial, ...]
-    mean_speedup: float
-    median_speedup: float
-    min_speedup: float
-    max_speedup: float
-    frac_speedup_ge_1_5: float
-    violations_heuristic: int
-    violations_fairness: int
-    histogram: Histogram
-    n_trials: int
     seed: int
     jitter: float
     num_samples: int
     num_epoch: int
 
     def __post_init__(self):
-        """Summary fields must agree with the trials and lie in range."""
-        counted = {"n_trials": len(self.trials),
-                   "violations_heuristic": sum(t.heuristic_violations for t in self.trials),
-                   "violations_fairness": sum(t.fairness_violations for t in self.trials)}
-        for name, n in counted.items():
-            if getattr(self, name) != n:
-                raise ValidationError(f"bench report.{name}: {getattr(self, name)}, "
-                                      f"but the trials count {n}")
-        if not 0.0 <= self.frac_speedup_ge_1_5 <= 1.0:
-            raise ValidationError(f"bench report.frac_speedup_ge_1_5: must lie in [0, 1], "
-                                  f"got {self.frac_speedup_ge_1_5}")
-        counts = self.histogram.counts
-        if min(counts, default=0) < 0 or sum(counts) > self.n_trials:
-            raise ValidationError(f"bench report.histogram.counts: must be >= 0 and sum to at "
-                                  f"most {self.n_trials} trials, got {list(counts)}")
+        if not self.trials:
+            raise ValidationError("bench report.trials: at least one trial is required")
 
+    @property
+    def n_trials(self) -> int:
+        return len(self.trials)
 
-HISTOGRAM_EDGES = tuple(round(0.8 + 0.2 * i, 1) for i in range(13))  # 0.8 .. 3.2
+    @property
+    def _speedups(self) -> np.ndarray:
+        return np.asarray([tr.speedup for tr in self.trials])
+
+    @property
+    def mean_speedup(self) -> float:
+        return float(np.mean(self._speedups))
+
+    @property
+    def median_speedup(self) -> float:
+        return float(np.median(self._speedups))
+
+    @property
+    def min_speedup(self) -> float:
+        return float(np.min(self._speedups))
+
+    @property
+    def max_speedup(self) -> float:
+        return float(np.max(self._speedups))
+
+    @property
+    def frac_speedup_ge_1_5(self) -> float:
+        return float(np.mean(self._speedups >= 1.5))
+
+    @property
+    def violations_heuristic(self) -> int:
+        return int(sum(tr.heuristic_violations for tr in self.trials))
+
+    @property
+    def violations_fairness(self) -> int:
+        return int(sum(tr.fairness_violations for tr in self.trials))
+
+    @property
+    def histogram(self) -> tuple[int, ...]:
+        """Trial counts between consecutive ``HISTOGRAM_EDGES``, the last bin closed."""
+        counts, _ = np.histogram(self._speedups, bins=np.asarray(HISTOGRAM_EDGES))
+        return tuple(int(c) for c in counts)
 
 
 def bench(cluster: ClusterSpec | None = None, registry: dict | None = None,
           n_trials: int = 120, seed: int = 0, jitter: float = 0.03,
-          num_samples: int = 1800, num_epoch: int = 2,
-          stress: BenchStressModel = BenchStressModel()) -> BenchReport:
+          num_samples: int = 1800, num_epoch: int = 2) -> BenchReport:
     """Compare the interference-aware plan against equal sharding over many trials.
 
-    Both plans for a trial execute against the same cluster scenario with the
-    same simulation seed, so the speedup isolates scheduling quality. Speedup
-    is the fairness makespan divided by the heuristic makespan.
+    Both plans for a trial execute against the same cluster scenario, drawn by
+    ``draw_states``, with the same simulation seed, so the speedup isolates
+    scheduling quality. Speedup is the fairness makespan divided by the
+    heuristic makespan.
     """
     if n_trials < 1:
         raise ValueError(f"n_trials must be >= 1, got {n_trials}")
@@ -450,7 +448,7 @@ def bench(cluster: ClusterSpec | None = None, registry: dict | None = None,
     rng = np.random.default_rng(seed)
     trials = []
     for t in range(n_trials):
-        states, stormy = stress.draw_states(rng, cluster, registry)
+        states, stormy = draw_states(rng, cluster, registry)
         trial_cluster = replace(cluster, workers=tuple(
             replace(w, initial_state=states[w.id]) for w in cluster.workers))
         plan_h = solve(trial_cluster, job, registry)
@@ -460,27 +458,14 @@ def bench(cluster: ClusterSpec | None = None, registry: dict | None = None,
         res_h = simulate(trial_cluster, job, plan_h, registry, seed=sim_seed, config=cfg)
         res_f = simulate(trial_cluster, job, plan_f, registry, seed=sim_seed, config=cfg)
         trials.append(BenchTrial(
-            index=t, stormy_workers=stormy,
-            speedup=res_f.makespan / res_h.makespan,
+            stormy_workers=stormy,
             heuristic_makespan=res_h.makespan, fairness_makespan=res_f.makespan,
             heuristic_violations=len(res_h.violations),
             fairness_violations=len(res_f.violations),
             heuristic_workers=len(plan_h.assignments),
             fairness_workers=len(plan_f.assignments)))
-    speedups = np.asarray([tr.speedup for tr in trials])
-    counts, edges = np.histogram(speedups, bins=np.asarray(HISTOGRAM_EDGES))
-    return BenchReport(
-        trials=tuple(trials),
-        mean_speedup=float(np.mean(speedups)),
-        median_speedup=float(np.median(speedups)),
-        min_speedup=float(np.min(speedups)),
-        max_speedup=float(np.max(speedups)),
-        frac_speedup_ge_1_5=float(np.mean(speedups >= 1.5)),
-        violations_heuristic=int(sum(tr.heuristic_violations for tr in trials)),
-        violations_fairness=int(sum(tr.fairness_violations for tr in trials)),
-        histogram=Histogram(tuple(float(e) for e in edges), tuple(int(c) for c in counts)),
-        n_trials=n_trials, seed=seed, jitter=jitter,
-        num_samples=num_samples, num_epoch=num_epoch)
+    return BenchReport(trials=tuple(trials), seed=seed, jitter=jitter,
+                       num_samples=num_samples, num_epoch=num_epoch)
 
 
 # --- bench report documents ------------------------------------------------------
@@ -517,20 +502,17 @@ def render_report(report: BenchReport) -> str:
         "| bin | count |",
         "| --- | --- |",
     ]
-    edges = report.histogram.edges
-    for i, count in enumerate(report.histogram.counts):
-        lines.append(f"| {edges[i]:.1f} to {edges[i + 1]:.1f} | {count} |")
-    under = sum(1 for tr in report.trials if tr.speedup < edges[0])
-    over = sum(1 for tr in report.trials if tr.speedup >= edges[-1])
-    if under or over:
-        lines.append(f"| outside | {under + over} |")
+    for low, high, count in zip(HISTOGRAM_EDGES, HISTOGRAM_EDGES[1:], report.histogram):
+        lines.append(f"| {low:.1f} to {high:.1f} | {count} |")
+    outside = report.n_trials - sum(report.histogram)
+    if outside:
+        lines.append(f"| outside | {outside} |")
     lines.append("")
     return "\n".join(lines)
 
 
 def save_histogram_csv(report: BenchReport, path) -> None:
     rows = ["bin_low,bin_high,count"]
-    edges = report.histogram.edges
-    for i, count in enumerate(report.histogram.counts):
-        rows.append(f"{edges[i]:.2f},{edges[i + 1]:.2f},{count}")
+    for low, high, count in zip(HISTOGRAM_EDGES, HISTOGRAM_EDGES[1:], report.histogram):
+        rows.append(f"{low:.2f},{high:.2f},{count}")
     Path(path).write_text("\n".join(rows) + "\n")

@@ -97,6 +97,12 @@ def _meets_deadline(exec_time, deadline):
     return exec_time <= deadline
 
 
+def late_apps(worker: WorkerSpec, exec_time: float) -> list:
+    """The worker's background apps, in order, that miss their deadline at ``exec_time``."""
+    return [app for app in worker.background_apps
+            if not _meets_deadline(exec_time, app.deadline)]
+
+
 # --- plan structures ------------------------------------------------------------
 
 
@@ -492,8 +498,7 @@ def solve(cluster: ClusterSpec, job: JobSpec, registry: dict | None = None) -> P
     # background deadlines are checked at the largest batch a worker could run
     for i, exec_time in zip(tables.failed.tolist(), tables.at_cap.tolist()):
         w = workers[i]
-        late = next(app for app in w.background_apps
-                    if not _meets_deadline(exec_time, app.deadline))
+        late = late_apps(w, exec_time)[0]
         removed.append(Removal(
             w.id, "pressure",
             f"background task '{late.id}' projected at {exec_time:.4f} s "

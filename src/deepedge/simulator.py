@@ -45,7 +45,7 @@ import numpy as np
 from .cluster import ClusterSpec, JobSpec, ValidationError, validate
 from .documents import csv_rows
 from .estimators import bundle_for, default_registry
-from .scheduler import InfeasibleScheduleError, Plan, check_pressure, solve
+from .scheduler import InfeasibleScheduleError, Plan, check_pressure, late_apps, solve
 
 PS_STREAM_KEY = 10 ** 6
 
@@ -216,15 +216,13 @@ def simulate(cluster: ClusterSpec, job: JobSpec, plan: Plan,
             trace.append(TraceEvent(transfer, w.id, "transfer_end",
                                     f"{a.num_samples} samples"))
             trace.append(TraceEvent(ready, w.id, "train_start", f"batch {a.batch_size}"))
-        ok, exec_time = check_pressure(w, bundle, a.batch_size)
-        if not ok:
-            for app in w.background_apps:
-                if exec_time > app.deadline:
-                    violations.append(Violation(w.id, app.id, exec_time, app.deadline))
-                    if want_phases:
-                        trace.append(TraceEvent(
-                            ready, w.id, "deadline_violation",
-                            f"'{app.id}' projected {exec_time:.4f} s > {app.deadline:.4f} s"))
+        _, exec_time = check_pressure(w, bundle, a.batch_size)
+        for app in late_apps(w, exec_time):
+            violations.append(Violation(w.id, app.id, exec_time, app.deadline))
+            if want_phases:
+                trace.append(TraceEvent(
+                    ready, w.id, "deadline_violation",
+                    f"'{app.id}' projected {exec_time:.4f} s > {app.deadline:.4f} s"))
         ids.append(w.id)
         train_start.append(ready)
         per_round.append((stretch, compute, push, service, pull, rounds_per_epoch,

@@ -408,14 +408,16 @@ BAD_DOCUMENTS = [
     ("registry", ("devices", "nano", "models", "exec_time", "target"), "bogus",
      "registry.devices['nano'].models['exec_time']: target: unknown target 'bogus'"),
     ("bench", ("trials", 0, "surprise"), 1, "bench report.trials[0]: unknown field 'surprise'"),
-    ("bench", ("mean_speedup",), float("nan"), "bench report.mean_speedup: must be finite"),
-    ("bench", ("trials", 0, "speedup"), DELETE, "bench report.trials[0].speedup: missing"),
-    ("bench", ("histogram",), [], "bench report.histogram: expected an object"),
-    ("bench", ("histogram", "edges"), [0.8], "bench report.histogram: expected 13 edges"),
+    ("bench", ("mean_speedup",), 1.0, "bench report: unknown field 'mean_speedup'"),
+    ("bench", ("trials", 0, "speedup"), 1.5, "bench report.trials[0]: unknown field 'speedup'"),
+    ("bench", ("histogram",), [0, 1, 2], "bench report: unknown field 'histogram'"),
+    ("bench", ("trials", 0, "heuristic_makespan"), 0,
+     "bench report.trials[0]: heuristic_makespan: must be > 0 seconds, got 0.0"),
     ("bench", ("seed",), "x", "bench report.seed: expected an integer"),
-    ("bench", ("n_trials",), 5, "bench report.n_trials: 5, but the trials count 3"),
-    ("bench", ("frac_speedup_ge_1_5",), 7.0, "bench report.frac_speedup_ge_1_5: must lie in [0, 1]"),
-    ("bench", ("histogram", "counts", 3), -4, "bench report.histogram.counts: must be >= 0"),
+    ("bench", ("n_trials",), 3, "bench report: unknown field 'n_trials'"),
+    ("bench", ("trials", 0, "fairness_violations"), -1,
+     "bench report.trials[0]: fairness_violations: must be >= 0, got -1"),
+    ("bench", ("trials",), [], "bench report.trials: at least one trial is required"),
 ]
 
 # (subcommand flags after the cluster and job, what the error must name)

@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from deepedge import (CrashEvent, IllegalTransitionError, JobPhase, JobSpec,
+from deepedge import (BenchReport, BenchTrial, CrashEvent, IllegalTransitionError, JobPhase, JobSpec,
                       LEGAL_TRANSITIONS, NodeState, PhaseChange, SimConfig,
                       bench, bench_report_from_doc, bench_report_to_doc,
                       crossing_epoch, default_registry, default_testbed,
@@ -14,8 +14,8 @@ from deepedge import (CrashEvent, IllegalTransitionError, JobPhase, JobSpec,
                       LogisticFit, load_bench_report,
                       logistic, refine_num_epoch, render_report, run_job,
                       save_bench_report, save_histogram_csv, simulate_accuracy,
-                      solve, validate_transitions, ValidationError)
-from deepedge.orchestrator import BenchStressModel, _gauss_newton
+                      simulate, solve, validate_transitions, ValidationError)
+from deepedge.orchestrator import _gauss_newton, draw_states
 from dataclasses import replace
 
 STORE = "store-0"
@@ -406,21 +406,23 @@ def test_run_job_refines_epochs_from_observations():
 
 def test_bench_homogeneous_idle_cluster_has_no_edge():
     cluster = default_testbed()
-    nanos = tuple(w for w in cluster.workers if w.device_class == "nano")
-    homogeneous = replace(cluster, workers=nanos)
-    calm = BenchStressModel(storm_weights=(1.0,), light_low=0.0, light_high=0.0,
-                            noise=0.0, exempt_classes=())
+    idle = NodeState(0.0, 0.0, 0.2)
+    homogeneous = replace(cluster, workers=tuple(
+        replace(w, initial_state=idle) for w in cluster.workers if w.device_class == "nano"))
+    registry = default_registry()
     # 96 samples per worker fill batch-16 rounds exactly, so the refinement
     # scan and the naive batch rule agree and the plans are identical
-    report = bench(cluster=homogeneous, n_trials=1, seed=0, jitter=0.0,
-                   num_samples=288, num_epoch=1, stress=calm)
-    assert report.trials[0].speedup == pytest.approx(1.0)
+    job = JobSpec(num_samples=288, num_epoch=1, source_store=STORE)
+    config = SimConfig(jitter=0.0, trace_level="none")
+    smart, naive = (simulate(homogeneous, job, plan(homogeneous, job, registry), registry,
+                             config=config) for plan in (solve, fairness_plan))
+    assert smart.makespan == naive.makespan
 
 
 def test_bench_accounting_and_determinism():
     report = bench(n_trials=6, seed=3, num_samples=600, num_epoch=1)
     assert report.n_trials == 6
-    assert sum(report.histogram.counts) == 6
+    assert sum(report.histogram) == 6
     assert report.min_speedup <= report.median_speedup <= report.max_speedup
     again = bench(n_trials=6, seed=3, num_samples=600, num_epoch=1)
     assert again.mean_speedup == report.mean_speedup
@@ -430,10 +432,9 @@ def test_heuristic_dominates_fairness_under_its_own_model():
     rng = np.random.default_rng(37)
     cluster = default_testbed()
     registry = default_registry()
-    stress = BenchStressModel()
     job = JobSpec(num_samples=1200, num_epoch=1, source_store=STORE)
     for trial in range(40):
-        states, _ = stress.draw_states(rng, cluster, registry)
+        states, _ = draw_states(rng, cluster, registry)
         trial_cluster = replace(cluster, workers=tuple(
             replace(w, initial_state=states[w.id]) for w in cluster.workers))
         smart = solve(trial_cluster, job, registry)
@@ -447,7 +448,7 @@ def test_bench_report_round_trip(tmp_path):
     save_bench_report(report, path)
     again = load_bench_report(path)
     assert again.mean_speedup == pytest.approx(report.mean_speedup)
-    assert again.histogram.counts == report.histogram.counts
+    assert again.histogram == report.histogram
     assert len(again.trials) == len(report.trials)
     doc = bench_report_to_doc(report)
     assert bench_report_from_doc(doc).n_trials == report.n_trials
@@ -461,4 +462,16 @@ def test_render_report_and_histogram(tmp_path):
     hist = tmp_path / "hist.csv"
     save_histogram_csv(report, hist)
     lines = hist.read_text().strip().splitlines()
-    assert len(lines) == len(report.histogram.counts) + 1
+    assert len(lines) == len(report.histogram) + 1
+
+
+def test_render_report_counts_a_speedup_of_3_2_once():
+    # numpy closes the last bin at 3.2, so a trial there is in the table, not outside
+    trials = tuple(BenchTrial(stormy_workers=(), heuristic_makespan=10.0,
+                              fairness_makespan=fairness, heuristic_violations=0,
+                              fairness_violations=0, heuristic_workers=4, fairness_workers=4)
+                   for fairness in (32.0, 5.0))
+    report = BenchReport(trials=trials, seed=0, jitter=0.0, num_samples=400, num_epoch=1)
+    lines = render_report(report).splitlines()
+    assert "| 3.0 to 3.2 | 1 |" in lines
+    assert "| outside | 1 |" in lines
