@@ -8,7 +8,12 @@ epochs (it has an audit and a pressure removal), the built-in registry with
 ``nano`` replaced by fitted models of seeded random coefficients, and a
 3-trial bench report. The job's ``epsilon`` and ``tau`` and the plan audit's
 ``converged`` and ``batches`` were taken out when those fields were deleted,
-and so were the audit's ``shares`` and ``t_total``.
+and so were the audit's ``shares`` and ``t_total``. The bench report's
+summary keys (``n_trials``, ``mean_speedup``, ``median_speedup``,
+``min_speedup``, ``max_speedup``, ``frac_speedup_ge_1_5``,
+``violations_heuristic``, ``violations_fairness`` and ``histogram``) and each
+trial's ``index`` and ``speedup`` were taken out when the report came to
+derive them from its trials.
 """
 
 import json

@@ -6,8 +6,8 @@ import warnings
 import numpy as np
 import pytest
 
-from deepedge import (BenchReport, BenchTrial, CrashEvent, IllegalTransitionError, JobPhase, JobSpec,
-                      LEGAL_TRANSITIONS, NodeState, PhaseChange, SimConfig,
+from deepedge import (BenchReport, BenchTrial, CrashEvent, IllegalTransitionError,
+                      JobPhase, JobSpec, LEGAL_TRANSITIONS, NodeState, PhaseChange, SimConfig,
                       bench, bench_report_from_doc, bench_report_to_doc,
                       crossing_epoch, default_registry, default_testbed,
                       fairness_plan, fit_accuracy_curve, inject_and_recover,
