@@ -24,6 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -52,8 +53,7 @@ def logistic(k, L: float, r: float, k0: float):
     return float(out) if out.ndim == 0 else out
 
 
-@dataclass(frozen=True)
-class LogisticFit:
+class LogisticFit(NamedTuple):
     L: float
     r: float
     k0: float
@@ -253,8 +253,7 @@ def simulate_accuracy(L: float, r: float, k0: float, num_epochs: int,
 # --- running a job through its phases ------------------------------------------
 
 
-@dataclass(frozen=True)
-class JobReport:
+class JobReport(NamedTuple):
     status: str  # completed | abandoned
     phases: tuple  # PhaseChange
     plan: Plan | None

@@ -24,6 +24,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -232,8 +233,7 @@ def mape(predictions, truths) -> float:
     return float(100.0 * np.mean(np.abs(p - t) / np.abs(t)))
 
 
-@dataclass(frozen=True)
-class FitReport:
+class FitReport(NamedTuple):
     model: FittedFunction
     n_train: int
     n_test: int

@@ -39,6 +39,7 @@ import heapq
 import itertools
 import math
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -57,8 +58,7 @@ INTERRUPTED = "interrupted"
 ABANDONED = "abandoned"
 
 
-@dataclass(frozen=True)
-class CrashEvent:
+class CrashEvent(NamedTuple):
     worker_id: str
     time: float
 
@@ -91,31 +91,27 @@ class SimConfig:
             raise ValidationError(f"sim.trace_level: unknown '{self.trace_level}'")
 
 
-@dataclass(frozen=True)
-class TraceEvent:
+class TraceEvent(NamedTuple):
     time: float
     worker: str
     event: str
     detail: str = ""
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     worker_id: str
     app_id: str
     exec_time: float
     deadline: float
 
 
-@dataclass(frozen=True)
-class CrashRecord:
+class CrashRecord(NamedTuple):
     worker_id: str
     fire_time: float
     detect_time: float
 
 
-@dataclass(frozen=True)
-class SimResult:
+class SimResult(NamedTuple):
     status: str  # completed | interrupted
     makespan: float
     worker_finish: dict
@@ -321,8 +317,7 @@ class IllegalTransitionError(RuntimeError):
     pass
 
 
-@dataclass(frozen=True)
-class PhaseChange:
+class PhaseChange(NamedTuple):
     time: float
     phase: JobPhase
 
@@ -348,15 +343,13 @@ def validate_transitions(changes) -> None:
             f"phase log ends in non-terminal phase {terminal.value}")
 
 
-@dataclass(frozen=True)
-class ArcEvent:
+class ArcEvent(NamedTuple):
     time: float
     kind: str  # crash | excluded
     worker: str
 
 
-@dataclass(frozen=True)
-class RecoveryResult:
+class RecoveryResult(NamedTuple):
     status: str  # completed | abandoned
     phases: tuple  # PhaseChange from the first solve on, on the global clock
     attempts: tuple  # SimResult per attempt, in order

@@ -52,6 +52,20 @@ def proportional_split(plan, num_samples):
     return t, {a.worker_id: num_samples / (a.t_total * inv_sum) for a in plan.assignments}
 
 
+def record_dict(record):
+    """A run record as nested dicts and lists: each record becomes the dict
+    of its fields, as ``dataclasses.asdict`` wrote it when the records were
+    dataclasses, and each tuple, list or dict holding records is converted
+    element by element."""
+    if hasattr(record, "_asdict"):
+        return {name: record_dict(value) for name, value in record._asdict().items()}
+    if isinstance(record, (tuple, list)):
+        return [record_dict(value) for value in record]
+    if isinstance(record, dict):
+        return {key: record_dict(value) for key, value in record.items()}
+    return record
+
+
 def _samples_done_sooner(plan, cluster, registry):
     """Most samples the plan's workers could finish strictly before its epoch time.
 

@@ -22,7 +22,7 @@ Regenerate the file (only for a change meant to move simulations) with
 
 import hashlib
 import json
-from dataclasses import asdict, replace
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -32,6 +32,8 @@ from deepedge import (ClusterSpec, CrashEvent, EstimatorBundle, JobSpec, NodeSta
                       default_testbed, fairness_plan, fit_all, inject_and_recover, load_cluster,
                       plan_to_doc, reference_grid, run_sweep, simulate, solve)
 
+from conftest import record_dict
+
 DATA = Path(__file__).parent / "data"
 PINNED = DATA / "sim_digests.json"
 STORE = "store-0"
@@ -40,19 +42,19 @@ LEVELS = ("none", "phases", "rounds")
 
 
 def sim_text(res) -> str:
-    return json.dumps(asdict(res), sort_keys=True)
+    return json.dumps(record_dict(res), sort_keys=True)
 
 
 def recovery_text(rec) -> str:
     return json.dumps({
         "status": rec.status,
         "phases": [(p.time, p.phase.value) for p in rec.phases],
-        "attempts": [asdict(a) for a in rec.attempts],
+        "attempts": record_dict(rec.attempts),
         "plans": [plan_to_doc(p) for p in rec.plans],
         "excluded": rec.excluded, "strikes": rec.strikes,
-        "events": [asdict(e) for e in rec.events],
-        "violations": [asdict(v) for v in rec.violations],
-        "trace": [asdict(e) for e in rec.trace],
+        "events": record_dict(rec.events),
+        "violations": record_dict(rec.violations),
+        "trace": record_dict(rec.trace),
     }, sort_keys=True)
 
 

@@ -2,7 +2,7 @@ import hashlib
 import json
 import math
 import re
-from dataclasses import asdict, replace
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,6 +11,8 @@ from deepedge import (BackgroundApp, ClusterSpec, CrashEvent, EstimatorBundle,
                       JobPhase, JobSpec, NodeState, ParametricProfile, SimConfig,
                       ParseError, ValidationError, WorkerSpec, default_testbed, fairness_plan,
                       inject_and_recover, load_trace, save_trace, simulate, solve)
+
+from conftest import record_dict
 
 STORE = "s"
 
@@ -366,7 +368,7 @@ def crash_sweep():
 def test_crash_sweep_matches_the_pinned_digest():
     digest = hashlib.sha256()
     for res in crash_sweep():
-        digest.update(json.dumps(asdict(res), sort_keys=True).encode())
+        digest.update(json.dumps(record_dict(res), sort_keys=True).encode())
     assert digest.hexdigest() == CRASH_SWEEP_DIGEST
 
 
