@@ -30,10 +30,11 @@ for lo, hi, count in zip(HISTOGRAM_EDGES, HISTOGRAM_EDGES[1:], report.histogram)
 # render_report produces a self-contained markdown summary, and the
 # histogram dumps to CSV for plotting elsewhere.
 
-out = pathlib.Path(tempfile.mkdtemp())
 md = render_report(report)
-(out / "bench.md").write_text(md)
-save_histogram_csv(report, out / "speedups.csv")
-print(f"\nwrote {out / 'bench.md'} and {out / 'speedups.csv'}")
+with tempfile.TemporaryDirectory() as tmp:
+    out = pathlib.Path(tmp)
+    (out / "bench.md").write_text(md)
+    save_histogram_csv(report, out / "speedups.csv")
+    print(f"\nwrote {out / 'bench.md'} and {out / 'speedups.csv'}")
 print("\nreport head:")
 print("\n".join(md.splitlines()[:12]))
