@@ -54,9 +54,9 @@ def proportional_split(plan, num_samples):
 
 def record_dict(record):
     """A run record as nested dicts and lists: each record becomes the dict
-    of its fields, as ``dataclasses.asdict`` wrote it when the records were
-    dataclasses, and each tuple, list or dict holding records is converted
-    element by element."""
+    of its fields and each tuple, list or dict holding records is converted
+    element by element, which as JSON reads as ``dataclasses.asdict`` of the
+    same record did, so the digests pinned from that text still hold."""
     if hasattr(record, "_asdict"):
         return {name: record_dict(value) for name, value in record._asdict().items()}
     if isinstance(record, (tuple, list)):
