@@ -14,13 +14,14 @@ from __future__ import annotations
 
 import math
 from collections.abc import Mapping
-from dataclasses import dataclass, field
+from dataclasses import field
 from types import MappingProxyType
 
-from .documents import ValidationError, doc_field, fraction, from_doc, load_doc, save
+from .documents import (ValidationError, doc_field, fraction, from_doc, is_number, load_doc,
+                        save, spec)
 
 
-@dataclass(frozen=True)
+@spec
 class NodeState:
     """Utilization snapshot of one node. All components are fractions in [0, 1]."""
 
@@ -33,13 +34,13 @@ class NodeState:
             value = getattr(self, name)
             if type(value) is float and 0.0 <= value <= 1.0:
                 continue  # the common case, and on the estimators' hot path
-            if not isinstance(value, (int, float)) or isinstance(value, bool):
+            if not is_number(value):
                 raise ValidationError(f"NodeState.{name}: expected a number, got {value!r}")
             if not math.isfinite(value) or not 0.0 <= value <= 1.0:
                 raise ValidationError(f"NodeState.{name}: must be within [0, 1], got {value}")
 
 
-@dataclass(frozen=True)
+@spec
 class BackgroundApp:
     """Latency-sensitive task co-located on a worker.
 
@@ -54,7 +55,7 @@ class BackgroundApp:
     def __post_init__(self):
         if not self.id:
             raise ValidationError("background_app.id: must be non-empty")
-        if not (isinstance(self.deadline, (int, float)) and 0 < self.deadline < math.inf):
+        if not (is_number(self.deadline) and 0 < self.deadline < math.inf):
             raise ValidationError(f"background_app '{self.id}'.deadline: must be a positive "
                                   f"finite number of seconds")
 
@@ -69,7 +70,7 @@ def _duplicate(ids):
     return None
 
 
-@dataclass(frozen=True)
+@spec
 class WorkerSpec:
     """Static description of one candidate worker node."""
 
@@ -98,20 +99,20 @@ class WorkerSpec:
             problem = f"b_min: must be >= 1, got {b_min}"
         elif b_max < b_min:
             problem = f"b_max: must be >= b_min, got b_min={b_min} b_max={b_max}"
-        elif not 0 <= self.init_cost < math.inf:
+        elif not (is_number(self.init_cost) and 0 <= self.init_cost < math.inf):
             problem = "init_cost: must be >= 0 seconds"
         elif len(apps) > 1 and (twice := _duplicate(app.id for app in apps)):
             problem = f"background_apps: duplicate app id '{twice}'"
         else:
             problem = next((f"per_sample_transfer_cost['{store}']: must be >= 0 seconds/sample"
                             for store, cost in self.per_sample_transfer_cost.items()
-                            if not (isinstance(cost, (int, float)) and 0 <= cost < math.inf)),
+                            if not (is_number(cost) and 0 <= cost < math.inf)),
                            None)
         if problem:
             raise ValidationError(f"worker '{self.id}'.{problem}")
 
 
-@dataclass(frozen=True)
+@spec
 class ClusterSpec:
     """Workers plus the parameter server state and the available data stores."""
 
@@ -137,7 +138,7 @@ class ClusterSpec:
         raise KeyError(f"no worker with id '{worker_id}'")
 
 
-@dataclass(frozen=True)
+@spec
 class JobSpec:
     """One model-update request: dataset size, epochs, source store and target accuracy."""
 
@@ -155,7 +156,8 @@ class JobSpec:
             raise ValidationError(f"job.num_epoch: must be a positive integer, got {self.num_epoch}")
         if not self.source_store:
             raise ValidationError("job.source_store: must be non-empty")
-        if self.target_accuracy is not None and not 0.0 < self.target_accuracy <= 1.0:
+        accuracy = self.target_accuracy
+        if accuracy is not None and not (is_number(accuracy) and 0.0 < accuracy <= 1.0):
             raise ValidationError(f"job.target_accuracy: must lie in (0, 1], "
                                   f"got {self.target_accuracy}")
 

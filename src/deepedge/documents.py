@@ -14,7 +14,8 @@ starts with it already, e.g. ``cluster.workers[0]: worker 'w0'.b_max: ...``
 or ``job.num_samples: ...``. Each class's reader and writer
 are compiled once, so a document costs what hand-written code does.
 ``csv_rows`` reads the CSV tables (profiling sweeps, simulator traces) and
-names a bad row by ``path:line``.
+names a bad row by ``path:line``. ``spec`` makes a class one of the frozen
+dataclasses these documents hold, with the equality, hash and repr they share.
 """
 
 from __future__ import annotations
@@ -26,9 +27,10 @@ import math
 import types
 import typing
 from collections.abc import Mapping
-from dataclasses import MISSING, field, fields, is_dataclass
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from functools import cache
 from pathlib import Path
+from reprlib import recursive_repr
 
 SCHEMA_VERSION = 1
 
@@ -53,6 +55,46 @@ def doc_field(key: str | None = None, read=None):
     """A field whose document ``key`` or value reader (a function of the JSON
     value that raises ValidationError) differs from the default."""
     return field(metadata={"key": key, "read": read})
+
+
+# --- spec classes ----------------------------------------------------------------
+
+
+def _values(obj) -> tuple:
+    return tuple([getattr(obj, f.name) for f in fields(obj)])
+
+
+def _eq(self, other):
+    if other.__class__ is not self.__class__:
+        return NotImplemented
+    return _values(self) == _values(other)
+
+
+def _hash(self):
+    return hash(_values(self))
+
+
+@recursive_repr()
+def _repr(self):
+    return (f"{self.__class__.__qualname__}("
+            f"{', '.join(f'{f.name}={getattr(self, f.name)!r}' for f in fields(self))})")
+
+
+def spec(cls: type) -> type:
+    """``cls`` as a frozen dataclass whose equality, hash and repr are the ones
+    every spec class shares: by the tuple of its field values, in declaration
+    order, as ``dataclass`` would write them, without compiling them per class.
+    A method the class body defines itself is left alone."""
+    cls = dataclass(frozen=True, eq=False, repr=False)(cls)
+    for name, method in (("__eq__", _eq), ("__hash__", _hash), ("__repr__", _repr)):
+        if name not in cls.__dict__:
+            setattr(cls, name, method)
+    return cls
+
+
+def is_number(value) -> bool:
+    """An int or a float, but not a bool: what a spec's own check takes for a number."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 # --- readers ---------------------------------------------------------------------
@@ -119,7 +161,7 @@ def _reader(tp):
         read = _reader(_optional_of(tp))
         return lambda value: None if value is None else read(value)
     if is_dataclass(tp):
-        return _spec(tp).decode
+        return _codec(tp).decode
     if origin is tuple and args[1:] == (Ellipsis,):
         return _each(_reader(args[0]), list)
     if origin in (dict, Mapping) and args[0] is str:
@@ -132,7 +174,7 @@ def _write(tp, value: str, depth: int = 0) -> str:
     origin, args = typing.get_origin(tp), typing.get_args(tp)
     item = f"x{depth}"
     if is_dataclass(tp):  # one with optional fields needs statements: its own writer
-        return f"to_doc({value})" if _spec(tp).optional else _spec(tp).literal(value, depth)
+        return f"to_doc({value})" if _codec(tp).optional else _codec(tp).literal(value, depth)
     if origin is tuple:
         inner = _write(args[0], item, depth + 1)
         return f"list({value})" if inner == item else f"[{inner} for {item} in {value}]"
@@ -162,7 +204,7 @@ _READ = """
         raise at({step!r}, exc)"""
 
 
-class _Spec:
+class _Codec:
     """One dataclass's fields as (name, document key, type hint), its reader
     and its writer; both are compiled, as dataclasses compile ``__init__``."""
 
@@ -200,8 +242,8 @@ class _Spec:
 
 
 @cache
-def _spec(cls: type) -> _Spec:
-    return _Spec(cls)
+def _codec(cls: type) -> _Codec:
+    return _Codec(cls)
 
 
 # --- the codec ---------------------------------------------------------------------
@@ -210,13 +252,13 @@ def _spec(cls: type) -> _Spec:
 def from_doc(cls: type, doc, ctx: str | None = None):
     """A ``cls`` read from a JSON value; ``ctx`` (the class's DOCUMENT name
     by default) starts the path in every error message."""
-    spec = _spec(cls)
-    ctx = ctx or spec.document
-    if spec.document and type(doc) is dict and doc.get("schema") != SCHEMA_VERSION:
+    codec = _codec(cls)
+    ctx = ctx or codec.document
+    if codec.document and type(doc) is dict and doc.get("schema") != SCHEMA_VERSION:
         found = repr(doc["schema"]) if "schema" in doc else "nothing"
         raise ValidationError(f"{ctx}.schema: expected {SCHEMA_VERSION}, found {found}")
     try:
-        return spec.decode(doc)
+        return codec.decode(doc)
     except ValidationError as exc:
         where, message = f"{ctx}{exc.path}", str(exc)
         # prefixed with the path unless the message starts with it already
@@ -226,7 +268,7 @@ def from_doc(cls: type, doc, ctx: str | None = None):
 
 def to_doc(obj) -> dict:
     """The JSON value of a dataclass."""
-    return _spec(type(obj)).encode(obj)
+    return _codec(type(obj)).encode(obj)
 
 
 def load_doc(source) -> dict:

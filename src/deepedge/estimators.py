@@ -24,7 +24,7 @@ model's coefficients.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import field
 from functools import cached_property, lru_cache
 from itertools import combinations
 from typing import Any, NamedTuple
@@ -32,7 +32,7 @@ from typing import Any, NamedTuple
 import numpy as np
 
 from .cluster import NodeState, ValidationError
-from .documents import doc_field, from_doc, load_doc, save, to_doc
+from .documents import doc_field, from_doc, is_number, load_doc, save, spec, to_doc
 
 TARGETS = ("compute_time", "update_time", "state_cpu", "state_gpu", "state_mem", "exec_time")
 
@@ -58,7 +58,7 @@ def _clamp(value, low, high=math.inf):
     return min(high, max(low, value))
 
 
-@dataclass(frozen=True)
+@spec
 class ParametricProfile:
     """Closed-form estimator coefficients for one device class.
 
@@ -95,7 +95,7 @@ class ParametricProfile:
     bg_mem_slope: float = 0.0
 
     def __post_init__(self):
-        if not 0 < self.base_forward < math.inf:
+        if not (is_number(self.base_forward) and 0 < self.base_forward < math.inf):
             raise ValidationError(f"base_forward: must be > 0 seconds/sample, "
                                   f"got {self.base_forward}")
         for name in ("base_backward", "cpu_slope", "gpu_slope", "base_push", "base_pull",
@@ -103,9 +103,9 @@ class ParametricProfile:
                      "mem_per_batch_unit", "cpu_pressure", "gpu_pressure", "bg_base_exec",
                      "bg_cpu_slope", "bg_gpu_slope", "bg_mem_slope"):
             value = getattr(self, name)
-            if not 0 <= value < math.inf:
+            if not (is_number(value) and 0 <= value < math.inf):
                 raise ValidationError(f"{name}: must be >= 0, got {value}")
-        if not 0.0 <= self.base_mem_footprint < 1.0:
+        if not (is_number(self.base_mem_footprint) and 0.0 <= self.base_mem_footprint < 1.0):
             raise ValidationError(f"base_mem_footprint: must lie in [0, 1), "
                                   f"got {self.base_mem_footprint}")
 
@@ -216,7 +216,7 @@ def design_matrix(feature_names, X: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(_terms(names, P).T)
 
 
-@dataclass(frozen=True)
+@spec
 class FittedFunction:
     """A linear model over the fixed basis, loadable from a registry block."""
 
@@ -295,7 +295,7 @@ class StateTable(NamedTuple):
     mem_util: np.ndarray
 
 
-@dataclass(frozen=True)
+@spec
 class EstimatorBundle:
     """Estimator set for one device class: parametric profile, fitted overrides, or both.
 
@@ -470,7 +470,7 @@ def bundle_for(registry: dict, device_class: str) -> EstimatorBundle:
 
 # --- registry documents --------------------------------------------------------
 
-@dataclass(frozen=True)
+@spec
 class _Device:
     """A registry entry: a parametric profile, or fitted models over a profile,
     a built-in ``base`` profile or neither. The codec reads the profile, and
@@ -482,8 +482,10 @@ class _Device:
     models: dict[str, dict[str, Any]] | None = None
 
 
-@dataclass(frozen=True)
+@spec
 class _Registry:
+    """A registry document: one entry per device class."""
+
     DOCUMENT = "registry"
     devices: dict[str, _Device]
 

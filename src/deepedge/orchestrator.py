@@ -22,14 +22,14 @@ summary figure from them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
 
 from .cluster import ClusterSpec, JobSpec, NodeState, ValidationError, default_testbed
-from .documents import from_doc, load_doc, save, to_doc
+from .documents import from_doc, is_number, load_doc, save, spec, to_doc
 from .estimators import bundle_for, default_registry
 from .scheduler import InfeasibleScheduleError, Plan, fairness_plan, late_apps, solve
 # IllegalTransitionError is imported for callers that validate a phase log
@@ -340,7 +340,7 @@ def draw_states(rng, cluster: ClusterSpec, registry: dict):
                           f"(last: {missed}); loosen the background deadlines")
 
 
-@dataclass(frozen=True)
+@spec
 class BenchTrial:
     """One scenario run under both plans; its index is its place in the report."""
 
@@ -354,8 +354,8 @@ class BenchTrial:
 
     def __post_init__(self):
         for name in ("heuristic_makespan", "fairness_makespan"):
-            if not getattr(self, name) > 0.0:
-                raise ValidationError(f"{name}: must be > 0 seconds, got {getattr(self, name)}")
+            if not (is_number(value := getattr(self, name)) and value > 0.0):
+                raise ValidationError(f"{name}: must be > 0 seconds, got {value}")
         for name in ("heuristic_violations", "fairness_violations",
                      "heuristic_workers", "fairness_workers"):
             if getattr(self, name) < 0:
@@ -370,7 +370,7 @@ class BenchTrial:
 HISTOGRAM_EDGES = tuple(round(0.8 + 0.2 * i, 1) for i in range(13))  # 0.8 .. 3.2
 
 
-@dataclass(frozen=True)
+@spec
 class BenchReport:
     """A bench run's trials and settings; each summary figure derives from the trials."""
 

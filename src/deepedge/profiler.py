@@ -23,12 +23,11 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .documents import ParseError, ValidationError, csv_rows
+from .documents import ParseError, ValidationError, csv_rows, spec
 from .estimators import (EstimatorBundle, FittedFunction, FEATURES_BY_TARGET,
                          TARGETS, StateTable, design_matrix, basis_terms)
 
@@ -40,7 +39,7 @@ CSV_COLUMNS = ("device_class", "target", "cpu_util", "gpu_util", "mem_util",
 _COLUMN = {name: i for i, name in enumerate(CSV_COLUMNS[2:])}
 
 
-@dataclass(frozen=True)
+@spec
 class SweepPlan:
     """Factorial grid over (cpu, gpu, mem, batch) plus cycled server-side levels.
 
@@ -119,12 +118,16 @@ def reference_grid(device_class: str = "tx2", repetitions: int = 5,
 # --- datasets --------------------------------------------------------------
 
 
-@dataclass(frozen=True, eq=False)
+@spec
 class ProfileDataset:
     """One device class's sweep: target -> float table, one row per point."""
 
     device_class: str
     tables: dict
+
+    # compared and hashed by identity: its tables are arrays
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
 
     def __len__(self) -> int:
         return sum(len(table) for table in self.tables.values())

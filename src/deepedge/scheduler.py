@@ -46,13 +46,12 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from .cluster import ClusterSpec, JobSpec, WorkerSpec, validate
-from .documents import doc_field, from_doc, load_doc, save, to_doc
+from .documents import doc_field, from_doc, load_doc, save, spec, to_doc
 from .estimators import MEM_CEILING, EstimatorBundle, StateTable, bundle_for, default_registry
 
 
@@ -106,16 +105,20 @@ def late_apps(worker: WorkerSpec, exec_time: float) -> list:
 # --- plan structures ------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@spec
 class CostBreakdown:
+    """Seconds a worker spends on its shard: data transfer, start-up, training, and their sum."""
+
     transfer: float
     init: float
     train: float
     total: float
 
 
-@dataclass(frozen=True)
+@spec
 class Assignment:
+    """One worker's part of a plan: its shard, batch size, times, epoch time and cost."""
+
     worker_id: str = doc_field(key="worker")
     num_samples: int
     batch_size: int
@@ -126,8 +129,10 @@ class Assignment:
     cost: CostBreakdown
 
 
-@dataclass(frozen=True)
+@spec
 class Removal:
+    """A worker a plan leaves out, and why."""
+
     worker_id: str = doc_field(key="worker")
     # "pressure", or "slowest": left without samples by a split, or beyond
     # the count of fastest workers the worker-count search chose
@@ -135,7 +140,7 @@ class Removal:
     detail: str = ""
 
 
-@dataclass(frozen=True)
+@spec
 class SolveAudit:
     """What the solver's search did: ``iterations`` counts the whole-round
     splits priced over all candidates, and ``candidates_considered`` the
@@ -145,8 +150,10 @@ class SolveAudit:
     candidates_considered: int
 
 
-@dataclass(frozen=True)
+@spec
 class Plan:
+    """Who trains on how many samples at which batch size, and what the plan costs."""
+
     DOCUMENT = "plan"
     method: str
     num_epoch: int

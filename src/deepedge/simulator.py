@@ -38,13 +38,13 @@ import enum
 import heapq
 import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from typing import NamedTuple
 
 import numpy as np
 
 from .cluster import ClusterSpec, JobSpec, ValidationError, validate
-from .documents import csv_rows
+from .documents import csv_rows, is_number, spec
 from .estimators import bundle_for, default_registry
 from .scheduler import InfeasibleScheduleError, Plan, check_pressure, late_apps, solve
 
@@ -63,7 +63,7 @@ class CrashEvent(NamedTuple):
     time: float
 
 
-@dataclass(frozen=True)
+@spec
 class SimConfig:
     """Knobs for one simulation run.
 
@@ -79,14 +79,17 @@ class SimConfig:
     trace_level: str = "phases"  # "none", "phases", or "rounds"
 
     def __post_init__(self):
-        if not (math.isfinite(self.jitter) and self.jitter >= 0):
-            raise ValidationError(f"sim.jitter: must be a finite number >= 0, got {self.jitter}")
+        if not (is_number(self.jitter) and math.isfinite(self.jitter) and self.jitter >= 0):
+            raise ValidationError(f"sim.jitter: must be a finite number >= 0, got {self.jitter!r}")
         for i, crash in enumerate(self.crashes):
-            if not (math.isfinite(crash.time) and crash.time >= 0):
+            if not isinstance(crash, CrashEvent):
+                raise ValidationError(f"sim.crashes[{i}]: expected a CrashEvent, got {crash!r}")
+            if not (is_number(crash.time) and math.isfinite(crash.time) and crash.time >= 0):
                 raise ValidationError(f"sim.crashes[{i}].time: must be a finite number >= 0, "
-                                      f"got {crash.time}")
-        if self.max_strikes < 1:
-            raise ValidationError("sim.max_strikes: must be >= 1")
+                                      f"got {crash.time!r}")
+        if type(self.max_strikes) is not int or self.max_strikes < 1:
+            raise ValidationError(f"sim.max_strikes: must be an integer >= 1, "
+                                  f"got {self.max_strikes!r}")
         if self.trace_level not in ("none", "phases", "rounds"):
             raise ValidationError(f"sim.trace_level: unknown '{self.trace_level}'")
 

@@ -183,6 +183,19 @@ def test_background_app_needs_positive_deadline():
                            deadline=deadline)
 
 
+@pytest.mark.parametrize("cls, good, field, bad", [
+    (BackgroundApp, dict(id="a", deadline=0.1), "background_app 'a'.deadline", {"deadline": True}),
+    (WorkerSpec, WORKER, "worker 'w'.init_cost: must be >= 0 seconds", {"init_cost": True}),
+    (WorkerSpec, WORKER, "worker 'w'.init_cost: must be >= 0 seconds", {"init_cost": "5"}),
+    (WorkerSpec, WORKER, "worker 'w'.per_sample_transfer_cost['s']: must be >= 0",
+     {"per_sample_transfer_cost": {"s": True}}),
+    (JobSpec, dict(num_samples=1, num_epoch=1, source_store="s"), "job.target_accuracy",
+     {"target_accuracy": True}),
+], ids=["deadline", "init_cost", "init_cost-str", "transfer_cost", "target_accuracy"])
+def test_a_bool_is_not_a_number(cls, good, field, bad):
+    _raises_when_built(cls, good, field, **bad)
+
+
 def test_cluster_round_trip(tmp_path):
     cluster = default_testbed(stressed=True)
     path = tmp_path / "cluster.json"

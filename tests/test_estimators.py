@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -246,6 +248,12 @@ def test_profile_validation():
     # a bundle needs either a profile or a full set of fitted models
     with pytest.raises(ValidationError):
         EstimatorBundle(device_class="x")
+
+
+@pytest.mark.parametrize("name", ["base_forward", "contention_slope", "base_mem_footprint"])
+def test_a_profile_refuses_a_bool_for_a_number(name):
+    with pytest.raises(ValidationError, match=f"^{name}: must"):
+        replace(DEVICE_PROFILES["nano"], **{name: True})
 
 
 def test_registry_round_trip(tmp_path):

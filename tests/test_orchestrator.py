@@ -465,6 +465,12 @@ def test_render_report_and_histogram(tmp_path):
     assert len(lines) == len(report.histogram) + 1
 
 
+def test_a_bench_trial_refuses_a_bool_makespan():
+    good = BenchTrial((), 10.0, 20.0, 0, 0, 4, 4)
+    with pytest.raises(ValidationError, match="^fairness_makespan: must be > 0 seconds, got True"):
+        replace(good, fairness_makespan=True)
+
+
 def test_render_report_counts_a_speedup_of_3_2_once():
     # numpy closes the last bin at 3.2, so a trial there is in the table, not outside
     trials = tuple(BenchTrial(stormy_workers=(), heuristic_makespan=10.0,

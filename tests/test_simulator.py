@@ -465,6 +465,33 @@ def test_sim_config_rejects_non_finite_and_negative_times(kwargs, field):
         SimConfig(**kwargs)
 
 
+@pytest.mark.parametrize("kwargs, field", [
+    ({"max_strikes": 2.5}, "sim.max_strikes: must be an integer >= 1, got 2.5"),
+    ({"max_strikes": True}, "sim.max_strikes: must be an integer >= 1, got True"),
+    ({"max_strikes": "3"}, "sim.max_strikes"),
+    ({"jitter": "0.1"}, "sim.jitter: must be a finite number >= 0, got '0.1'"),
+    ({"jitter": True}, "sim.jitter"),
+    ({"crashes": (("nano-1", 5.0),)}, "sim.crashes[0]: expected a CrashEvent, got ('nano-1', 5.0)"),
+    ({"crashes": (CrashEvent("nano-1", 5.0), ("nano-1", 9.0))}, "sim.crashes[1]: expected"),
+    ({"crashes": (CrashEvent("nano-1", "5"),)}, "sim.crashes[0].time"),
+], ids=["strikes-2.5", "strikes-True", "strikes-str", "jitter-str", "jitter-True",
+        "crash-tuple", "second-crash-tuple", "crash-time-str"])
+def test_sim_config_refuses_values_of_another_kind(kwargs, field):
+    with pytest.raises(ValidationError, match=re.escape(field)):
+        SimConfig(**kwargs)
+    with pytest.raises(ValidationError, match=re.escape(field)):
+        replace(SimConfig(), **kwargs)
+
+
+def test_four_crashes_strike_a_worker_out_at_the_third():
+    cluster = default_testbed()
+    job = JobSpec(num_samples=2000, num_epoch=2, source_store="store-0")
+    crashes = tuple(CrashEvent("nano-1", t) for t in (8.0, 30.0, 60.0, 90.0))
+    rec = inject_and_recover(cluster, job, seed=0, config=SimConfig(crashes=crashes))
+    assert rec.strikes == {"nano-1": 3} and rec.excluded == ("nano-1",)
+    assert len(rec.attempts) == 4
+
+
 def test_simulate_checks_the_plan_against_the_job():
     cluster = default_testbed()
     job = JobSpec(num_samples=1600, num_epoch=1, source_store="store-0")
