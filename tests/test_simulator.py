@@ -483,12 +483,13 @@ def test_sim_config_refuses_values_of_another_kind(kwargs, field):
         replace(SimConfig(), **kwargs)
 
 
-def test_four_crashes_strike_a_worker_out_at_the_third():
+def test_a_crash_scripted_after_the_exclusion_strikes_no_more():
     cluster = default_testbed()
     job = JobSpec(num_samples=2000, num_epoch=2, source_store="store-0")
     crashes = tuple(CrashEvent("nano-1", t) for t in (8.0, 30.0, 60.0, 90.0))
     rec = inject_and_recover(cluster, job, seed=0, config=SimConfig(crashes=crashes))
     assert rec.strikes == {"nano-1": 3} and rec.excluded == ("nano-1",)
+    assert [ev.kind for ev in rec.events] == ["crash"] * 3 + ["excluded"]
     assert len(rec.attempts) == 4
 
 
