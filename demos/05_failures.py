@@ -13,7 +13,7 @@ plan = solve(cluster, job)
 # the phases it drove the job through, and the crash itself.
 
 one = SimConfig(crashes=(CrashEvent("nano-0", 20.0),))
-rec = inject_and_recover(cluster, job, plan=plan, seed=0, config=one)
+rec = inject_and_recover(cluster, job, plan, seed=0, config=one)
 print(f"single crash: status={rec.status}  total {rec.total_time:.1f}s  "
       f"attempts={len(rec.attempts)}  strikes={dict(rec.strikes)}")
 for change in rec.phases:
@@ -27,7 +27,7 @@ for ev in rec.events:
 three = SimConfig(crashes=(CrashEvent("nano-0", 8.0),
                            CrashEvent("nano-0", 30.0),
                            CrashEvent("nano-0", 60.0)))
-rec3 = inject_and_recover(cluster, job, plan=plan, seed=0, config=three)
+rec3 = inject_and_recover(cluster, job, plan, seed=0, config=three)
 print(f"\nthree strikes: status={rec3.status}  excluded={rec3.excluded}")
 for ev in rec3.events:
     print(f"  {ev.time:8.2f}  {ev.kind:<12} {ev.worker}")

@@ -5,16 +5,14 @@ __version__ = "0.1.0"
 
 from .documents import ParseError, ValidationError
 from .cluster import (BackgroundApp, ClusterSpec, JobSpec, NodeState, WorkerSpec,
-                      cluster_from_doc, default_testbed, job_from_doc, load_cluster,
-                      load_job, save_cluster, save_job, validate)
+                      default_testbed, load_cluster, load_job, validate)
 from .estimators import (DEVICE_PROFILES, EstimatorBundle, FittedFunction,
                          ParametricProfile, basis_terms, bundle_for,
                          default_registry, design_matrix, load_registry,
                          save_registry)
 from .scheduler import (Assignment, CostBreakdown, InfeasibleScheduleError, Plan,
                         Removal, SolveAudit, check_pressure, epoch_time,
-                        fairness_plan, load_plan, plan_from_doc, plan_to_doc, save_plan,
-                        solve, total_cost)
+                        fairness_plan, plan_from_doc, plan_to_doc, solve)
 from .profiler import (FitReport, ProfileDataset, SweepPlan, dataset_from_csv, fit,
                        fit_all, fitted_bundle, mape, run_sweep, reference_grid)
 from .simulator import (ArcEvent, CrashEvent, CrashRecord, IllegalTransitionError,
@@ -23,17 +21,14 @@ from .simulator import (ArcEvent, CrashEvent, CrashRecord, IllegalTransitionErro
                         inject_and_recover, load_trace, save_trace, simulate,
                         validate_transitions)
 from .orchestrator import (BenchReport, BenchTrial, JobReport, LogisticFit, bench,
-                           bench_report_from_doc, bench_report_to_doc, crossing_epoch,
-                           fit_accuracy_curve, load_bench_report, logistic,
-                           refine_num_epoch, render_report, run_job, save_bench_report,
-                           save_histogram_csv, simulate_accuracy)
+                           crossing_epoch, fit_accuracy_curve, logistic, refine_num_epoch,
+                           render_report, run_job, save_histogram_csv, simulate_accuracy)
 
 __all__ = [
     "__version__",
     # cluster
     "BackgroundApp", "ClusterSpec", "JobSpec", "NodeState", "ParseError",
-    "ValidationError", "WorkerSpec", "cluster_from_doc", "default_testbed",
-    "job_from_doc", "load_cluster", "load_job", "save_cluster", "save_job",
+    "ValidationError", "WorkerSpec", "default_testbed", "load_cluster", "load_job",
     "validate",
     # estimators
     "DEVICE_PROFILES", "EstimatorBundle", "FittedFunction", "ParametricProfile",
@@ -41,8 +36,8 @@ __all__ = [
     "load_registry", "save_registry",
     # scheduler
     "Assignment", "CostBreakdown", "InfeasibleScheduleError", "Plan", "Removal",
-    "SolveAudit", "check_pressure", "epoch_time", "fairness_plan", "load_plan",
-    "plan_from_doc", "plan_to_doc", "save_plan", "solve", "total_cost",
+    "SolveAudit", "check_pressure", "epoch_time", "fairness_plan", "plan_from_doc",
+    "plan_to_doc", "solve",
     # profiler
     "FitReport", "ProfileDataset", "SweepPlan", "dataset_from_csv", "fit", "fit_all",
     "fitted_bundle", "mape", "run_sweep", "reference_grid",
@@ -52,9 +47,7 @@ __all__ = [
     "TraceEvent", "Violation", "inject_and_recover", "load_trace", "save_trace",
     "simulate", "validate_transitions",
     # orchestrator
-    "BenchReport", "BenchTrial", "JobReport", "LogisticFit", "bench",
-    "bench_report_from_doc", "bench_report_to_doc", "crossing_epoch",
-    "fit_accuracy_curve", "load_bench_report", "logistic", "refine_num_epoch",
-    "render_report", "run_job", "save_bench_report", "save_histogram_csv",
-    "simulate_accuracy",
+    "BenchReport", "BenchTrial", "JobReport", "LogisticFit", "bench", "crossing_epoch",
+    "fit_accuracy_curve", "logistic", "refine_num_epoch", "render_report", "run_job",
+    "save_histogram_csv", "simulate_accuracy",
 ]

@@ -14,13 +14,11 @@ import sys
 
 from . import __version__
 from .cluster import load_cluster, load_job
-from .documents import ParseError, ValidationError
+from .documents import ParseError, ValidationError, from_doc, load_doc, save, to_doc
 from .estimators import load_registry, save_registry
-from .orchestrator import (bench, load_bench_report, render_report, run_job,
-                           save_bench_report, save_histogram_csv)
+from .orchestrator import BenchReport, bench, render_report, run_job, save_histogram_csv
 from .profiler import dataset_from_csv, fitted_bundle, run_sweep, reference_grid
-from .scheduler import (InfeasibleScheduleError, fairness_plan, load_plan,
-                        plan_to_doc, save_plan, solve)
+from .scheduler import InfeasibleScheduleError, Plan, fairness_plan, solve
 from .simulator import CrashEvent, SimConfig, save_trace, simulate
 
 
@@ -51,10 +49,10 @@ def _cmd_solve(args) -> int:
     plan = solve(cluster, job, registry)
     _print_plan(plan)
     if args.out:
-        save_plan(plan, args.out)
+        save(plan, args.out)
         print(f"plan written to {args.out}")
     else:
-        print(json.dumps(plan_to_doc(plan), indent=2))
+        print(json.dumps(to_doc(plan), indent=2))
     return 0
 
 
@@ -63,7 +61,7 @@ def _cmd_fairness(args) -> int:
     plan = fairness_plan(cluster, job, registry)
     _print_plan(plan)
     if args.out:
-        save_plan(plan, args.out)
+        save(plan, args.out)
         print(f"plan written to {args.out}")
     return 0
 
@@ -83,7 +81,7 @@ def _parse_crashes(specs) -> tuple:
 
 def _cmd_simulate(args) -> int:
     cluster, job, registry = _inputs(args)
-    plan = load_plan(args.plan) if args.plan else solve(cluster, job, registry)
+    plan = from_doc(Plan, load_doc(args.plan)) if args.plan else solve(cluster, job, registry)
     config = SimConfig(jitter=args.jitter, crashes=_parse_crashes(args.crash),
                        trace_level=args.trace_level)
     result = simulate(cluster, job, plan, registry, seed=args.seed, config=config)
@@ -133,7 +131,7 @@ def _cmd_profile(args) -> int:
     dataset = run_sweep(registry[args.device], plan, seed=args.seed)
     dataset.to_csv(args.out)
     print(f"{len(dataset)} rows ({plan.grid_size} grid points x "
-          f"{len(plan.targets)} targets) written to {args.out}")
+          f"{len(dataset.tables)} targets) written to {args.out}")
     return 0
 
 
@@ -169,13 +167,13 @@ def _cmd_bench(args) -> int:
     print(f"violations: {report.violations_heuristic} heuristic, "
           f"{report.violations_fairness} fairness")
     if args.out:
-        save_bench_report(report, args.out)
+        save(report, args.out)
         print(f"report written to {args.out}")
     return 0
 
 
 def _cmd_report(args) -> int:
-    report = load_bench_report(args.bench)
+    report = from_doc(BenchReport, load_doc(args.bench))
     text = render_report(report)
     if args.out:
         with open(args.out, "w") as fh:

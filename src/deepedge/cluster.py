@@ -17,8 +17,7 @@ from collections.abc import Mapping
 from dataclasses import field
 from types import MappingProxyType
 
-from .documents import (ValidationError, doc_field, fraction, from_doc, is_number, load_doc,
-                        save, spec)
+from .documents import ValidationError, doc_field, fraction, from_doc, is_number, load_doc, spec
 
 
 @spec
@@ -53,11 +52,14 @@ class BackgroundApp:
     description: str = ""
 
     def __post_init__(self):
-        if not self.id:
-            raise ValidationError("background_app.id: must be non-empty")
+        if not (isinstance(self.id, str) and self.id):
+            raise ValidationError(f"background_app.id: must be a non-empty string, got {self.id!r}")
         if not (is_number(self.deadline) and 0 < self.deadline < math.inf):
             raise ValidationError(f"background_app '{self.id}'.deadline: must be a positive "
                                   f"finite number of seconds")
+        if not isinstance(self.description, str):
+            raise ValidationError(f"background_app '{self.id}'.description: must be a string, "
+                                  f"got {self.description!r}")
 
 
 def _duplicate(ids):
@@ -86,13 +88,20 @@ class WorkerSpec:
     per_sample_transfer_cost: Mapping[str, float] = field(default_factory=dict)
 
     def __post_init__(self):
-        object.__setattr__(self, "per_sample_transfer_cost",
-                           MappingProxyType(dict(self.per_sample_transfer_cost)))
+        costs = self.per_sample_transfer_cost
+        if isinstance(costs, Mapping):
+            object.__setattr__(self, "per_sample_transfer_cost", MappingProxyType(dict(costs)))
         b_min, b_max, apps = self.b_min, self.b_max, self.background_apps
-        if not self.id:
-            raise ValidationError("worker.id: must be non-empty")
-        if not self.device_class:
-            problem = "device_class: must be non-empty"
+        if not (isinstance(self.id, str) and self.id):
+            raise ValidationError(f"worker.id: must be a non-empty string, got {self.id!r}")
+        if not (isinstance(self.device_class, str) and self.device_class):
+            problem = f"device_class: must be a non-empty string, got {self.device_class!r}"
+        elif not isinstance(self.initial_state, NodeState):
+            problem = f"initial_state: expected a NodeState, got {self.initial_state!r}"
+        elif not (isinstance(apps, tuple) and all(isinstance(app, BackgroundApp) for app in apps)):
+            problem = "background_apps: expected a tuple of BackgroundApp"
+        elif not isinstance(costs, Mapping):
+            problem = f"per_sample_transfer_cost: expected a mapping, got {costs!r}"
         elif type(b_min) is not int or type(b_max) is not int:
             problem = "b_min/b_max: must be integers"
         elif b_min < 1:
@@ -122,6 +131,14 @@ class ClusterSpec:
     data_stores: tuple[str, ...]
 
     def __post_init__(self):
+        if not (isinstance(self.workers, tuple)
+                and all(isinstance(w, WorkerSpec) for w in self.workers)):
+            raise ValidationError("workers: expected a tuple of WorkerSpec")
+        if not isinstance(self.ps_state, NodeState):
+            raise ValidationError(f"ps_state: expected a NodeState, got {self.ps_state!r}")
+        if not (isinstance(self.data_stores, tuple)
+                and all(isinstance(store, str) for store in self.data_stores)):
+            raise ValidationError("data_stores: expected a tuple of strings")
         if not self.workers:
             raise ValidationError("workers: at least one worker is required")
         if (twice := _duplicate(w.id for w in self.workers)) is not None:
@@ -130,12 +147,6 @@ class ClusterSpec:
             raise ValidationError("data_stores: at least one data store is required")
         if (twice := _duplicate(self.data_stores)) is not None:
             raise ValidationError(f"data_stores: duplicate store id '{twice}'")
-
-    def worker(self, worker_id: str) -> WorkerSpec:
-        for w in self.workers:
-            if w.id == worker_id:
-                return w
-        raise KeyError(f"no worker with id '{worker_id}'")
 
 
 @spec
@@ -154,8 +165,9 @@ class JobSpec:
                                   f"got {self.num_samples}")
         if type(self.num_epoch) is not int or self.num_epoch < 1:
             raise ValidationError(f"job.num_epoch: must be a positive integer, got {self.num_epoch}")
-        if not self.source_store:
-            raise ValidationError("job.source_store: must be non-empty")
+        if not (isinstance(self.source_store, str) and self.source_store):
+            raise ValidationError(f"job.source_store: must be a non-empty string, "
+                                  f"got {self.source_store!r}")
         accuracy = self.target_accuracy
         if accuracy is not None and not (is_number(accuracy) and 0.0 < accuracy <= 1.0):
             raise ValidationError(f"job.target_accuracy: must lie in (0, 1], "
@@ -178,14 +190,6 @@ def validate(cluster: ClusterSpec, job: JobSpec) -> None:
 
 # --- documents ----------------------------------------------------------------
 
-def cluster_from_doc(doc: dict) -> ClusterSpec:
-    return from_doc(ClusterSpec, doc)
-
-
-def job_from_doc(doc: dict) -> JobSpec:
-    return from_doc(JobSpec, doc)
-
-
 def load_cluster(source) -> ClusterSpec:
     """Parse and validate a cluster document from a path, bytes, or JSON string."""
     return from_doc(ClusterSpec, load_doc(source))
@@ -194,9 +198,6 @@ def load_cluster(source) -> ClusterSpec:
 def load_job(source) -> JobSpec:
     """Parse and validate a job document from a path, bytes, or JSON string."""
     return from_doc(JobSpec, load_doc(source))
-
-
-save_cluster = save_job = save
 
 
 # --- canned testbed ---------------------------------------------------------

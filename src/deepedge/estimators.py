@@ -24,9 +24,11 @@ model's coefficients.
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import field
 from functools import cached_property, lru_cache
 from itertools import combinations
+from types import MappingProxyType
 from typing import Any, NamedTuple
 
 import numpy as np
@@ -306,9 +308,15 @@ class EstimatorBundle:
 
     device_class: str
     profile: ParametricProfile | None = None
-    models: dict = field(default_factory=dict)  # target name -> FittedFunction
+    # target name -> FittedFunction; held read-only, as the estimates cached
+    # from it and the check below must stay true of it
+    models: Mapping[str, FittedFunction] = field(default_factory=dict)
 
     def __post_init__(self):
+        if not isinstance(self.models, Mapping):
+            raise ValidationError(f"bundle '{self.device_class}': models: expected a mapping, "
+                                  f"got {self.models!r}")
+        object.__setattr__(self, "models", MappingProxyType(dict(self.models)))
         if self.profile is None:
             missing = [t for t in TARGETS if t not in self.models]
             if missing:

@@ -29,7 +29,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .cluster import ClusterSpec, JobSpec, NodeState, ValidationError, default_testbed
-from .documents import from_doc, is_number, load_doc, save, spec, to_doc
+from .documents import is_number, spec
 from .estimators import bundle_for, default_registry
 from .scheduler import InfeasibleScheduleError, Plan, fairness_plan, late_apps, solve
 # IllegalTransitionError is imported for callers that validate a phase log
@@ -280,8 +280,7 @@ def run_job(cluster: ClusterSpec, job: JobSpec, registry: dict | None = None,
         validate_transitions(phases)
         return JobReport(status=ABANDONED, phases=phases, plan=None,
                          final_plan=None, recovery=None)
-    rec = inject_and_recover(cluster, job, registry, seed=seed, config=config,
-                             plan=plan)
+    rec = inject_and_recover(cluster, job, plan, registry, seed=seed, config=config)
     phases = (requested,) + rec.phases
     validate_transitions(phases)
 
@@ -353,13 +352,18 @@ class BenchTrial:
     fairness_workers: int
 
     def __post_init__(self):
+        stormy = self.stormy_workers
+        if not (isinstance(stormy, tuple) and all(isinstance(w, str) for w in stormy)):
+            raise ValidationError(f"stormy_workers: expected a tuple of worker ids, got {stormy!r}")
         for name in ("heuristic_makespan", "fairness_makespan"):
             if not (is_number(value := getattr(self, name)) and value > 0.0):
                 raise ValidationError(f"{name}: must be > 0 seconds, got {value}")
         for name in ("heuristic_violations", "fairness_violations",
                      "heuristic_workers", "fairness_workers"):
-            if getattr(self, name) < 0:
-                raise ValidationError(f"{name}: must be >= 0, got {getattr(self, name)}")
+            if type(value := getattr(self, name)) is not int:
+                raise ValidationError(f"{name}: must be an integer, got {value!r}")
+            if value < 0:
+                raise ValidationError(f"{name}: must be >= 0, got {value}")
 
     @property
     def speedup(self) -> float:
@@ -465,21 +469,6 @@ def bench(cluster: ClusterSpec | None = None, registry: dict | None = None,
             fairness_workers=len(plan_f.assignments)))
     return BenchReport(trials=tuple(trials), seed=seed, jitter=jitter,
                        num_samples=num_samples, num_epoch=num_epoch)
-
-
-# --- bench report documents ------------------------------------------------------
-
-
-bench_report_to_doc = to_doc
-save_bench_report = save
-
-
-def bench_report_from_doc(doc: dict) -> BenchReport:
-    return from_doc(BenchReport, doc)
-
-
-def load_bench_report(source) -> BenchReport:
-    return from_doc(BenchReport, load_doc(source))
 
 
 def render_report(report: BenchReport) -> str:

@@ -27,7 +27,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .documents import ParseError, ValidationError, csv_rows, spec
+from .documents import ParseError, ValidationError, csv_rows, is_number, spec
 from .estimators import (EstimatorBundle, FittedFunction, FEATURES_BY_TARGET,
                          TARGETS, StateTable, design_matrix, basis_terms)
 
@@ -39,52 +39,45 @@ CSV_COLUMNS = ("device_class", "target", "cpu_util", "gpu_util", "mem_util",
 _COLUMN = {name: i for i, name in enumerate(CSV_COLUMNS[2:])}
 
 
+# parameter-server load and worker count only matter to the update-time
+# target; instead of multiplying the grid they cycle deterministically across
+# grid points, which keeps the row count at the grid size while still exposing
+# variation to the fit
+PS_CPU_LEVELS = (0.0, 0.25, 0.5)
+N_WORKERS_LEVELS = (1, 2, 4)
+
+
 @spec
 class SweepPlan:
-    """Factorial grid over (cpu, gpu, mem, batch) plus cycled server-side levels.
-
-    Parameter-server load and worker count only matter to the update-time
-    target; instead of multiplying the grid they cycle deterministically
-    across grid points, which keeps the row count at the grid size while
-    still exposing variation to the fit.
-    """
+    """Factorial grid over (cpu, gpu, mem, batch), with ``PS_CPU_LEVELS`` and
+    ``N_WORKERS_LEVELS`` cycled across its points."""
 
     cpu_levels: tuple
     gpu_levels: tuple
     mem_levels: tuple
     batch_levels: tuple
-    ps_cpu_levels: tuple = (0.0, 0.25, 0.5)
-    n_workers_levels: tuple = (1, 2, 4)
     repetitions: int = 5
     noise: float = 0.0
-    targets: tuple = TARGETS
 
     def __post_init__(self):
-        for name in ("cpu_levels", "gpu_levels", "mem_levels", "batch_levels",
-                     "ps_cpu_levels", "n_workers_levels"):
+        for name in ("cpu_levels", "gpu_levels", "mem_levels", "batch_levels"):
             if not getattr(self, name):
                 raise ValidationError(f"sweep.{name}: needs at least one level")
-        for name in ("cpu_levels", "gpu_levels", "mem_levels", "ps_cpu_levels"):
+            for v in getattr(self, name):
+                if not (is_number(v) or isinstance(v, (np.integer, np.floating))):
+                    raise ValidationError(f"sweep.{name}: level {v!r} is not a number")
+        for name in ("cpu_levels", "gpu_levels", "mem_levels"):
             for v in getattr(self, name):
                 if not 0.0 <= v <= 1.0:
                     raise ValidationError(f"sweep.{name}: level {v} outside [0, 1]")
-        for name in ("batch_levels", "n_workers_levels"):
-            for v in getattr(self, name):
-                if not (math.isfinite(v) and v >= 1 and int(v) == v):
-                    raise ValidationError(f"sweep.{name}: {v} is not a positive integer")
+        for v in self.batch_levels:
+            if not (math.isfinite(v) and v >= 1 and int(v) == v):
+                raise ValidationError(f"sweep.batch_levels: {v} is not a positive integer")
         reps = self.repetitions
         if isinstance(reps, bool) or not isinstance(reps, (int, np.integer)) or reps < 1:
             raise ValidationError(f"sweep.repetitions: must be an integer >= 1, got {reps!r}")
-        if not 0.0 <= self.noise < 1.0:
-            raise ValidationError(f"sweep.noise: must lie in [0, 1), got {self.noise}")
-        if not self.targets:
-            raise ValidationError("sweep.targets: needs at least one target")
-        unknown = [t for t in self.targets if t not in TARGETS]
-        if unknown:
-            raise ValidationError(f"sweep.targets: unknown {unknown}")
-        twice = sorted({t for t in self.targets if self.targets.count(t) > 1})
-        if twice:
-            raise ValidationError(f"sweep.targets: {twice} listed more than once")
+        if not (is_number(self.noise) and 0.0 <= self.noise < 1.0):
+            raise ValidationError(f"sweep.noise: must lie in [0, 1), got {self.noise!r}")
 
     @property
     def grid_size(self) -> int:
@@ -193,16 +186,16 @@ def run_sweep(bundle: EstimatorBundle, plan: SweepPlan, seed: int = 0) -> Profil
     cpu, gpu, mem, batch = (axis.ravel().astype(float) for axis in np.meshgrid(
         plan.cpu_levels, plan.gpu_levels, plan.mem_levels, plan.batch_levels, indexing="ij"))
     point = np.arange(cpu.size)
-    ps = np.array(plan.ps_cpu_levels, dtype=float)[point % len(plan.ps_cpu_levels)]
-    n_workers = np.array(plan.n_workers_levels, dtype=float)[
-        point // len(plan.ps_cpu_levels) % len(plan.n_workers_levels)]
+    ps = np.array(PS_CPU_LEVELS, dtype=float)[point % len(PS_CPU_LEVELS)]
+    n_workers = np.array(N_WORKERS_LEVELS, dtype=float)[
+        point // len(PS_CPU_LEVELS) % len(N_WORKERS_LEVELS)]
     features = np.column_stack((cpu, gpu, mem, batch, ps, n_workers))
     batch = batch.astype(int)
     grid = StateTable(cpu, gpu, mem)
     rng = np.random.default_rng(seed)
     projected = None
     tables = {}
-    for target in plan.targets:
+    for target in TARGETS:
         if target == "compute_time":
             truth = bundle.est_compute_time(grid, batch)
         elif target == "update_time":

@@ -51,7 +51,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .cluster import ClusterSpec, JobSpec, WorkerSpec, validate
-from .documents import doc_field, from_doc, load_doc, save, spec, to_doc
+from .documents import doc_field, from_doc, spec, to_doc
 from .estimators import MEM_CEILING, EstimatorBundle, StateTable, bundle_for, default_registry
 
 
@@ -169,15 +169,6 @@ class Plan:
     @property
     def num_samples(self) -> int:
         return sum(a.num_samples for a in self.assignments)
-
-    def assignment_for(self, worker_id: str) -> Assignment:
-        for a in self.assignments:
-            if a.worker_id == worker_id:
-                return a
-        raise KeyError(f"plan has no assignment for worker '{worker_id}'")
-
-    def shares(self) -> dict:
-        return {a.worker_id: a.num_samples for a in self.assignments}
 
 
 # --- the solver -----------------------------------------------------------------
@@ -482,10 +473,6 @@ def _left_without_samples(workers: tuple, indices: np.ndarray, epoch: float) -> 
                     f"epoch in {epoch:.4f} s") for i in indices.tolist()]
 
 
-def total_cost(assignments) -> float:
-    return max((a.cost.total for a in assignments), default=0.0)
-
-
 def solve(cluster: ClusterSpec, job: JobSpec, registry: dict | None = None) -> Plan:
     """Find a low-cost feasible plan; raises InfeasibleScheduleError if none exists."""
     registry = registry if registry is not None else default_registry()
@@ -613,9 +600,8 @@ def fairness_plan(cluster: ClusterSpec, job: JobSpec, registry: dict | None = No
                      bundle.est_update_time(w.initial_state, b, cluster.ps_state, len(assigned)),
                      w.per_sample_transfer_cost[job.source_store], w.init_cost))
     priced = _price(np.arange(len(assigned)), *(np.array(col) for col in zip(*rows)), job)
-    assignments = priced.assignments(assigned)
-    return Plan(method="fairness", num_epoch=job.num_epoch,
-                total_cost=total_cost(assignments), assignments=tuple(assignments))
+    return Plan(method="fairness", num_epoch=job.num_epoch, total_cost=float(priced.total.max()),
+                assignments=tuple(priced.assignments(assigned)))
 
 
 # --- plan documents --------------------------------------------------------------
@@ -626,12 +612,5 @@ def plan_to_doc(plan: Plan) -> dict:
     return to_doc(plan)
 
 
-save_plan = save
-
-
 def plan_from_doc(doc: dict) -> Plan:
     return from_doc(Plan, doc)
-
-
-def load_plan(source) -> Plan:
-    return from_doc(Plan, load_doc(source))

@@ -368,11 +368,11 @@ class RecoveryResult(NamedTuple):
         return self.phases[-1].time
 
 
-def inject_and_recover(cluster: ClusterSpec, job: JobSpec,
+def inject_and_recover(cluster: ClusterSpec, job: JobSpec, plan: Plan,
                        registry: dict | None = None, seed: int = 0,
-                       config: SimConfig = SimConfig(),
-                       plan: Plan | None = None) -> RecoveryResult:
-    """Run a job across crashes: restart on each one, drop repeat offenders.
+                       config: SimConfig = SimConfig()) -> RecoveryResult:
+    """Run a job from its first plan across crashes: restart on each one,
+    drop repeat offenders.
 
     Crash times in ``config.crashes`` are on the global clock spanning all
     attempts. After ``max_strikes`` crashes a worker is excluded and the plan
@@ -381,7 +381,6 @@ def inject_and_recover(cluster: ClusterSpec, job: JobSpec,
     worker starts training, or when its crash fires if that comes first.
     """
     registry = registry if registry is not None else default_registry()
-    current_plan = plan if plan is not None else solve(cluster, job, registry)
     pending = sorted(config.crashes, key=lambda e: e.time)
     active_cluster = cluster
     offset = 0.0
@@ -405,10 +404,10 @@ def inject_and_recover(cluster: ClusterSpec, job: JobSpec,
         local = tuple(CrashEvent(e.worker_id, e.time - offset)
                       for e in pending if e.time > offset)
         attempt_seed = int(np.random.SeedSequence([seed, len(attempts)]).generate_state(1)[0])
-        res = simulate(active_cluster, job, current_plan, registry,
+        res = simulate(active_cluster, job, plan, registry,
                        seed=attempt_seed, config=replace(config, crashes=local))
         attempts.append(res)
-        plans.append(current_plan)
+        plans.append(plan)
         for ev in res.trace:
             trace.append(TraceEvent(ev.time + offset, ev.worker, ev.event, ev.detail))
         for v in res.violations:
@@ -438,7 +437,7 @@ def inject_and_recover(cluster: ClusterSpec, job: JobSpec,
                 active_cluster = replace(
                     active_cluster,
                     workers=tuple(w for w in active_cluster.workers if w.id != wid))
-                current_plan = solve(active_cluster, job, registry)
+                plan = solve(active_cluster, job, registry)
             except (InfeasibleScheduleError, ValidationError):
                 phases.append(PhaseChange(offset, JobPhase.ABANDONED))
                 return result(ABANDONED)

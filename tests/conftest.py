@@ -75,9 +75,10 @@ def _samples_done_sooner(plan, cluster, registry):
     job, some integer split over the same workers finishes sooner.
     """
     n = len(plan.assignments)
+    workers = {w.id: w for w in cluster.workers}
     total = 0
     for a in plan.assignments:
-        w = cluster.worker(a.worker_id)
+        w = workers[a.worker_id]
         bundle = bundle_for(registry, w.device_class)
         top = bundle.max_batch_size(w.initial_state.mem_util, w.b_min, w.b_max)
         largest = 0

@@ -9,17 +9,17 @@ from pathlib import Path
 import pytest
 
 import deepedge
-from deepedge import (JobSpec, default_testbed, load_plan, load_registry, load_trace, save_cluster,
-                      save_job)
+from deepedge import JobSpec, Plan, default_testbed, load_registry, load_trace
 from deepedge.cli import main
+from deepedge.documents import from_doc, load_doc, save
 
 
 @pytest.fixture
 def specs(tmp_path):
     cluster_path = tmp_path / "cluster.json"
     job_path = tmp_path / "job.json"
-    save_cluster(default_testbed(), cluster_path)
-    save_job(JobSpec(num_samples=800, num_epoch=1, source_store="store-0"), job_path)
+    save(default_testbed(), cluster_path)
+    save(JobSpec(num_samples=800, num_epoch=1, source_store="store-0"), job_path)
     return str(cluster_path), str(job_path)
 
 
@@ -38,7 +38,7 @@ def test_solve_writes_plan(specs, tmp_path, capsys):
     text = capsys.readouterr().out
     assert "total cost" in text
     assert "tx2-0" in text
-    plan = load_plan(out)
+    plan = from_doc(Plan, load_doc(out))
     assert plan.num_samples == 800
     assert plan.method == "heuristic"
 
@@ -48,7 +48,7 @@ def test_fairness_command(specs, tmp_path, capsys):
     out = tmp_path / "fair.json"
     code = main(["fairness", "--cluster", cluster, "--job", job, "--out", str(out)])
     assert code == 0
-    plan = load_plan(out)
+    plan = from_doc(Plan, load_doc(out))
     assert plan.method == "fairness"
     assert sorted(a.num_samples for a in plan.assignments) == [200, 200, 200, 200]
 
@@ -97,8 +97,8 @@ def test_run_with_a_crash_before_the_last_worker_trains(tmp_path, capsys):
         replace(w, per_sample_transfer_cost={"store-0": 0.02}) if w.id == "nano-2" else w
         for w in testbed.workers))
     cluster, job = tmp_path / "cluster.json", tmp_path / "job.json"
-    save_cluster(slow, cluster)
-    save_job(JobSpec(num_samples=2000, num_epoch=1, source_store="store-0"), job)
+    save(slow, cluster)
+    save(JobSpec(num_samples=2000, num_epoch=1, source_store="store-0"), job)
     code = main(["run", "--cluster", str(cluster), "--job", str(job), "--crash", "tx2-0:6"])
     assert code == 0
     text = capsys.readouterr().out
@@ -124,8 +124,8 @@ def test_profile_then_fit_then_solve(tmp_path, capsys):
 
     cluster_path = tmp_path / "cluster.json"
     job_path = tmp_path / "job.json"
-    save_cluster(default_testbed(), cluster_path)
-    save_job(JobSpec(num_samples=500, num_epoch=1, source_store="store-0"), job_path)
+    save(default_testbed(), cluster_path)
+    save(JobSpec(num_samples=500, num_epoch=1, source_store="store-0"), job_path)
     code = main(["solve", "--cluster", str(cluster_path), "--job", str(job_path),
                  "--registry", str(registry_path)])
     assert code == 0
@@ -195,7 +195,7 @@ def test_bench_with_no_healthy_scenario_is_a_clean_error(tmp_path, capsys):
                                                    for app in w.background_apps))
                   for w in testbed.workers)
     cluster = tmp_path / "cluster.json"
-    save_cluster(replace(testbed, workers=tight), cluster)
+    save(replace(testbed, workers=tight), cluster)
     code = main(["bench", "--cluster", str(cluster), "--trials", "1"])
     assert code == 1
     err = capsys.readouterr().err
@@ -210,7 +210,7 @@ def test_simulate_with_no_rate_for_the_job_store_is_a_clean_error(specs, tmp_pat
     assert main(["solve", "--cluster", cluster, "--job", job, "--out", str(plan)]) == 0
     testbed = default_testbed()
     tx2 = replace(testbed.workers[0], per_sample_transfer_cost={"other": 0.5})
-    save_cluster(replace(testbed, workers=(tx2,) + testbed.workers[1:],
+    save(replace(testbed, workers=(tx2,) + testbed.workers[1:],
                          data_stores=("store-0", "other")), cluster)
     capsys.readouterr()
     code = main(["simulate", "--cluster", cluster, "--job", job, "--plan", str(plan)])
@@ -223,7 +223,7 @@ def test_simulate_with_no_rate_for_the_job_store_is_a_clean_error(specs, tmp_pat
 
 def test_missing_file_is_a_clean_error(tmp_path, capsys):
     job = tmp_path / "job.json"
-    save_job(JobSpec(num_samples=10, num_epoch=1, source_store="store-0"), job)
+    save(JobSpec(num_samples=10, num_epoch=1, source_store="store-0"), job)
     code = main(["solve", "--cluster", str(tmp_path / "nope.json"), "--job", str(job)])
     assert code == 1
     err = capsys.readouterr().err
@@ -260,8 +260,8 @@ def test_infeasible_solve_is_a_clean_error(tmp_path, capsys):
                                           if w.id == "nano-0"))
     cluster_path = tmp_path / "solo.json"
     job_path = tmp_path / "job.json"
-    save_cluster(solo, cluster_path)
-    save_job(JobSpec(num_samples=100, num_epoch=1, source_store="store-0"), job_path)
+    save(solo, cluster_path)
+    save(JobSpec(num_samples=100, num_epoch=1, source_store="store-0"), job_path)
     code = main(["solve", "--cluster", str(cluster_path), "--job", str(job_path)])
     assert code == 1
     assert "no eligible workers" in capsys.readouterr().err
@@ -434,7 +434,7 @@ BAD_FLAGS = [
 def _golden_inputs(tmp_path):
     """The golden cluster and a job its golden plan was solved for."""
     job = tmp_path / "job.json"
-    save_job(JobSpec(num_samples=2000, num_epoch=2, source_store="store-0"), job)
+    save(JobSpec(num_samples=2000, num_epoch=2, source_store="store-0"), job)
     return str(DATA / "cluster.json"), str(job)
 
 

@@ -1,16 +1,16 @@
 import json
 import re
 from dataclasses import replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from deepedge import (BackgroundApp, ClusterSpec, JobSpec, NodeState, ParseError,
-                      ValidationError, WorkerSpec, cluster_from_doc, default_testbed,
-                      job_from_doc, load_cluster, load_job, save_cluster, save_job,
+                      ValidationError, WorkerSpec, default_testbed, load_cluster, load_job,
                       validate)
-from deepedge.documents import to_doc
+from deepedge.documents import from_doc, save, to_doc
 from deepedge.estimators import (FEATURES_BY_TARGET, FittedFunction, basis_terms,
                                  default_registry, registry_from_doc, registry_to_doc)
 
@@ -35,7 +35,7 @@ def minimal_doc():
 
 
 def test_minimal_document_parses():
-    cluster = cluster_from_doc(minimal_doc())
+    cluster = from_doc(ClusterSpec, minimal_doc())
     assert len(cluster.workers) == 1
     assert cluster.workers[0].id == "w0"
     assert cluster.data_stores == ("s0",)
@@ -45,13 +45,13 @@ def test_out_of_range_utilization_names_the_field():
     doc = minimal_doc()
     doc["workers"][0]["initial_state"]["cpu_util"] = 1.3
     with pytest.raises(ValidationError, match="cpu_util"):
-        cluster_from_doc(doc)
+        from_doc(ClusterSpec, doc)
 
 
 def test_percentage_strings_normalize():
     doc = minimal_doc()
     doc["workers"][0]["initial_state"]["cpu_util"] = "88%"
-    cluster = cluster_from_doc(doc)
+    cluster = from_doc(ClusterSpec, doc)
     assert cluster.workers[0].initial_state.cpu_util == pytest.approx(0.88)
 
 
@@ -59,7 +59,7 @@ def test_unknown_fields_rejected():
     doc = minimal_doc()
     doc["workers"][0]["b_mx"] = 8
     with pytest.raises(ValidationError, match="b_mx"):
-        cluster_from_doc(doc)
+        from_doc(ClusterSpec, doc)
 
 
 def _registry_doc_with_fitted_block():
@@ -97,9 +97,9 @@ def _set(*path_and_value):
         "profile-coefficient", "fitted-coefficient", "fitted-coefficient-nan"])
 def test_mistyped_field_is_named(kind, mutate, field):
     make, parse = {
-        "cluster": (lambda: to_doc(default_testbed()), cluster_from_doc),
+        "cluster": (lambda: to_doc(default_testbed()), partial(from_doc, ClusterSpec)),
         "job": (lambda: to_doc(JobSpec(num_samples=10, num_epoch=1, source_store="s")),
-                job_from_doc),
+                partial(from_doc, JobSpec)),
         "registry": (lambda: registry_to_doc(default_registry()), registry_from_doc),
         "fitted": (_registry_doc_with_fitted_block, registry_from_doc),
     }[kind]
@@ -196,10 +196,38 @@ def test_a_bool_is_not_a_number(cls, good, field, bad):
     _raises_when_built(cls, good, field, **bad)
 
 
+CLUSTER = dict(workers=(WorkerSpec(**WORKER),), ps_state=NodeState(0, 0, 0), data_stores=("s",))
+JOB = dict(num_samples=10, num_epoch=1, source_store="s")
+APP = dict(id="a", deadline=0.1)
+
+
+@pytest.mark.parametrize("cls, good, field, bad", [
+    (WorkerSpec, WORKER, "worker 'w'.per_sample_transfer_cost: expected a mapping, got 5",
+     {"per_sample_transfer_cost": 5}),
+    (WorkerSpec, WORKER, "worker 'w'.background_apps: expected a tuple of BackgroundApp",
+     {"background_apps": ("x",)}),
+    (WorkerSpec, WORKER, "worker 'w'.initial_state: expected a NodeState",
+     {"initial_state": (0.1, 0.1, 0.1)}),
+    (WorkerSpec, WORKER, "worker.id: must be a non-empty string, got 5", {"id": 5}),
+    (WorkerSpec, WORKER, "worker 'w'.device_class: must be a non-empty string",
+     {"device_class": None}),
+    (ClusterSpec, CLUSTER, "ps_state: expected a NodeState, got None", {"ps_state": None}),
+    (ClusterSpec, CLUSTER, "workers: expected a tuple of WorkerSpec", {"workers": (1,)}),
+    (ClusterSpec, CLUSTER, "data_stores: expected a tuple of strings", {"data_stores": (5,)}),
+    (JobSpec, JOB, "job.source_store: must be a non-empty string, got 5", {"source_store": 5}),
+    (BackgroundApp, APP, "background_app.id: must be a non-empty string, got 5", {"id": 5}),
+    (BackgroundApp, APP, "background_app 'a'.description: must be a string",
+     {"description": None}),
+], ids=["transfer_costs", "apps", "initial_state", "worker_id", "device_class", "ps_state",
+        "workers", "data_stores", "source_store", "app_id", "app_description"])
+def test_a_value_of_the_wrong_kind_is_refused_naming_the_field(cls, good, field, bad):
+    _raises_when_built(cls, good, field, **bad)
+
+
 def test_cluster_round_trip(tmp_path):
     cluster = default_testbed(stressed=True)
     path = tmp_path / "cluster.json"
-    save_cluster(cluster, path)
+    save(cluster, path)
     again = load_cluster(path)
     assert again == cluster
 
@@ -226,15 +254,15 @@ def test_job_round_trip(tmp_path):
     job = JobSpec(num_samples=3855, num_epoch=4, source_store="store-0",
                   target_accuracy=0.9)
     path = tmp_path / "job.json"
-    save_job(job, path)
+    save(job, path)
     assert load_job(path) == job
 
 
 def test_doc_round_trip_equality():
     cluster = default_testbed()
-    assert cluster_from_doc(to_doc(cluster)) == cluster
+    assert from_doc(ClusterSpec, to_doc(cluster)) == cluster
     job = JobSpec(num_samples=10, num_epoch=1, source_store="store-0")
-    assert job_from_doc(to_doc(job)) == job
+    assert from_doc(JobSpec, to_doc(job)) == job
 
 
 def test_job_field_validation():
@@ -289,4 +317,4 @@ def test_random_documents_round_trip():
                               ps_state=NodeState(*(float(v) for v in rng.uniform(0, 1, 3))),
                               data_stores=stores)
         doc = json.loads(json.dumps(to_doc(cluster)))
-        assert cluster_from_doc(doc) == cluster
+        assert from_doc(ClusterSpec, doc) == cluster

@@ -1,10 +1,9 @@
 """Document round trips over golden files.
 
-The files in ``tests/data`` were written by ``save_cluster``, ``save_job``,
-``save_plan``, ``save_registry`` and ``save_bench_report`` before the five
-documents shared one codec: the stressed testbed, a job with a target
-accuracy, the stressed testbed's solved plan for 2,000 samples over two
-epochs (it has an audit and a pressure removal), the built-in registry with
+The files in ``tests/data`` were written before the five documents shared
+one codec: the stressed testbed, a job with a target accuracy, the stressed
+testbed's solved plan for 2,000 samples over two epochs (it has an audit
+and a pressure removal), the built-in registry with
 ``nano`` replaced by fitted models of seeded random coefficients, and a
 3-trial bench report. The job's ``epsilon`` and ``tau`` and the plan audit's
 ``converged`` and ``batches`` were taken out when those fields were deleted,
@@ -22,11 +21,10 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from deepedge import (ParseError, ValidationError, load_bench_report, load_cluster, load_job,
-                      load_plan, load_registry)
-from deepedge.documents import to_doc
+from deepedge import (BenchReport, ParseError, Plan, ValidationError, load_cluster, load_job,
+                      load_registry)
+from deepedge.documents import from_doc, load_doc, to_doc
 from deepedge.estimators import registry_to_doc
-from deepedge.orchestrator import bench_report_to_doc
 from deepedge.scheduler import plan_to_doc
 
 DATA = Path(__file__).parent / "data"
@@ -34,9 +32,9 @@ DATA = Path(__file__).parent / "data"
 GOLDEN = {
     "cluster": (load_cluster, to_doc),
     "job": (load_job, to_doc),
-    "plan": (load_plan, plan_to_doc),
+    "plan": (lambda path: from_doc(Plan, load_doc(path)), plan_to_doc),
     "registry": (load_registry, registry_to_doc),
-    "bench": (load_bench_report, bench_report_to_doc),
+    "bench": (lambda path: from_doc(BenchReport, load_doc(path)), to_doc),
 }
 
 

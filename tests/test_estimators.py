@@ -3,11 +3,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from deepedge import (EstimatorBundle, NodeState, ParametricProfile,
-                      ValidationError, bundle_for, default_registry, fitted_bundle,
+from deepedge import (EstimatorBundle, FittedFunction, NodeState, ParametricProfile,
+                      ValidationError, basis_terms, bundle_for, default_registry, fitted_bundle,
                       load_registry, reference_grid, run_sweep, save_registry)
 from deepedge import estimators
-from deepedge.estimators import DEVICE_PROFILES
+from deepedge.estimators import DEVICE_PROFILES, FEATURES_BY_TARGET
 
 IDLE = NodeState(0.0, 0.0, 0.0)
 
@@ -248,6 +248,37 @@ def test_profile_validation():
     # a bundle needs either a profile or a full set of fitted models
     with pytest.raises(ValidationError):
         EstimatorBundle(device_class="x")
+
+
+def _constant_exec_model(seconds):
+    """A fitted exec-time model that predicts ``seconds`` under every state."""
+    names = FEATURES_BY_TARGET["exec_time"]
+    return FittedFunction("exec_time", names,
+                          (seconds,) + (0.0,) * (len(basis_terms(names)) - 1))
+
+
+def test_bundle_models_cannot_change_after_a_first_estimate():
+    bundle = EstimatorBundle("nano", DEVICE_PROFILES["nano"])
+    before = bundle.est_exec_time(IDLE)
+    with pytest.raises(TypeError):
+        bundle.models["exec_time"] = _constant_exec_model(5.0)
+    assert "exec_time" not in bundle.models
+    assert bundle.est_exec_time(IDLE) == before
+
+
+def test_bundle_models_cannot_take_a_target_the_check_refuses():
+    bundle = EstimatorBundle("nano", DEVICE_PROFILES["nano"])
+    with pytest.raises(TypeError):
+        bundle.models["bogus"] = _constant_exec_model(5.0)
+    assert dict(bundle.models) == {}
+
+
+def test_bundle_models_are_not_the_dict_they_were_built_from():
+    models = {}
+    bundle = EstimatorBundle("nano", DEVICE_PROFILES["nano"], models)
+    models["exec_time"] = _constant_exec_model(5.0)
+    assert dict(bundle.models) == {}
+    assert bundle.est_exec_time(IDLE) == DEVICE_PROFILES["nano"].exec_time(IDLE, None, None, 1)
 
 
 @pytest.mark.parametrize("name", ["base_forward", "contention_slope", "base_mem_footprint"])

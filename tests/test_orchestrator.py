@@ -8,13 +8,12 @@ import pytest
 
 from deepedge import (BenchReport, BenchTrial, CrashEvent, IllegalTransitionError,
                       JobPhase, JobSpec, LEGAL_TRANSITIONS, NodeState, PhaseChange, SimConfig,
-                      bench, bench_report_from_doc, bench_report_to_doc,
-                      crossing_epoch, default_registry, default_testbed,
-                      fairness_plan, fit_accuracy_curve, inject_and_recover,
-                      LogisticFit, load_bench_report,
+                      bench, crossing_epoch, default_registry, default_testbed,
+                      fairness_plan, fit_accuracy_curve, inject_and_recover, LogisticFit,
                       logistic, refine_num_epoch, render_report, run_job,
-                      save_bench_report, save_histogram_csv, simulate_accuracy,
+                      save_histogram_csv, simulate_accuracy,
                       simulate, solve, validate_transitions, ValidationError)
+from deepedge.documents import from_doc, load_doc, save, to_doc
 from deepedge.orchestrator import _gauss_newton, draw_states
 from dataclasses import replace
 
@@ -344,7 +343,7 @@ def test_run_job_phases_are_the_recovery_loops():
     cfg = SimConfig(jitter=0.05, crashes=(CrashEvent("nano-0", 8.0), CrashEvent("nano-0", 30.0),
                                           CrashEvent("nano-0", 60.0)))
     report = run_job(cluster, job, seed=3, config=cfg)
-    rec = inject_and_recover(cluster, job, seed=3, config=cfg)
+    rec = inject_and_recover(cluster, job, solve(cluster, job), seed=3, config=cfg)
     assert report.phases == (PhaseChange(0.0, JobPhase.REQUESTED),) + rec.phases
     assert report.total_time == rec.total_time
 
@@ -445,13 +444,12 @@ def test_heuristic_dominates_fairness_under_its_own_model():
 def test_bench_report_round_trip(tmp_path):
     report = bench(n_trials=4, seed=1, num_samples=400, num_epoch=1)
     path = tmp_path / "bench.json"
-    save_bench_report(report, path)
-    again = load_bench_report(path)
+    save(report, path)
+    again = from_doc(BenchReport, load_doc(path))
     assert again.mean_speedup == pytest.approx(report.mean_speedup)
     assert again.histogram == report.histogram
     assert len(again.trials) == len(report.trials)
-    doc = bench_report_to_doc(report)
-    assert bench_report_from_doc(doc).n_trials == report.n_trials
+    assert from_doc(BenchReport, to_doc(report)) == report
 
 
 def test_render_report_and_histogram(tmp_path):
@@ -469,6 +467,19 @@ def test_a_bench_trial_refuses_a_bool_makespan():
     good = BenchTrial((), 10.0, 20.0, 0, 0, 4, 4)
     with pytest.raises(ValidationError, match="^fairness_makespan: must be > 0 seconds, got True"):
         replace(good, fairness_makespan=True)
+
+
+@pytest.mark.parametrize("bad, message", [
+    ({"fairness_violations": 1.5}, "fairness_violations: must be an integer, got 1.5"),
+    ({"heuristic_workers": True}, "heuristic_workers: must be an integer, got True"),
+    ({"heuristic_workers": "3"}, "heuristic_workers: must be an integer, got '3'"),
+    ({"fairness_violations": -1}, "fairness_violations: must be >= 0, got -1"),
+    ({"stormy_workers": "nano-1"}, "stormy_workers: expected a tuple of worker ids, got 'nano-1'"),
+], ids=["fraction", "bool", "str", "negative", "stormy-str"])
+def test_a_bench_trial_refuses_a_value_of_the_wrong_kind(bad, message):
+    good = BenchTrial((), 10.0, 20.0, 0, 0, 4, 4)
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        replace(good, **bad)
 
 
 def test_render_report_counts_a_speedup_of_3_2_once():

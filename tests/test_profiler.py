@@ -10,17 +10,14 @@ from deepedge import (EstimatorBundle, NodeState, ParametricProfile, ParseError,
                       ValidationError, bundle_for, dataset_from_csv,
                       default_registry, fit, fit_all, fitted_bundle, mape,
                       run_sweep, reference_grid)
-from deepedge.estimators import FEATURES_BY_TARGET, TARGETS
-from deepedge.profiler import CSV_COLUMNS, ProfileDataset, SweepPlan
+from deepedge.estimators import DEVICE_PROFILES, FEATURES_BY_TARGET, TARGETS
+from deepedge.profiler import (CSV_COLUMNS, N_WORKERS_LEVELS, PS_CPU_LEVELS, ProfileDataset,
+                               SweepPlan)
 
 
-def small_plan(noise=0.0, targets=None):
-    kwargs = {}
-    if targets is not None:
-        kwargs["targets"] = targets
+def small_plan(noise=0.0):
     return SweepPlan(cpu_levels=(0.0, 0.2, 0.4), gpu_levels=(0.0, 0.2),
-                     mem_levels=(0.0, 0.2), batch_levels=(1, 4, 8, 16),
-                     noise=noise, **kwargs)
+                     mem_levels=(0.0, 0.2), batch_levels=(1, 4, 8, 16), noise=noise)
 
 
 def _rows(data):
@@ -76,10 +73,11 @@ def test_sweep_plan_validation():
     ("repetitions", True),
     ("batch_levels", (1, float("nan"))),
     ("batch_levels", (float("inf"),)),
-    ("n_workers_levels", (float("nan"),)),
-    ("n_workers_levels", (1, float("inf"))),
-    ("targets", ("compute_time", "state_mem", "compute_time")),
-    ("targets", ()),
+    ("cpu_levels", ("0.1",)),
+    ("cpu_levels", (True,)),
+    ("batch_levels", ("2",)),
+    ("batch_levels", (True,)),
+    ("noise", "0.1"),
 ])
 def test_sweep_plan_names_a_bad_field(field, value):
     with pytest.raises(ValidationError, match=rf"^sweep\.{field}: "):
@@ -102,12 +100,11 @@ def _reference_sweep(bundle, plan, seed):
 
     rng = np.random.default_rng(seed)
     rows = []
-    for target in plan.targets:
+    for target in TARGETS:
         for i, (c, g, m, b) in enumerate(itertools.product(
                 plan.cpu_levels, plan.gpu_levels, plan.mem_levels, plan.batch_levels)):
-            ps = plan.ps_cpu_levels[i % len(plan.ps_cpu_levels)]
-            n = plan.n_workers_levels[(i // len(plan.ps_cpu_levels))
-                                      % len(plan.n_workers_levels)]
+            ps = PS_CPU_LEVELS[i % len(PS_CPU_LEVELS)]
+            n = N_WORKERS_LEVELS[(i // len(PS_CPU_LEVELS)) % len(N_WORKERS_LEVELS)]
             value = truth(target, NodeState(c, g, m), int(b), ps, int(n))
             if plan.noise != 0.0:
                 draws = value * (1.0 + rng.normal(0.0, plan.noise, plan.repetitions))
@@ -129,14 +126,17 @@ def _reprs(rows):
                                                "state_cpu")], ids=["all", "subset"])
 def test_sweep_matches_the_point_by_point_reference(fitted, noise, repetitions, targets,
                                                     random_fitted_registry):
-    registry = (random_fitted_registry(np.random.default_rng(11)) if fitted
-                else default_registry())
-    # 90 grid points: neither 4 PS levels nor 4 x 7 level pairs divide them
-    plan = SweepPlan(cpu_levels=(0.0, 0.3, 0.55), gpu_levels=(0.05, 0.4),
-                     mem_levels=(0.0, 0.2, 0.45), batch_levels=(1, 3, 8, 16, 64),
-                     ps_cpu_levels=(0.0, 0.7, 0.3, 1.0),
-                     n_workers_levels=(1, 2, 9, 4, 3, 16, 5),
-                     repetitions=repetitions, noise=noise, targets=targets)
+    """``targets`` are estimated the ``fitted`` way, by random fitted models or
+    by the built-in profile, and the other targets the other way, so the
+    subset cases sweep bundles that mix the two."""
+    models = random_fitted_registry(np.random.default_rng(11))
+    fitted_targets = set(targets) if fitted else set(TARGETS) - set(targets)
+    registry = {dc: EstimatorBundle(dc, DEVICE_PROFILES[dc], {
+        t: fn for t, fn in models[dc].models.items() if t in fitted_targets}) for dc in models}
+    # 80 grid points: neither the 3 PS levels nor the 3 x 3 level pairs divide them
+    plan = SweepPlan(cpu_levels=(0.0, 0.3, 0.55, 0.7), gpu_levels=(0.05, 0.4),
+                     mem_levels=(0.0, 0.45), batch_levels=(1, 3, 8, 16, 64),
+                     repetitions=repetitions, noise=noise)
     for device_class in ("tx2", "nano"):
         bundle = registry[device_class]
         got = _rows(run_sweep(bundle, plan, seed=7))
@@ -246,7 +246,7 @@ def test_fit_shuffled_labels_does_not_crash():
 def test_fit_rejects_tiny_training_side():
     bundle = bundle_for(default_registry(), "tx2")
     plan = SweepPlan(cpu_levels=(0.0, 0.3), gpu_levels=(0.0,), mem_levels=(0.0,),
-                     batch_levels=(1, 2), targets=("compute_time",))
+                     batch_levels=(1, 2))
     data = run_sweep(bundle, plan, seed=0)
     with pytest.raises(ValidationError):
         fit(data, "compute_time", train_fraction=0.9, seed=0)

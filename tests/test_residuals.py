@@ -21,7 +21,8 @@ from pathlib import Path
 
 import pytest
 
-from deepedge import JobSpec, SimConfig, load_cluster, save_cluster, simulate, solve
+from deepedge import JobSpec, SimConfig, load_cluster, simulate, solve
+from deepedge.documents import save
 
 WIDE_CLUSTER = Path(__file__).parent / "data" / "wide_cluster.json"
 WORKERS = (4, 16, 64, 128, 256)
@@ -63,4 +64,4 @@ def test_wide_cluster_document_is_the_96_worker_ladder_cluster(ladder_cluster):
 if __name__ == "__main__":
     from conftest import _ladder_cluster
 
-    save_cluster(_ladder_cluster(96), WIDE_CLUSTER)
+    save(_ladder_cluster(96), WIDE_CLUSTER)

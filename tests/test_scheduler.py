@@ -12,8 +12,9 @@ from deepedge import (BackgroundApp, ClusterSpec, EstimatorBundle,
                       InfeasibleScheduleError, JobSpec, NodeState,
                       ParametricProfile, WorkerSpec, bundle_for, check_pressure,
                       default_registry, default_testbed, epoch_time,
-                      fairness_plan, load_plan, plan_from_doc, plan_to_doc,
-                      save_plan, solve, total_cost, ValidationError)
+                      fairness_plan, plan_from_doc, plan_to_doc, simulate, solve,
+                      ValidationError)
+from deepedge.documents import load_doc, save
 
 from conftest import largest_remainder, proportional_split
 
@@ -142,9 +143,10 @@ def test_solve_forced_elimination():
 def split_epoch_and_cost(cluster, job, shards, batches):
     """(epoch time, total cost) of a given split, priced the way plans are."""
     reg = default_registry()
+    workers = {w.id: w for w in cluster.workers}
     epoch = cost = 0.0
     for wid, d in shards.items():
-        w = cluster.worker(wid)
+        w = workers[wid]
         bundle = bundle_for(reg, w.device_class)
         b = batches[wid]
         t_c = bundle.est_compute_time(w.initial_state, b)
@@ -243,8 +245,9 @@ def test_solve_plan_invariants_hold_on_random_clusters():
             continue
         done += 1
         assert plan.num_samples == job.num_samples
+        workers = {w.id: w for w in cluster.workers}
         for a in plan.assignments:
-            w = cluster.worker(a.worker_id)
+            w = workers[a.worker_id]
             assert w.b_min <= a.batch_size <= min(w.b_max, a.num_samples)
             bundle = bundle_for(reg, w.device_class)
             ok, _ = check_pressure(w, bundle, a.batch_size)
@@ -272,7 +275,7 @@ def test_solve_checks_pressure_at_the_memory_capped_batch():
     testbed = default_testbed()
     cluster = replace(testbed, workers=testbed.workers + (w,))
     plan = solve(cluster, JobSpec(num_samples=2000, num_epoch=2, source_store=STORE), reg)
-    assert "nano-x" not in plan.shares()
+    assert "nano-x" not in {a.worker_id for a in plan.assignments}
     [removal] = [r for r in plan.removed if r.worker_id == "nano-x"]
     assert removal.reason == "pressure"
     assert removal.detail.endswith(f"with batch {cap}")
@@ -306,9 +309,10 @@ def test_a_server_cut_names_every_worker_it_leaves_out(ladder_cluster):
     assert cut and {r.reason for r in cut} == {"slowest"}
     # each names the server's busy seconds per epoch and the workers' epoch
     # at the chosen count
+    workers = {w.id: w for w in cluster.workers}
     busy = sum(math.ceil(a.num_samples / a.batch_size)
-               * bundle_for(default_registry(), cluster.worker(a.worker_id).device_class)
-               .update_components(cluster.worker(a.worker_id).initial_state, a.batch_size,
+               * bundle_for(default_registry(), workers[a.worker_id].device_class)
+               .update_components(workers[a.worker_id].initial_state, a.batch_size,
                                   cluster.ps_state)[1]
                for a in plan.assignments)
     for r in cut:
@@ -328,7 +332,8 @@ def test_solve_drops_the_slowest_workers_under_high_contention():
     assert len(plan.assignments) == 2
     assert plan.epoch_time == pytest.approx(195.932, abs=1e-3)
     left_out = {r.worker_id: r for r in plan.removed}
-    assert sorted(left_out) == sorted({w.id for w in cluster.workers} - set(plan.shares()))
+    assert sorted(left_out) == sorted({w.id for w in cluster.workers}
+                                      - {a.worker_id for a in plan.assignments})
     for r in left_out.values():
         assert r.reason == "slowest"
         assert "parameter server binds" not in r.detail
@@ -500,6 +505,85 @@ def test_min_epoch_matches_enumeration(kind, monkeypatch):
                 == _min_epoch_by_enumeration(b, r, owner, M)), (kind, case)
 
 
+def _shortest_epochs(b, r, M: int) -> np.ndarray:
+    """For every shard 0..M, the shortest whole-round epoch over one worker's
+    rows ``(b, r)``: 0 for no samples, inf below its smallest batch."""
+    d = np.arange(M + 1)[:, None]
+    epochs = np.where(b <= d, np.ceil(d / b) * r, np.inf).min(axis=1)
+    epochs[0] = 0.0
+    return epochs
+
+
+def _lowest_epoch(epochs: list, M: int) -> float:
+    """The lowest epoch of any split of ``M`` samples over two or three
+    workers, each shard 0 or at least its worker's smallest batch."""
+    shards = np.stack(np.meshgrid(*[np.arange(M + 1)] * (len(epochs) - 1), indexing="ij"))
+    last = M - shards.sum(axis=0)
+    ok = last >= 0
+    worst = epochs[-1][last[ok]]
+    for e, d in zip(epochs, shards):
+        worst = np.maximum(worst, e[d[ok]])
+    return float(worst.min())
+
+
+def test_split_epoch_against_the_exact_lowest():
+    """``_split`` pinned against every split of small jobs over 2-3 idle
+    workers whose batch ranges are narrow, so that a shard is 0 or at least
+    a whole smallest batch. ``_min_epoch`` ignores that, and the samples left
+    over at the end go to the largest shard, which can add a round: it
+    misses the lowest epoch on about one cluster in five, at worst by twice.
+    A mend lowers the pins."""
+    rng = np.random.default_rng(11)
+    registry = default_registry()
+    cases = misses = 0
+    worst = 1.0
+    for _ in range(1500):
+        workers = []
+        for i in range(int(rng.integers(2, 4))):
+            b_min = int(rng.integers(1, 33))
+            device = ("tx2", "nano")[int(rng.integers(2))]
+            workers.append(WorkerSpec(f"{device}-{i}", device, NodeState(0.05, 0.0, 0.2), (),
+                                      b_min, b_min + int(rng.integers(0, 3)),
+                                      per_sample_transfer_cost={STORE: 0.001}))
+        job = JobSpec(int(rng.integers(5, 70)), 1, STORE)
+        cluster = ClusterSpec(tuple(workers), NodeState(0.1, 0.0, 0.3), (STORE,))
+        tables = scheduler._Tables(cluster, registry, job)
+        n = tables.workers.size
+        if n < 2:
+            continue
+        cases += 1
+        r = tables.b * tables.t_c + tables.update(n)
+        shards = scheduler._split(tables.b, r, tables.owner, tables.rate, tables.init, job)
+        epochs = [_shortest_epochs(tables.b[tables.owner == i], r[tables.owner == i],
+                                   job.num_samples) for i in range(n)]
+        got = max(e[d] for e, d in zip(epochs, shards.tolist()))
+        lowest = _lowest_epoch(epochs, job.num_samples)
+        assert got >= lowest
+        if got > lowest:
+            misses += 1
+            worst = max(worst, got / lowest)
+    assert (cases, misses) == (1179, 239)
+    assert worst == pytest.approx(2.0)
+
+
+def test_split_miss_end_to_end():
+    """Three idle nanos with single batch sizes 32, 2 and 8 and a 37-sample
+    job: the split gives all 37 samples to the 32-batch worker, two rounds,
+    where 32 + 5 on the first two workers takes one round each."""
+    workers = tuple(WorkerSpec(f"nano-{i}", "nano", NodeState(0.05, 0.0, 0.2), (), b, b,
+                               per_sample_transfer_cost={STORE: 0.001})
+                    for i, b in enumerate((32, 2, 8)))
+    cluster = ClusterSpec(workers, NodeState(0.1, 0.0, 0.3), (STORE,))
+    job = JobSpec(37, 1, STORE)
+    plan = solve(cluster, job)
+    assert [(a.worker_id, a.num_samples) for a in plan.assignments] == [("nano-0", 37)]
+    assert simulate(cluster, job, plan).makespan == pytest.approx(10.895, abs=1e-3)
+    pair = solve(replace(cluster, workers=workers[:2]), job)
+    assert [(a.worker_id, a.num_samples) for a in pair.assignments] == [("nano-0", 32),
+                                                                         ("nano-1", 5)]
+    assert simulate(cluster, job, pair).makespan == pytest.approx(5.461, abs=1e-3)
+
+
 def test_solve_never_splits_below_the_minimum_batch():
     # either worker can take 2 samples in a round, but a 2/1 split is not
     # allowed, so one worker runs all 3
@@ -521,7 +605,7 @@ def test_solve_removes_worker_whose_minimum_batch_exceeds_the_job():
                           ps_state=NodeState(0, 0, 0), data_stores=(STORE,))
     job = JobSpec(num_samples=20, num_epoch=1, source_store=STORE)
     plan = solve(cluster, job, flat_registry())
-    assert plan.shares() == {"ok": 20}
+    assert [(a.worker_id, a.num_samples) for a in plan.assignments] == [("ok", 20)]
     assert [(r.worker_id, r.reason) for r in plan.removed] == [("big", "pressure")]
     with pytest.raises(InfeasibleScheduleError, match="big"):
         solve(replace(cluster, workers=(big,)), job, flat_registry())
@@ -624,7 +708,8 @@ def test_total_cost_is_max_over_workers():
     job = JobSpec(num_samples=2000, num_epoch=2, source_store=STORE)
     plan = solve(cluster, job)
     assert plan.total_cost == pytest.approx(max(a.cost.total for a in plan.assignments))
-    assert total_cost(plan.assignments) == pytest.approx(plan.total_cost)
+    fair = fairness_plan(cluster, job)
+    assert fair.total_cost == max(a.cost.total for a in fair.assignments)
 
 
 def test_every_assignment_is_priced_by_the_cost_model():
@@ -665,8 +750,8 @@ def test_plan_round_trip(tmp_path):
     job = JobSpec(num_samples=2000, num_epoch=2, source_store=STORE)
     plan = solve(cluster, job)
     path = tmp_path / "plan.json"
-    save_plan(plan, path)
-    assert load_plan(path) == plan
+    save(plan, path)
+    assert plan_from_doc(load_doc(path)) == plan
 
 
 @pytest.mark.parametrize("path", [

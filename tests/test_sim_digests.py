@@ -135,7 +135,7 @@ def sim_digests(ladder_cluster, random_fitted_registry) -> dict:
             crashes = tuple(CrashEvent(victim if rng.random() < 0.7
                                        else ids[int(rng.integers(len(ids)))], float(t))
                             for t in times)
-            rec = inject_and_recover(cluster, job, seed=k, config=SimConfig(
+            rec = inject_and_recover(cluster, job, solve(cluster, job), seed=k, config=SimConfig(
                 jitter=jitter, crashes=crashes, trace_level=LEVELS[k % 3]))
             out[f"recover-{name}-{jitter}"] = digest(recovery_text(rec))
     rng = np.random.default_rng(19)

@@ -169,7 +169,7 @@ def test_extra_worker_never_speeds_up_the_first():
     pair_cluster = flat_cluster(n=2, b_max=4, b_min=4)
     pair_job = JobSpec(num_samples=80, num_epoch=1, source_store=STORE)
     pair_plan = solve(pair_cluster, pair_job, reg)
-    assert pair_plan.assignment_for("w0").num_samples == 40
+    assert [a.num_samples for a in pair_plan.assignments if a.worker_id == "w0"] == [40]
     pair = simulate(pair_cluster, pair_job, pair_plan, reg, seed=0)
     assert pair.worker_finish["w0"] >= solo.worker_finish["w0"] - 1e-9
 
@@ -376,7 +376,7 @@ def test_recovery_empty_script_matches_plain_simulation():
     cluster = default_testbed()
     job = JobSpec(num_samples=1000, num_epoch=2, source_store="store-0")
     plan = solve(cluster, job)
-    rec = inject_and_recover(cluster, job, seed=0, plan=plan)
+    rec = inject_and_recover(cluster, job, plan, seed=0)
     assert rec.status == "completed"
     assert len(rec.attempts) == 1
     assert rec.excluded == ()
@@ -392,7 +392,7 @@ def test_single_strike_keeps_worker_in_the_pool():
     cluster = default_testbed()
     job = JobSpec(num_samples=2000, num_epoch=2, source_store="store-0")
     cfg = SimConfig(crashes=(CrashEvent("nano-0", 8.0),))
-    rec = inject_and_recover(cluster, job, seed=0, config=cfg)
+    rec = inject_and_recover(cluster, job, solve(cluster, job), seed=0, config=cfg)
     assert rec.status == "completed"
     assert rec.strikes == {"nano-0": 1}
     assert rec.excluded == ()
@@ -411,7 +411,7 @@ def test_three_strikes_exclude_the_worker():
     job = JobSpec(num_samples=2000, num_epoch=2, source_store="store-0")
     cfg = SimConfig(crashes=(CrashEvent("nano-0", 8.0), CrashEvent("nano-0", 30.0),
                              CrashEvent("nano-0", 60.0)))
-    rec = inject_and_recover(cluster, job, seed=0, config=cfg)
+    rec = inject_and_recover(cluster, job, solve(cluster, job), seed=0, config=cfg)
     assert rec.status == "completed"
     assert rec.strikes == {"nano-0": 3}
     assert rec.excluded == ("nano-0",)
@@ -428,7 +428,7 @@ def test_recovery_reports_each_violation_once():
     cluster = default_testbed(stressed=True)
     job = JobSpec(num_samples=2000, num_epoch=1, source_store="store-0")
     plan = fairness_plan(cluster, job)
-    rec = inject_and_recover(cluster, job, plan=plan,
+    rec = inject_and_recover(cluster, job, plan,
                              config=SimConfig(crashes=(CrashEvent("tx2-0", 30.0),)))
     assert rec.status == "completed" and len(rec.attempts) == 2
     for attempt in rec.attempts:
@@ -443,7 +443,7 @@ def test_striking_out_every_worker_abandons():
     cfg = SimConfig(max_strikes=1, crashes=(
         CrashEvent("nano-0", 10.0), CrashEvent("nano-1", 60.0),
         CrashEvent("nano-2", 140.0), CrashEvent("tx2-0", 260.0)))
-    rec = inject_and_recover(cluster, job, seed=0, config=cfg)
+    rec = inject_and_recover(cluster, job, solve(cluster, job), seed=0, config=cfg)
     assert rec.status == "abandoned"
     assert set(rec.excluded) == {"nano-0", "nano-1", "nano-2", "tx2-0"}
     assert [ev.kind for ev in rec.events] == ["crash", "excluded"] * 4
@@ -487,7 +487,8 @@ def test_a_crash_scripted_after_the_exclusion_strikes_no_more():
     cluster = default_testbed()
     job = JobSpec(num_samples=2000, num_epoch=2, source_store="store-0")
     crashes = tuple(CrashEvent("nano-1", t) for t in (8.0, 30.0, 60.0, 90.0))
-    rec = inject_and_recover(cluster, job, seed=0, config=SimConfig(crashes=crashes))
+    rec = inject_and_recover(cluster, job, solve(cluster, job), seed=0,
+                             config=SimConfig(crashes=crashes))
     assert rec.strikes == {"nano-1": 3} and rec.excluded == ("nano-1",)
     assert [ev.kind for ev in rec.events] == ["crash"] * 3 + ["excluded"]
     assert len(rec.attempts) == 4
@@ -499,7 +500,7 @@ def test_simulate_checks_the_plan_against_the_job():
     plan = solve(cluster, job)
     first, second, *rest = plan.assignments
     short = 1600 - first.num_samples + 5
-    top = min(cluster.worker(first.worker_id).b_max, first.num_samples)
+    top = min({w.id: w.b_max for w in cluster.workers}[first.worker_id], first.num_samples)
     cases = [
         ([first, replace(second, worker_id=first.worker_id)],
          f"plan.assignments[1]: worker '{first.worker_id}' is assigned twice"),
@@ -526,7 +527,7 @@ def test_simulate_rejects_a_batch_below_b_min():
     plan = solve(testbed, job)
     # an assignment whose batch is below its worker's b_max, so b_min can go above it
     i, a = next((i, a) for i, a in enumerate(plan.assignments)
-                if a.batch_size < testbed.worker(a.worker_id).b_max)
+                if a.batch_size < {w.id: w.b_max for w in testbed.workers}[a.worker_id])
 
     def with_b_min(b_min):
         return replace(testbed, workers=tuple(replace(w, b_min=b_min) if w.id == a.worker_id

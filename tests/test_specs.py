@@ -82,7 +82,7 @@ SPECS = [
      ("target", "feature_names", "coefficients", "train_mape", "test_mape"),
      {"test_mape": 0.02}, ({"coefficients": (1.0,)}, "expected 7 coefficients")),
     (EstimatorBundle, EstimatorBundle("nano", PROFILE),
-     f"EstimatorBundle(device_class='nano', profile={PROFILE_REPR}, models={{}})",
+     f"EstimatorBundle(device_class='nano', profile={PROFILE_REPR}, models=mappingproxy({{}}))",
      ("device_class", "profile", "models"),
      {"device_class": "tx2"}, ({"profile": None}, "no profile and no fitted model")),
     (_Device, DEVICE, DEVICE_REPR, ("type", "profile", "base", "models"),
@@ -109,12 +109,10 @@ SPECS = [
      "crashes=(CrashEvent(worker_id='nano-1', time=30.0),), trace_level='phases')",
      ("jitter", "max_strikes", "crashes", "trace_level"),
      {"trace_level": "rounds"}, ({"max_strikes": 0}, "sim.max_strikes: must be")),
-    (SweepPlan, SweepPlan((0.0,), (0.0, 0.5), (0.1,), (1, 2), targets=("exec_time",)),
+    (SweepPlan, SweepPlan((0.0,), (0.0, 0.5), (0.1,), (1, 2)),
      "SweepPlan(cpu_levels=(0.0,), gpu_levels=(0.0, 0.5), mem_levels=(0.1,), "
-     "batch_levels=(1, 2), ps_cpu_levels=(0.0, 0.25, 0.5), n_workers_levels=(1, 2, 4), "
-     "repetitions=5, noise=0.0, targets=('exec_time',))",
-     ("cpu_levels", "gpu_levels", "mem_levels", "batch_levels", "ps_cpu_levels",
-      "n_workers_levels", "repetitions", "noise", "targets"),
+     "batch_levels=(1, 2), repetitions=5, noise=0.0)",
+     ("cpu_levels", "gpu_levels", "mem_levels", "batch_levels", "repetitions", "noise"),
      {"noise": 0.02}, ({"repetitions": 0}, "sweep.repetitions: must be an integer >= 1")),
     (ProfileDataset, ProfileDataset("nano", {"exec_time": np.zeros((1, 2))}),
      "ProfileDataset(device_class='nano', tables={'exec_time': array([[0., 0.]])})",
