@@ -4,8 +4,8 @@
 # The testbed is one TX2 plus three Nanos, each running a vision stream
 # with a 0.2 s deadline next to the training task.
 
-from deepedge import (JobSpec, ValidationError, bundle_for, default_registry, default_testbed,
-                      validate)
+from deepedge import (JobSpec, NodeState, ValidationError, bundle_for, default_registry,
+                      default_testbed, validate)
 
 cluster = default_testbed()
 job = JobSpec(num_samples=2000, num_epoch=2, source_store="store-0")
@@ -48,12 +48,13 @@ print(f"vision stream exec time under that load: {exec_after:.3f}s "
       f"(deadline {w.background_apps[0].deadline:.1f}s)")
 
 # Memory caps the usable batch range. Scan downward from the hardware
-# limit until the projected footprint stays under the ceiling.
+# limit until the footprint projected under the node's load stays under
+# the ceiling.
 
 for mem in (0.2, 0.6, 0.85):
-    top = nano.max_batch_size(mem, b_min=1, b_max=64)
+    top = nano.max_batch_size(NodeState(0.3, 0.3, mem), b_min=1, b_max=64)
     print(f"mem_util {mem:.2f} -> max batch {top}")
 
 # A worker whose memory is already near the ceiling gets batch 0, which
 # the scheduler reads as "leave this one out".
-print("saturated:", nano.max_batch_size(0.95, 1, 64))
+print("saturated:", nano.max_batch_size(NodeState(0.3, 0.3, 0.95), 1, 64))

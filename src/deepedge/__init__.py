@@ -22,7 +22,7 @@ from .simulator import (ArcEvent, CrashEvent, CrashRecord, IllegalTransitionErro
                         validate_transitions)
 from .orchestrator import (BenchReport, BenchTrial, JobReport, LogisticFit, bench,
                            crossing_epoch, fit_accuracy_curve, logistic, refine_num_epoch,
-                           render_report, run_job, save_histogram_csv, simulate_accuracy)
+                           render_report, run_job, save_histogram_csv)
 
 __all__ = [
     "__version__",
@@ -49,5 +49,5 @@ __all__ = [
     # orchestrator
     "BenchReport", "BenchTrial", "JobReport", "LogisticFit", "bench", "crossing_epoch",
     "fit_accuracy_curve", "logistic", "refine_num_epoch", "render_report", "run_job",
-    "save_histogram_csv", "simulate_accuracy",
+    "save_histogram_csv",
 ]

@@ -398,22 +398,25 @@ class EstimatorBundle:
         """Runtime of the co-located background task under the given state."""
         return self._estimate["exec_time"](state, None, None, 1)
 
-    def max_batch_size(self, mem_util, b_min, b_max):
-        """Largest batch in [b_min, b_max] keeping projected memory <= MEM_CEILING; 0 if none.
+    def max_batch_size(self, state, b_min, b_max):
+        """Largest batch in [b_min, b_max] whose projected memory (``est_state``
+        under ``state``) stays <= MEM_CEILING; 0 if none.
 
         Projected memory need not grow with the batch size (a fitted model may
         dip), so each worker's batches are checked from its ``b_max`` down, at
-        most ``_BATCH_BLOCK`` at a time. Given equal-length arrays of
-        ``mem_util``, ``b_min`` and ``b_max``, one entry per worker, the answer
-        is an integer array of each worker's batch, from one evaluation per
-        block for all of them; for plain numbers it is an ``int``.
+        most ``_BATCH_BLOCK`` at a time. Given a ``StateTable`` and arrays of
+        ``b_min`` and ``b_max``, one entry per worker, the answer is an integer
+        array of each worker's batch, from one projection per block for all of
+        them; for a ``NodeState`` and numbers it is an ``int``.
         """
-        mem = np.asarray(mem_util, dtype=float).reshape(-1)
         low = np.asarray(b_min).reshape(-1)
         top = np.array(b_max, dtype=int).reshape(-1)  # each worker's next batch to check
         left = top - low + 1  # and how many are left
-        if not (mem.min(initial=0.0) >= 0.0 and mem.max(initial=1.0) <= 1.0):
-            raise ValueError(f"mem_util must lie in [0, 1], got {mem_util}")
+        loads = np.empty((3, top.size))  # each worker's cpu, gpu and memory load
+        loads[0], loads[1], loads[2] = state.cpu_util, state.gpu_util, state.mem_util
+        if not (loads.min(initial=0.0) >= 0.0 and loads.max(initial=1.0) <= 1.0):
+            name = StateTable._fields[((loads < 0.0) | ~(loads <= 1.0)).any(axis=1).argmax()]
+            raise ValueError(f"{name} must lie in [0, 1], got {getattr(state, name)}")
         if not (low.min(initial=1) >= 1 and left.min(initial=1) >= 1):
             raise ValueError(f"need 1 <= b_min <= b_max, got [{b_min}, {b_max}]")
         found = np.zeros(top.size, dtype=int)
@@ -423,11 +426,9 @@ class EstimatorBundle:
             starts = counts.cumsum() - counts
             owner = live.repeat(counts)
             batches = (top[live] + starts).repeat(counts) - np.arange(owner.size)
-            mem_rows = mem[owner]
-            fits = _clamp(self._estimate["state_mem"](StateTable(0.0, 0.0, mem_rows), batches,
-                                                      None, 1), mem_rows, 1.0) <= MEM_CEILING
+            projected = self.est_state(StateTable(*loads[:, owner]), batches)
             # the largest fitting batch of each worker's block, 0 for none
-            block = np.maximum.reduceat(batches * fits, starts)
+            block = np.maximum.reduceat(batches * (projected.mem_util <= MEM_CEILING), starts)
             found[live] = block
             top[live] -= counts
             left[live] -= counts

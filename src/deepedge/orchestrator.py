@@ -32,8 +32,8 @@ from .cluster import ClusterSpec, JobSpec, NodeState, ValidationError, default_t
 from .documents import is_number, spec
 from .estimators import bundle_for, default_registry
 from .scheduler import InfeasibleScheduleError, Plan, fairness_plan, late_apps, solve
-# IllegalTransitionError is imported for callers that validate a phase log
-# through this module and catch its error here
+# validate_transitions and IllegalTransitionError are bound here, unused, for
+# perfbench, which checks run_job's phase log through this module
 from .simulator import (IllegalTransitionError, JobPhase, PhaseChange, RecoveryResult,
                         SimConfig, inject_and_recover, simulate, validate_transitions,
                         ABANDONED)
@@ -237,19 +237,6 @@ def refine_num_epoch(observations, target_accuracy: float | None,
     return int(min(current_num_epoch, max(max_observed, refined)))
 
 
-def simulate_accuracy(L: float, r: float, k0: float, num_epochs: int,
-                      noise: float = 0.0, seed: int = 0):
-    """Synthetic per-epoch accuracy readings from a logistic ground truth."""
-    rng = np.random.default_rng(seed)
-    out = []
-    for k in range(1, num_epochs + 1):
-        acc = logistic(k, L, r, k0)
-        if noise > 0.0:
-            acc += float(rng.normal(0.0, noise))
-        out.append((k, float(np.clip(acc, 0.0, 1.0))))
-    return tuple(out)
-
-
 # --- running a job through its phases ------------------------------------------
 
 
@@ -277,12 +264,11 @@ def run_job(cluster: ClusterSpec, job: JobSpec, registry: dict | None = None,
         plan = solve(cluster, job, registry)
     except (InfeasibleScheduleError, ValidationError):
         phases = (requested, PhaseChange(0.0, JobPhase.ABANDONED))
-        validate_transitions(phases)
         return JobReport(status=ABANDONED, phases=phases, plan=None,
                          final_plan=None, recovery=None)
+    # the recovery loop writes its phase log legal by construction
     rec = inject_and_recover(cluster, job, plan, registry, seed=seed, config=config)
     phases = (requested,) + rec.phases
-    validate_transitions(phases)
 
     refined = None
     fit = None

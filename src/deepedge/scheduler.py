@@ -211,8 +211,9 @@ class _Tables:
         self.maxbatch = np.empty(len(workers), dtype=int)
         for k, bundle in enumerate(bundles):
             members = (kind == k).nonzero()[0]
-            self.maxbatch[members] = bundle.max_batch_size(mem[members], b_min[members],
-                                                           b_max[members])
+            self.maxbatch[members] = bundle.max_batch_size(
+                StateTable(cpu[members], gpu[members], mem[members]), b_min[members],
+                b_max[members])
         eligible = self.maxbatch.nonzero()[0]
         low, cap = b_min[eligible], self.maxbatch[eligible]
         top = np.minimum(cap, job.num_samples)
@@ -572,10 +573,11 @@ def solve(cluster: ClusterSpec, job: JobSpec, registry: dict | None = None) -> P
 def fairness_plan(cluster: ClusterSpec, job: JobSpec, registry: dict | None = None) -> Plan:
     """Equal shards for every worker, no interference awareness.
 
-    The remainder goes to the lowest worker ids; batch size is capped by the
-    memory scan but deadlines of co-located tasks are ignored. A worker with
-    a shard below its ``b_min``, or no batch that fits in memory, makes the
-    plan infeasible. It searches nothing, so its plan has no audit.
+    The remainder goes to the lowest worker ids; each worker's batch is the
+    largest up to its shard that fits in memory, but deadlines of co-located
+    tasks are ignored. A worker with a shard below its ``b_min``, or no batch
+    up to its shard that fits in memory, makes the plan infeasible. It
+    searches nothing, so its plan has no audit.
     """
     registry = registry if registry is not None else default_registry()
     validate(cluster, job)
@@ -590,12 +592,12 @@ def fairness_plan(cluster: ClusterSpec, job: JobSpec, registry: dict | None = No
         if d < w.b_min:
             raise InfeasibleScheduleError(f"worker '{w.id}': an equal shard of {d} samples "
                                           f"is below its b_min of {w.b_min}")
-        cap = bundle.max_batch_size(w.initial_state.mem_util, w.b_min, w.b_max)
-        if cap == 0:
-            raise InfeasibleScheduleError(f"worker '{w.id}': no batch in [{w.b_min}, {w.b_max}] "
+        # the naive rule: the largest batch up to the shard that fits in memory
+        top = min(w.b_max, d)
+        b = bundle.max_batch_size(w.initial_state, w.b_min, top)
+        if b == 0:
+            raise InfeasibleScheduleError(f"worker '{w.id}': no batch in [{w.b_min}, {top}] "
                                           f"keeps projected memory under {MEM_CEILING:.2f}")
-        # the naive rule: memory cap or the whole shard, whichever is smaller
-        b = min(cap, d)
         rows.append((d, b, bundle.est_compute_time(w.initial_state, b),
                      bundle.est_update_time(w.initial_state, b, cluster.ps_state, len(assigned)),
                      w.per_sample_transfer_cost[job.source_store], w.init_cost))

@@ -3,10 +3,11 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from deepedge import (BackgroundApp, ClusterSpec, EstimatorBundle, FittedFunction, NodeState,
-                      WorkerSpec, basis_terms, bundle_for, check_pressure, epoch_time)
+                      WorkerSpec, basis_terms, bundle_for, check_pressure, epoch_time, logistic)
 from deepedge.estimators import FEATURES_BY_TARGET, TARGETS
 
 
@@ -52,6 +53,19 @@ def proportional_split(plan, num_samples):
     return t, {a.worker_id: num_samples / (a.t_total * inv_sum) for a in plan.assignments}
 
 
+def simulate_accuracy(L: float, r: float, k0: float, num_epochs: int,
+                      noise: float = 0.0, seed: int = 0):
+    """Synthetic per-epoch accuracy readings from a logistic ground truth."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for k in range(1, num_epochs + 1):
+        acc = logistic(k, L, r, k0)
+        if noise > 0.0:
+            acc += float(rng.normal(0.0, noise))
+        out.append((k, float(np.clip(acc, 0.0, 1.0))))
+    return tuple(out)
+
+
 def record_dict(record):
     """A run record as nested dicts and lists: each record becomes the dict
     of its fields and each tuple, list or dict holding records is converted
@@ -80,7 +94,7 @@ def _samples_done_sooner(plan, cluster, registry):
     for a in plan.assignments:
         w = workers[a.worker_id]
         bundle = bundle_for(registry, w.device_class)
-        top = bundle.max_batch_size(w.initial_state.mem_util, w.b_min, w.b_max)
+        top = bundle.max_batch_size(w.initial_state, w.b_min, w.b_max)
         largest = 0
         for b in range(w.b_min, top + 1):
             if not check_pressure(w, bundle, b)[0]:

@@ -22,10 +22,10 @@ from deepedge import (BackgroundApp, ClusterSpec, CrashEvent, EstimatorBundle,
                       ParametricProfile, SimConfig, WorkerSpec, bench,
                       bundle_for, check_pressure, default_registry,
                       default_testbed, epoch_time, fit_all, refine_num_epoch,
-                      run_job, run_sweep, simulate, simulate_accuracy, solve,
-                      reference_grid, validate_transitions)
+                      run_job, run_sweep, simulate, solve, reference_grid,
+                      validate_transitions)
 
-from conftest import largest_remainder, proportional_split
+from conftest import largest_remainder, proportional_split, simulate_accuracy
 
 STORE = "store-0"
 
@@ -199,7 +199,7 @@ def enumerate_optimum(cluster, job, registry):
     per_worker = []
     for w in cluster.workers:
         bundle = bundle_for(registry, w.device_class)
-        top = bundle.max_batch_size(w.initial_state.mem_util, w.b_min, w.b_max)
+        top = bundle.max_batch_size(w.initial_state, w.b_min, w.b_max)
         feasible = [b for b in range(w.b_min, top + 1)
                     if check_pressure(w, bundle, b)[0]]
         per_worker.append((w, bundle, feasible))

@@ -166,11 +166,11 @@ def test_pressure_example_violates_tight_deadline():
 
 def test_max_batch_boundaries():
     tx2 = bundle_for(default_registry(), "tx2")
-    assert tx2.max_batch_size(0.95, 1, 64) == 0
+    assert tx2.max_batch_size(NodeState(0.0, 0.0, 0.95), 1, 64) == 0
     generous = ParametricProfile(base_forward=0.1, base_mem_footprint=0.0,
                                  mem_per_batch_unit=0.0)
     bundle = EstimatorBundle(device_class="g", profile=generous)
-    assert bundle.max_batch_size(0.0, 1, 64) == 64
+    assert bundle.max_batch_size(NodeState(0.0, 0.0, 0.0), 1, 64) == 64
 
 
 def test_max_batch_linear_scan_value():
@@ -178,9 +178,10 @@ def test_max_batch_linear_scan_value():
                              mem_per_batch_unit=0.01)
     bundle = EstimatorBundle(device_class="c", profile=prof)
     # 0.3 + 0.2 + 0.01 b <= 0.95 gives b = 45, however far above it the scan starts
+    state = NodeState(0.0, 0.0, 0.3)
     for b_max in (64, 10 ** 6):
-        assert bundle.max_batch_size(0.3, 1, b_max) == 45
-    assert type(bundle.max_batch_size(0.3, 1, 64)) is int
+        assert bundle.max_batch_size(state, 1, b_max) == 45
+    assert type(bundle.max_batch_size(state, 1, 64)) is int
 
 
 def test_max_batch_matches_linear_scan_on_fitted_models(random_fitted_registry, monkeypatch):
@@ -188,14 +189,14 @@ def test_max_batch_matches_linear_scan_on_fitted_models(random_fitted_registry, 
     registry = random_fitted_registry(rng)
     for bundle in registry.values():
         for b_max in (64, 2500):
-            mem = float(rng.uniform(0.0, 0.6))
-            probe = NodeState(0.0, 0.0, mem)
+            # memory is projected under the node's CPU and GPU load as well
+            probe = NodeState(*(float(v) for v in rng.uniform(0.0, 0.6, 3)))
             # a ceiling some batch sizes in range meet and others miss
             ceiling = bundle.est_state(probe, int(rng.integers(1, b_max + 1))).mem_util
             scan = next((b for b in range(b_max, 0, -1)
                          if bundle.est_state(probe, b).mem_util <= ceiling), 0)
             monkeypatch.setattr(estimators, "MEM_CEILING", ceiling)
-            assert bundle.max_batch_size(mem, 1, b_max) == scan
+            assert bundle.max_batch_size(probe, 1, b_max) == scan
 
 
 @pytest.mark.parametrize("kind", ["parametric", "fitted"])
@@ -205,16 +206,18 @@ def test_max_batch_over_arrays_matches_one_call_per_worker(kind, random_fitted_r
     registry = default_registry() if kind == "parametric" else random_fitted_registry(rng)
     for bundle in registry.values():
         # ranges within one block and across several, with some workers out of memory
+        cpu, gpu = rng.uniform(0.0, 0.7, (2, 40))
         mem = rng.uniform(0.0, 1.0, 40)
         b_min = rng.integers(1, 40, 40)
         b_max = b_min + rng.choice([0, 15, 1023, 1024, 3000], 40)
         ceiling = float(rng.uniform(0.5, 0.95))
         monkeypatch.setattr(estimators, "MEM_CEILING", ceiling)
-        batched = bundle.max_batch_size(mem, b_min, b_max)
+        batched = bundle.max_batch_size(estimators.StateTable(cpu, gpu, mem), b_min, b_max)
         scan = []
-        for m, lo, hi in zip(mem, b_min, b_max):
+        for c, g, m, lo, hi in zip(cpu, gpu, mem, b_min, b_max):
             batches = np.arange(lo, hi + 1)
-            fits = bundle.est_state(NodeState(0.0, 0.0, float(m)), batches).mem_util <= ceiling
+            state = NodeState(float(c), float(g), float(m))
+            fits = bundle.est_state(state, batches).mem_util <= ceiling
             scan.append(int(batches[fits].max(initial=0)))
         assert batched.tolist() == scan
         assert 0 < np.count_nonzero(batched) < 40
@@ -222,10 +225,13 @@ def test_max_batch_over_arrays_matches_one_call_per_worker(kind, random_fitted_r
 
 def test_max_batch_rejects_bad_array_entries():
     nano = bundle_for(default_registry(), "nano")
-    with pytest.raises(ValueError, match="mem_util"):
-        nano.max_batch_size(np.array([0.2, 1.2]), np.array([1, 1]), np.array([16, 16]))
+    for name in estimators.StateTable._fields:
+        states = estimators.StateTable(0.1, 0.1, 0.2)._replace(**{name: np.array([0.2, 1.2])})
+        with pytest.raises(ValueError, match=name):
+            nano.max_batch_size(states, np.array([1, 1]), np.array([16, 16]))
+    states = estimators.StateTable(0.1, 0.1, np.array([0.2, 0.2]))
     with pytest.raises(ValueError, match="b_min"):
-        nano.max_batch_size(np.array([0.2, 0.2]), np.array([1, 8]), np.array([16, 4]))
+        nano.max_batch_size(states, np.array([1, 8]), np.array([16, 4]))
 
 
 def test_estimators_deterministic():

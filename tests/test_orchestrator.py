@@ -11,11 +11,13 @@ from deepedge import (BenchReport, BenchTrial, CrashEvent, IllegalTransitionErro
                       bench, crossing_epoch, default_registry, default_testbed,
                       fairness_plan, fit_accuracy_curve, inject_and_recover, LogisticFit,
                       logistic, refine_num_epoch, render_report, run_job,
-                      save_histogram_csv, simulate_accuracy,
-                      simulate, solve, validate_transitions, ValidationError)
+                      save_histogram_csv, simulate, solve, validate_transitions,
+                      ValidationError)
 from deepedge.documents import from_doc, load_doc, save, to_doc
 from deepedge.orchestrator import _gauss_newton, draw_states
 from dataclasses import replace
+
+from conftest import simulate_accuracy
 
 STORE = "store-0"
 

@@ -270,7 +270,7 @@ def test_solve_checks_pressure_at_the_memory_capped_batch():
     w = WorkerSpec(id="nano-x", device_class="nano", initial_state=NodeState(0.2, 0.2, 0.2),
                    background_apps=(BackgroundApp(id="cam", deadline=0.178),),
                    b_min=1, b_max=64, per_sample_transfer_cost={STORE: 0.0})
-    cap = nano.max_batch_size(0.2, 1, 64)
+    cap = nano.max_batch_size(w.initial_state, 1, 64)
     assert check_pressure(w, nano, 1)[0] and not check_pressure(w, nano, cap)[0]
     testbed = default_testbed()
     cluster = replace(testbed, workers=testbed.workers + (w,))
@@ -285,7 +285,7 @@ def test_a_deadline_removal_names_an_app_that_misses_its_deadline():
     reg = default_registry()
     nano = bundle_for(reg, "nano")
     state = NodeState(0.2, 0.2, 0.2)
-    at_cap = nano.est_exec_time(nano.est_state(state, nano.max_batch_size(0.2, 1, 64)))
+    at_cap = nano.est_exec_time(nano.est_state(state, nano.max_batch_size(state, 1, 64)))
     # the first app meets its deadline at the cap, the second misses it
     apps = (BackgroundApp(id="bg-0", deadline=at_cap + 0.01),
             BackgroundApp(id="bg-1", deadline=at_cap - 0.01))
@@ -673,7 +673,7 @@ def test_fairness_refuses_a_worker_with_no_batch_in_memory():
     testbed = default_testbed()
     full = replace(testbed.workers[1], initial_state=NodeState(0.05, 0.0, 0.9))
     cluster = replace(testbed, workers=(testbed.workers[0], full) + testbed.workers[2:])
-    assert bundle_for(default_registry(), "nano").max_batch_size(0.9, 1, 16) == 0
+    assert bundle_for(default_registry(), "nano").max_batch_size(full.initial_state, 1, 16) == 0
     with pytest.raises(InfeasibleScheduleError, match=re.escape(
             "worker 'nano-0': no batch in [1, 16] keeps projected memory under 0.95")):
         fairness_plan(cluster, JobSpec(num_samples=2000, num_epoch=1, source_store=STORE))
@@ -825,7 +825,7 @@ def test_tables_match_scalar_calls(kind, random_fitted_registry):
         failed = dict(zip(tables.failed.tolist(), tables.at_cap.tolist()))
         for i, w in enumerate(workers):
             bundle = bundle_for(registry, w.device_class)
-            cap = bundle.max_batch_size(w.initial_state.mem_util, w.b_min, w.b_max)
+            cap = bundle.max_batch_size(w.initial_state, w.b_min, w.b_max)
             assert maxbatch[i] == cap
             if not cap:
                 continue

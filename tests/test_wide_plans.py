@@ -17,7 +17,8 @@ from pathlib import Path
 import numpy as np
 
 from deepedge import (BackgroundApp, ClusterSpec, InfeasibleScheduleError, JobSpec, NodeState,
-                      WorkerSpec, default_registry, plan_to_doc, solve)
+                      WorkerSpec, bundle_for, default_registry, plan_to_doc, solve)
+from deepedge.estimators import MEM_CEILING
 
 PINNED = Path(__file__).parent / "data" / "wide_plans.json"
 STORE = "store-0"
@@ -74,6 +75,21 @@ def plan_digests(fitted_registry) -> dict:
 
 def test_wide_plans_match_the_pinned_digests(random_fitted_registry):
     assert plan_digests(random_fitted_registry) == json.loads(PINNED.read_text())
+
+
+def test_every_batch_solve_assigns_fits_in_memory_under_its_workers_load(
+        random_fitted_registry):
+    # a memory cap projected with no CPU or GPU load gave tx2-040 batch 286 here,
+    # which projects at memory 1.0 under the worker's own load
+    cluster, job = wide_case(29, DEADLINES["fitted"])
+    registry = random_fitted_registry(np.random.default_rng(29))
+    plan = solve(cluster, job, registry)
+    workers = {w.id: w for w in cluster.workers}
+    assert "tx2-040" in {a.worker_id for a in plan.assignments}
+    for a in plan.assignments:
+        w = workers[a.worker_id]
+        projected = bundle_for(registry, w.device_class).est_state(w.initial_state, a.batch_size)
+        assert projected.mem_util <= MEM_CEILING, (a.worker_id, a.batch_size)
 
 
 if __name__ == "__main__":
