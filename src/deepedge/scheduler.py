@@ -18,6 +18,18 @@ and batch sizes across a heterogeneous cluster:
    shard. Each split also gets the parameter server's busy time per epoch:
    every worker's rounds times the service time ``simulate`` queues for it
    at its batch, the least time one FIFO server needs for the epoch.
+   The work stays where the answer can change, and each cut is exact.
+   The lowest ``T`` lies between ``lo``, the job over every worker's best
+   samples per second, and the first time at which each worker's fastest
+   row alone, one or two rounds past its count at ``lo``, covers the job:
+   those rows bound every capacity from below, and two rounds always
+   suffice. Only rows whose value at the upper end tops their worker's
+   capacity at ``lo`` have breakpoints in between, so only those are
+   enumerated. Once ``T`` is found, no shard shrinks by more than the
+   excess, so the costs and the batch choice run over the rows whose
+   capacity at ``T`` reaches their worker's shard less the excess; any
+   other row needs a round more than ``T`` allows. A worker whose kept
+   rows cannot finish a shard by ``T`` (the tail) keeps all its rows.
 4. Candidates are ranked by the longer of their epoch and their server
    time. Each is the split over the first ``n`` workers of one order, the
    all-worker split's assigned workers fastest first (by per-sample time at
@@ -183,16 +195,16 @@ class _Tables:
     as a ``StateTable``: the memory cap of every worker (``maxbatch``, 0 for
     none), then the pressure mask, compute times and the server's service
     times (the service ``simulate`` queues for the row's worker at its
-    batch) once per solve, and update times once per worker count, since
-    they also depend on how many workers share the parameter server. A
-    worker's batches run from ``b_min`` to its memory cap or the job size,
-    whichever is smaller, since no shard is larger than the job. Rows are
-    grouped by worker in cluster order (``owner`` numbers them), batches
-    ascending within each: the shape ``_min_epoch`` and ``_split`` take. The
-    mask's rows include each worker's memory cap, and a worker whose
-    background tasks miss a deadline there is left out, into ``failed``
-    (``at_cap`` has the exec times); so is one with no batch that passes,
-    into ``empty``.
+    batch) once per solve, and update times, over the rows that pass the
+    mask only, once per worker count, since they also depend on how many
+    workers share the parameter server. A worker's batches run from
+    ``b_min`` to its memory cap or the job size, whichever is smaller, since
+    no shard is larger than the job. Rows are grouped by worker in cluster
+    order (``owner`` numbers them), batches ascending within each: the shape
+    ``_min_epoch`` and ``_split`` take. The mask's rows include each
+    worker's memory cap, and a worker whose background tasks miss a
+    deadline there is left out, into ``failed`` (``at_cap`` has the exec
+    times); so is one with no batch that passes, into ``empty``.
     """
 
     def __init__(self, cluster: ClusterSpec, registry: dict, job: JobSpec):
@@ -224,10 +236,7 @@ class _Tables:
         b = low[place] + np.arange(place.size) - (last + 1 - counts)[place]
         b[last] = cap
         owner = eligible[place]
-        self.size = b.size
         exec_time, t_c, service = np.empty(b.size), np.empty(b.size), np.empty(b.size)
-        # each class's rows with their states and batches, for the update times
-        self.classes = []
         for k, bundle in enumerate(bundles):
             rows = (kind[owner] == k).nonzero()[0]
             if rows.size:
@@ -236,29 +245,36 @@ class _Tables:
                 exec_time[rows] = bundle.est_exec_time(bundle.est_state(states, b_rows))
                 t_c[rows] = bundle.est_compute_time(states, b_rows)
                 service[rows] = bundle.update_components(states, b_rows, self.ps_state)[1]
-                self.classes.append((bundle, rows, states, b_rows))
         ok = _meets_deadline(exec_time, deadline[owner])
         passed = ok[last]
         self.failed, self.at_cap = eligible[~passed], exec_time[last[~passed]]
         # the rows the splits see: those that pass, of workers passing at their cap
-        self.rows = (ok & passed[place] & (b <= top[place])).nonzero()[0]
-        has_rows = np.bincount(place[self.rows], minlength=eligible.size) > 0
+        kept = (ok & passed[place] & (b <= top[place])).nonzero()[0]
+        has_rows = np.bincount(place[kept], minlength=eligible.size) > 0
         self.empty, self.top = eligible[passed & ~has_rows], top[passed & ~has_rows]
         self.workers = eligible[has_rows]  # cluster index of each table worker
-        self.owner = (has_rows.cumsum() - 1)[place[self.rows]]
-        self.b, self.t_c, self.service = b[self.rows], t_c[self.rows], service[self.rows]
+        self.owner = (has_rows.cumsum() - 1)[place[kept]]
+        self.b, self.t_c, self.service = b[kept], t_c[kept], service[kept]
         starts = self.owner.searchsorted(np.arange(self.workers.size))
         # samples per second with no update time at all: a bound on any split
         self.fastest_rate = 1.0 / np.minimum.reduceat(self.t_c, starts)
         self.rate, self.init = rate[self.workers], init[self.workers]
+        # each class's table rows with their states and batches, for the update times
+        self.classes = []
+        o = owner[kept]
+        for k, bundle in enumerate(bundles):
+            rows = (kind[o] == k).nonzero()[0]
+            if rows.size:
+                states = StateTable(cpu[o[rows]], gpu[o[rows]], mem[o[rows]])
+                self.classes.append((bundle, rows, states, self.b[rows]))
 
     def update(self, n: int) -> np.ndarray:
-        """Update times at every row with ``n`` workers sharing the parameter
-        server, evaluated over the rows the mask had, then cut to the table's."""
-        out = np.empty(self.size)
+        """Update times at every table row with ``n`` workers sharing the
+        parameter server."""
+        out = np.empty(self.b.size)
         for bundle, rows, states, b_rows in self.classes:
             out[rows] = bundle.est_update_time(states, b_rows, self.ps_state, n)
-        return out[self.rows]
+        return out
 
 
 def _rounds_within(limit, r: np.ndarray) -> np.ndarray:
@@ -284,38 +300,59 @@ def _min_epoch(b: np.ndarray, r: np.ndarray, owner: np.ndarray, starts: np.ndarr
 
     ``b`` and ``r`` list every worker's feasible batches and their round
     times, grouped by ``owner`` with each group beginning at ``starts``. A
-    worker's capacity lies between ``T * s - b_max`` and ``T * s``, ``s``
-    being its best samples per second, which brackets the answer ``lo < T
-    <= hi``. Capacities change only at breakpoints, where ``T`` is a whole
-    number ``k`` of some worker's rounds, and only where the value ``k * b``
-    there is above the worker's capacity at ``lo``; the other breakpoints of
-    the bracket are dropped. The rest are sorted by time once, grouped by
-    worker (keeping time order) to take each one's gain over its worker's
-    running capacity, and the gains are summed in time order. The gains are
-    whole numbers, so the sums are exact and tied times may come in any
-    order.
+    worker's capacity is at most ``T * s``, ``s`` being its best samples per
+    second, so the answer lies above ``lo = M / sum(s)``. Its fastest row
+    (the largest ``b / r``, ties to the larger batch) alone bounds its
+    capacity from below, so ``hi`` is the first of the times one and two of
+    that row's rounds past its count at ``lo`` at which those bounds cover
+    ``M``: two rounds past cover it, since ``sum b * (k + 2) >= lo * sum(s) +
+    sum b``, and a doubling guards the float rounding. Capacities change
+    only at breakpoints, where ``T`` is a whole number ``k`` of some
+    worker's rounds, and only where the value ``k * b`` there is above the
+    worker's capacity at ``lo``; so only rows whose value at ``hi`` is above
+    it are enumerated, and only those breakpoints. They are sorted by time
+    once, grouped by worker (keeping time order) to take each one's gain over
+    its worker's running capacity, and the gains are summed in time order.
+    The gains are whole numbers, so the sums are exact and tied times may
+    come in any order.
     """
-    def covered(T):
-        return np.maximum.reduceat(b * _rounds_within(T, r), starts).sum()
+    def capacities(k):
+        return np.maximum.reduceat(b * k, starts)
 
-    speed = np.maximum.reduceat(b / r, starts).sum()
-    lo = M / speed * (1 - 1e-9)
-    hi = (M + np.maximum.reduceat(b, starts).sum()) / speed * (1 + 1e-9)
-    while covered(hi) < M:
+    speed = b / r
+    best = np.maximum.reduceat(speed, starts)
+    lo = M / best.sum() * (1 - 1e-9)
+    k_lo = _rounds_within(lo, r)
+    base = capacities(k_lo)
+    # the fastest rows one and two rounds past their counts at lo, and their bounds
+    fastest = np.maximum.reduceat(np.arange(b.size) * (speed == best[owner]), starts)
+    k = k_lo[fastest] + np.array([[1.0], [2.0]])
+    times = (k * r[fastest]).ravel()
+    bound = np.maximum(k * b[fastest], base)
+    gain = bound.ravel() - np.concatenate((base, bound[0]))
+    by_time = times.argsort()
+    reached = base.sum() + gain[by_time].cumsum() >= M
+    hi = times[by_time[reached.argmax() if reached[-1] else -1]]
+    k_hi = _rounds_within(hi, r)
+    while capacities(k_hi).sum() < M:
         hi *= 2.0
-    while True:
-        k_lo, k_hi = _rounds_within(lo, r), _rounds_within(hi, r)
+        k_hi = _rounds_within(hi, r)
+    while (k_hi - k_lo).sum() > _MAX_BREAKPOINTS:
         mid = 0.5 * (lo + hi)
-        if (k_hi - k_lo).sum() <= _MAX_BREAKPOINTS or not lo < mid < hi:
+        if not lo < mid < hi:
             break
-        if covered(mid) >= M:
-            hi = mid
+        k_mid = _rounds_within(mid, r)
+        caps = capacities(k_mid)
+        if caps.sum() >= M:
+            hi, k_hi = mid, k_mid
         else:
-            lo = mid
-    base = np.maximum.reduceat(b * k_lo, starts)
-    # the first round count whose value tops the capacity at lo (base >= b * k_lo)
+            lo, k_lo, base = mid, k_mid, caps
+    # the rows with a value above their worker's capacity at lo by hi, and
+    # the first round count at which each gets there (base >= b * k_lo)
+    live = (b * k_hi > base[owner]).nonzero()[0]
+    b, r, owner = b[live], r[live], owner[live]
     k_first = base[owner] // b + 1
-    counts = np.maximum(k_hi - k_first + 1, 0).astype(int)
+    counts = (k_hi[live] - k_first + 1).astype(int)
     entry = np.arange(b.size).repeat(counts)
     k = k_first[entry] + np.arange(entry.size) - (counts.cumsum() - counts).repeat(counts)
     times = k * r[entry]
@@ -323,7 +360,7 @@ def _min_epoch(b: np.ndarray, r: np.ndarray, owner: np.ndarray, starts: np.ndarr
     times, entry, k = times[by_time], entry[by_time], k[by_time]
     worker = owner[entry]
     # numpy's stable sort is a radix sort on ints of 16 bits or fewer
-    grouped =worker.astype(np.min_scalar_type(starts.size - 1)).argsort(kind="stable")
+    grouped = worker.astype(np.min_scalar_type(starts.size - 1)).argsort(kind="stable")
     worker, values = worker[grouped], k[grouped] * b[entry[grouped]]
     # each worker's capacity after each of its breakpoints, and what that gained
     offset = values.max() + 1.0
@@ -340,9 +377,10 @@ def _epochs(d, b: np.ndarray, r: np.ndarray) -> np.ndarray:
 
 
 def _split(b: np.ndarray, r: np.ndarray, owner: np.ndarray, rate: np.ndarray,
-           init: np.ndarray, job: JobSpec) -> np.ndarray:
+           init: np.ndarray, job: JobSpec) -> tuple:
     """Integer shards, one per worker, with the lowest whole-round epoch time
-    and, among those, the lowest total cost.
+    and, among those, the lowest total cost; and each worker's row: the one
+    with the shortest epoch for its shard (ties to the larger batch).
 
     Every worker first takes all it can finish by the lowest epoch time; the
     samples beyond the job then come off one at a time, each from the worker
@@ -350,28 +388,50 @@ def _split(b: np.ndarray, r: np.ndarray, owner: np.ndarray, rate: np.ndarray,
     which minimizes the largest cost as long as a shard's cost does not grow
     when it shrinks. A shard is cut to nothing rather than below its
     smallest feasible batch.
+
+    No shard shrinks by more than the excess, so the costs and the batch
+    choice run over the rows whose capacity at the lowest epoch reaches
+    their worker's shard less the excess. Any other row needs one more round
+    than that epoch allows, so where a kept row finishes the shard within
+    it, no other row can set the shortest epoch or tie with it. Where none
+    does (the tail pushes a shard past its capacity, or every kept batch is
+    above the shard), all of the worker's rows take part.
     """
     M = job.num_samples
-    starts = owner.searchsorted(np.arange(len(rate)))
-    ends = np.append(starts[1:], b.size)
+    n = len(rate)
+    starts = owner.searchsorted(np.arange(n))
     epoch = _min_epoch(b, r, owner, starts, M)
-    shards = np.maximum.reduceat(b * _rounds_within(epoch, r), starts).astype(int)
+    caps = b * _rounds_within(epoch, r)
+    shards = np.maximum.reduceat(caps, starts).astype(int)
     excess = int(shards.sum()) - M
     smallest = b[starts].astype(int)
+    rows = (caps >= (shards - excess)[owner]).nonzero()[0]
+    kept_b, kept_r, kept_owner = b[rows], r[rows], owner[rows]
+    bounds = kept_owner.searchsorted(np.arange(n + 1))  # each worker's kept rows
+
+    def epochs(i: int, ds: np.ndarray) -> tuple:
+        """Worker ``i``'s epochs for each shard in ``ds`` (a row each) at
+        each row taking part, and those rows."""
+        own = rows[bounds[i]:bounds[i + 1]]
+        eps = _epochs(ds[:, None], b[own], r[own])
+        if eps.min(axis=1).max() > epoch:
+            own = (owner == i).nonzero()[0]
+            eps = _epochs(ds[:, None], b[own], r[own])
+        return eps, own
+
     full = rate * shards + init + job.num_epoch * np.minimum.reduceat(
-        _epochs(shards[owner], b, r), starts)
+        _epochs(shards[kept_owner], kept_b, kept_r), bounds[:-1])
     costs: dict = {}  # worker -> (first shard, costs of shards first .. full)
 
     def cost(i: int, d: int) -> float:
         if i not in costs:
             ds = np.arange(max(shards[i] - excess, 1), shards[i] + 1)
-            rows = slice(starts[i], ends[i])
-            eps = _epochs(ds[:, None], b[rows], r[rows]).min(axis=1)
+            eps = epochs(i, ds)[0].min(axis=1)
             costs[i] = (ds[0], rate[i] * ds + init[i] + job.num_epoch * eps)
         first, values = costs[i]
         return float(values[d - first])
 
-    heap = [(-float(c), i) for i, c in enumerate(full) if shards[i]]
+    heap = [(-c, i) for i, (c, d) in enumerate(zip(full.tolist(), shards.tolist())) if d]
     heapq.heapify(heap)
     while excess > 0 and heap:
         _, i = heapq.heappop(heap)
@@ -390,10 +450,17 @@ def _split(b: np.ndarray, r: np.ndarray, owner: np.ndarray, rate: np.ndarray,
         # every shard left is one smallest batch, each larger than the excess:
         # empty the smallest and give the rest of it to the largest
         i = int(np.argmin(np.where(shards > 0, shards, M + 1)))
-        j = int(np.argmax(np.where(np.arange(len(shards)) != i, shards, -1)))
+        j = int(np.argmax(np.where(np.arange(n) != i, shards, -1)))
         shards[j] += shards[i] - excess
         shards[i] = 0
-    return shards
+    eps = _epochs(shards[kept_owner], kept_b, kept_r)
+    least = np.minimum.reduceat(eps, bounds[:-1])
+    best = rows[np.maximum.reduceat(np.arange(rows.size) * (eps == least[kept_owner]),
+                                    bounds[:-1])]
+    for i in ((least > epoch) & (shards > 0)).nonzero()[0].tolist():
+        eps, own = epochs(i, shards[i:i + 1])
+        best[i] = own[(eps[0] == eps.min()).nonzero()[0][-1]]
+    return shards, best
 
 
 class _Candidate(NamedTuple):
@@ -453,15 +520,11 @@ def _assign(alive: np.ndarray, tables: _Tables, job: JobSpec) -> tuple:
             b, t_c, t_u, service = b[rows], t_c[rows], t_u[rows], service[rows]
             owner = (alive.cumsum() - 1)[owner[rows]]
         r = b * t_c + t_u
-        shards = _split(b, r, owner, tables.rate[members], tables.init[members], job)
+        shards, best = _split(b, r, owner, tables.rate[members], tables.init[members], job)
         if shards.all():
             break
         alive = alive.copy()
         alive[members[shards == 0]] = False
-    starts = owner.searchsorted(np.arange(members.size))
-    epochs = _epochs(shards[owner], b, r)
-    shortest = epochs == np.minimum.reduceat(epochs, starts)[owner]
-    best = np.maximum.reduceat(np.arange(b.size) * shortest, starts)
     return (_price(tables.workers[members], shards, b[best], t_c[best], t_u[best],
                    tables.rate[members], tables.init[members], job),
             alive, splits, float((np.ceil(shards / b[best]) * service[best]).sum()))

@@ -45,7 +45,7 @@ import numpy as np
 
 from .cluster import ClusterSpec, JobSpec, ValidationError, validate
 from .documents import csv_rows, is_number, spec
-from .estimators import bundle_for, default_registry
+from .estimators import MEM_CEILING, bundle_for, default_registry
 from .scheduler import InfeasibleScheduleError, Plan, check_pressure, late_apps, solve
 
 PS_STREAM_KEY = 10 ** 6
@@ -149,7 +149,8 @@ def simulate(cluster: ClusterSpec, job: JobSpec, plan: Plan,
     A job the cluster cannot serve (``validate``), or a plan that does not
     fit the cluster and the job (an unknown or repeated worker, shards that
     do not sum to the job, another epoch count, a batch above
-    ``min(b_max, shard)`` or below ``b_min``) raises ``ValidationError``
+    ``min(b_max, shard)`` or below ``b_min``, or one whose projected memory
+    on its worker is above ``MEM_CEILING``) raises ``ValidationError``
     naming the field.
     """
     if seed < 0:
@@ -180,6 +181,11 @@ def simulate(cluster: ClusterSpec, job: JobSpec, plan: Plan,
         if a.batch_size < w.b_min:
             raise ValidationError(f"plan.assignments[{i}].batch_size: {a.batch_size} is below "
                                   f"b_min = {w.b_min}")
+        memory = bundle_for(registry, w.device_class).est_state(w.initial_state,
+                                                                a.batch_size).mem_util
+        if memory > MEM_CEILING:
+            raise ValidationError(f"plan.assignments[{i}].batch_size: {a.batch_size} projects "
+                                  f"memory {memory:.4f} on '{w.id}', above {MEM_CEILING:.2f}")
     for ev in config.crashes:
         if ev.worker_id not in index_of:
             raise ValidationError(f"crash script names unknown worker '{ev.worker_id}'")

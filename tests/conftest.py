@@ -1,5 +1,6 @@
 """Shared test helpers."""
 
+import heapq
 import math
 import random
 
@@ -9,6 +10,7 @@ import pytest
 from deepedge import (BackgroundApp, ClusterSpec, EstimatorBundle, FittedFunction, NodeState,
                       WorkerSpec, basis_terms, bundle_for, check_pressure, epoch_time, logistic)
 from deepedge.estimators import FEATURES_BY_TARGET, TARGETS
+from deepedge.scheduler import _epochs, _rounds_within
 
 
 def largest_remainder(shares: dict, total: int, weight: dict) -> dict:
@@ -78,6 +80,127 @@ def record_dict(record):
     if isinstance(record, dict):
         return {key: record_dict(value) for key, value in record.items()}
     return record
+
+
+def min_epoch_by_the_wide_bracket(b: np.ndarray, r: np.ndarray, owner: np.ndarray,
+                                  starts: np.ndarray, M: int) -> float:
+    """``scheduler._min_epoch`` as it was before its bracket was cut to each
+    worker's fastest row: the lowest ``T`` at which the capacities ``max_b b *
+    floor(T / r_b)`` cover ``M``, the oracle that function is checked against.
+
+    ``b`` and ``r`` list every worker's feasible batches and their round
+    times, grouped by ``owner`` with each group beginning at ``starts``. A
+    worker's capacity lies between ``T * s - b_max`` and ``T * s``, ``s``
+    being its best samples per second, which brackets the answer ``lo < T
+    <= hi``. Capacities change only at breakpoints, where ``T`` is a whole
+    number ``k`` of some worker's rounds, and only where the value ``k * b``
+    there is above the worker's capacity at ``lo``; the other breakpoints of
+    the bracket are dropped. The rest are sorted by time once, grouped by
+    worker (keeping time order) to take each one's gain over its worker's
+    running capacity, and the gains are summed in time order. The gains are
+    whole numbers, so the sums are exact and tied times may come in any
+    order.
+    """
+    def covered(T):
+        return np.maximum.reduceat(b * _rounds_within(T, r), starts).sum()
+
+    speed = np.maximum.reduceat(b / r, starts).sum()
+    lo = M / speed * (1 - 1e-9)
+    hi = (M + np.maximum.reduceat(b, starts).sum()) / speed * (1 + 1e-9)
+    while covered(hi) < M:
+        hi *= 2.0
+    while True:
+        k_lo, k_hi = _rounds_within(lo, r), _rounds_within(hi, r)
+        mid = 0.5 * (lo + hi)
+        # the solver's _MAX_BREAKPOINTS, as it was then
+        if (k_hi - k_lo).sum() <= 100_000 or not lo < mid < hi:
+            break
+        if covered(mid) >= M:
+            hi = mid
+        else:
+            lo = mid
+    base = np.maximum.reduceat(b * k_lo, starts)
+    # the first round count whose value tops the capacity at lo (base >= b * k_lo)
+    k_first = base[owner] // b + 1
+    counts = np.maximum(k_hi - k_first + 1, 0).astype(int)
+    entry = np.arange(b.size).repeat(counts)
+    k = k_first[entry] + np.arange(entry.size) - (counts.cumsum() - counts).repeat(counts)
+    times = k * r[entry]
+    by_time = times.argsort()
+    times, entry, k = times[by_time], entry[by_time], k[by_time]
+    worker = owner[entry]
+    # numpy's stable sort is a radix sort on ints of 16 bits or fewer
+    grouped = worker.astype(np.min_scalar_type(starts.size - 1)).argsort(kind="stable")
+    worker, values = worker[grouped], k[grouped] * b[entry[grouped]]
+    # each worker's capacity after each of its breakpoints, and what that gained
+    offset = values.max() + 1.0
+    reach = np.maximum.accumulate(values + worker * offset) - worker * offset
+    first = np.concatenate(([True], worker[1:] != worker[:-1]))
+    gain = np.empty(reach.size)
+    gain[grouped] = reach - np.where(first, base[worker], np.concatenate(([0.0], reach[:-1])))
+    return float(times[(base.sum() + gain.cumsum() >= M).argmax()])
+
+
+def split_over_every_row(b: np.ndarray, r: np.ndarray, owner: np.ndarray, rate: np.ndarray,
+                         init: np.ndarray, job) -> tuple:
+    """``scheduler._split`` as it was before its row cut, with the batch
+    choice ``_assign`` made then: integer shards, one per worker, with the
+    lowest whole-round epoch time and, among those, the lowest total cost,
+    and each worker's row with the shortest epoch for its shard (ties to the
+    larger batch), every one of the worker's rows taking part.
+
+    Every worker first takes all it can finish by the lowest epoch time; the
+    samples beyond the job then come off one at a time, each from the worker
+    whose shard costs the most (transfer, init and every epoch's rounds),
+    which minimizes the largest cost as long as a shard's cost does not grow
+    when it shrinks. A shard is cut to nothing rather than below its
+    smallest feasible batch.
+    """
+    M = job.num_samples
+    starts = owner.searchsorted(np.arange(len(rate)))
+    ends = np.append(starts[1:], b.size)
+    epoch = min_epoch_by_the_wide_bracket(b, r, owner, starts, M)
+    shards = np.maximum.reduceat(b * _rounds_within(epoch, r), starts).astype(int)
+    excess = int(shards.sum()) - M
+    smallest = b[starts].astype(int)
+    full = rate * shards + init + job.num_epoch * np.minimum.reduceat(
+        _epochs(shards[owner], b, r), starts)
+    costs: dict = {}  # worker -> (first shard, costs of shards first .. full)
+
+    def cost(i: int, d: int) -> float:
+        if i not in costs:
+            ds = np.arange(max(shards[i] - excess, 1), shards[i] + 1)
+            rows = slice(starts[i], ends[i])
+            eps = _epochs(ds[:, None], b[rows], r[rows]).min(axis=1)
+            costs[i] = (ds[0], rate[i] * ds + init[i] + job.num_epoch * eps)
+        first, values = costs[i]
+        return float(values[d - first])
+
+    heap = [(-float(c), i) for i, c in enumerate(full) if shards[i]]
+    heapq.heapify(heap)
+    while excess > 0 and heap:
+        _, i = heapq.heappop(heap)
+        d = int(shards[i])
+        if d > smallest[i]:
+            new = d - 1
+        elif excess >= d:
+            new = 0
+        else:
+            continue  # cannot shrink without dropping below one batch
+        excess -= d - new
+        shards[i] = new
+        if new:
+            heapq.heappush(heap, (-cost(i, new), i))
+    if excess > 0:
+        # every shard left is one smallest batch, each larger than the excess:
+        # empty the smallest and give the rest of it to the largest
+        i = int(np.argmin(np.where(shards > 0, shards, M + 1)))
+        j = int(np.argmax(np.where(np.arange(len(shards)) != i, shards, -1)))
+        shards[j] += shards[i] - excess
+        shards[i] = 0
+    epochs = _epochs(shards[owner], b, r)
+    shortest = epochs == np.minimum.reduceat(epochs, starts)[owner]
+    return shards, np.maximum.reduceat(np.arange(b.size) * shortest, starts)
 
 
 def _samples_done_sooner(plan, cluster, registry):

@@ -16,7 +16,8 @@ from deepedge import (BackgroundApp, ClusterSpec, EstimatorBundle,
                       ValidationError)
 from deepedge.documents import load_doc, save
 
-from conftest import largest_remainder, proportional_split
+from conftest import (largest_remainder, min_epoch_by_the_wide_bracket, proportional_split,
+                      split_over_every_row)
 
 STORE = "store-0"
 
@@ -553,7 +554,7 @@ def test_split_epoch_against_the_exact_lowest():
             continue
         cases += 1
         r = tables.b * tables.t_c + tables.update(n)
-        shards = scheduler._split(tables.b, r, tables.owner, tables.rate, tables.init, job)
+        shards, _ = scheduler._split(tables.b, r, tables.owner, tables.rate, tables.init, job)
         epochs = [_shortest_epochs(tables.b[tables.owner == i], r[tables.owner == i],
                                    job.num_samples) for i in range(n)]
         got = max(e[d] for e, d in zip(epochs, shards.tolist()))
@@ -582,6 +583,140 @@ def test_split_miss_end_to_end():
     assert [(a.worker_id, a.num_samples) for a in pair.assignments] == [("nano-0", 32),
                                                                          ("nano-1", 5)]
     assert simulate(cluster, job, pair).makespan == pytest.approx(5.461, abs=1e-3)
+
+
+def _oracle_tables(rng, random_fitted_registry, count: int) -> list:
+    """``count`` solver tables ``(b, r, owner, rate, init, job)``, their
+    update times priced for all their workers. Three in four come from
+    random clusters of 1-8 workers with ``b_min`` up to 8, every third with
+    each worker copied (ties), on a fitted registry drawn at random every 25
+    tables (non-monotone round times) or, every fourth, the default one.
+    The rest are drawn directly: any ascending batches up to 64 per worker,
+    with round times at random."""
+    tables = []
+    while len(tables) < count:
+        if len(tables) % 25 == 0:
+            fitted = random_fitted_registry(rng)
+        job = JobSpec(int(rng.integers(1, 3000)), int(rng.integers(1, 4)), STORE)
+        if len(tables) % 4 == 3:
+            b, r, owner = [], [], []
+            for w in range(int(rng.integers(1, 12))):
+                batches = np.unique(rng.integers(1, 65, size=int(rng.integers(1, 9))))
+                b += batches.tolist()
+                r += rng.uniform(0.05, 3.0, batches.size).tolist()
+                owner += [w] * batches.size
+            n = owner[-1] + 1
+            tables.append((np.array(b), np.array(r), np.array(owner), rng.uniform(0.0, 0.01, n),
+                           rng.uniform(0.0, 5.0, n), job))
+            continue
+        workers = []
+        for i in range(int(rng.integers(1, 9))):
+            b_min = int(rng.integers(1, 9))
+            workers.append(WorkerSpec(
+                f"w{i}", str(rng.choice(["tx2", "nano"])),
+                NodeState(*(float(v) for v in rng.uniform(0.0, 0.4, 3))), (), b_min,
+                b_min + int(rng.integers(0, 48)), init_cost=float(rng.uniform(0, 5)),
+                per_sample_transfer_cost={STORE: float(rng.uniform(0, 0.005))}))
+        if len(tables) % 3 == 0:
+            workers += [replace(w, id=f"{w.id}-copy") for w in workers]
+        registry = default_registry() if len(tables) % 4 == 0 else fitted
+        tables_of = scheduler._Tables(ClusterSpec(tuple(workers), NodeState(0.1, 0.0, 0.3),
+                                                  (STORE,)), registry, job)
+        n = tables_of.workers.size
+        if n:
+            r = tables_of.b * tables_of.t_c + tables_of.update(n)
+            tables.append((tables_of.b, r, tables_of.owner, tables_of.rate, tables_of.init, job))
+    return tables
+
+
+def _against_the_oracles(tables: list) -> int:
+    """Asserts that ``_min_epoch`` and ``_split`` (its shards and each
+    assigned worker's row) equal the oracles on every table; returns how many
+    assigned workers' shards the rows kept by the row cut cannot finish by
+    the lowest epoch, where all the worker's rows take part."""
+    every_row = 0
+    for b, r, owner, rate, init, job in tables:
+        starts = owner.searchsorted(np.arange(len(rate)))
+        epoch = scheduler._min_epoch(b, r, owner, starts, job.num_samples)
+        assert epoch == min_epoch_by_the_wide_bracket(b, r, owner, starts, job.num_samples)
+        shards, best = scheduler._split(b, r, owner, rate, init, job)
+        want, want_best = split_over_every_row(b, r, owner, rate, init, job)
+        assert shards.tolist() == want.tolist()
+        assert best[shards > 0].tolist() == want_best[want > 0].tolist()
+        caps = b * scheduler._rounds_within(epoch, r)
+        full = np.maximum.reduceat(caps, starts)
+        kept = caps >= (full - (full.sum() - job.num_samples))[owner]
+        late = ~kept | (scheduler._epochs(shards[owner], b, r) > epoch)
+        every_row += int((np.logical_and.reduceat(late, starts) & (shards > 0)).sum())
+    return every_row
+
+
+def test_min_epoch_and_split_against_the_every_row_oracles(random_fitted_registry):
+    rng = np.random.default_rng(31)
+    tables = _oracle_tables(rng, random_fitted_registry, 2000)
+    assert _against_the_oracles(tables) > 0
+    # the draw has ties, b_min above 1, non-monotone round times and workers
+    # with no capacity at the lower end of the epoch bracket
+    ties = non_monotone = b_min = idle = 0
+    for b, r, owner, rate, _, job in tables:
+        starts = owner.searchsorted(np.arange(len(rate)))
+        ties += len({tuple(r[owner == i]) for i in range(len(rate))}) < len(rate)
+        non_monotone += bool(((np.diff(r) < 0) & (np.diff(owner) == 0)).any())
+        b_min += bool((b[starts] > 1).any())
+        lo = job.num_samples / np.maximum.reduceat(b / r, starts).sum() * (1 - 1e-9)
+        idle += bool((np.maximum.reduceat(b * scheduler._rounds_within(lo, r), starts) == 0)
+                     .any())
+    assert min(ties, non_monotone, b_min, idle) >= 50, (ties, non_monotone, b_min, idle)
+
+
+def test_min_epoch_and_split_against_the_oracles_on_ladder_clusters(ladder_cluster):
+    """The ladder clusters of 4 to 256 workers at 2,000x1, 3,855x4 and
+    20,000x1, and the tail case of ``test_split_miss_end_to_end``."""
+    tables = []
+    for n in (4, 8, 16, 32, 64, 128, 256):
+        for job in (JobSpec(2000, 1, STORE), JobSpec(3855, 4, STORE), JobSpec(20000, 1, STORE)):
+            t = scheduler._Tables(ladder_cluster(n), default_registry(), job)
+            r = t.b * t.t_c + t.update(t.workers.size)
+            tables.append((t.b, r, t.owner, t.rate, t.init, job))
+    workers = tuple(WorkerSpec(f"nano-{i}", "nano", NodeState(0.05, 0.0, 0.2), (), b, b,
+                               per_sample_transfer_cost={STORE: 0.001})
+                    for i, b in enumerate((32, 2, 8)))
+    job = JobSpec(37, 1, STORE)
+    t = scheduler._Tables(ClusterSpec(workers, NodeState(0.1, 0.0, 0.3), (STORE,)),
+                          default_registry(), job)
+    r = t.b * t.t_c + t.update(3)
+    tables.append((t.b, r, t.owner, t.rate, t.init, job))
+    # the tail: 32 + 2 + 8 is 5 over the job, and no shard can shrink
+    assert split_over_every_row(*tables[-1])[0].tolist() == [37, 0, 0]
+    assert _against_the_oracles(tables) >= 1
+
+
+def test_min_epoch_halves_a_bracket_of_many_breakpoints_and_doubles_a_short_one(monkeypatch):
+    """A fast worker whose every round is a breakpoint, beside a slow one
+    whose rounds set the bracket: the bracket holds over ``_MAX_BREAKPOINTS``
+    breakpoints and is halved first. And a job so large that two rounds past
+    the count at ``lo`` fall short of it in floating point, so that the
+    guard doubles ``hi``."""
+    calls = []
+    rounds_within = scheduler._rounds_within
+    monkeypatch.setattr(scheduler, "_rounds_within",
+                        lambda limit, r: calls.append(limit) or rounds_within(limit, r))
+    b, r, owner = np.array([1, 2, 10**6]), np.array([1e-4, 1.5e-4, 100.0]), np.array([0, 0, 1])
+    starts = np.array([0, 2])
+    for M in (10**6 + 12_345, 3 * 10**6 + 1, 7_654_321):
+        calls.clear()
+        assert (scheduler._min_epoch(b, r, owner, starts, M)
+                == min_epoch_by_the_wide_bracket(b, r, owner, starts, M))
+        # lo, hi, and each halving's midpoint, all below hi (no doubling)
+        assert len(calls) > 2 and max(calls) == calls[1]
+    b, r, owner, starts = np.array([1]), np.array([1.0]), np.array([0]), np.array([0])
+    M = 2 * 10**10
+    lo = M / 1.0 * (1 - 1e-9)
+    assert (rounds_within(lo, r)[0] + 2) * b[0] < M
+    calls.clear()
+    assert scheduler._min_epoch(b, r, owner, starts, M) == float(M)
+    assert float(M) == min_epoch_by_the_wide_bracket(b, r, owner, starts, M)
+    assert max(calls) > M
 
 
 def test_solve_never_splits_below_the_minimum_batch():

@@ -540,6 +540,30 @@ def test_simulate_rejects_a_batch_below_b_min():
     assert simulate(with_b_min(a.batch_size), job, plan).status == "completed"
 
 
+def test_simulate_rejects_a_batch_past_the_memory_ceiling():
+    """A nano at memory 0.7 fits batches up to 8; a fairness plan edited to
+    batch 16 there projects memory at 1.0, so it is refused, naming the
+    batch, where batch 8 still runs."""
+    testbed = default_testbed()
+    cluster = replace(testbed, workers=tuple(
+        replace(w, initial_state=NodeState(0.05, 0.0, 0.7)) if w.id == "nano-0" else w
+        for w in testbed.workers))
+    job = JobSpec(num_samples=2000, num_epoch=1, source_store="store-0")
+    plan = fairness_plan(cluster, job)
+    i = next(i for i, a in enumerate(plan.assignments) if a.worker_id == "nano-0")
+    assert plan.assignments[i].batch_size == 8
+
+    def with_batch(b):
+        return replace(plan, assignments=tuple(replace(a, batch_size=b) if k == i else a
+                                               for k, a in enumerate(plan.assignments)))
+
+    with pytest.raises(ValidationError, match=re.escape(
+            f"plan.assignments[{i}].batch_size: 16 projects memory 1.0000 on 'nano-0', "
+            f"above 0.95")):
+        simulate(cluster, job, with_batch(16))
+    assert simulate(cluster, job, with_batch(8)).status == "completed"
+
+
 def test_simulate_rejects_a_worker_with_no_rate_for_the_job_store():
     job = JobSpec(num_samples=400, num_epoch=1, source_store="store-0")
     plan = solve(default_testbed(), job)
