@@ -275,7 +275,7 @@ class FittedFunction:
 
 # --- the bundle ---------------------------------------------------------------
 
-# batch sizes max_batch_size projects at once, per worker
+# batch sizes max_batch_size projects at once
 _BATCH_BLOCK = 1024
 
 # the projected memory utilization no planned batch may exceed
@@ -398,42 +398,24 @@ class EstimatorBundle:
         """Runtime of the co-located background task under the given state."""
         return self._estimate["exec_time"](state, None, None, 1)
 
-    def max_batch_size(self, state, b_min, b_max):
+    def max_batch_size(self, state: NodeState, b_min: int, b_max: int) -> int:
         """Largest batch in [b_min, b_max] whose projected memory (``est_state``
         under ``state``) stays <= MEM_CEILING; 0 if none.
 
         Projected memory need not grow with the batch size (a fitted model may
-        dip), so each worker's batches are checked from its ``b_max`` down, at
-        most ``_BATCH_BLOCK`` at a time. Given a ``StateTable`` and arrays of
-        ``b_min`` and ``b_max``, one entry per worker, the answer is an integer
-        array of each worker's batch, from one projection per block for all of
-        them; for a ``NodeState`` and numbers it is an ``int``.
+        dip), so the batches are checked from ``b_max`` down, ``_BATCH_BLOCK``
+        at a time: the work grows with ``b_max`` less the answer, which
+        callers bound (``fairness_plan`` by the shard). ``solve`` reads its
+        caps off its own tables instead.
         """
-        low = np.asarray(b_min).reshape(-1)
-        top = np.array(b_max, dtype=int).reshape(-1)  # each worker's next batch to check
-        left = top - low + 1  # and how many are left
-        loads = np.empty((3, top.size))  # each worker's cpu, gpu and memory load
-        loads[0], loads[1], loads[2] = state.cpu_util, state.gpu_util, state.mem_util
-        if not (loads.min(initial=0.0) >= 0.0 and loads.max(initial=1.0) <= 1.0):
-            name = StateTable._fields[((loads < 0.0) | ~(loads <= 1.0)).any(axis=1).argmax()]
-            raise ValueError(f"{name} must lie in [0, 1], got {getattr(state, name)}")
-        if not (low.min(initial=1) >= 1 and left.min(initial=1) >= 1):
+        if not 1 <= b_min <= b_max:
             raise ValueError(f"need 1 <= b_min <= b_max, got [{b_min}, {b_max}]")
-        found = np.zeros(top.size, dtype=int)
-        live = np.arange(top.size)  # the workers still looking
-        while live.size:
-            counts = np.minimum(left[live], _BATCH_BLOCK)
-            starts = counts.cumsum() - counts
-            owner = live.repeat(counts)
-            batches = (top[live] + starts).repeat(counts) - np.arange(owner.size)
-            projected = self.est_state(StateTable(*loads[:, owner]), batches)
-            # the largest fitting batch of each worker's block, 0 for none
-            block = np.maximum.reduceat(batches * (projected.mem_util <= MEM_CEILING), starts)
-            found[live] = block
-            top[live] -= counts
-            left[live] -= counts
-            live = live[(block == 0) & (left[live] > 0)]
-        return found if np.ndim(b_max) else int(found[0])
+        for top in range(b_max, b_min - 1, -_BATCH_BLOCK):
+            batches = np.arange(top, max(top - _BATCH_BLOCK, b_min - 1), -1)
+            fits = batches[self.est_state(state, batches).mem_util <= MEM_CEILING]
+            if fits.size:
+                return int(fits[0])
+        return 0
 
 
 # --- built-in device profiles -------------------------------------------------

@@ -3,21 +3,23 @@
 ``solve`` searches for the cheapest feasible assignment of training samples
 and batch sizes across a heterogeneous cluster:
 
-1. Workers that cannot fit any batch under the memory ceiling are excluded
-   up front.
-2. So is every worker whose background tasks would miss a deadline with a
-   batch of the largest size it could run, and every worker with no batch
-   size up to the job that passes that check.
+1. A worker's batches run from its ``b_min`` to its ``b_max`` or the job
+   size, whichever is smaller: no shard is larger than the job. Each is
+   projected once, and workers none of whose batches fits under the memory
+   ceiling are excluded up front.
+2. So is every worker whose background tasks would miss a deadline with the
+   largest of those batches that fits (its memory cap).
 3. Epoch time bills every started round in full, so the split is integer
-   from the start: tables of round times over every pressure-feasible batch
-   of every worker give how many samples each worker can finish within a
-   time ``T``; the split is the lowest ``T`` whose capacities cover the job,
-   with the lowest total cost among splits that tie on it. A worker left
-   with no samples leaves the set and the split is priced again for those
-   that remain. Each batch size is the one with the shortest epoch for its
-   shard. Each split also gets the parameter server's busy time per epoch:
-   every worker's rounds times the service time ``simulate`` queues for it
-   at its batch, the least time one FIFO server needs for the epoch.
+   from the start: tables of round times over every batch of every worker
+   that fits in memory and passes the pressure check give how many samples
+   each worker can finish within a time ``T``; the split is the lowest
+   ``T`` whose capacities cover the job, with the lowest total cost among
+   splits that tie on it. A worker left with no samples leaves the set and
+   the split is priced again for those that remain. Each batch size is the
+   one with the shortest epoch for its shard. Each split also gets the
+   parameter server's busy time per epoch: every worker's rounds times the
+   service time ``simulate`` queues for it at its batch, the least time one
+   FIFO server needs for the epoch.
    The work stays where the answer can change, and each cut is exact.
    The lowest ``T`` lies between ``lo``, the job over every worker's best
    samples per second, and the first time at which each worker's fastest
@@ -44,11 +46,12 @@ and batch sizes across a heterogeneous cluster:
 One set of tables (``_Tables``) holds the memory caps, the pressure mask,
 the round times and the server's service times as flat arrays over the
 whole cluster, each filled with one estimator call per device class (the
-node states going in as a ``StateTable``), so the estimator calls for a
-split or a candidate do not grow with the number of workers. One pricing
-function (``_price``) turns shards and batches into epoch times and costs
-over arrays; it ranks the candidates, and the winner's assignments are
-read off its arrays.
+node states going in as a ``StateTable``, at most ``_SLICE_ROWS`` rows at a
+time), so the estimator calls for a split or a candidate do not grow with
+the number of workers, and the rows grow with the job, not with ``b_max``.
+One pricing function (``_price``) turns shards and batches into epoch times
+and costs over arrays; it ranks the candidates, and the winner's
+assignments are read off its arrays.
 
 ``fairness_plan`` is the baseline: equal shards for everyone, no interference
 checks, no refinement. It prices its shards with the same ``_price``.
@@ -186,25 +189,33 @@ class Plan:
 # --- the solver -----------------------------------------------------------------
 
 
-class _Tables:
-    """A cluster's estimator values over every pressure-feasible batch size
-    of every worker with a memory cap, as flat arrays of rows.
+# table rows est_state projects at once, per device class: memory stays
+# bounded by it and by the rows that fit, however many batches a shard could run
+_SLICE_ROWS = 8_192
 
-    Workers are grouped by device class, so that each table is one
-    estimator call per class over all its rows, their node states going in
-    as a ``StateTable``: the memory cap of every worker (``maxbatch``, 0 for
-    none), then the pressure mask, compute times and the server's service
-    times (the service ``simulate`` queues for the row's worker at its
-    batch) once per solve, and update times, over the rows that pass the
-    mask only, once per worker count, since they also depend on how many
-    workers share the parameter server. A worker's batches run from
-    ``b_min`` to its memory cap or the job size, whichever is smaller, since
-    no shard is larger than the job. Rows are grouped by worker in cluster
-    order (``owner`` numbers them), batches ascending within each: the shape
-    ``_min_epoch`` and ``_split`` take. The mask's rows include each
-    worker's memory cap, and a worker whose background tasks miss a
-    deadline there is left out, into ``failed`` (``at_cap`` has the exec
-    times); so is one with no batch that passes, into ``empty``.
+
+class _Tables:
+    """A cluster's estimator values over every batch size a shard could run
+    on every worker, as flat arrays of rows.
+
+    A worker's batches run from ``b_min`` to its ``b_max`` or the job size,
+    whichever is smaller, since no shard is larger than the job. Workers are
+    grouped by device class, so that each table is one estimator call per
+    class over all its rows (``_SLICE_ROWS`` at most at a time), their node
+    states going in as a ``StateTable``. Each row is projected once with
+    ``est_state``, and three things are read off that projection: which rows
+    fit under the memory ceiling, each worker's memory cap (``cap``, its
+    largest fitting batch, 0 for none), and exec times at the fitting rows.
+    A worker whose background tasks miss a deadline at its cap is left out,
+    into ``failed`` (``at_cap`` has the exec times). The rows the splits see
+    are the fitting rows that pass the pressure check, of the workers left,
+    each of which keeps at least its cap. Compute times and the server's
+    service times (the service ``simulate`` queues for the row's worker at
+    its batch) are evaluated over those rows once per solve, and update times
+    once per worker count, since they also depend on how many workers share
+    the parameter server. Rows are grouped by worker in cluster order
+    (``owner`` numbers them), batches ascending within each: the shape
+    ``_min_epoch`` and ``_split`` take.
     """
 
     def __init__(self, cluster: ClusterSpec, registry: dict, job: JobSpec):
@@ -220,53 +231,55 @@ class _Tables:
               _deadline(w), w.per_sample_transfer_cost[job.source_store], w.init_cost)
              for w in workers], dtype=float).T
         b_min, b_max = np.array([(w.b_min, w.b_max) for w in workers], dtype=int).T
-        self.maxbatch = np.empty(len(workers), dtype=int)
+        counts = np.maximum(np.minimum(b_max, job.num_samples) - b_min + 1, 0)
+        # each class's rows that fit in memory: their workers, batches and exec
+        # times (after an empty entry, so that a cluster with no rows concatenates)
+        fitting = [(np.empty(0, dtype=int), np.empty(0, dtype=int), np.empty(0))]
         for k, bundle in enumerate(bundles):
             members = (kind == k).nonzero()[0]
-            self.maxbatch[members] = bundle.max_batch_size(
-                StateTable(cpu[members], gpu[members], mem[members]), b_min[members],
-                b_max[members])
-        eligible = self.maxbatch.nonzero()[0]
-        low, cap = b_min[eligible], self.maxbatch[eligible]
-        top = np.minimum(cap, job.num_samples)
-        # every batch up to top, then the cap where it lies beyond
-        counts = np.maximum(top - low + 1, 0) + (cap > top)
-        last = counts.cumsum() - 1
-        place = np.arange(eligible.size).repeat(counts)  # position in ``eligible``
-        b = low[place] + np.arange(place.size) - (last + 1 - counts)[place]
-        b[last] = cap
-        owner = eligible[place]
-        exec_time, t_c, service = np.empty(b.size), np.empty(b.size), np.empty(b.size)
-        for k, bundle in enumerate(bundles):
-            rows = (kind[owner] == k).nonzero()[0]
-            if rows.size:
-                o = owner[rows]
-                states, b_rows = StateTable(cpu[o], gpu[o], mem[o]), b[rows]
-                exec_time[rows] = bundle.est_exec_time(bundle.est_state(states, b_rows))
-                t_c[rows] = bundle.est_compute_time(states, b_rows)
-                service[rows] = bundle.update_components(states, b_rows, self.ps_state)[1]
+            ends = counts[members].cumsum()
+            begins = ends - counts[members]  # each member's first row in the class
+            for start in range(0, int(ends[-1]), _SLICE_ROWS):
+                stop = min(start + _SLICE_ROWS, int(ends[-1]))
+                take = np.clip(ends, start, stop) - np.clip(begins, start, stop)
+                o = members.repeat(take)
+                b = np.arange(start, stop) - (begins - b_min[members]).repeat(take)
+                projected = bundle.est_state(StateTable(cpu[o], gpu[o], mem[o]), b)
+                fits = (projected.mem_util <= MEM_CEILING).nonzero()[0]
+                fitting.append((o[fits], b[fits], bundle.est_exec_time(
+                    StateTable(*(v[fits] for v in projected)))))
+        owner, b, exec_time = (np.concatenate(column) for column in zip(*fitting))
+        by_worker = owner.argsort(kind="stable")
+        owner, b, exec_time = owner[by_worker], b[by_worker], exec_time[by_worker]
+        last = np.diff(owner, append=len(workers)).nonzero()[0]  # each worker's cap row
+        eligible = owner[last]
+        self.cap = np.zeros(len(workers), dtype=int)
+        self.cap[eligible] = b[last]
         ok = _meets_deadline(exec_time, deadline[owner])
         passed = ok[last]
         self.failed, self.at_cap = eligible[~passed], exec_time[last[~passed]]
+        self.workers = eligible[passed]  # cluster index of each table worker
+        place = np.full(len(workers), -1)  # each worker's place in self.workers, -1 if none
+        place[self.workers] = np.arange(self.workers.size)
         # the rows the splits see: those that pass, of workers passing at their cap
-        kept = (ok & passed[place] & (b <= top[place])).nonzero()[0]
-        has_rows = np.bincount(place[kept], minlength=eligible.size) > 0
-        self.empty, self.top = eligible[passed & ~has_rows], top[passed & ~has_rows]
-        self.workers = eligible[has_rows]  # cluster index of each table worker
-        self.owner = (has_rows.cumsum() - 1)[place[kept]]
-        self.b, self.t_c, self.service = b[kept], t_c[kept], service[kept]
-        starts = self.owner.searchsorted(np.arange(self.workers.size))
-        # samples per second with no update time at all: a bound on any split
-        self.fastest_rate = 1.0 / np.minimum.reduceat(self.t_c, starts)
+        kept = (ok & (place[owner] >= 0)).nonzero()[0]
+        self.owner, self.b = place[owner[kept]], b[kept]
         self.rate, self.init = rate[self.workers], init[self.workers]
-        # each class's table rows with their states and batches, for the update times
+        # per class, the compute and service times at its table rows, and the
+        # rows with their states and batches, for the update times
+        self.t_c, self.service = np.empty(self.b.size), np.empty(self.b.size)
         self.classes = []
         o = owner[kept]
         for k, bundle in enumerate(bundles):
             rows = (kind[o] == k).nonzero()[0]
             if rows.size:
-                states = StateTable(cpu[o[rows]], gpu[o[rows]], mem[o[rows]])
-                self.classes.append((bundle, rows, states, self.b[rows]))
+                states, b_rows = StateTable(cpu[o[rows]], gpu[o[rows]], mem[o[rows]]), self.b[rows]
+                self.t_c[rows] = bundle.est_compute_time(states, b_rows)
+                self.service[rows] = bundle.update_components(states, b_rows, self.ps_state)[1]
+                self.classes.append((bundle, rows, states, b_rows))
+        starts = self.owner.searchsorted(np.arange(self.workers.size))
+        # samples per second with no update time at all: a bound on any split
+        self.fastest_rate = 1.0 / np.minimum.reduceat(self.t_c, starts)
 
     def update(self, n: int) -> np.ndarray:
         """Update times at every table row with ``n`` workers sharing the
@@ -545,13 +558,13 @@ def solve(cluster: ClusterSpec, job: JobSpec, registry: dict | None = None) -> P
     tables = _Tables(cluster, registry, job)
     workers = cluster.workers
     removed: list = []
-    maxbatch = tables.maxbatch
-    for i in (maxbatch == 0).nonzero()[0].tolist():
+    for i in (tables.cap == 0).nonzero()[0].tolist():
         w = workers[i]
-        removed.append(Removal(
-            w.id, "pressure",
-            f"no batch in [{w.b_min}, {w.b_max}] keeps projected memory "
-            f"under {MEM_CEILING:.2f}"))
+        top = min(w.b_max, job.num_samples)
+        removed.append(Removal(w.id, "pressure", (
+            f"its b_min of {w.b_min} is above the job's {job.num_samples} samples"
+            if w.b_min > top else
+            f"no batch in [{w.b_min}, {top}] keeps projected memory under {MEM_CEILING:.2f}")))
 
     # background deadlines are checked at the largest batch a worker could run
     for i, exec_time in zip(tables.failed.tolist(), tables.at_cap.tolist()):
@@ -560,11 +573,7 @@ def solve(cluster: ClusterSpec, job: JobSpec, registry: dict | None = None) -> P
         removed.append(Removal(
             w.id, "pressure",
             f"background task '{late.id}' projected at {exec_time:.4f} s "
-            f"over its deadline with batch {maxbatch[i]}"))
-    for i, top in zip(tables.empty.tolist(), tables.top.tolist()):
-        removed.append(Removal(
-            workers[i].id, "pressure",
-            f"no batch from {workers[i].b_min} to {top} samples passes the pressure check"))
+            f"over its deadline with batch {tables.cap[i]}"))
     if not tables.workers.size:
         raise InfeasibleScheduleError("no eligible workers: " + "; ".join(
             f"{r.worker_id}: {r.detail}" for r in removed))

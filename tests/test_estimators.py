@@ -1,3 +1,4 @@
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -187,6 +188,7 @@ def test_max_batch_linear_scan_value():
 def test_max_batch_matches_linear_scan_on_fitted_models(random_fitted_registry, monkeypatch):
     rng = np.random.default_rng(8)
     registry = random_fitted_registry(rng)
+    found = []
     for bundle in registry.values():
         for b_max in (64, 2500):
             # memory is projected under the node's CPU and GPU load as well
@@ -197,41 +199,27 @@ def test_max_batch_matches_linear_scan_on_fitted_models(random_fitted_registry, 
                          if bundle.est_state(probe, b).mem_util <= ceiling), 0)
             monkeypatch.setattr(estimators, "MEM_CEILING", ceiling)
             assert bundle.max_batch_size(probe, 1, b_max) == scan
+        # ranges from b_min above 1, within one block and across several, with
+        # some nodes out of memory
+        for width in (0, 15, 1023, 1024, 3000):
+            b_min = int(rng.integers(2, 40))
+            probe = NodeState(*(float(v) for v in rng.uniform(0.0, 0.7, 2)),
+                              float(rng.uniform(0.0, 1.0)))
+            ceiling = float(rng.uniform(0.5, 0.95))
+            scan = next((b for b in range(b_min + width, b_min - 1, -1)
+                         if bundle.est_state(probe, b).mem_util <= ceiling), 0)
+            monkeypatch.setattr(estimators, "MEM_CEILING", ceiling)
+            found.append(bundle.max_batch_size(probe, b_min, b_min + width))
+            assert found[-1] == scan
+    assert 0 < np.count_nonzero(found) < len(found)
 
 
-@pytest.mark.parametrize("kind", ["parametric", "fitted"])
-def test_max_batch_over_arrays_matches_one_call_per_worker(kind, random_fitted_registry,
-                                                           monkeypatch):
-    rng = np.random.default_rng(9)
-    registry = default_registry() if kind == "parametric" else random_fitted_registry(rng)
-    for bundle in registry.values():
-        # ranges within one block and across several, with some workers out of memory
-        cpu, gpu = rng.uniform(0.0, 0.7, (2, 40))
-        mem = rng.uniform(0.0, 1.0, 40)
-        b_min = rng.integers(1, 40, 40)
-        b_max = b_min + rng.choice([0, 15, 1023, 1024, 3000], 40)
-        ceiling = float(rng.uniform(0.5, 0.95))
-        monkeypatch.setattr(estimators, "MEM_CEILING", ceiling)
-        batched = bundle.max_batch_size(estimators.StateTable(cpu, gpu, mem), b_min, b_max)
-        scan = []
-        for c, g, m, lo, hi in zip(cpu, gpu, mem, b_min, b_max):
-            batches = np.arange(lo, hi + 1)
-            state = NodeState(float(c), float(g), float(m))
-            fits = bundle.est_state(state, batches).mem_util <= ceiling
-            scan.append(int(batches[fits].max(initial=0)))
-        assert batched.tolist() == scan
-        assert 0 < np.count_nonzero(batched) < 40
-
-
-def test_max_batch_rejects_bad_array_entries():
+def test_max_batch_refuses_bounds_out_of_order():
     nano = bundle_for(default_registry(), "nano")
-    for name in estimators.StateTable._fields:
-        states = estimators.StateTable(0.1, 0.1, 0.2)._replace(**{name: np.array([0.2, 1.2])})
-        with pytest.raises(ValueError, match=name):
-            nano.max_batch_size(states, np.array([1, 1]), np.array([16, 16]))
-    states = estimators.StateTable(0.1, 0.1, np.array([0.2, 0.2]))
-    with pytest.raises(ValueError, match="b_min"):
-        nano.max_batch_size(states, np.array([1, 8]), np.array([16, 4]))
+    for b_min, b_max in ((0, 16), (8, 4)):
+        with pytest.raises(ValueError, match=re.escape(
+                f"need 1 <= b_min <= b_max, got [{b_min}, {b_max}]")):
+            nano.max_batch_size(IDLE, b_min, b_max)
 
 
 def test_estimators_deterministic():

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from deepedge import scheduler
-from deepedge.estimators import DEVICE_PROFILES
+from deepedge.estimators import DEVICE_PROFILES, MEM_CEILING
 from deepedge import (BackgroundApp, ClusterSpec, EstimatorBundle,
                       InfeasibleScheduleError, JobSpec, NodeState,
                       ParametricProfile, WorkerSpec, bundle_for, check_pressure,
@@ -297,6 +297,44 @@ def test_a_deadline_removal_names_an_app_that_misses_its_deadline():
     plan = solve(cluster, JobSpec(num_samples=2000, num_epoch=2, source_store=STORE), reg)
     [removal] = [r for r in plan.removed if r.worker_id == "nano-x"]
     assert removal.detail.startswith(f"background task 'bg-1' projected at {at_cap:.4f} s")
+
+
+def test_solve_checks_pressure_at_batches_up_to_the_job():
+    # tx2-0's app meets its deadline at batch 40 and misses it at its memory
+    # cap of 64; a 40-sample job runs no batch above 40, so it stays
+    testbed = default_testbed()
+    tx2 = bundle_for(default_registry(), "tx2")
+    w = testbed.workers[0]
+    e40, e64 = (tx2.est_exec_time(tx2.est_state(w.initial_state, b)) for b in (40, 64))
+    assert (e40, e64) == pytest.approx((0.11005, 0.11077))
+    assert tx2.max_batch_size(w.initial_state, w.b_min, w.b_max) == 64
+    w = replace(w, background_apps=(BackgroundApp("bg", (e40 + e64) / 2),))
+    cluster = replace(testbed, workers=(w,))
+    job = JobSpec(num_samples=40, num_epoch=1, source_store=STORE)
+    plan = solve(cluster, job)
+    assert [(a.worker_id, a.num_samples, a.batch_size) for a in plan.assignments] == [
+        ("tx2-0", 40, 40)]
+    assert simulate(cluster, job, plan).violations == ()
+    # fairness_plan runs the same job at that batch
+    assert [a.batch_size for a in fairness_plan(cluster, job).assignments] == [40]
+
+
+def test_pressure_removals_name_the_batches_a_shard_could_run():
+    testbed = default_testbed()
+    # nano-0 fits no batch in memory; nano-1 has no batch as small as the job
+    full = replace(testbed.workers[1], initial_state=NodeState(0.05, 0.0, 0.9))
+    high = replace(testbed.workers[2], b_min=30, b_max=40)
+    cluster = replace(testbed, workers=(testbed.workers[0], full, high, testbed.workers[3]))
+    plan = solve(cluster, JobSpec(num_samples=10, num_epoch=1, source_store=STORE))
+    removed = {r.worker_id: (r.reason, r.detail) for r in plan.removed}
+    assert removed["nano-0"] == ("pressure",
+                                 "no batch in [1, 10] keeps projected memory under 0.95")
+    assert removed["nano-1"] == ("pressure", "its b_min of 30 is above the job's 10 samples")
+    # with the job above b_max, the range ends at b_max
+    plan = solve(cluster, JobSpec(num_samples=2000, num_epoch=1, source_store=STORE))
+    removed = {r.worker_id: (r.reason, r.detail) for r in plan.removed}
+    assert removed["nano-0"] == ("pressure",
+                                 "no batch in [1, 16] keeps projected memory under 0.95")
 
 
 def test_a_server_cut_names_every_worker_it_leaves_out(ladder_cluster):
@@ -954,14 +992,17 @@ def test_tables_match_scalar_calls(kind, random_fitted_registry):
             workers = [workers[i] for i in rng.permutation(n_workers)]
         cluster = ClusterSpec(tuple(workers), ps, (STORE,))
         tables = scheduler._Tables(cluster, registry, job)
-        maxbatch = tables.maxbatch
         t_u = tables.update(3)
         table_workers = tables.workers.tolist()
         failed = dict(zip(tables.failed.tolist(), tables.at_cap.tolist()))
         for i, w in enumerate(workers):
             bundle = bundle_for(registry, w.device_class)
-            cap = bundle.max_batch_size(w.initial_state, w.b_min, w.b_max)
-            assert maxbatch[i] == cap
+            # the batches a shard could run, and those that fit in memory
+            top = min(w.b_max, job.num_samples)
+            fitting = [b for b in range(w.b_min, top + 1)
+                       if bundle.est_state(w.initial_state, b).mem_util <= MEM_CEILING]
+            cap = max(fitting, default=0)
+            assert tables.cap[i] == cap == bundle.max_batch_size(w.initial_state, w.b_min, top)
             if not cap:
                 continue
             ok_at_cap, at_cap = check_pressure(w, bundle, cap)
@@ -969,15 +1010,13 @@ def test_tables_match_scalar_calls(kind, random_fitted_registry):
             if not ok_at_cap:
                 assert failed[i] == at_cap
                 continue
-            batches = range(w.b_min, min(cap, job.num_samples) + 1)
-            verdicts = [check_pressure(w, bundle, b) for b in batches]
-            mask, exec_times = check_pressure(w, bundle, np.array(batches))
+            verdicts = [check_pressure(w, bundle, b) for b in fitting]
+            mask, exec_times = check_pressure(w, bundle, np.array(fitting))
             assert mask.tolist() == [ok for ok, _ in verdicts]
             assert exec_times.tolist() == [t for _, t in verdicts]
-            passing = [b for b, (ok, _) in zip(batches, verdicts) if ok]
-            assert (i in tables.empty.tolist()) == (not passing)
-            if not passing:
-                continue
+            # a worker passing at its cap keeps at least that row
+            passing = [b for b, (ok, _) in zip(fitting, verdicts) if ok]
+            assert passing[-1] == cap
             rows = tables.owner == table_workers.index(i)
             bs = tables.b[rows].tolist()
             assert bs == passing
@@ -1037,3 +1076,30 @@ def test_estimator_calls_per_solve_grow_only_with_the_splits(monkeypatch):
         tables.append(calls)
     # the tables take one call per class and target, whatever the worker count
     assert tables[0] == tables[1] == tables[2]
+
+
+@pytest.mark.parametrize("kind", ["parametric", "fitted"])
+def test_tables_project_each_row_once(kind, monkeypatch, ladder_cluster, random_fitted_registry):
+    registry = (default_registry() if kind == "parametric"
+                else random_fitted_registry(np.random.default_rng(3)))
+    seen = []  # the batch points of each est_state call
+    calls = _counted_calls(monkeypatch)
+    est_state = EstimatorBundle.est_state
+
+    def counted(self, state, batch_size):
+        seen.append(np.size(batch_size))
+        return est_state(self, state, batch_size)
+    monkeypatch.setattr(EstimatorBundle, "est_state", counted)
+    wide = ladder_cluster(64)
+    # four workers whose b_max is far above a job of several slices
+    deep = replace(wide, workers=tuple(replace(w, b_max=10 ** 9) for w in wide.workers[:4]))
+    for cluster, job in ((wide, JobSpec(2000, 1, STORE)), (deep, JobSpec(30_000, 1, STORE))):
+        seen.clear()
+        tables = scheduler._Tables(cluster, registry, job)
+        rows = sum(max(min(w.b_max, job.num_samples) - w.b_min + 1, 0) for w in cluster.workers)
+        assert sum(seen) == rows
+        assert max(seen) <= scheduler._SLICE_ROWS
+        assert tables.workers.size
+        solve(cluster, job, registry)
+    assert len(seen) > 4
+    assert "max_batch_size" not in calls

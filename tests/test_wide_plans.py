@@ -12,13 +12,17 @@ Regenerate the file (only for a change meant to move plans) with
 
 import hashlib
 import json
+import re
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
+import pytest
 
-from deepedge import (BackgroundApp, ClusterSpec, InfeasibleScheduleError, JobSpec, NodeState,
-                      WorkerSpec, bundle_for, default_registry, plan_to_doc, solve)
-from deepedge.estimators import MEM_CEILING
+from deepedge import (BackgroundApp, ClusterSpec, EstimatorBundle, FittedFunction,
+                      InfeasibleScheduleError, JobSpec, NodeState, WorkerSpec, bundle_for,
+                      default_registry, default_testbed, plan_to_doc, simulate, solve)
+from deepedge.estimators import DEVICE_PROFILES, FEATURES_BY_TARGET, MEM_CEILING, basis_terms
 
 PINNED = Path(__file__).parent / "data" / "wide_plans.json"
 STORE = "store-0"
@@ -77,19 +81,59 @@ def test_wide_plans_match_the_pinned_digests(random_fitted_registry):
     assert plan_digests(random_fitted_registry) == json.loads(PINNED.read_text())
 
 
+def dipping_nano_registry() -> dict:
+    """The nano bundle with projected memory ``0.3 + mem_util + 0.7 / b``
+    (before the clamp): every small batch is out of memory, however far below
+    the memory cap it lies."""
+    names = FEATURES_BY_TARGET["state_mem"]
+    coefficients = {"1": 0.3, "mem_util": 1.0, "1/batch": 0.7}
+    mem = FittedFunction("state_mem", names,
+                         tuple(coefficients.get(t, 0.0) for t, _, _ in basis_terms(names)))
+    return {"nano": EstimatorBundle("nano", DEVICE_PROFILES["nano"], {"state_mem": mem})}
+
+
 def test_every_batch_solve_assigns_fits_in_memory_under_its_workers_load(
         random_fitted_registry):
     # a memory cap projected with no CPU or GPU load gave tx2-040 batch 286 here,
     # which projects at memory 1.0 under the worker's own load
     cluster, job = wide_case(29, DEADLINES["fitted"])
     registry = random_fitted_registry(np.random.default_rng(29))
-    plan = solve(cluster, job, registry)
-    workers = {w.id: w for w in cluster.workers}
-    assert "tx2-040" in {a.worker_id for a in plan.assignments}
-    for a in plan.assignments:
-        w = workers[a.worker_id]
-        projected = bundle_for(registry, w.device_class).est_state(w.initial_state, a.batch_size)
-        assert projected.mem_util <= MEM_CEILING, (a.worker_id, a.batch_size)
+    cases = [(cluster, job, registry)]
+    # and every small job on the three nanos of the testbed, whose small
+    # batches project above the ceiling below the cap
+    testbed = default_testbed()
+    nanos = replace(testbed, workers=testbed.workers[1:])
+    cases += [(nanos, JobSpec(m, 1, STORE), dipping_nano_registry()) for m in range(1, 61)]
+    planned = []  # the workers of each plan
+    for cluster, job, registry in cases:
+        try:
+            plan = solve(cluster, job, registry)
+        except InfeasibleScheduleError:
+            continue
+        planned.append({a.worker_id for a in plan.assignments})
+        workers = {w.id: w for w in cluster.workers}
+        for a in plan.assignments:
+            w = workers[a.worker_id]
+            projected = bundle_for(registry, w.device_class).est_state(w.initial_state,
+                                                                       a.batch_size)
+            assert projected.mem_util <= MEM_CEILING, (a.worker_id, a.batch_size)
+        simulate(cluster, job, plan, registry)
+    assert "tx2-040" in planned[0] and len(planned) > 30, len(planned)
+
+
+def test_solve_refuses_a_job_whose_only_batches_are_out_of_memory():
+    # each nano's one batch of a 1-sample job projects memory 1.0, though
+    # larger batches fit: no worker is eligible
+    testbed = default_testbed()
+    nanos = replace(testbed, workers=testbed.workers[1:])
+    registry = dipping_nano_registry()
+    nano = registry["nano"]
+    for w in nanos.workers:
+        assert nano.est_state(w.initial_state, 1).mem_util > MEM_CEILING
+    assert nano.max_batch_size(nanos.workers[2].initial_state, 1, 16) > 1
+    with pytest.raises(InfeasibleScheduleError, match=re.escape(
+            "nano-2: no batch in [1, 1] keeps projected memory under 0.95")):
+        solve(nanos, JobSpec(1, 1, STORE), registry)
 
 
 if __name__ == "__main__":
