@@ -4,10 +4,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from deepedge import (EstimatorBundle, FittedFunction, NodeState, ParametricProfile,
-                      ValidationError, basis_terms, bundle_for, default_registry, fitted_bundle,
-                      load_registry, reference_grid, run_sweep, save_registry)
-from deepedge import estimators
+from deepedge import (ClusterSpec, EstimatorBundle, FittedFunction, JobSpec, NodeState,
+                      ParametricProfile, ValidationError, WorkerSpec, basis_terms, bundle_for,
+                      default_registry, fitted_bundle, load_registry, reference_grid, run_sweep,
+                      save_registry)
+from deepedge import estimators, scheduler
 from deepedge.estimators import DEVICE_PROFILES, FEATURES_BY_TARGET
 
 IDLE = NodeState(0.0, 0.0, 0.0)
@@ -212,6 +213,37 @@ def test_max_batch_matches_linear_scan_on_fitted_models(random_fitted_registry, 
             found.append(bundle.max_batch_size(probe, b_min, b_min + width))
             assert found[-1] == scan
     assert 0 < np.count_nonzero(found) < len(found)
+
+
+@pytest.mark.parametrize("kind", ["parametric", "fitted"])
+def test_max_batch_over_arrays_matches_one_call_per_worker(kind, random_fitted_registry,
+                                                           monkeypatch):
+    """solve's tables read every worker's memory cap off one projection over
+    arrays of rows; each cap is what max_batch_size gives for that worker."""
+    rng = np.random.default_rng(9)
+    registry = default_registry() if kind == "parametric" else random_fitted_registry(rng)
+    for device in registry:
+        # ranges within one block and across several, with some workers out of memory
+        cpu, gpu = rng.uniform(0.0, 0.7, (2, 40))
+        mem = rng.uniform(0.0, 1.0, 40)
+        b_min = rng.integers(1, 40, 40)
+        b_max = b_min + rng.choice([0, 15, 1023, 1024, 3000], 40)
+        ceiling = float(rng.uniform(0.5, 0.95))
+        monkeypatch.setattr(estimators, "MEM_CEILING", ceiling)
+        monkeypatch.setattr(scheduler, "MEM_CEILING", ceiling)
+        workers = tuple(WorkerSpec(f"{device}-{i}", device, NodeState(*map(float, s)),
+                                   b_min=int(lo), b_max=int(hi),
+                                   per_sample_transfer_cost={"store-0": 0.001})
+                        for i, (s, lo, hi) in enumerate(zip(zip(cpu, gpu, mem), b_min, b_max)))
+        cluster = ClusterSpec(workers, NodeState(0.1, 0.0, 0.3), ("store-0",))
+        # a job no smaller than any b_max, so that no range is cut at the job
+        job = JobSpec(int(b_max.max()), 1, "store-0")
+        caps = scheduler._Tables(cluster, registry, job).cap
+        bundle = registry[device]
+        one_per_worker = [bundle.max_batch_size(w.initial_state, w.b_min, w.b_max)
+                          for w in workers]
+        assert caps.tolist() == one_per_worker
+        assert 0 < np.count_nonzero(caps) < 40
 
 
 def test_max_batch_refuses_bounds_out_of_order():
