@@ -290,7 +290,7 @@ def _smallest(count) -> int:
 class StateTable(NamedTuple):
     """Node states as a struct of arrays, per component an array or a number
     that broadcasts: what the estimators take for a table of states, and what
-    ``est_state`` projects for an array of batch sizes or a table of states."""
+    ``est_state`` projects."""
 
     cpu_util: np.ndarray
     gpu_util: np.ndarray
@@ -368,14 +368,16 @@ class EstimatorBundle:
         stand-in. Fitted update models cannot be decomposed, so they get a
         fixed 0.3/0.4/0.3 split of the single-worker estimate.
         """
+        if _smallest(batch_size) < 1:
+            raise ValueError(f"batch_size must be >= 1, got {batch_size}")
         if "update_time" in self.models:
             total = self.est_update_time(state, batch_size, ps_state, n_workers=1)
             return 0.3 * total, 0.4 * total, 0.3 * total
         return self.profile.update_parts(state, batch_size, ps_state)
 
     def est_state(self, state, batch_size):
-        """95th-percentile projected state once a batch-``b`` training task lands;
-        a ``StateTable`` for an array of batch sizes or a table of states."""
+        """95th-percentile projected state once a batch-``b`` training task lands:
+        a ``StateTable``, of arrays for an array of batch sizes or of states."""
         if _smallest(batch_size) < 1:
             raise ValueError(f"batch_size must be >= 1, got {batch_size}")
         coefficients = self._state_coefficients
@@ -388,11 +390,8 @@ class EstimatorBundle:
             cpu, gpu, mem = _predict(FEATURES_BY_TARGET["state_cpu"], (
                 state.cpu_util, state.gpu_util, state.mem_util, batch_size), coefficients)
         # a running task never frees resources, and utilization saturates at 1
-        values = (_clamp(cpu, state.cpu_util, 1.0), _clamp(gpu, state.gpu_util, 1.0),
-                  _clamp(mem, state.mem_util, 1.0))
-        if isinstance(batch_size, np.ndarray) or isinstance(state, StateTable):
-            return StateTable(*values)
-        return NodeState(*values)
+        return StateTable(_clamp(cpu, state.cpu_util, 1.0), _clamp(gpu, state.gpu_util, 1.0),
+                          _clamp(mem, state.mem_util, 1.0))
 
     def est_exec_time(self, state):
         """Runtime of the co-located background task under the given state."""

@@ -243,7 +243,6 @@ def refine_num_epoch(observations, target_accuracy: float | None,
 class JobReport(NamedTuple):
     status: str  # completed | abandoned
     phases: tuple  # PhaseChange
-    plan: Plan | None
     final_plan: Plan | None
     recovery: RecoveryResult | None
     refined_num_epoch: int | None = None
@@ -264,8 +263,7 @@ def run_job(cluster: ClusterSpec, job: JobSpec, registry: dict | None = None,
         plan = solve(cluster, job, registry)
     except (InfeasibleScheduleError, ValidationError):
         phases = (requested, PhaseChange(0.0, JobPhase.ABANDONED))
-        return JobReport(status=ABANDONED, phases=phases, plan=None,
-                         final_plan=None, recovery=None)
+        return JobReport(status=ABANDONED, phases=phases, final_plan=None, recovery=None)
     # the recovery loop writes its phase log legal by construction
     rec = inject_and_recover(cluster, job, plan, registry, seed=seed, config=config)
     phases = (requested,) + rec.phases
@@ -277,8 +275,7 @@ def run_job(cluster: ClusterSpec, job: JobSpec, registry: dict | None = None,
         if len(obs) >= 3:
             refined = refine_num_epoch(obs, job.target_accuracy, job.num_epoch)
             fit = fit_accuracy_curve([k for k, _ in obs], [a for _, a in obs])
-    return JobReport(status=rec.status, phases=phases, plan=plan,
-                     final_plan=rec.plans[-1], recovery=rec,
+    return JobReport(status=rec.status, phases=phases, final_plan=rec.plans[-1], recovery=rec,
                      refined_num_epoch=refined, accuracy_fit=fit)
 
 

@@ -91,13 +91,14 @@ def check_pressure(worker: WorkerSpec, bundle: EstimatorBundle, batch_size) -> t
     """Whether every background task on this worker still meets its deadline
     once a batch of the given size is training there.
 
-    Returns (ok, exec time): the background tasks' projected exec time, one
-    for all of them, since they share the node state the batch leaves. Given
-    an integer array of batch sizes, ``ok`` is a mask over them and the exec
-    time an array.
+    Returns (ok, exec time, state): ``state`` is ``est_state``'s projection,
+    which the background tasks share, so their exec time is one for all of
+    them. Given an integer array of batch sizes, ``ok`` is a mask over them,
+    the exec time an array and the state a table of arrays.
     """
-    exec_time = bundle.est_exec_time(bundle.est_state(worker.initial_state, batch_size))
-    return _meets_deadline(exec_time, _deadline(worker)), exec_time
+    state = bundle.est_state(worker.initial_state, batch_size)
+    exec_time = bundle.est_exec_time(state)
+    return _meets_deadline(exec_time, _deadline(worker)), exec_time, state
 
 
 def _deadline(worker: WorkerSpec) -> float:

@@ -151,41 +151,30 @@ def simulate(cluster: ClusterSpec, job: JobSpec, plan: Plan,
     do not sum to the job, another epoch count, a batch above
     ``min(b_max, shard)`` or below ``b_min``, or one whose projected memory
     on its worker is above ``MEM_CEILING``) raises ``ValidationError``
-    naming the field.
+    naming the field. Each assignment is projected once, by
+    ``check_pressure``: its state decides the memory refusal, and its exec
+    time the deadline violations.
     """
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
     registry = registry if registry is not None else default_registry()
     validate(cluster, job)
     index_of = {w.id: i for i, w in enumerate(cluster.workers)}
-    assigned = set()
-    for i, a in enumerate(plan.assignments):
+    position: dict = {}  # worker id -> its assignment's index in the plan
+    for p, a in enumerate(plan.assignments):
         if a.worker_id not in index_of:
-            raise ValidationError(f"plan.assignments[{i}]: unknown worker '{a.worker_id}'")
-        if a.worker_id in assigned:
-            raise ValidationError(f"plan.assignments[{i}]: worker '{a.worker_id}' is assigned twice")
+            raise ValidationError(f"plan.assignments[{p}]: unknown worker '{a.worker_id}'")
+        if a.worker_id in position:
+            raise ValidationError(f"plan.assignments[{p}]: worker '{a.worker_id}' is assigned twice")
         if a.num_samples < 1 or a.batch_size < 1:
-            raise ValidationError(f"plan.assignments[{i}]: num_samples and batch_size must be "
+            raise ValidationError(f"plan.assignments[{p}]: num_samples and batch_size must be "
                                   f">= 1, got {a.num_samples} and {a.batch_size}")
-        assigned.add(a.worker_id)
+        position[a.worker_id] = p
     if plan.num_samples != job.num_samples:
         raise ValidationError(f"plan.assignments: shards sum to {plan.num_samples} samples, "
                               f"the job has {job.num_samples}")
     if plan.num_epoch != job.num_epoch:
         raise ValidationError(f"plan.num_epoch: {plan.num_epoch}, the job has {job.num_epoch}")
-    for i, a in enumerate(plan.assignments):
-        w = cluster.workers[index_of[a.worker_id]]
-        if a.batch_size > min(w.b_max, a.num_samples):
-            raise ValidationError(f"plan.assignments[{i}].batch_size: {a.batch_size} is above "
-                                  f"min(b_max, num_samples) = min({w.b_max}, {a.num_samples})")
-        if a.batch_size < w.b_min:
-            raise ValidationError(f"plan.assignments[{i}].batch_size: {a.batch_size} is below "
-                                  f"b_min = {w.b_min}")
-        memory = bundle_for(registry, w.device_class).est_state(w.initial_state,
-                                                                a.batch_size).mem_util
-        if memory > MEM_CEILING:
-            raise ValidationError(f"plan.assignments[{i}].batch_size: {a.batch_size} projects "
-                                  f"memory {memory:.4f} on '{w.id}', above {MEM_CEILING:.2f}")
     for ev in config.crashes:
         if ev.worker_id not in index_of:
             raise ValidationError(f"crash script names unknown worker '{ev.worker_id}'")
@@ -202,14 +191,25 @@ def simulate(cluster: ClusterSpec, job: JobSpec, plan: Plan,
     # service and pull times, rounds per epoch and in all). Arrivals are
     # keyed (time, order of scheduling), and ``free`` is when the server ends
     # its last service.
-    ids: list = []
+    ids = list(position)
     train_start: list = []
     per_round: list = []
     heap: list = []
     order = itertools.count()
     for p, a in enumerate(plan.assignments):
         w = cluster.workers[index_of[a.worker_id]]
+        if a.batch_size > min(w.b_max, a.num_samples):
+            raise ValidationError(f"plan.assignments[{p}].batch_size: {a.batch_size} is above "
+                                  f"min(b_max, num_samples) = min({w.b_max}, {a.num_samples})")
+        if a.batch_size < w.b_min:
+            raise ValidationError(f"plan.assignments[{p}].batch_size: {a.batch_size} is below "
+                                  f"b_min = {w.b_min}")
         bundle = bundle_for(registry, w.device_class)
+        _, exec_time, state = check_pressure(w, bundle, a.batch_size)
+        if state.mem_util > MEM_CEILING:
+            raise ValidationError(f"plan.assignments[{p}].batch_size: {a.batch_size} projects "
+                                  f"memory {state.mem_util:.4f} on '{w.id}', above "
+                                  f"{MEM_CEILING:.2f}")
         stretch = _stretcher(sigma, seed, index_of[w.id])
         compute = a.batch_size * bundle.est_compute_time(w.initial_state, a.batch_size)
         push, service, pull = bundle.update_components(w.initial_state, a.batch_size,
@@ -221,21 +221,18 @@ def simulate(cluster: ClusterSpec, job: JobSpec, plan: Plan,
             trace.append(TraceEvent(transfer, w.id, "transfer_end",
                                     f"{a.num_samples} samples"))
             trace.append(TraceEvent(ready, w.id, "train_start", f"batch {a.batch_size}"))
-        _, exec_time = check_pressure(w, bundle, a.batch_size)
         for app in late_apps(w, exec_time):
             violations.append(Violation(w.id, app.id, exec_time, app.deadline))
             if want_phases:
                 trace.append(TraceEvent(
                     ready, w.id, "deadline_violation",
                     f"'{app.id}' projected {exec_time:.4f} s > {app.deadline:.4f} s"))
-        ids.append(w.id)
         train_start.append(ready)
         per_round.append((stretch, compute, push, service, pull, rounds_per_epoch,
                           rounds_per_epoch * job.num_epoch))
         heapq.heappush(heap, (ready + stretch(compute) + stretch(push), next(order), p))
     done = [0] * len(ids)
     finish: list = [None] * len(ids)
-    position = {wid: p for p, wid in enumerate(ids)}
     # the sort is stable: crashes at one instant are checked in script order
     crashes = sorted(config.crashes, key=lambda e: e.time)
     crash_times = [e.time for e in crashes] + [math.inf]

@@ -86,6 +86,17 @@ def test_update_time_rejects_zero_workers():
         nano.est_update_time(IDLE, 8, IDLE, 0)
 
 
+@pytest.mark.parametrize("kind", ["parametric", "fitted"])
+@pytest.mark.parametrize("batch", [0, -3, np.array([4, 0, 8])], ids=["zero", "negative", "array"])
+def test_update_components_rejects_batches_below_one(kind, batch, random_fitted_registry):
+    """Like the other estimates, the round's parts refuse a batch below 1,
+    where the closed form would divide by zero or return plausible times."""
+    registry = (default_registry() if kind == "parametric"
+                else random_fitted_registry(np.random.default_rng(2)))
+    with pytest.raises(ValueError, match="batch_size must be >= 1"):
+        registry["nano"].update_components(IDLE, batch, IDLE)
+
+
 def test_state_projection_never_frees_resources():
     rng = np.random.default_rng(3)
     for trial in range(300):
@@ -103,7 +114,7 @@ def test_state_projection_saturated_fixed_point():
     for dc in ("tx2", "nano"):
         bundle = bundle_for(default_registry(), dc)
         sat = NodeState(1.0, 1.0, 1.0)
-        assert bundle.est_state(sat, 16) == sat
+        assert tuple(bundle.est_state(sat, 16)) == (sat.cpu_util, sat.gpu_util, sat.mem_util)
 
 
 def test_state_projection_strictly_above_idle():
@@ -138,7 +149,7 @@ def test_state_projection_is_each_targets_estimate_clamped(kind):
         now = (state.cpu_util, state.gpu_util, state.mem_util)
         want = [min(1.0, max(low, value)) for low, value in zip(now, one_by_one(state, b))]
         got = bundle.est_state(state, b)
-        assert type(got) is NodeState
+        assert type(got) is estimators.StateTable
         assert [got.cpu_util, got.gpu_util, got.mem_util] == want
     table = estimators.StateTable(*rng.uniform(0.0, 0.7, (3, 500)))
     batches = rng.integers(1, 64, 500)

@@ -389,7 +389,7 @@ def test_infeasible_job_abandoned_at_request():
     report = run_job(solo, job)
     assert report.status == "abandoned"
     assert [p.phase.value for p in report.phases] == ["requested", "abandoned"]
-    assert report.plan is None
+    assert report.recovery is None
 
 
 def test_run_job_refines_epochs_from_observations():

@@ -53,14 +53,13 @@ RECORDS = [
      "plans=(), excluded=('nano-1',), strikes={'nano-1': 3}, "
      "events=(ArcEvent(time=31.0, kind='excluded', worker='nano-1'),), violations=(), "
      "trace=(TraceEvent(time=12.5, worker='nano-1', event='finish', detail=''),))"),
-    (JobReport, [("status", REQUIRED), ("phases", REQUIRED), ("plan", REQUIRED),
-                 ("final_plan", REQUIRED), ("recovery", REQUIRED), ("refined_num_epoch", None),
-                 ("accuracy_fit", None)],
+    (JobReport, [("status", REQUIRED), ("phases", REQUIRED), ("final_plan", REQUIRED),
+                 ("recovery", REQUIRED), ("refined_num_epoch", None), ("accuracy_fit", None)],
      JobReport("abandoned", (PhaseChange(0.0, JobPhase.REQUESTED),
-                             PhaseChange(0.0, JobPhase.ABANDONED)), None, None, None),
+                             PhaseChange(0.0, JobPhase.ABANDONED)), None, None),
      "JobReport(status='abandoned', phases=(PhaseChange(time=0.0, "
      "phase=<JobPhase.REQUESTED: 'requested'>), PhaseChange(time=0.0, "
-     "phase=<JobPhase.ABANDONED: 'abandoned'>)), plan=None, final_plan=None, recovery=None, "
+     "phase=<JobPhase.ABANDONED: 'abandoned'>)), final_plan=None, recovery=None, "
      "refined_num_epoch=None, accuracy_fit=None)"),
     (LogisticFit, [(name, REQUIRED) for name in ("L", "r", "k0", "sse", "iterations")],
      LogisticFit(0.9, 1.25, 3.0, 0.001, 7),

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from deepedge import scheduler
-from deepedge.estimators import DEVICE_PROFILES, MEM_CEILING
+from deepedge.estimators import DEVICE_PROFILES, MEM_CEILING, StateTable
 from deepedge import (BackgroundApp, ClusterSpec, EstimatorBundle,
                       InfeasibleScheduleError, JobSpec, NodeState,
                       ParametricProfile, WorkerSpec, bundle_for, check_pressure,
@@ -66,7 +66,7 @@ def test_epoch_time_rejects_zero_batch():
 
 def test_pressure_vacuous_without_background_apps():
     w = flat_worker()
-    ok, exec_time = check_pressure(w, flat_registry(bg_base_exec=5.0)["flat"], 8)
+    ok, exec_time, _ = check_pressure(w, flat_registry(bg_base_exec=5.0)["flat"], 8)
     assert ok and exec_time == 5.0
 
 
@@ -77,9 +77,27 @@ def test_pressure_tight_deadline_fails():
                    initial_state=NodeState(0.55, 0.65, 0.45),
                    background_apps=(BackgroundApp(id="cam", deadline=0.2),),
                    b_min=1, b_max=16, per_sample_transfer_cost={STORE: 0.0})
-    ok, exec_time = check_pressure(w, nano, 1)
+    ok, exec_time, _ = check_pressure(w, nano, 1)
     assert not ok
     assert exec_time > 0.2
+
+
+@pytest.mark.parametrize("kind", ["parametric", "fitted"])
+def test_pressure_returns_the_projection_of_est_state(kind, random_fitted_registry):
+    """``check_pressure``'s state is ``est_state``'s projection, bit for bit,
+    at one batch and at an array of them, and its exec time is read off it."""
+    registry = (default_registry() if kind == "parametric"
+                else random_fitted_registry(np.random.default_rng(5)))
+    for w in default_testbed(stressed=True).workers:
+        bundle = bundle_for(registry, w.device_class)
+        for b in (w.b_min, w.b_max, np.arange(w.b_min, w.b_max + 1)):
+            ok, exec_time, state = check_pressure(w, bundle, b)
+            want = bundle.est_state(w.initial_state, b)
+            assert type(state) is type(want) is StateTable
+            assert all(np.array_equal(got, component) for got, component in zip(state, want))
+            assert np.array_equal(exec_time, bundle.est_exec_time(want))
+            deadline = min((app.deadline for app in w.background_apps), default=math.inf)
+            assert np.array_equal(ok, exec_time <= deadline)
 
 
 # --- rounding --------------------------------------------------------------
@@ -251,7 +269,7 @@ def test_solve_plan_invariants_hold_on_random_clusters():
             w = workers[a.worker_id]
             assert w.b_min <= a.batch_size <= min(w.b_max, a.num_samples)
             bundle = bundle_for(reg, w.device_class)
-            ok, _ = check_pressure(w, bundle, a.batch_size)
+            ok, _, _ = check_pressure(w, bundle, a.batch_size)
             assert ok
             assert a.num_samples >= 1
         # every removal carries an explanation
@@ -1005,17 +1023,17 @@ def test_tables_match_scalar_calls(kind, random_fitted_registry):
             assert tables.cap[i] == cap == bundle.max_batch_size(w.initial_state, w.b_min, top)
             if not cap:
                 continue
-            ok_at_cap, at_cap = check_pressure(w, bundle, cap)
+            ok_at_cap, at_cap, _ = check_pressure(w, bundle, cap)
             assert (i in failed) == (not ok_at_cap)
             if not ok_at_cap:
                 assert failed[i] == at_cap
                 continue
             verdicts = [check_pressure(w, bundle, b) for b in fitting]
-            mask, exec_times = check_pressure(w, bundle, np.array(fitting))
-            assert mask.tolist() == [ok for ok, _ in verdicts]
-            assert exec_times.tolist() == [t for _, t in verdicts]
+            mask, exec_times, _ = check_pressure(w, bundle, np.array(fitting))
+            assert mask.tolist() == [ok for ok, _, _ in verdicts]
+            assert exec_times.tolist() == [t for _, t, _ in verdicts]
             # a worker passing at its cap keeps at least that row
-            passing = [b for b, (ok, _) in zip(fitting, verdicts) if ok]
+            passing = [b for b, (ok, _, _) in zip(fitting, verdicts) if ok]
             assert passing[-1] == cap
             rows = tables.owner == table_workers.index(i)
             bs = tables.b[rows].tolist()

@@ -4,13 +4,18 @@ import math
 import re
 from dataclasses import replace
 
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from deepedge import (BackgroundApp, ClusterSpec, CrashEvent, EstimatorBundle,
                       JobPhase, JobSpec, NodeState, ParametricProfile, SimConfig,
-                      ParseError, ValidationError, WorkerSpec, default_testbed, fairness_plan,
-                      inject_and_recover, load_trace, save_trace, simulate, solve)
+                      ParseError, ValidationError, WorkerSpec, default_registry, default_testbed,
+                      fairness_plan, inject_and_recover, load_cluster, load_trace, save_trace,
+                      simulate, solve)
+from deepedge import simulator
 
 from conftest import record_dict
 
@@ -562,6 +567,119 @@ def test_simulate_rejects_a_batch_past_the_memory_ceiling():
             f"above 0.95")):
         simulate(cluster, job, with_batch(16))
     assert simulate(cluster, job, with_batch(8)).status == "completed"
+
+
+@pytest.mark.parametrize("name", ["testbed", "wide"])
+def test_simulate_projects_each_assignment_once(name, monkeypatch):
+    """One ``check_pressure`` per assignment, and in it the only ``est_state``:
+    the memory refusal and the deadline violations read one projection."""
+    cluster = (default_testbed() if name == "testbed"
+               else load_cluster(Path(__file__).parent / "data" / "wide_cluster.json"))
+    job = JobSpec(num_samples=2000, num_epoch=2, source_store="store-0")
+    plan = solve(cluster, job)
+    calls = {"est_state": 0, "check_pressure": 0}
+    est_state, check_pressure = EstimatorBundle.est_state, simulator.check_pressure
+
+    def counted_state(self, state, batch_size):
+        calls["est_state"] += 1
+        return est_state(self, state, batch_size)
+
+    def counted_pressure(*args):
+        calls["check_pressure"] += 1
+        return check_pressure(*args)
+    monkeypatch.setattr(EstimatorBundle, "est_state", counted_state)
+    monkeypatch.setattr(simulator, "check_pressure", counted_pressure)
+    assert simulate(cluster, job, plan).status == "completed"
+    n = len(plan.assignments)
+    assert n > 4 if name == "wide" else n == 4
+    assert calls == {"est_state": n, "check_pressure": n}
+
+
+@pytest.fixture(scope="module")
+def refusal_case():
+    """The testbed with ``nano-1`` at memory 0.7 (it fits batches up to 8)
+    and ``tx2-0`` at ``b_min`` 4, a 2,000x2 job, and its solve and fairness
+    plans."""
+    testbed = default_testbed()
+    cluster = replace(testbed, workers=tuple(
+        replace(w, initial_state=replace(w.initial_state, mem_util=0.7)) if w.id == "nano-1"
+        else replace(w, b_min=4) if w.id == "tx2-0" else w for w in testbed.workers))
+    job = JobSpec(num_samples=2000, num_epoch=2, source_store="store-0")
+    return cluster, job, {"solve": solve(cluster, job), "fairness": fairness_plan(cluster, job)}
+
+
+def test_the_plans_refusal_edits_start_from_complete(refusal_case):
+    cluster, job, plans = refusal_case
+    nano = default_registry()["nano"]
+    assert nano.max_batch_size(cluster.workers[2].initial_state, 1, 16) == 8
+    for plan in plans.values():
+        assert [a.worker_id for a in sorted(plan.assignments, key=lambda a: a.worker_id)] == [
+            "nano-0", "nano-1", "nano-2", "tx2-0"]
+        assert simulate(cluster, job, plan).status == "completed"
+
+
+EDITS = ("unknown", "repeated", "shard", "zero", "negative", "above", "below", "memory", "epochs")
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(st.sampled_from(("solve", "fairness")), st.sampled_from(EDITS), st.data())
+def test_simulate_refuses_each_edit_of_a_plan(refusal_case, method, edit, data):
+    """One edit of a plan that completes is refused, naming its field, with
+    the message each check has always given."""
+    cluster, job, plans = refusal_case
+    plan = plans[method]
+    workers = {w.id: w for w in cluster.workers}
+    ids = [a.worker_id for a in plan.assignments]
+    # the b_min and memory edits are of the one worker each can apply to
+    fixed = {"below": ids.index("tx2-0"), "memory": ids.index("nano-1")}
+    i = fixed[edit] if edit in fixed else data.draw(st.integers(0, len(ids) - 1),
+                                                    label="assignment")
+    a = plan.assignments[i]
+    w = workers[a.worker_id]
+
+    def edited(k=i, **changes):
+        return replace(plan, assignments=tuple(replace(x, **changes) if n == k else x
+                                               for n, x in enumerate(plan.assignments)))
+    if edit == "unknown":
+        ghost = data.draw(st.text("ghost-0", min_size=1, max_size=8), label="worker")
+        edit_plan, message = edited(worker_id=ghost), f"plan.assignments[{i}]: unknown worker '{ghost}'"
+    elif edit == "repeated":
+        j = data.draw(st.integers(0, len(ids) - 1).filter(lambda j: j != i), label="other")
+        first, later = sorted((i, j))
+        edit_plan = edited(later, worker_id=ids[first])
+        message = f"plan.assignments[{later}]: worker '{ids[first]}' is assigned twice"
+    elif edit == "shard":
+        k = data.draw(st.integers(1 - a.num_samples, 10 ** 6).filter(bool), label="k")
+        edit_plan = edited(num_samples=a.num_samples + k)
+        message = (f"plan.assignments: shards sum to {job.num_samples + k} samples, "
+                   f"the job has {job.num_samples}")
+    elif edit in ("zero", "negative"):
+        b = 0 if edit == "zero" else data.draw(st.integers(-10 ** 6, -1), label="batch")
+        edit_plan = edited(batch_size=b)
+        message = (f"plan.assignments[{i}]: num_samples and batch_size must be >= 1, "
+                   f"got {a.num_samples} and {b}")
+    elif edit == "above":
+        top = min(w.b_max, a.num_samples)
+        b = data.draw(st.integers(top + 1, 10 ** 9), label="batch")
+        edit_plan = edited(batch_size=b)
+        message = (f"plan.assignments[{i}].batch_size: {b} is above min(b_max, num_samples) "
+                   f"= min({w.b_max}, {a.num_samples})")
+    elif edit == "below":
+        b = data.draw(st.integers(1, w.b_min - 1), label="batch")
+        edit_plan = edited(batch_size=b)
+        message = f"plan.assignments[{i}].batch_size: {b} is below b_min = 4"
+    elif edit == "memory":
+        b = data.draw(st.integers(9, min(w.b_max, a.num_samples)), label="batch")
+        memory = default_registry()["nano"].est_state(w.initial_state, b).mem_util
+        edit_plan = edited(batch_size=b)
+        message = (f"plan.assignments[{i}].batch_size: {b} projects memory {memory:.4f} "
+                   f"on 'nano-1', above 0.95")
+    else:
+        epochs = data.draw(st.integers(1, 100).filter(lambda e: e != job.num_epoch), label="epochs")
+        edit_plan, message = replace(plan, num_epoch=epochs), f"plan.num_epoch: {epochs}, the job has 2"
+    with pytest.raises(ValidationError) as refused:
+        simulate(cluster, job, edit_plan)
+    assert str(refused.value) == message
 
 
 def test_simulate_rejects_a_worker_with_no_rate_for_the_job_store():
