@@ -1,12 +1,17 @@
 """The behaviour every spec class shares, pinned class by class: the repr of a
 sample, equality and hashing by field values, frozen fields, the field names
-in order, and ``dataclasses.replace`` running the class's own check again.
+in order, and ``dataclasses.replace`` running the class's own check again;
+and its constructor: its signature, positional and keyword arguments, the
+errors for a missing or unknown one, and one ``__post_init__`` call per instance.
 ``ProfileDataset`` is the one exception to equality: it compares and hashes
 by identity."""
 
 import dataclasses
+import inspect
+import json
 import re
 from dataclasses import FrozenInstanceError, fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -194,3 +199,80 @@ def test_a_spec_inside_itself_reprs_as_an_ellipsis():
     registry = _Registry(devices)
     devices["self"] = registry
     assert repr(registry) == "_Registry(devices={'self': ...})"
+
+
+# ``str(inspect.signature(cls))`` of every spec class, as ``dataclass`` writes it
+SIGNATURES = json.loads((Path(__file__).parent / "data" / "spec_signatures.json").read_text())
+
+
+@pytest.mark.parametrize("cls", [cls for cls, *_ in SPECS], ids=IDS)
+def test_signature(cls):
+    assert str(inspect.signature(cls)) == SIGNATURES[cls.__name__]
+
+
+@pytest.mark.parametrize("cls, sample", [(cls, sample) for cls, sample, *_ in SPECS], ids=IDS)
+def test_positional_and_keyword_construction_agree(cls, sample):
+    by_position = cls(*_values(sample))
+    by_keyword = cls(**{f.name: getattr(sample, f.name) for f in fields(cls)})
+    assert repr(by_position) == repr(by_keyword) == repr(sample)
+    if cls is not ProfileDataset:  # compared by identity
+        assert by_position == by_keyword == sample
+
+
+@pytest.mark.parametrize("cls, sample", [(cls, sample) for cls, sample, *_ in SPECS], ids=IDS)
+def test_a_missing_or_unknown_argument_is_named(cls, sample):
+    kwargs = {f.name: getattr(sample, f.name) for f in fields(cls)}
+    with pytest.raises(TypeError, match=re.escape(
+            f"{cls.__qualname__}.__init__() got an unexpected keyword argument 'bogus'")):
+        cls(**kwargs, bogus=1)
+    required = [f.name for f in fields(cls)
+                if f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING]
+    if required:  # every field of a SimConfig has a default
+        del kwargs[required[-1]]
+        with pytest.raises(TypeError, match=re.escape(
+                f"{cls.__qualname__}.__init__() missing 1 required positional argument: "
+                f"'{required[-1]}'")):
+            cls(**kwargs)
+
+
+def test_a_default_factory_makes_a_fresh_value_per_instance():
+    @documents.spec
+    class Bag:
+        name: str
+        items: list = dataclasses.field(default_factory=list)
+
+    first, second = Bag("a"), Bag("b")
+    assert first.items == second.items == [] and first.items is not second.items
+    assert Bag("c", [1]).items == [1]
+    assert str(inspect.signature(Bag)) == "(name: str, items: list = <factory>) -> None"
+    assert (WorkerSpec("w", "nano", STATE).per_sample_transfer_cost
+            == EstimatorBundle("nano", PROFILE).models == {})
+
+
+@pytest.mark.parametrize("cls, sample", [(cls, sample) for cls, sample, *_ in SPECS
+                                         if "__post_init__" in cls.__dict__],
+                         ids=[cls.__name__ for cls, *_ in SPECS if "__post_init__" in cls.__dict__])
+def test_post_init_runs_once_per_construction_and_per_replace(cls, sample, monkeypatch):
+    calls = []
+    check = cls.__post_init__
+
+    def counted(self):
+        calls.append(self)
+        check(self)
+
+    monkeypatch.setattr(cls, "__post_init__", counted)
+    built = cls(*_values(sample))
+    assert calls == [built]
+    replaced = replace(sample)
+    assert len(calls) == 2 and calls[1] is replaced
+
+
+@pytest.mark.parametrize("cls, sample", [(cls, sample) for cls, sample, *_ in SPECS], ids=IDS)
+def test_frozen_fields_name_the_attribute(cls, sample):
+    name = fields(cls)[0].name
+    with pytest.raises(FrozenInstanceError, match=f"^cannot assign to field '{name}'$"):
+        setattr(sample, name, None)
+    with pytest.raises(FrozenInstanceError, match="^cannot assign to field 'other'$"):
+        sample.other = None
+    with pytest.raises(FrozenInstanceError, match=f"^cannot delete field '{name}'$"):
+        delattr(sample, name)
