@@ -117,9 +117,9 @@ def _cmd_run(args) -> int:
         if rec.violations:
             for v in rec.violations:
                 print(f"  violation: {v.worker_id}/{v.app_id}")
-        if args.trace:
-            save_trace(rec.trace, args.trace)
-            print(f"trace written to {args.trace}")
+    if args.trace:  # a job abandoned at request ran nothing: its trace is empty
+        save_trace(report.recovery.trace if report.recovery is not None else (), args.trace)
+        print(f"trace written to {args.trace}")
     return 0
 
 

@@ -15,7 +15,9 @@ or ``job.num_samples: ...``. Each class's reader and writer
 are compiled once, so a document costs what hand-written code does.
 ``csv_rows`` reads the CSV tables (profiling sweeps, simulator traces) and
 names a bad row by ``path:line``. ``spec`` makes a class one of the frozen
-dataclasses these documents hold, with the equality, hash and repr they share.
+dataclasses these documents hold: their equality, hash, repr and frozen
+``__setattr__``/``__delattr__`` are functions they share, and only each
+class's ``__init__`` is compiled for it.
 """
 
 from __future__ import annotations
@@ -24,10 +26,11 @@ import csv
 import io
 import json
 import math
+import sys
 import types
 import typing
 from collections.abc import Mapping
-from dataclasses import MISSING, dataclass, field, fields, is_dataclass
+from dataclasses import MISSING, FrozenInstanceError, dataclass, field, fields, is_dataclass
 from functools import cache
 from pathlib import Path
 from reprlib import recursive_repr
@@ -80,13 +83,73 @@ def _repr(self):
             f"{', '.join(f'{f.name}={getattr(self, f.name)!r}' for f in fields(self))})")
 
 
+def _setattr(self, name, value):
+    raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+
+def _delattr(self, name):
+    raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
+class _Factory:
+    """The default of a ``default_factory`` field's parameter, as a signature shows it."""
+
+    def __repr__(self):
+        return "<factory>"
+
+
+_FACTORY = _Factory()
+
+
+def _init(cls: type):
+    """The ``__init__`` ``dataclass(frozen=True)`` would compile for ``cls``:
+    the same parameters, defaults, annotations and errors, each field set
+    with ``object.__setattr__``, a fresh ``default_factory`` value per
+    instance, and then ``__post_init__`` when the class has one."""
+    plain = fields(cls)
+    if len(plain) != len(cls.__dataclass_fields__) or any(not f.init or f.kw_only for f in plain):
+        raise TypeError(f"spec class {cls.__qualname__}: every field must be a positional "
+                        "__init__ field (no init=False, kw_only, InitVar or ClassVar)")
+    env = {"_set": object.__setattr__, "_FACTORY": _FACTORY}
+    params, body = ["self"], []
+    for f in plain:
+        value = f.name
+        if f.default_factory is not MISSING:
+            env[f"_make_{f.name}"] = f.default_factory
+            params.append(f"{f.name}=_FACTORY")
+            value = f"_make_{f.name}() if {f.name} is _FACTORY else {f.name}"
+        elif f.default is not MISSING:
+            env[f"_dflt_{f.name}"] = f.default
+            params.append(f"{f.name}=_dflt_{f.name}")
+        else:
+            params.append(f.name)
+        body.append(f"_set(self, {f.name!r}, {value})")
+    if hasattr(cls, "__post_init__"):
+        body.append("self.__post_init__()")
+    source = (f"def __create_fn__({', '.join(env)}):\n"
+              f" def __init__({', '.join(params)}):\n"
+              + "".join(f"  {line}\n" for line in body or ["pass"]) + " return __init__")
+    scope = {}
+    exec(source, vars(sys.modules[cls.__module__]), scope)  # the class's globals, as dataclass's
+    init = scope["__create_fn__"](**env)
+    init.__qualname__ = f"{cls.__qualname__}.__init__"
+    init.__annotations__ = {**{f.name: f.type for f in plain}, "return": None}
+    return init
+
+
 def spec(cls: type) -> type:
-    """``cls`` as a frozen dataclass whose equality, hash and repr are the ones
-    every spec class shares: by the tuple of its field values, in declaration
-    order, as ``dataclass`` would write them, without compiling them per class.
-    A method the class body defines itself is left alone."""
-    cls = dataclass(frozen=True, eq=False, repr=False)(cls)
-    for name, method in (("__eq__", _eq), ("__hash__", _hash), ("__repr__", _repr)):
+    """``cls`` as a frozen dataclass whose equality, hash, repr and frozen
+    ``__setattr__``/``__delattr__`` are the ones every spec class shares: by
+    the tuple of its field values, in declaration order, with the texts
+    ``dataclass`` would write, without compiling them per class. Setting or
+    deleting any attribute raises ``FrozenInstanceError`` (``object.__setattr__``
+    and ``cached_property`` bypass it). Only ``__init__`` is compiled for the
+    class, by ``_init``. A method the class body defines itself is left alone."""
+    cls = dataclass(init=False, eq=False, repr=False)(cls)
+    if "__init__" not in cls.__dict__:
+        cls.__init__ = _init(cls)
+    for name, method in (("__setattr__", _setattr), ("__delattr__", _delattr),
+                         ("__eq__", _eq), ("__hash__", _hash), ("__repr__", _repr)):
         if name not in cls.__dict__:
             setattr(cls, name, method)
     return cls

@@ -53,7 +53,7 @@ _STATE_TARGETS = ("state_cpu", "state_gpu", "state_mem")
 _POSITIVE_FLOOR = 1e-9
 
 
-def _clamp(value, low, high=math.inf):
+def _clamp(value, low, high):
     """``value`` limited to [low, high], elementwise for arrays."""
     if isinstance(value, np.ndarray) or isinstance(low, np.ndarray):
         return np.minimum(high, np.maximum(low, value))
@@ -250,27 +250,31 @@ class FittedFunction:
     def term_names(self) -> list[str]:
         return [name for name, _, _ in basis_terms(self.feature_names)]
 
-    def predict(self, features: dict):
+    def predict(self, features: dict | tuple):
         """The model at one point, or at every point where features are 1-d
         arrays (numbers broadcast against them); all points make one design
-        matrix, and a point's prediction does not depend on the others."""
-        try:
-            values = [features[name] for name in self.feature_names]
-        except KeyError as exc:
-            raise ValueError(f"fitted '{self.target}': missing feature {exc}") from None
-        return _predict(FEATURES_BY_TARGET[self.target], values, self._coefficients)[0]
+        matrix, and a point's prediction does not depend on the others. The
+        features come by name in a dict, or as a tuple of their values in
+        ``feature_names`` order."""
+        if type(features) is not tuple:
+            try:
+                features = [features[name] for name in self.feature_names]
+            except KeyError as exc:
+                raise ValueError(f"fitted '{self.target}': missing feature {exc}") from None
+        return _predict(FEATURES_BY_TARGET[self.target], features, self._coefficients)[0]
 
     def estimate(self, state, b, ps_state, n):
         """The prediction under ``state`` at batch size ``b`` with ``n`` workers
         on a parameter server in ``ps_state``. Times are floored just above
         zero, since a fit, unlike the closed form, can dip below it."""
-        # every target's features are a prefix of the update time's
-        features = dict(zip(FEATURES_BY_TARGET[self.target],
-                            (state.cpu_util, state.gpu_util, state.mem_util, b)))
         if self.target == "update_time":
-            features.update(ps_cpu_util=ps_state.cpu_util, n_workers=n)
-        pred = self.predict(features)
-        return pred if self.target.startswith("state_") else _clamp(pred, _POSITIVE_FLOOR)
+            values = (state.cpu_util, state.gpu_util, state.mem_util, b, ps_state.cpu_util, n)
+        else:  # every other target's features are a prefix of the update time's
+            values = (state.cpu_util, state.gpu_util, state.mem_util, b)[:len(self.feature_names)]
+        pred = self.predict(values)
+        if self.target.startswith("state_"):
+            return pred
+        return (np.maximum if isinstance(pred, np.ndarray) else max)(_POSITIVE_FLOOR, pred)
 
 
 # --- the bundle ---------------------------------------------------------------

@@ -470,3 +470,18 @@ def test_bad_input_is_a_clean_error(argv, named, tmp_path, capsys):
     where = err.removeprefix("error: ").split(": ")[0]
     assert err.count(where) == 1
     assert "Traceback" not in err
+
+
+def test_run_writes_an_empty_trace_for_a_job_abandoned_at_request(tmp_path, capsys):
+    cluster = json.loads((DATA / "cluster.json").read_text())
+    for worker in cluster["workers"]:  # no worker can hold a batch this large
+        worker["b_min"] = worker["b_max"] = 10 ** 6
+    path, trace = tmp_path / "cluster.json", tmp_path / "trace.csv"
+    path.write_text(json.dumps(cluster))
+    code = main(["run", "--cluster", str(path), "--job", str(DATA / "job.json"),
+                 "--trace", str(trace)])
+    assert code == 0
+    text = capsys.readouterr().out
+    assert "status: abandoned" in text and f"trace written to {trace}" in text
+    assert trace.read_text().splitlines() == ["time,worker,event,detail"]
+    assert load_trace(trace) == ()

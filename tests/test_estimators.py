@@ -391,3 +391,5 @@ def test_fitted_predictions_match_the_basis_term_by_term(target):
         predicted = model.predict(dict(zip(names, X.T)))
         assert np.array_equal(predicted, (reference * model._coefficients).sum(axis=1))
         assert model.predict(dict(zip(names, X[0]))) == predicted[0]
+        assert model.predict(tuple(X[0])) == predicted[0]
+        assert np.array_equal(model.predict(tuple(X.T)), predicted)

@@ -10,6 +10,7 @@ import dataclasses
 import inspect
 import json
 import re
+import typing
 from dataclasses import FrozenInstanceError, fields, replace
 from pathlib import Path
 
@@ -203,14 +204,16 @@ def test_a_spec_inside_itself_reprs_as_an_ellipsis():
 
 # ``str(inspect.signature(cls))`` of every spec class, as ``dataclass`` writes it
 SIGNATURES = json.loads((Path(__file__).parent / "data" / "spec_signatures.json").read_text())
+SAMPLES = [(cls, sample) for cls, sample, *_ in SPECS]
+POST_INIT = [(cls, sample) for cls, sample in SAMPLES if "__post_init__" in cls.__dict__]
 
 
-@pytest.mark.parametrize("cls", [cls for cls, *_ in SPECS], ids=IDS)
-def test_signature(cls):
+@pytest.mark.parametrize("cls, sample", SAMPLES, ids=IDS)
+def test_signature(cls, sample):
     assert str(inspect.signature(cls)) == SIGNATURES[cls.__name__]
 
 
-@pytest.mark.parametrize("cls, sample", [(cls, sample) for cls, sample, *_ in SPECS], ids=IDS)
+@pytest.mark.parametrize("cls, sample", SAMPLES, ids=IDS)
 def test_positional_and_keyword_construction_agree(cls, sample):
     by_position = cls(*_values(sample))
     by_keyword = cls(**{f.name: getattr(sample, f.name) for f in fields(cls)})
@@ -219,7 +222,7 @@ def test_positional_and_keyword_construction_agree(cls, sample):
         assert by_position == by_keyword == sample
 
 
-@pytest.mark.parametrize("cls, sample", [(cls, sample) for cls, sample, *_ in SPECS], ids=IDS)
+@pytest.mark.parametrize("cls, sample", SAMPLES, ids=IDS)
 def test_a_missing_or_unknown_argument_is_named(cls, sample):
     kwargs = {f.name: getattr(sample, f.name) for f in fields(cls)}
     with pytest.raises(TypeError, match=re.escape(
@@ -249,9 +252,7 @@ def test_a_default_factory_makes_a_fresh_value_per_instance():
             == EstimatorBundle("nano", PROFILE).models == {})
 
 
-@pytest.mark.parametrize("cls, sample", [(cls, sample) for cls, sample, *_ in SPECS
-                                         if "__post_init__" in cls.__dict__],
-                         ids=[cls.__name__ for cls, *_ in SPECS if "__post_init__" in cls.__dict__])
+@pytest.mark.parametrize("cls, sample", POST_INIT, ids=[cls.__name__ for cls, _ in POST_INIT])
 def test_post_init_runs_once_per_construction_and_per_replace(cls, sample, monkeypatch):
     calls = []
     check = cls.__post_init__
@@ -267,7 +268,7 @@ def test_post_init_runs_once_per_construction_and_per_replace(cls, sample, monke
     assert len(calls) == 2 and calls[1] is replaced
 
 
-@pytest.mark.parametrize("cls, sample", [(cls, sample) for cls, sample, *_ in SPECS], ids=IDS)
+@pytest.mark.parametrize("cls, sample", SAMPLES, ids=IDS)
 def test_frozen_fields_name_the_attribute(cls, sample):
     name = fields(cls)[0].name
     with pytest.raises(FrozenInstanceError, match=f"^cannot assign to field '{name}'$"):
@@ -276,3 +277,27 @@ def test_frozen_fields_name_the_attribute(cls, sample):
         sample.other = None
     with pytest.raises(FrozenInstanceError, match=f"^cannot delete field '{name}'$"):
         delattr(sample, name)
+
+
+def test_spec_classes_share_their_frozen_guards_and_compile_only_an_init():
+    classes = [cls for cls, _ in SAMPLES]
+    assert {cls.__setattr__ for cls in classes} == {documents._setattr}
+    assert {cls.__delattr__ for cls in classes} == {documents._delattr}
+    for cls in classes:
+        generated = [name for name, value in vars(cls).items()
+                     if getattr(getattr(value, "__code__", None), "co_filename", "") == "<string>"]
+        assert generated == ["__init__"], cls
+
+
+@pytest.mark.parametrize("annotation, default", [
+    (int, dataclasses.field(init=False, default=0)),
+    (int, dataclasses.field(kw_only=True, default=0)),
+    (dataclasses.InitVar[int], None),
+    (typing.ClassVar[int], 0),
+], ids=["init-false", "kw-only", "initvar", "classvar"])
+def test_spec_refuses_a_field_its_init_does_not_take(annotation, default):
+    body = {"__annotations__": {"a": int, "b": annotation}}
+    if default is not None:
+        body["b"] = default
+    with pytest.raises(TypeError, match="every field must be a positional __init__ field"):
+        documents.spec(type("Odd", (), body))
