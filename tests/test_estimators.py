@@ -393,3 +393,10 @@ def test_fitted_predictions_match_the_basis_term_by_term(target):
         assert model.predict(dict(zip(names, X[0]))) == predicted[0]
         assert model.predict(tuple(X[0])) == predicted[0]
         assert np.array_equal(model.predict(tuple(X.T)), predicted)
+    # estimate passes its features by position: the same model as by name,
+    # with coefficients that keep times above their floor
+    model = replace(model, coefficients=tuple(rng.uniform(0.1, 1, len(terms))))
+    point = {"cpu_util": 0.3, "gpu_util": 0.5, "mem_util": 0.2, "batch": 16,
+             "ps_cpu_util": 0.4, "n_workers": 3}
+    assert (model.estimate(NodeState(0.3, 0.5, 0.2), 16, NodeState(0.4, 0.0, 0.0), 3)
+            == model.predict({name: point[name] for name in names}))

@@ -208,8 +208,8 @@ SAMPLES = [(cls, sample) for cls, sample, *_ in SPECS]
 POST_INIT = [(cls, sample) for cls, sample in SAMPLES if "__post_init__" in cls.__dict__]
 
 
-@pytest.mark.parametrize("cls, sample", SAMPLES, ids=IDS)
-def test_signature(cls, sample):
+@pytest.mark.parametrize("cls", [cls for cls, *_ in SPECS], ids=IDS)
+def test_signature(cls):
     assert str(inspect.signature(cls)) == SIGNATURES[cls.__name__]
 
 
